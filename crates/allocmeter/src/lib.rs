@@ -19,10 +19,11 @@
 //! so a run's charge is exactly what the driving thread allocated, with no
 //! cross-talk from concurrently running test threads.
 //!
-//! This is the workspace's **only** crate with `unsafe` code (the
-//! `GlobalAlloc` impl cannot be written without it); every protocol crate
-//! keeps `#![forbid(unsafe_code)]`, which is why this lives in its own
-//! leaf crate used by bench/test binaries only.
+//! The workspace has `unsafe` code in exactly two places: this crate (the
+//! `GlobalAlloc` impl cannot be written without it) and the one `ppoll`
+//! call in `rcv-runtime`'s `transport::readiness` module. Every other
+//! protocol crate keeps `#![forbid(unsafe_code)]`, which is why this
+//! lives in its own leaf crate used by bench/test binaries only.
 
 #![warn(missing_docs)]
 

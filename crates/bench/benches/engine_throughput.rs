@@ -283,6 +283,18 @@ fn queue_churn_heap(ops: u64) -> u64 {
     ops
 }
 
+/// `git rev-parse --short HEAD` of the checkout this bench was built
+/// from; `None` outside a git checkout or without git on the PATH.
+fn git_short_head() -> Option<String> {
+    let out = std::process::Command::new("git")
+        .args(["rev-parse", "--short", "HEAD"])
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        .output()
+        .ok()?;
+    let head = String::from_utf8(out.stdout).ok()?.trim().to_string();
+    (out.status.success() && !head.is_empty()).then_some(head)
+}
+
 fn main() -> ExitCode {
     let opts = parse_opts();
     let (windows, window_secs) = if opts.quick { (3, 0.12) } else { (5, 0.5) };
@@ -362,7 +374,9 @@ fn main() -> ExitCode {
         };
         let commit = std::env::var("GITHUB_SHA")
             .or_else(|_| std::env::var("RCV_COMMIT"))
-            .unwrap_or_else(|_| "local".to_string());
+            .ok()
+            .or_else(git_short_head)
+            .unwrap_or_else(|| "local".to_string());
         let unix_secs = std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
             .map(|d| d.as_secs())

@@ -22,7 +22,8 @@
 //! * `--kill NODE,MS` — fault drill: kill worker `NODE`'s process `MS`
 //!   milliseconds after start; the run then *must* report that node as
 //!   crashed (proves the hub returns crash verdicts instead of hanging).
-//! * `--json PATH` — also write per-run rows as a JSON report.
+//! * `--json PATH` — also write per-run rows as a JSON report (verdict,
+//!   counters, and the hub's `HubStats`: wakeups, frames routed, bytes).
 //!
 //! Exit codes: 0 every run clean (or the armed kill drill verdicted as
 //! expected), 1 a run failed, 2 usage/setup error.
@@ -32,6 +33,7 @@ use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 use rcv_bench::perf::json_str;
+use rcv_runtime::orchestrator::HubStats;
 use rcv_runtime::SocketNet;
 use rcv_workload::{maybe_worker, Algo, ProcessBackend, ThreadSpec};
 
@@ -125,6 +127,7 @@ struct Row {
     anomalies: u64,
     crashed: Vec<u32>,
     wire_faults: usize,
+    hub: HubStats,
     millis: u128,
 }
 
@@ -207,6 +210,7 @@ fn run() -> Result<ExitCode, String> {
             anomalies: report.anomalies,
             crashed: report.crashed,
             wire_faults: report.faults.len(),
+            hub: report.hub,
             millis,
         });
     }
@@ -229,7 +233,9 @@ fn run() -> Result<ExitCode, String> {
                 s,
                 "    {{\"algo\": {}, \"tag\": {}, \"verdict\": {}, \"completed\": {}, \
                  \"expected\": {}, \"messages\": {}, \"violations\": {}, \"anomalies\": {}, \
-                 \"crashed\": [{}], \"wire_faults\": {}, \"millis\": {}}}",
+                 \"crashed\": [{}], \"wire_faults\": {}, \"hub\": {{\"wakeups_readable\": {}, \
+                 \"wakeups_timer\": {}, \"frames_routed\": {}, \"bytes_in\": {}, \
+                 \"bytes_out\": {}, \"max_outbuf\": {}}}, \"millis\": {}}}",
                 json_str(r.algo),
                 json_str(r.tag),
                 json_str(&r.verdict),
@@ -240,6 +246,12 @@ fn run() -> Result<ExitCode, String> {
                 r.anomalies,
                 crashed,
                 r.wire_faults,
+                r.hub.wakeups_readable,
+                r.hub.wakeups_timer,
+                r.hub.frames_routed,
+                r.hub.bytes_in,
+                r.hub.bytes_out,
+                r.hub.max_outbuf,
                 r.millis,
             );
             s.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });

@@ -104,4 +104,9 @@ fn orchestrator_cli_all_smoke_exits_zero_with_json_report() {
         Algo::all().len(),
         "{report}"
     );
+    assert_eq!(
+        report.matches("\"hub\": {\"wakeups_readable\": ").count(),
+        Algo::all().len(),
+        "{report}"
+    );
 }

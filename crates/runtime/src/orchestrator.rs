@@ -12,11 +12,22 @@
 //!    run before protocol traffic exists.
 //! 2. **Start** — each accepted worker receives its [`WorkerConfig`]
 //!    (workload, timing, seed, crash window, shared CS-log path).
-//! 3. **Serve** — a nonblocking sweep loop routes `Send` frames through
-//!    the same `FaultQueue` (in `transport::netq`) the in-process network
-//!    thread uses, so
+//! 3. **Serve** — an event-driven loop over the nonblocking worker
+//!    sockets. After each pass over its work the hub blocks in one
+//!    `ppoll(2)` readiness wait (`transport::readiness`) on every live
+//!    socket — readable always, writable only while that worker has
+//!    queued output — with a timeout of whichever comes first: the next
+//!    queued delivery falling due, the kill drill, the watchdog deadline.
+//!    It then reads only the sockets reported ready and flushes only the
+//!    slots with queued output, so an idle cluster costs no CPU and a
+//!    `Send` is read the moment it arrives. `Send` frames are routed
+//!    through the same `FaultQueue` (in `transport::netq`) the in-process
+//!    network thread uses, so
 //!    loss/duplication/straggler/crash-window semantics are identical
-//!    across backends. Mutual exclusion is checked *post hoc* by replaying
+//!    across backends. Output toward a worker is bounded by
+//!    [`OUTBUF_CAP`]: a worker that stops reading is written off (and
+//!    named in `faults`, see [`OVER_CAP_FAULT`]) instead of growing the
+//!    hub. Mutual exclusion is checked *post hoc* by replaying
 //!    the shared append-only CS log ([`crate::replay_cs_log`]) — workers
 //!    write entry/exit records from inside the CS, and the kernel's
 //!    `O_APPEND` serialization makes interleaved records a faithful
@@ -29,6 +40,7 @@
 //! the run is not clean even if the log shows no overlap.
 
 use std::net::TcpListener;
+use std::os::unix::io::{AsRawFd, RawFd};
 use std::os::unix::net::UnixListener;
 use std::path::PathBuf;
 use std::process::Child;
@@ -44,8 +56,10 @@ use crate::checker::{replay_cs_log, CsLogProbe};
 use crate::cluster::{ClusterReport, NetDelay, WireFaults};
 use crate::node::{NodeDriver, NodeParams};
 use crate::transport::frame::{
-    encode_frame, validate_hello, CtrlFrame, FrameBuf, WorkerConfig, WorkerReport,
+    encode_frame, encode_frame_into, validate_hello, CtrlFrame, FrameBuf, WorkerConfig,
+    WorkerReport, MAX_FRAME,
 };
+use crate::transport::readiness::{self, PollFd};
 use crate::transport::socket::{is_timeout, SocketStream};
 use crate::transport::{SocketNet, SocketTransport};
 use crate::watchdog::StatusCell;
@@ -186,10 +200,47 @@ pub struct ProcessReport {
     /// Fatal wire errors reported by workers, with the reporting node.
     /// Each detail is a rendered [`crate::wire::WireError`], already
     /// protocol/variant-framed (e.g. `"RCV/Rm: truncated message"`).
+    /// A worker the hub wrote off at [`OUTBUF_CAP`] is listed here too,
+    /// with [`OVER_CAP_FAULT`] as its detail.
     pub faults: Vec<(u32, String)>,
     /// Nodes whose process vanished before sending its report.
     pub crashed: Vec<u32>,
+    /// What the hub's serve loop did.
+    pub hub: HubStats,
 }
+
+/// Counters of the hub's serve loop: how often it woke and why, and how
+/// much it moved. Plain counts kept on the hub thread (no clock reads);
+/// `wakeups_readable + wakeups_timer` is the number of passes the loop
+/// made, which for an event-driven hub is bounded by the traffic, not by
+/// the run's length.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct HubStats {
+    /// Readiness waits that ended because a socket became ready (almost
+    /// always readable; writable when a worker's socket buffer drained).
+    pub wakeups_readable: u64,
+    /// Readiness waits that ended on their timeout (a delivery fell due,
+    /// the kill drill, the deadline) or a signal.
+    pub wakeups_timer: u64,
+    /// `Deliver` frames queued toward workers.
+    pub frames_routed: u64,
+    /// Bytes read from worker sockets.
+    pub bytes_in: u64,
+    /// Bytes written to worker sockets.
+    pub bytes_out: u64,
+    /// Most bytes ever queued toward one worker (at most [`OUTBUF_CAP`]).
+    pub max_outbuf: u64,
+}
+
+/// Most bytes the hub queues toward one worker. A worker that lets this
+/// much pile up has stopped reading: the hub stops writing to it (the run
+/// then ends in a `timed_out` or crash verdict) rather than buffering
+/// without bound.
+pub const OUTBUF_CAP: usize = 4 * MAX_FRAME;
+
+/// The entry [`ProcessReport::faults`] carries for a worker written off at
+/// [`OUTBUF_CAP`], so that verdict is told apart from an ordinary stall.
+pub const OVER_CAP_FAULT: &str = "hub: output cap exceeded, worker not reading";
 
 impl ProcessReport {
     /// Whether the run was safe, fully live, and free of crash verdicts
@@ -237,6 +288,13 @@ impl Listener {
         }
     }
 
+    fn raw_fd(&self) -> RawFd {
+        match self {
+            Listener::Uds(l, _) => l.as_raw_fd(),
+            Listener::Tcp(l) => l.as_raw_fd(),
+        }
+    }
+
     fn accept(&self) -> std::io::Result<SocketStream> {
         match self {
             Listener::Uds(l, _) => l.accept().map(|(s, _)| SocketStream::Unix(s)),
@@ -260,8 +318,13 @@ impl Drop for Listener {
 struct Slot {
     stream: SocketStream,
     fb: FrameBuf,
-    /// Bytes queued toward the worker (nonblocking writes may be short).
+    /// Bytes queued toward the worker (nonblocking writes may be short);
+    /// `outbuf[head..]` is still unwritten.
     outbuf: Vec<u8>,
+    head: usize,
+    bytes_in: u64,
+    bytes_out: u64,
+    max_outbuf: usize,
     done: bool,
     report: Option<WorkerReport>,
     /// The read side is drained (EOF or read error); nothing more will
@@ -273,35 +336,118 @@ struct Slot {
     /// is still sitting in our receive buffer and must be read, not
     /// discarded as a crash.
     wedged: bool,
+    /// `wedged` because [`OUTBUF_CAP`] was hit, i.e. written off while
+    /// possibly still alive; reported as a fault so the verdict says why.
+    over_cap: bool,
 }
 
 impl Slot {
+    fn new(stream: SocketStream, fb: FrameBuf) -> Self {
+        Slot {
+            stream,
+            fb,
+            outbuf: Vec::new(),
+            head: 0,
+            bytes_in: 0,
+            bytes_out: 0,
+            max_outbuf: 0,
+            done: false,
+            report: None,
+            eof: false,
+            wedged: false,
+            over_cap: false,
+        }
+    }
+
+    /// Whether the hub has bytes it still wants to write to this worker
+    /// (never for a wedged one: `wedge` empties the buffer for good).
+    fn has_output(&self) -> bool {
+        !self.eof && self.head < self.outbuf.len()
+    }
+
     /// Flushes as much queued output as the socket accepts right now.
     fn flush(&mut self) {
-        while !self.outbuf.is_empty() && !self.wedged {
-            match self.stream.write_some(&self.outbuf) {
-                Ok(0) => {
-                    self.wedged = true;
-                    return;
-                }
+        while self.has_output() {
+            match self.stream.write_some(&self.outbuf[self.head..]) {
+                Ok(0) => self.wedge(),
                 Ok(n) => {
-                    self.outbuf.drain(..n);
+                    self.head += n;
+                    self.bytes_out += n as u64;
                 }
                 Err(e) if is_timeout(&e) => return,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(_) => {
-                    self.wedged = true;
-                    return;
+                Err(_) => self.wedge(),
+            }
+        }
+        if self.head == self.outbuf.len() {
+            self.outbuf.clear();
+            self.head = 0;
+        }
+    }
+
+    fn queue(&mut self, frame: &CtrlFrame) {
+        if self.wedged || self.eof {
+            return; // never flushed again: don't buffer for nobody
+        }
+        // Reclaim the written prefix once it is at least as large as what
+        // is left to move: amortized O(1) per byte, no memmove per write.
+        if self.head > 0 && self.head >= self.outbuf.len() - self.head {
+            self.outbuf.copy_within(self.head.., 0);
+            self.outbuf.truncate(self.outbuf.len() - self.head);
+            self.head = 0;
+        }
+        encode_frame_into(&mut self.outbuf, frame);
+        let pending = self.outbuf.len() - self.head;
+        if pending > OUTBUF_CAP {
+            self.over_cap = true; // the worker is not reading
+            self.wedge();
+        } else {
+            self.max_outbuf = self.max_outbuf.max(pending);
+        }
+    }
+
+    /// Handles every complete frame buffered from this worker (node `i`
+    /// of `n`): `Send`s go to the delay queue, the rest is bookkeeping.
+    fn process_frames(
+        &mut self,
+        i: usize,
+        n: usize,
+        q: &mut FaultQueueBytes,
+        faults: &mut Vec<(u32, String)>,
+    ) {
+        loop {
+            match self.fb.next_frame() {
+                Ok(Some(CtrlFrame::Send {
+                    to,
+                    delay_us,
+                    payload,
+                })) => {
+                    if (to as usize) < n {
+                        q.submit(i, to as usize, Duration::from_micros(delay_us), payload);
+                    }
+                }
+                Ok(Some(CtrlFrame::Done { .. })) => self.done = true,
+                Ok(Some(CtrlFrame::Report(r))) => self.report = Some(r),
+                Ok(Some(CtrlFrame::Fault { node, detail })) => faults.push((node, detail)),
+                // Hub-bound frames only; anything else is a confused
+                // worker. Ignore rather than wedge the cluster.
+                Ok(Some(_)) => {}
+                Ok(None) => break,
+                Err(e) => {
+                    faults.push((i as u32, e.to_string()));
+                    self.eof = true;
+                    break;
                 }
             }
         }
     }
 
-    fn queue(&mut self, frame: &CtrlFrame) {
-        if self.wedged {
-            return; // peer gone: don't grow the buffer forever
-        }
-        self.outbuf.extend_from_slice(encode_frame(frame).as_ref());
+    /// Writes the worker off: nothing more is sent or buffered. Its read
+    /// side stays open — a report already in flight must still be read.
+    fn wedge(&mut self) {
+        self.wedged = true;
+        self.outbuf = Vec::new();
+        self.head = 0;
     }
 }
 
@@ -391,7 +537,14 @@ pub fn run_process_cluster(
         let mut stream = match listener.accept() {
             Ok(s) => s,
             Err(e) if is_timeout(&e) => {
-                std::thread::sleep(Duration::from_micros(500));
+                // Nobody is connecting yet: sleep until someone does (or
+                // the deadline; the loop head sorts out which).
+                let wait = handshake_deadline.saturating_duration_since(Instant::now());
+                if let Err(e) = readiness::wait(&mut [PollFd::new(listener.raw_fd(), false)], wait)
+                {
+                    kill_children(&mut children);
+                    return Err(format!("waiting for workers: {e}"));
+                }
                 continue;
             }
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
@@ -411,15 +564,7 @@ pub fn run_process_cluster(
         let taken: Vec<bool> = slots.iter().map(|s| s.is_some()).collect();
         match validate_hello(&hello, n as u32, &spec.protocol, &taken) {
             Ok(node) => {
-                slots[node as usize] = Some(Slot {
-                    stream,
-                    fb,
-                    outbuf: Vec::new(),
-                    done: false,
-                    report: None,
-                    eof: false,
-                    wedged: false,
-                });
+                slots[node as usize] = Some(Slot::new(stream, fb));
                 connected += 1;
             }
             Err(reason) => {
@@ -477,7 +622,9 @@ pub fn run_process_cluster(
         }
     }
 
-    // --- Serve: sweep loop over all sockets. ---
+    // --- Serve: event loop over all sockets. Each pass does the work
+    // that is due, then blocks until a socket is ready or the next piece
+    // of timed work (delivery, kill drill, watchdog) comes up. ---
     status.set("serving");
     let t0 = Instant::now();
     let deadline = t0 + spec.timeout;
@@ -488,85 +635,50 @@ pub fn run_process_cluster(
         .map(|(node, down, up)| (node as usize, t0 + tickify(down), t0 + tickify(up)));
     let mut q: FaultQueueBytes = crate::transport::netq::FaultQueue::new(spec.faults, crash_win);
     let mut faults: Vec<(u32, String)> = Vec::new();
+    let mut hub = HubStats::default();
     let mut shutdown_sent = false;
     let mut timed_out = false;
-    let mut killed = false;
+    let mut kill_at = spec.kill_worker.map(|(victim, after)| (victim, t0 + after));
     let mut read_buf = vec![0u8; 64 * 1024];
+    let mut pollfds: Vec<PollFd> = Vec::with_capacity(n);
+    // Frames a worker pipelined behind its `Hello` are already buffered;
+    // no readiness event will announce them.
+    for (i, slot) in slots.iter_mut().enumerate() {
+        slot.process_frames(i, n, &mut q, &mut faults);
+    }
     loop {
         let now = Instant::now();
         if now >= deadline {
             timed_out = true;
             break;
         }
-        if let Some((victim, after)) = spec.kill_worker {
-            if !killed && now >= t0 + after {
-                killed = true;
-                if let Some(child) = children.get_mut(victim as usize) {
-                    let _ = child.kill();
-                }
+        if let Some((victim, _)) = kill_at.filter(|&(_, at)| now >= at) {
+            kill_at = None;
+            if let Some(child) = children.get_mut(victim as usize) {
+                let _ = child.kill();
             }
         }
 
-        // Deliver everything due (encode once per delivery; the payload
-        // bytes are routed without protocol knowledge).
-        while let Some((from, to, payload)) = q.pop_due(Instant::now()) {
+        // Deliver everything due (the payload bytes are routed without
+        // protocol knowledge, encoded straight into the output buffer).
+        while let Some((from, to, payload)) = q.pop_due(now) {
             status.bump();
+            hub.frames_routed += 1;
+            // Periodic status only: formatting per frame would put an
+            // allocation on the routing hot path.
+            if hub.frames_routed % 1024 == 1 {
+                status.set(format!(
+                    "serving: in-flight {} (routed {}, wakeups {} io / {} timer)",
+                    q.in_flight(),
+                    hub.frames_routed,
+                    hub.wakeups_readable,
+                    hub.wakeups_timer,
+                ));
+            }
             slots[to].queue(&CtrlFrame::Deliver {
                 from: from as u32,
                 payload,
             });
-        }
-
-        for (i, slot) in slots.iter_mut().enumerate() {
-            if slot.eof {
-                continue;
-            }
-            slot.flush();
-            // Drain the socket.
-            loop {
-                if slot.eof {
-                    break;
-                }
-                match slot.stream.read_chunk(&mut read_buf) {
-                    Ok(0) => slot.eof = true,
-                    Ok(nread) => {
-                        slot.fb.extend(&read_buf[..nread]);
-                        if nread < read_buf.len() {
-                            break;
-                        }
-                    }
-                    Err(e) if is_timeout(&e) => break,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                    Err(_) => slot.eof = true,
-                }
-            }
-            // Process buffered frames (also after EOF: the worker may have
-            // written its report and exited before the hub read it).
-            loop {
-                match slot.fb.next_frame() {
-                    Ok(Some(CtrlFrame::Send {
-                        to,
-                        delay_us,
-                        payload,
-                    })) => {
-                        if (to as usize) < n {
-                            q.submit(i, to as usize, Duration::from_micros(delay_us), payload);
-                        }
-                    }
-                    Ok(Some(CtrlFrame::Done { .. })) => slot.done = true,
-                    Ok(Some(CtrlFrame::Report(r))) => slot.report = Some(r),
-                    Ok(Some(CtrlFrame::Fault { node, detail })) => faults.push((node, detail)),
-                    // Hub-bound frames only; anything else is a confused
-                    // worker. Ignore rather than wedge the cluster.
-                    Ok(Some(_)) => {}
-                    Ok(None) => break,
-                    Err(e) => {
-                        faults.push((i as u32, e.to_string()));
-                        slot.eof = true;
-                        break;
-                    }
-                }
-            }
         }
 
         if !shutdown_sent && slots.iter().all(|s| s.done || s.eof) {
@@ -581,7 +693,73 @@ pub fn run_process_cluster(
         if shutdown_sent && slots.iter().all(|s| s.report.is_some() || s.eof) {
             break;
         }
-        std::thread::sleep(Duration::from_micros(200));
+
+        // Write what is queued; whatever the socket refuses waits for
+        // POLLOUT below.
+        pollfds.clear();
+        for slot in slots.iter_mut() {
+            slot.flush();
+            pollfds.push(if slot.eof {
+                PollFd::ignored()
+            } else {
+                PollFd::new(slot.stream.raw_fd(), slot.has_output())
+            });
+        }
+
+        let mut wake = deadline;
+        if let Some(due) = q.next_due() {
+            wake = wake.min(due);
+        }
+        if let Some((_, at)) = kill_at {
+            wake = wake.min(at);
+        }
+        match readiness::wait(&mut pollfds, wake.saturating_duration_since(Instant::now())) {
+            Ok(0) => {
+                hub.wakeups_timer += 1;
+                continue;
+            }
+            Ok(_) => hub.wakeups_readable += 1,
+            Err(e) => {
+                kill_children(&mut children);
+                let _ = std::fs::remove_file(&cs_log);
+                return Err(format!("hub readiness wait: {e}"));
+            }
+        }
+
+        for (i, (slot, pfd)) in slots.iter_mut().zip(&pollfds).enumerate() {
+            // Hang-up and error count as readable, so a dead worker's EOF
+            // comes out of the `read` below like any other.
+            if !pfd.readable() {
+                continue;
+            }
+            // Drain the socket.
+            while !slot.eof {
+                match slot.stream.read_chunk(&mut read_buf) {
+                    Ok(0) => slot.eof = true,
+                    Ok(nread) => {
+                        slot.bytes_in += nread as u64;
+                        slot.fb.extend(&read_buf[..nread]);
+                        if nread < read_buf.len() {
+                            break;
+                        }
+                    }
+                    Err(e) if is_timeout(&e) => break,
+                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                    Err(_) => slot.eof = true,
+                }
+            }
+            // Also after EOF: the worker may have written its report and
+            // exited before the hub read it.
+            slot.process_frames(i, n, &mut q, &mut faults);
+        }
+    }
+    for (i, slot) in slots.iter().enumerate() {
+        hub.bytes_in += slot.bytes_in;
+        hub.bytes_out += slot.bytes_out;
+        hub.max_outbuf = hub.max_outbuf.max(slot.max_outbuf as u64);
+        if slot.over_cap {
+            faults.push((i as u32, OVER_CAP_FAULT.to_string()));
+        }
     }
 
     // --- Teardown. ---
@@ -620,6 +798,7 @@ pub fn run_process_cluster(
         reports,
         faults,
         crashed,
+        hub,
     })
 }
 
@@ -713,17 +892,15 @@ mod tests {
     use super::*;
     use rcv_baselines::lamport::Lamport;
 
-    /// Drives a full cluster where the "processes" are threads calling
-    /// [`run_worker`] over real Unix-domain sockets — every layer of the
-    /// process tier except `fork`/`exec` itself.
-    #[test]
-    fn uds_cluster_of_thread_workers_is_clean() {
-        let spec = ProcessSpec::quick(3, 7, "lamport")
-            .rounds(2)
-            .timeout(Duration::from_secs(20));
+    /// Drives a full Lamport cluster where the "processes" are threads
+    /// calling [`run_worker`] over real sockets — every layer of the
+    /// process tier except `fork`/`exec` itself. `addr_prefix` is what
+    /// the hub's advertised address must start with.
+    fn run_with_thread_workers(spec: &ProcessSpec, addr_prefix: &str) -> ProcessReport {
         let mut workers = Vec::new();
-        let report = run_process_cluster(&spec, |addr| {
-            for i in 0..3u32 {
+        let report = run_process_cluster(spec, |addr| {
+            assert!(addr.starts_with(addr_prefix), "{addr}");
+            for i in 0..spec.n as u32 {
                 let addr = addr.to_string();
                 workers.push(std::thread::spawn(move || {
                     run_worker(
@@ -741,9 +918,42 @@ mod tests {
         for w in workers {
             w.join().expect("worker thread").expect("worker ok");
         }
+        report
+    }
+
+    #[test]
+    fn uds_cluster_of_thread_workers_is_clean() {
+        let spec = ProcessSpec::quick(3, 7, "lamport")
+            .rounds(2)
+            .timeout(Duration::from_secs(20));
+        let report = run_with_thread_workers(&spec, "uds:");
         assert!(report.is_clean(6), "{report:?}");
         assert_eq!(report.report.completed, 6);
         assert!(report.report.messages > 0);
+        // Late releases may still be queued when the last report lands.
+        let hub = report.hub;
+        assert!(hub.frames_routed > 0 && hub.frames_routed <= report.report.messages);
+        assert!(hub.bytes_in > 0 && hub.bytes_out > 0 && hub.max_outbuf > 0);
+    }
+
+    /// A mostly idle cluster (50 ms of thinking per round) must cost the
+    /// hub a number of passes bounded by its traffic, not by its run
+    /// time: each routed frame is at most one socket wakeup plus one
+    /// timer wakeup, and each node adds a constant (Done, Report, EOF).
+    /// A loop that polls on a timer makes hundreds of passes here.
+    #[test]
+    fn idle_cluster_wakes_the_hub_only_for_traffic() {
+        let spec = ProcessSpec::quick(2, 5, "lamport")
+            .rounds(3)
+            .think(Duration::from_millis(50))
+            .delay(NetDelay::None)
+            .timeout(Duration::from_secs(20));
+        let report = run_with_thread_workers(&spec, "uds:");
+        assert!(report.is_clean(6), "{report:?}");
+        let hub = report.hub;
+        assert!(hub.frames_routed > 0, "{hub:?}");
+        let passes = hub.wakeups_readable + hub.wakeups_timer;
+        assert!(passes <= 2 * hub.frames_routed + 8 * 2, "{hub:?}");
     }
 
     #[test]
@@ -751,27 +961,8 @@ mod tests {
         let spec = ProcessSpec::quick(2, 11, "lamport")
             .net(SocketNet::Tcp)
             .timeout(Duration::from_secs(20));
-        let mut workers = Vec::new();
-        let report = run_process_cluster(&spec, |addr| {
-            assert!(addr.starts_with("tcp:127.0.0.1:"), "{addr}");
-            for i in 0..2u32 {
-                let addr = addr.to_string();
-                workers.push(std::thread::spawn(move || {
-                    run_worker(
-                        &addr,
-                        i,
-                        "lamport",
-                        |me, n, _cfg| Lamport::new(me, n),
-                        |_, _| 0,
-                    )
-                }));
-            }
-            Ok(Vec::new())
-        })
-        .expect("cluster runs");
-        for w in workers {
-            w.join().expect("worker thread").expect("worker ok");
-        }
+        // The hub must advertise a loopback bind, never a routable one.
+        let report = run_with_thread_workers(&spec, "tcp:127.0.0.1:");
         assert!(report.is_clean(2), "{report:?}");
     }
 

@@ -155,7 +155,7 @@ pub enum CtrlFrame {
     Shutdown,
 }
 
-fn put_str(buf: &mut BytesMut, s: &str) {
+fn put_str(buf: &mut Vec<u8>, s: &str) {
     debug_assert!(s.len() <= u16::MAX as usize);
     buf.put_u16(s.len() as u16);
     buf.put_slice(s.as_bytes());
@@ -187,7 +187,7 @@ fn get_u64(buf: &mut Bytes) -> Result<u64, WireError> {
     Ok(buf.get_u64())
 }
 
-fn put_delay(buf: &mut BytesMut, delay: &NetDelay) {
+fn put_delay(buf: &mut Vec<u8>, delay: &NetDelay) {
     match *delay {
         NetDelay::None => {
             buf.put_u8(0);
@@ -222,7 +222,7 @@ fn get_delay(buf: &mut Bytes) -> Result<NetDelay, WireError> {
     }
 }
 
-fn put_config(buf: &mut BytesMut, cfg: &WorkerConfig) {
+fn put_config(buf: &mut Vec<u8>, cfg: &WorkerConfig) {
     put_str(buf, &cfg.algo);
     buf.put_u32(cfg.node);
     buf.put_u32(cfg.n);
@@ -326,7 +326,17 @@ fn get_config(buf: &mut Bytes) -> Result<WorkerConfig, WireError> {
 /// Encodes one frame, **including** its length prefix, ready to write to
 /// the stream.
 pub fn encode_frame(frame: &CtrlFrame) -> Bytes {
-    let mut body = BytesMut::with_capacity(64);
+    let mut out = Vec::with_capacity(64);
+    encode_frame_into(&mut out, frame);
+    Bytes::from(out)
+}
+
+/// Appends one frame, length prefix included, to `out` — the hub's write
+/// path encodes straight into a worker's output buffer.
+pub(crate) fn encode_frame_into(out: &mut Vec<u8>, frame: &CtrlFrame) {
+    let prefix = out.len();
+    out.put_u32(0); // patched below, once the body length is known
+    let body = &mut *out;
     match frame {
         CtrlFrame::Hello {
             magic,
@@ -338,15 +348,15 @@ pub fn encode_frame(frame: &CtrlFrame) -> Bytes {
             body.put_u32(*magic);
             body.put_u16(*version);
             body.put_u32(*node);
-            put_str(&mut body, protocol);
+            put_str(body, protocol);
         }
         CtrlFrame::Reject { reason } => {
             body.put_u8(1);
-            put_str(&mut body, reason);
+            put_str(body, reason);
         }
         CtrlFrame::Start(cfg) => {
             body.put_u8(2);
-            put_config(&mut body, cfg);
+            put_config(body, cfg);
         }
         CtrlFrame::Send {
             to,
@@ -379,17 +389,15 @@ pub fn encode_frame(frame: &CtrlFrame) -> Bytes {
         CtrlFrame::Fault { node, detail } => {
             body.put_u8(7);
             body.put_u32(*node);
-            put_str(&mut body, detail);
+            put_str(body, detail);
         }
         CtrlFrame::Shutdown => {
             body.put_u8(8);
         }
     }
-    debug_assert!(body.len() <= MAX_FRAME, "frame body exceeds MAX_FRAME");
-    let mut out = BytesMut::with_capacity(4 + body.len());
-    out.put_u32(body.len() as u32);
-    out.put_slice(&body);
-    out.freeze()
+    let len = out.len() - prefix - 4;
+    debug_assert!(len <= MAX_FRAME, "frame body exceeds MAX_FRAME");
+    out[prefix..prefix + 4].copy_from_slice(&(len as u32).to_be_bytes());
 }
 
 /// Decodes one frame **body** (without the length prefix). Strict: the

@@ -28,6 +28,8 @@
 pub(crate) mod chan;
 pub mod frame;
 pub(crate) mod netq;
+#[allow(unsafe_code)]
+pub(crate) mod readiness;
 pub mod socket;
 
 use std::time::Duration;

@@ -1,12 +1,14 @@
 //! The socket fabric's worker side: a blocking stream (Unix-domain or TCP
 //! loopback) speaking the control-frame protocol of [`super::frame`].
 //!
-//! Workers use plain blocking I/O with a read timeout — the nonblocking
-//! readiness loop lives hub-side in `crate::orchestrator`, where one
-//! process watches N sockets. A worker watches exactly one.
+//! Workers use plain blocking I/O with a read timeout: a worker watches
+//! exactly one socket. The hub in `crate::orchestrator` watches N, so it
+//! puts them in nonblocking mode and blocks in one `ppoll` readiness wait
+//! (`super::readiness`) over all of them, through `SocketStream::raw_fd`.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::os::unix::io::{AsRawFd, RawFd};
 use std::os::unix::net::UnixStream;
 use std::time::{Duration, Instant};
 
@@ -74,6 +76,14 @@ impl SocketStream {
         match self {
             SocketStream::Tcp(s) => s.set_nonblocking(nb),
             SocketStream::Unix(s) => s.set_nonblocking(nb),
+        }
+    }
+
+    /// The descriptor, for the hub's readiness wait.
+    pub(crate) fn raw_fd(&self) -> RawFd {
+        match self {
+            SocketStream::Tcp(s) => s.as_raw_fd(),
+            SocketStream::Unix(s) => s.as_raw_fd(),
         }
     }
 
