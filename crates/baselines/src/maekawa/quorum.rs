@@ -2,7 +2,8 @@
 //!
 //! Maekawa's original paper builds √N-sized quorums from finite projective
 //! planes, which only exist for `N = k² + k + 1` with prime-power `k`. The
-//! standard any-N surrogate — and the substitution documented in DESIGN.md —
+//! standard any-N surrogate — the substitution recorded in README § Paper
+//! ambiguities, interpretations and repairs —
 //! is the **grid**: arrange the nodes in a ⌈√N⌉-wide lattice; node `i`'s
 //! quorum is its whole row plus its whole column (including itself).
 //!

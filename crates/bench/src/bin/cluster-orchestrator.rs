@@ -33,9 +33,9 @@ use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 use rcv_bench::perf::json_str;
-use rcv_runtime::orchestrator::HubStats;
-use rcv_runtime::SocketNet;
-use rcv_workload::{maybe_worker, Algo, ProcessBackend, ThreadSpec};
+use rcv_runtime::orchestrator::ProcessReport;
+use rcv_runtime::{RunSpec, SocketNet};
+use rcv_workload::{maybe_worker, Algo, ProcessBackend};
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -120,14 +120,8 @@ struct Row {
     algo: &'static str,
     tag: &'static str,
     verdict: String,
-    completed: u64,
     expected: u64,
-    messages: u64,
-    violations: u64,
-    anomalies: u64,
-    crashed: Vec<u32>,
-    wire_faults: usize,
-    hub: HubStats,
+    report: ProcessReport,
     millis: u128,
 }
 
@@ -152,7 +146,7 @@ fn run() -> Result<ExitCode, String> {
     let mut rows: Vec<Row> = Vec::new();
     let mut all_ok = true;
     for algo in &args.algos {
-        let spec = ThreadSpec::quick(args.n, args.seed)
+        let spec = RunSpec::quick(args.n, args.seed)
             .rounds(args.rounds)
             .timeout(args.timeout);
         let expected = spec.expected();
@@ -180,7 +174,7 @@ fn run() -> Result<ExitCode, String> {
                 report.report.completed,
                 expected,
                 report.report.violations,
-                report.anomalies,
+                report.report.anomalies,
                 report.crashed,
                 report.faults.len()
             )
@@ -203,14 +197,8 @@ fn run() -> Result<ExitCode, String> {
             algo: algo.name(),
             tag: algo.tag(),
             verdict,
-            completed: report.report.completed,
             expected,
-            messages: report.report.messages,
-            violations: report.report.violations,
-            anomalies: report.anomalies,
-            crashed: report.crashed,
-            wire_faults: report.faults.len(),
-            hub: report.hub,
+            report,
             millis,
         });
     }
@@ -223,7 +211,9 @@ fn run() -> Result<ExitCode, String> {
         let _ = writeln!(s, "  \"rounds\": {},", args.rounds);
         s.push_str("  \"runs\": [\n");
         for (i, r) in rows.iter().enumerate() {
+            let (report, hub) = (&r.report.report, &r.report.hub);
             let crashed = r
+                .report
                 .crashed
                 .iter()
                 .map(|c| c.to_string())
@@ -239,19 +229,19 @@ fn run() -> Result<ExitCode, String> {
                 json_str(r.algo),
                 json_str(r.tag),
                 json_str(&r.verdict),
-                r.completed,
+                report.completed,
                 r.expected,
-                r.messages,
-                r.violations,
-                r.anomalies,
+                report.messages,
+                report.violations,
+                report.anomalies,
                 crashed,
-                r.wire_faults,
-                r.hub.wakeups_readable,
-                r.hub.wakeups_timer,
-                r.hub.frames_routed,
-                r.hub.bytes_in,
-                r.hub.bytes_out,
-                r.hub.max_outbuf,
+                r.report.faults.len(),
+                hub.wakeups_readable,
+                hub.wakeups_timer,
+                hub.frames_routed,
+                hub.bytes_in,
+                hub.bytes_out,
+                hub.max_outbuf,
                 r.millis,
             );
             s.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });

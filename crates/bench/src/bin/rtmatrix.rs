@@ -3,7 +3,7 @@
 //! ```text
 //! rtmatrix [--backend thread|process|both] [--limit K] [--filter SUBSTR]
 //!          [--threads T] [--out PATH] [--list] [--timeout-secs S]
-//!          [--stall-timeout-secs S] [--reruns R] [--tick-us U] [--no-codec]
+//!          [--stall-timeout-secs S] [--reruns R] [--tick-us U]
 //! ```
 //!
 //! * `--backend` — which runtime fabric(s) to differentiate against the
@@ -24,7 +24,7 @@
 //!   `RTMATRIX_RESULTS.json`. Not a committed baseline: real schedules
 //!   are not bit-stable.
 //! * `--timeout-secs` / `--stall-timeout-secs` / `--reruns` / `--tick-us`
-//!   / `--no-codec` — override the `DiffOptions` defaults.
+//!   — override the `DiffOptions` defaults.
 //!
 //! Exit codes: 0 all cells pass, 1 differential failure, 2 usage/IO error.
 
@@ -38,7 +38,7 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage: rtmatrix [--backend thread|process|both] [--limit K] [--filter SUBSTR]\n\
          \u{20}               [--threads T] [--out PATH] [--list] [--timeout-secs S]\n\
-         \u{20}               [--stall-timeout-secs S] [--reruns R] [--tick-us U] [--no-codec]"
+         \u{20}               [--stall-timeout-secs S] [--reruns R] [--tick-us U]"
     );
     ExitCode::from(2)
 }
@@ -104,7 +104,6 @@ fn parse_args() -> Result<Args, String> {
                 args.opts.tick =
                     Duration::from_micros(value("--tick-us")?.parse().map_err(|_| "bad tick")?)
             }
-            "--no-codec" => args.opts.verify_codec = false,
             other => return Err(format!("unknown argument {other}")),
         }
     }
@@ -143,13 +142,12 @@ fn run() -> Result<ExitCode, String> {
     }
 
     eprintln!(
-        "[rtmatrix] running {} cells x {} backend(s) [{}] ({} at a time, tick {:?}, codec {})",
+        "[rtmatrix] running {} cells x {} backend(s) [{}] ({} at a time, tick {:?})",
         grid.len(),
         backends.len(),
         args.backend,
         args.threads,
         args.opts.tick,
-        if args.opts.verify_codec { "on" } else { "off" },
     );
     let started = Instant::now();
     let mut outcomes = Vec::new();

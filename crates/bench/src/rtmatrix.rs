@@ -31,12 +31,10 @@
 use std::fmt::Write as _;
 use std::time::Duration;
 
-use rcv_runtime::{run_with_watchdog, ClusterReport, NetDelay, WireFaults};
-use rcv_workload::scenario::{
-    cell_seed, cells, registry, run_cell, Cell, DelaySpec, FaultSpec, ShapeSpec,
-};
+use rcv_runtime::{run_with_watchdog, ClusterReport, NetDelay, RunSpec, WireFaults};
+use rcv_workload::scenario::{cell_seed, cells, registry, run_cell, Cell, FaultSpec, ShapeSpec};
 use rcv_workload::sweep::parmap;
-use rcv_workload::{Algo, ClusterBackend, ClusterRun, ThreadSpec};
+use rcv_workload::{Algo, ClusterBackend};
 
 use crate::perf::json_str;
 
@@ -62,8 +60,6 @@ pub struct DiffOptions {
     /// Extra attempts (fresh seed each) before a stalled live cell fails —
     /// the flaky-schedule rerun policy.
     pub reruns: u32,
-    /// Round-trip every message through its binary wire codec.
-    pub verify_codec: bool,
 }
 
 impl Default for DiffOptions {
@@ -73,7 +69,6 @@ impl Default for DiffOptions {
             timeout: Duration::from_secs(30),
             stall_timeout: Duration::from_secs(2),
             reruns: 2,
-            verify_codec: true,
         }
     }
 }
@@ -98,27 +93,11 @@ pub struct DiffOutcome {
     pub sim_verdict: String,
     /// Simulator messages per completed CS (0 when none completed).
     pub sim_per_cs: f64,
-    /// Runtime CS completions (last attempt).
-    pub rt_completed: u64,
-    /// Runtime messages sent (last attempt).
-    pub rt_messages: u64,
+    /// What the runtime side observed (last attempt; all zero when the
+    /// backend failed to start).
+    pub rt: ClusterReport,
     /// Runtime messages per completed CS (0 when none completed).
     pub rt_per_cs: f64,
-    /// Runtime mutual-exclusion violations (0 ⇔ safe).
-    pub rt_violations: u64,
-    /// RCV internal anomalies on the runtime side (0 for baselines).
-    pub rt_anomalies: u64,
-    /// Messages dropped by wire-level loss injection.
-    pub rt_lost: u64,
-    /// Extra copies delivered by wire-level duplication injection.
-    pub rt_duplicated: u64,
-    /// Deliveries black-holed because the target was inside its crash
-    /// window (distinct from `rt_lost`: these are crash-attributed).
-    pub rt_crash_dropped: u64,
-    /// Node restarts performed (crash-window recoveries).
-    pub rt_restarts: u64,
-    /// Whether the last runtime attempt hit its soft deadline.
-    pub rt_timed_out: bool,
     /// Flaky-schedule reruns consumed (0 = first attempt was conclusive).
     pub retries: u32,
 }
@@ -197,9 +176,11 @@ pub fn runtime_grid(limit: usize) -> Vec<Cell> {
     picked
 }
 
-/// Maps a registry cell onto threaded-cluster parameters. `attempt`
-/// perturbs the seed stream so flaky-schedule reruns are independent.
-pub fn thread_spec(cell: &Cell, opts: &DiffOptions, attempt: u32) -> ThreadSpec {
+/// Maps a registry cell onto real-tier run parameters: the simulator's
+/// own fault plan, delay model and CS duration, rendered at `opts.tick`
+/// per simulator tick. `attempt` perturbs the seed stream so
+/// flaky-schedule reruns are independent.
+pub fn run_spec(cell: &Cell, opts: &DiffOptions, attempt: u32) -> RunSpec {
     let spec = &cell.scenario;
     assert!(
         spec.runtime_mappable(),
@@ -214,48 +195,27 @@ pub fn thread_spec(cell: &Cell, opts: &DiffOptions, attempt: u32) -> ThreadSpec 
         ShapeSpec::Poisson { mean, .. } => (2, mean.round().max(0.0) as u64),
         _ => unreachable!("runtime_mappable filtered shapes"),
     };
-    let t = |ticks: u64| opts.tick.saturating_mul(ticks.min(u32::MAX as u64) as u32);
-    let delay = match spec.delay {
-        // The paper's constant Tn = 5 (per-pair FIFO by construction).
-        DelaySpec::Constant => NetDelay::Uniform {
-            min: t(5),
-            max: t(5),
-        },
-        // Uniform jitter in [1, 9] ticks — genuinely non-FIFO.
-        DelaySpec::Jitter => NetDelay::Uniform {
-            min: t(1),
-            max: t(9),
-        },
-        // Exponential mean 5 capped at 40 — heavy-tailed reordering.
-        DelaySpec::HeavyTail => NetDelay::Exponential {
-            mean: t(5),
-            cap: t(40),
-        },
-    };
-    // The one shared rendering of the registry's fault language at the
-    // wire level; `runtime_mappable` filtered the only unmappable regime
-    // (permanent crash-stop), so this cannot fail.
-    let faults = WireFaults::try_from(&spec.faults)
-        .unwrap_or_else(|e| unreachable!("runtime_mappable violated: {e}"));
-    let expect_live = spec.expect_live();
-    ThreadSpec {
-        n: spec.n,
-        rounds,
-        think: t(think_ticks),
-        // The paper's Tc = 10 ticks, same scale the simulator uses.
-        cs_duration: t(rcv_simnet::SimConfig::paper(spec.n, 0).cs_duration.ticks()),
-        delay,
-        faults,
-        tick: opts.tick,
-        // A seed stream disjoint from the simulator's (idx 0 and 1).
-        seed: cell_seed(&spec.name, cell.algo.name(), 1_000 + attempt),
-        timeout: if expect_live {
+    let sim = spec.sim_config(0);
+    // A seed stream disjoint from the simulator's (idx 0 and 1).
+    let seed = cell_seed(&spec.name, cell.algo.name(), 1_000 + attempt);
+    let run = RunSpec::quick(spec.n, seed).tick(opts.tick);
+    let run = run
+        .rounds(rounds)
+        .think(run.ticks(think_ticks))
+        .cs_duration(run.ticks(sim.cs_duration.ticks()))
+        .delay(NetDelay::from_model(&sim.delay, opts.tick))
+        .faults(
+            WireFaults::try_from(&sim.faults)
+                .unwrap_or_else(|e| unreachable!("runtime_mappable violated: {e}")),
+        )
+        .timeout(if spec.expect_live() {
             opts.timeout
         } else {
             opts.stall_timeout
-        },
-        verify_codec: opts.verify_codec,
-        rcv_retry: spec.retry,
+        });
+    match spec.retry {
+        Some(retry) => run.retry(retry),
+        None => run,
     }
 }
 
@@ -268,21 +228,13 @@ pub fn thread_spec(cell: &Cell, opts: &DiffOptions, attempt: u32) -> ThreadSpec 
 /// run eligible. Pure so the guarantee is testable in isolation.
 pub fn rerun_eligible(
     expect_live: bool,
-    run: &ClusterRun,
+    run: &ClusterReport,
     expected: u64,
     retries: u32,
     max_reruns: u32,
 ) -> bool {
-    let stalled_but_safe =
-        run.report.violations == 0 && run.anomalies == 0 && !run.is_clean(expected);
+    let stalled_but_safe = run.violations == 0 && run.anomalies == 0 && !run.is_clean(expected);
     expect_live && stalled_but_safe && retries < max_reruns
-}
-
-/// Runs one cell on the **thread** runtime tier and cross-checks it
-/// against the simulator ([`run_diff_cell_on`] with
-/// [`ClusterBackend::Threads`]).
-pub fn run_diff_cell(cell: &Cell, opts: &DiffOptions) -> DiffOutcome {
-    run_diff_cell_on(cell, opts, &ClusterBackend::Threads)
 }
 
 /// Runs one cell on the chosen runtime fabric (threads or worker
@@ -294,8 +246,8 @@ pub fn run_diff_cell_on(cell: &Cell, opts: &DiffOptions, backend: &ClusterBacken
     let algo = cell.algo;
 
     let mut retries = 0u32;
-    let (result, expected): (Result<ClusterRun, String>, u64) = loop {
-        let ts = thread_spec(cell, opts, retries);
+    let (result, expected): (Result<ClusterReport, String>, u64) = loop {
+        let ts = run_spec(cell, opts, retries);
         let expected = ts.expected();
         let label = format!("{}/{}/{}", spec.name, algo.name(), backend.name());
         // Hard deadline: soft timeout + a wide margin for teardown (the
@@ -315,23 +267,7 @@ pub fn run_diff_cell_on(cell: &Cell, opts: &DiffOptions, backend: &ClusterBacken
     // the grid must finish and report it.
     let (run, backend_err) = match result {
         Ok(run) => (run, None),
-        Err(e) => (
-            ClusterRun {
-                report: ClusterReport {
-                    completed: 0,
-                    cs_entries: 0,
-                    violations: 0,
-                    messages: 0,
-                    lost: 0,
-                    duplicated: 0,
-                    crash_dropped: 0,
-                    restarts: 0,
-                    timed_out: false,
-                },
-                anomalies: 0,
-            },
-            Some(e),
-        ),
+        Err(e) => (ClusterReport::default(), Some(e)),
     };
 
     let sim_per_cs = if sim.completed > 0 {
@@ -339,8 +275,8 @@ pub fn run_diff_cell_on(cell: &Cell, opts: &DiffOptions, backend: &ClusterBacken
     } else {
         0.0
     };
-    let rt_per_cs = if run.report.completed > 0 {
-        run.report.messages as f64 / run.report.completed as f64
+    let rt_per_cs = if run.completed > 0 {
+        run.messages as f64 / run.completed as f64
     } else {
         0.0
     };
@@ -349,14 +285,14 @@ pub fn run_diff_cell_on(cell: &Cell, opts: &DiffOptions, backend: &ClusterBacken
         Some(format!("backend({e})"))
     } else if !sim.passed() {
         Some(format!("sim:{}", sim.verdict))
-    } else if run.report.violations > 0 {
-        Some(format!("rt-unsafe({} violations)", run.report.violations))
+    } else if run.violations > 0 {
+        Some(format!("rt-unsafe({} violations)", run.violations))
     } else if run.anomalies > 0 {
         Some(format!("rt-anomalies({})", run.anomalies))
-    } else if expect_live && !run.report.is_clean(expected) {
+    } else if expect_live && !run.is_clean(expected) {
         Some(format!(
             "rt-stalled({}/{} after {} attempts)",
-            run.report.completed,
+            run.completed,
             expected,
             retries + 1
         ))
@@ -385,24 +321,10 @@ pub fn run_diff_cell_on(cell: &Cell, opts: &DiffOptions, backend: &ClusterBacken
         expected,
         sim_verdict: sim.verdict,
         sim_per_cs,
-        rt_completed: run.report.completed,
-        rt_messages: run.report.messages,
+        rt: run,
         rt_per_cs,
-        rt_violations: run.report.violations,
-        rt_anomalies: run.anomalies,
-        rt_lost: run.report.lost,
-        rt_duplicated: run.report.duplicated,
-        rt_crash_dropped: run.report.crash_dropped,
-        rt_restarts: run.report.restarts,
-        rt_timed_out: run.report.timed_out,
         retries,
     }
-}
-
-/// Runs a slice of cells on the thread tier (order-preserving, limited
-/// parallelism — each cell already spawns `n + 1` threads of its own).
-pub fn run_diff_cells(grid: Vec<Cell>, threads: usize, opts: &DiffOptions) -> Vec<DiffOutcome> {
-    run_diff_cells_on(grid, threads, opts, &ClusterBackend::Threads)
 }
 
 /// Runs a slice of cells on the chosen fabric (order-preserving, limited
@@ -450,16 +372,16 @@ pub fn render_report(outcomes: &[DiffOutcome]) -> String {
             o.expected,
             json_str(&o.sim_verdict),
             o.sim_per_cs,
-            o.rt_completed,
-            o.rt_messages,
+            o.rt.completed,
+            o.rt.messages,
             o.rt_per_cs,
-            o.rt_violations,
-            o.rt_anomalies,
-            o.rt_lost,
-            o.rt_duplicated,
-            o.rt_crash_dropped,
-            o.rt_restarts,
-            o.rt_timed_out,
+            o.rt.violations,
+            o.rt.anomalies,
+            o.rt.lost,
+            o.rt.duplicated,
+            o.rt.crash_dropped,
+            o.rt.restarts,
+            o.rt.timed_out,
             o.retries,
         );
         s.push_str(if i + 1 < outcomes.len() { ",\n" } else { "\n" });
@@ -473,20 +395,15 @@ mod tests {
     use super::*;
 
     /// A run outcome with everything healthy except what the caller breaks.
-    fn run(completed: u64, violations: u64, anomalies: u64, timed_out: bool) -> ClusterRun {
-        ClusterRun {
-            report: ClusterReport {
-                completed,
-                cs_entries: completed,
-                violations,
-                messages: 100,
-                lost: 0,
-                duplicated: 0,
-                crash_dropped: 0,
-                restarts: 0,
-                timed_out,
-            },
+    fn run(completed: u64, violations: u64, anomalies: u64, timed_out: bool) -> ClusterReport {
+        ClusterReport {
+            completed,
+            cs_entries: completed,
+            violations,
             anomalies,
+            messages: 100,
+            timed_out,
+            ..ClusterReport::default()
         }
     }
 
@@ -574,26 +491,44 @@ mod tests {
             .iter()
             .find(|c| matches!(c.scenario.faults, FaultSpec::Stacked { .. }))
             .expect("stacked cell");
-        let ts = thread_spec(stacked, &opts, 0);
+        let ts = run_spec(stacked, &opts, 0);
         assert!(ts.faults.lossy());
         assert!(ts.faults.dup_every.is_some());
         assert!(ts.faults.straggler.is_some());
         assert_eq!(ts.n, stacked.scenario.n);
         assert_eq!(ts.timeout, opts.stall_timeout, "lossy => stall timeout");
+        assert_eq!(ts.tick, opts.tick);
+        assert_eq!(ts.cs_duration, opts.tick * 10, "the paper's Tc = 10 ticks");
+        assert_eq!(
+            ts.delay,
+            NetDelay::Uniform {
+                min: opts.tick,
+                max: opts.tick * 9
+            },
+            "the jitter model, tick by tick"
+        );
+        assert_eq!(ts.retry, None);
 
         let sat = grid
             .iter()
             .find(|c| matches!(c.scenario.shape, ShapeSpec::Saturation { .. }))
             .expect("saturation cell");
-        let ts = thread_spec(sat, &opts, 0);
+        let ts = run_spec(sat, &opts, 0);
         assert!(ts.rounds > 1, "saturation maps to multiple rounds");
         assert_eq!(ts.timeout, opts.timeout);
 
+        // Chaos cells carry their retransmission policy and crash window.
+        let chaos = grid
+            .iter()
+            .find(|c| c.scenario.name == "chaos-restart-holder-burst-n8")
+            .expect("chaos cell");
+        let ts = run_spec(chaos, &opts, 0);
+        assert_eq!(ts.retry, chaos.scenario.retry);
+        assert_eq!(ts.faults.crash_restart, Some((0, 25, 120)));
+        assert_eq!(ts.timeout, opts.timeout, "retry restores liveness");
+
         // Rerun seeds differ (fresh schedule per attempt).
-        assert_ne!(
-            thread_spec(sat, &opts, 0).seed,
-            thread_spec(sat, &opts, 1).seed
-        );
+        assert_ne!(run_spec(sat, &opts, 0).seed, run_spec(sat, &opts, 1).seed);
     }
 
     #[test]
@@ -607,23 +542,15 @@ mod tests {
             expected: 8,
             sim_verdict: "pass".into(),
             sim_per_cs: 14.0,
-            rt_completed: 8,
-            rt_messages: 112,
+            rt: run(8, 0, 0, false),
             rt_per_cs: 14.0,
-            rt_violations: 0,
-            rt_anomalies: 0,
-            rt_lost: 0,
-            rt_duplicated: 0,
-            rt_crash_dropped: 0,
-            rt_restarts: 0,
-            rt_timed_out: false,
             retries: 0,
         };
         let doc = render_report(&[o]);
         assert!(doc.contains("\"schema\": \"rcv-rtmatrix/v3\""), "{doc}");
         assert!(doc.contains("\"backend\": \"thread\""), "{doc}");
         assert!(doc.contains("\"cells_pass\": 1"), "{doc}");
-        assert!(doc.contains("\"rt_messages\": 112"), "{doc}");
+        assert!(doc.contains("\"rt_messages\": 100"), "{doc}");
         assert!(doc.contains("\"rt_crash_dropped\": 0"), "{doc}");
     }
 }

@@ -7,13 +7,13 @@
 
 use std::time::Duration;
 
-use rcv_runtime::SocketNet;
-use rcv_workload::{Algo, ClusterBackend, ProcessBackend, ThreadSpec};
+use rcv_runtime::{RunSpec, SocketNet};
+use rcv_workload::{Algo, ClusterBackend, ProcessBackend};
 
 const WORKER_EXE: &str = env!("CARGO_BIN_EXE_cluster-orchestrator");
 
-fn small_spec(n: usize, seed: u64) -> ThreadSpec {
-    ThreadSpec::quick(n, seed)
+fn small_spec(n: usize, seed: u64) -> RunSpec {
+    RunSpec::quick(n, seed)
         .rounds(2)
         .timeout(Duration::from_secs(60))
 }
@@ -48,15 +48,15 @@ fn tcp_process_cluster_runs_clean() {
     assert!(report.is_clean(spec.expected()), "{report:?}");
 }
 
-/// `run_on` folds a process run into the same [`ClusterRun`] shape the
+/// `run_on` folds a process run into the same `ClusterReport` the
 /// thread tier produces — the single API rtmatrix's backend axis rides.
 #[test]
 fn run_on_process_backend_matches_thread_tier_accounting() {
     let backend = ClusterBackend::Process(ProcessBackend::new(WORKER_EXE));
     let spec = small_spec(3, 31);
     let run = Algo::Lamport.run_on(&spec, &backend).expect("run");
-    assert!(run.is_clean(spec.expected()), "{:?}", run.report);
-    assert_eq!(run.report.completed, spec.expected());
+    assert!(run.is_clean(spec.expected()), "{run:?}");
+    assert_eq!(run.completed, spec.expected());
 }
 
 /// Kill a worker process mid-run: the hub must deliver a *crash verdict*
@@ -65,7 +65,7 @@ fn run_on_process_backend_matches_thread_tier_accounting() {
 #[test]
 fn killing_a_worker_mid_run_yields_a_crash_verdict_not_a_hang() {
     let backend = ProcessBackend::new(WORKER_EXE).kill_worker(1, Duration::from_millis(30));
-    let spec = ThreadSpec::quick(3, 47)
+    let spec = RunSpec::quick(3, 47)
         .rounds(3)
         .timeout(Duration::from_secs(5));
     let report = Algo::Rcv(Default::default())

@@ -1,8 +1,12 @@
-//! The **Exchange procedure** (paper §4.3): bidirectional reconciliation of
-//! a node's SI with the MONL/MSIT carried by an incoming message.
+//! The **Exchange procedure** (paper §4.3): reconciliation of a node's SI
+//! with the MONL/MSIT carried by an incoming message. The paper's procedure
+//! is bidirectional — it also refreshes the message — but every handler
+//! drops the message after the call, so [`exchange`] is the receive side
+//! only.
 //!
 //! The paper's pseudo-code is reproduced faithfully with three documented
-//! clarifications (see DESIGN.md §2):
+//! clarifications (indexed in README § Paper ambiguities, interpretations
+//! and repairs):
 //!
 //! * `PAPER-AMBIGUITY (typo)`: lines 1/3 test membership in
 //!   `NSIT[Host].MNL`, but the accompanying prose ("not in SI_i.NONL and
@@ -48,50 +52,20 @@ pub struct ExchangeOutcome {
     pub lemma6_violation: bool,
 }
 
-/// Runs the Exchange procedure, updating `si` and `body` in place.
+/// Runs the Exchange procedure: merges the message `body` into `si`.
 ///
 /// `em_for` is set when the incoming message is an EM granting the request
 /// `t`: everything ordered before `t` has then finished and is dropped from
 /// both lists (paper §4.3, "tuples that precede `<i, ti>` in Ordered Node
 /// List also can be deleted").
-pub fn exchange(si: &mut Si, body: &mut MsgBody, em_for: Option<&ReqTuple>) -> ExchangeOutcome {
-    exchange_inner(si, body, em_for, true)
-}
-
-/// Receive-side Exchange: identical effect on `si` and identical
-/// [`ExchangeOutcome`] as [`exchange`], but skips the work whose *only*
-/// effect is refreshing `body` — the message-side suffix scrub, the
-/// staler-row mirror refresh, and the equal-version mirror assignment.
-/// Use it when the message is dropped after the call (every protocol
-/// handler re-snapshots the SI before forwarding, so the merged body is
-/// dead weight there); `body` is left partially merged and must not be
-/// forwarded.
 ///
-/// Why `si` cannot diverge from the full variant: the skipped steps never
-/// write to `si`, and the only `si`-side reads of message rows they would
-/// have cleaned are (a) the equal-version intersect and (b) the lines-15/16
-/// own-tuple probe — in both, the cleaned-vs-raw difference is exactly
-/// tuples of the local NONL suffix, which the final normalization pass
-/// scrubs from every local row through its *ordered* branch (not counted
-/// as zombies) regardless of whether the intersect removed them first.
-/// The staler-row branch's lines-17/18 own-tuple purge is NOT skipped:
-/// though it writes only to the message table, later row merges read it
-/// back into `si` (see the comment there). The equivalence is enforced by
-/// `tests/merge_reference_equivalence.rs`.
-pub fn exchange_recv(
-    si: &mut Si,
-    body: &mut MsgBody,
-    em_for: Option<&ReqTuple>,
-) -> ExchangeOutcome {
-    exchange_inner(si, body, em_for, false)
-}
-
-fn exchange_inner(
-    si: &mut Si,
-    body: &mut MsgBody,
-    em_for: Option<&ReqTuple>,
-    refresh_body: bool,
-) -> ExchangeOutcome {
+/// This is the receive side of the paper's bidirectional procedure: every
+/// protocol handler drops the message after the call and re-snapshots the
+/// SI before forwarding, so the steps whose only effect is refreshing the
+/// message are not run. `body` is left partially merged and must not be
+/// forwarded. The one message-side purge that later row merges read back
+/// into `si` (lines 17-18) is kept, as an overlay — see the comment there.
+pub fn exchange(si: &mut Si, body: &mut MsgBody, em_for: Option<&ReqTuple>) -> ExchangeOutcome {
     debug_assert_eq!(
         si.n(),
         body.msit.n(),
@@ -102,7 +76,7 @@ fn exchange_inner(
         let _p = rcv_simnet::profile::probe(rcv_simnet::profile::ProbePhase::Merge);
         MERGE_SCRATCH.with(|cell| {
             let scratch = &mut *cell.borrow_mut();
-            exchange_phases(si, body, em_for, &mut out, scratch, refresh_body);
+            exchange_phases(si, body, em_for, &mut out, scratch);
         });
     }
 
@@ -121,7 +95,6 @@ fn exchange_phases(
     em_for: Option<&ReqTuple>,
     out: &mut ExchangeOutcome,
     scratch: &mut MergeScratch,
-    refresh_body: bool,
 ) {
     let n = si.n();
 
@@ -223,34 +196,23 @@ fn exchange_phases(
         // clean rows are neither scanned twice nor cloned-for-write)
         // instead of one full-table `delete_everywhere` walk per tuple.
         //
-        // (Done in both modes: a freshly ordered request was outstanding
-        // here, so its tuple sits in many local rows — leaving it for the
-        // final normalization pass would make the row-merge loop's
-        // equal-version compares mismatch and clone row after row first.)
+        // (Not left to the final normalization pass: a freshly ordered
+        // request was outstanding here, so its tuple sits in many local
+        // rows, and the row-merge loop's equal-version compares would
+        // mismatch and clone row after row first.)
         scrub_suffix(&mut si.nsit, &body.monl, si.nonl.len(), &mut scratch.b, n);
         si.nonl.assign_from(&body.monl);
         out.adopted_monl = true;
-    } else if si.nonl.len() > body.monl.len() && refresh_body {
-        scrub_suffix(&mut body.msit, &si.nonl, body.monl.len(), &mut scratch.b, n);
-        body.monl.assign_from(&si.nonl);
     }
 
-    // --- Lines 13-22: row-wise NSIT reconciliation. Split-borrow the two
-    // sides so adoptions can share row contents (a reference-count bump
-    // under copy-on-write storage) while consulting the other side's lists.
-    // Per-node MONL timestamps: each adoption-prune probe below becomes
-    // an O(1) compare, with the exact linear probe as fallback when the
-    // one-entry-per-node invariant is violated.
+    // --- Lines 13-22: row-wise NSIT reconciliation. Adoptions share row
+    // contents with the message (a reference-count bump under copy-on-write
+    // storage).
     scratch.ov.begin(n);
     let ov = &mut scratch.ov;
     let mut ov_mask: u64 = 0;
-    let monl_unique = refresh_body && scratch.b.fill(&body.monl, n);
-    let monl_map = &scratch.b;
     let si_nsit = &mut si.nsit;
-    let MsgBody {
-        monl: body_monl,
-        msit: body_msit,
-    } = body;
+    let body_msit = &body.msit;
     for k in rcv_simnet::NodeId::all(n) {
         let local_ts = si_nsit.row(k).ts;
         let msg_ts = body_msit.row(k).ts;
@@ -272,7 +234,7 @@ fn exchange_phases(
                 si_nsit.row(k).mnl == *body_mnl
             };
             if !equal {
-                // Intersect the local copy in place, then mirror it.
+                // Intersect the local copy in place.
                 if overlaid {
                     si_nsit
                         .row_mut(k)
@@ -280,9 +242,6 @@ fn exchange_phases(
                         .remove_where(|t| ov.get(t.node) == Some(t.ts) || !body_mnl.contains(t));
                 } else {
                     si_nsit.row_mut(k).mnl.intersect(body_mnl);
-                }
-                if refresh_body {
-                    body_msit.row_mut(k).mnl.assign_from(&si_nsit.row(k).mnl);
                 }
             }
         } else if local_ts < msg_ts {
@@ -309,38 +268,21 @@ fn exchange_phases(
             out.rows_adopted += 1;
         } else {
             // Mirror of lines 17-18: the local fresher copy proves k's own
-            // request finished. The purge happens in BOTH modes even though
-            // it affects only the message table — later iterations of this
-            // loop adopt message rows into `si`, so leaving the finished
-            // tuple in them would change what the receiver merges (and its
-            // zombie count) depending on the mode. On the receive-side path
-            // the message table is about to be dropped, so instead of
-            // purging it row by row — which would clone the whole
-            // copy-on-write table just to edit a copy nobody keeps — the
-            // tuple is recorded in an overlay that every later *read* of a
-            // message row filters through. Each loop index can contribute
-            // at most one overlay tuple (its own), so the per-node map is
-            // exact, and rows the overlay mask misses read raw.
+            // request finished. The paper purges it from the message
+            // table; later iterations of this loop adopt message rows into
+            // `si`, so that purge decides what the receiver merges (and its
+            // zombie count) and cannot be skipped. The message is dropped
+            // after the call, so instead of purging row by row — which
+            // would clone the whole copy-on-write table just to edit a copy
+            // nobody keeps — the tuple is recorded in an overlay that every
+            // later *read* of a message row filters through. Each loop
+            // index can contribute at most one overlay tuple (its own), so
+            // the per-node map is exact, and rows the overlay mask misses
+            // read raw.
             if let Some(own) = body_msit.row(k).mnl.tuple_of(k) {
                 if !si_nsit.row(k).mnl.contains(&own) {
-                    if refresh_body {
-                        body_msit.delete_everywhere(&own);
-                    } else {
-                        ov.set(own.node, own.ts);
-                        ov_mask |= crate::mnl::node_bit(own.node);
-                    }
-                }
-            }
-            if refresh_body {
-                // Mirror of lines 19-20: refresh the staler message row.
-                // (This part really is body-only.)
-                let dst = body_msit.row_mut(k);
-                dst.ts = local_ts;
-                dst.mnl.assign_from(&si_nsit.row(k).mnl);
-                if monl_unique {
-                    dst.mnl.remove_where(|t| monl_map.get(t.node) == Some(t.ts));
-                } else {
-                    dst.mnl.remove_where(|t| body_monl.contains(t));
+                    ov.set(own.node, own.ts);
+                    ov_mask |= crate::mnl::node_bit(own.node);
                 }
             }
         }
@@ -440,19 +382,6 @@ mod tests {
     }
 
     #[test]
-    fn staler_message_row_is_refreshed_from_local() {
-        let mut si = Si::new(3);
-        si.nsit.row_mut(nid(1)).ts = 4;
-        si.nsit.row_mut(nid(1)).mnl.push(t(2, 1));
-        let mut b = body(3);
-        b.msit.row_mut(nid(1)).ts = 1;
-        let out = exchange(&mut si, &mut b, None);
-        assert_eq!(out.rows_adopted, 0);
-        assert_eq!(b.msit.row(nid(1)).ts, 4);
-        assert!(b.msit.row(nid(1)).mnl.contains(&t(2, 1)));
-    }
-
-    #[test]
     fn equal_version_rows_intersect() {
         // Both sides hold version 3 of row 1, but each has deleted a
         // different (ordered) tuple. The merge must apply both deletions.
@@ -463,13 +392,11 @@ mod tests {
         let mut b = body(3);
         b.msit.row_mut(nid(1)).ts = 3;
         b.msit.row_mut(nid(1)).mnl.push(t(2, 1));
-        b.msit.row_mut(nid(1)).mnl.push(t(1, 9)); // deleted locally? no — absent locally
-                                                  // Local lacks <1,9>; message lacks <0,1>. Intersection = {<2,1>}.
+        b.msit.row_mut(nid(1)).mnl.push(t(1, 9));
+        // Local lacks <1,9>; message lacks <0,1>. Intersection = {<2,1>}.
         exchange(&mut si, &mut b, None);
         let local: Vec<_> = si.nsit.row(nid(1)).mnl.iter().collect();
         assert_eq!(local, vec![t(2, 1)]);
-        let msg: Vec<_> = b.msit.row(nid(1)).mnl.iter().collect();
-        assert_eq!(msg, vec![t(2, 1)]);
     }
 
     #[test]
@@ -536,7 +463,6 @@ mod tests {
         b.monl.append(my_req);
         exchange(&mut si, &mut b, Some(&my_req));
         assert_eq!(si.nonl.head(), Some(my_req));
-        assert_eq!(b.monl.head(), Some(my_req));
     }
 
     #[test]

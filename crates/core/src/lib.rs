@@ -25,7 +25,8 @@
 //!
 //! The paper's pseudo-code is ambiguous in places (its calibration
 //! soundness band is 2/5); every interpretive choice is documented at the
-//! point of implementation and summarized in `DESIGN.md` §2 — look for
+//! point of implementation and indexed in README § Paper ambiguities,
+//! interpretations and repairs — look for
 //! `PAPER-AMBIGUITY` and `REPAIR` markers in the [`exchange()`] and
 //! [`order()`] docs.
 //!
@@ -64,7 +65,7 @@ mod stats;
 mod tuple;
 
 pub use config::{ForwardPolicy, RcvConfig};
-pub use exchange::{exchange, exchange_recv, ExchangeOutcome};
+pub use exchange::{exchange, ExchangeOutcome};
 pub use invariants::{check_local_invariants, check_nonl_consistency, total_anomalies};
 pub use message::{MsgBody, RcvMessage};
 pub use mnl::{Mnl, MAX_PACKED_NODE, MAX_PACKED_TS};

@@ -52,7 +52,7 @@ pub enum RcvMessage {
     Em {
         /// The request being granted; the receiver drops the message if it
         /// no longer matches its outstanding request (stale-EM guard,
-        /// DESIGN.md interpretation #7).
+        /// README § Paper ambiguities, interpretations and repairs, #7).
         for_req: ReqTuple,
         /// Carried system state.
         body: MsgBody,

@@ -1,7 +1,8 @@
 //! MNL — *Maintained Node List*: the arrival-ordered list of outstanding
 //! request tuples known to one NSIT row.
 //!
-//! Semantics (paper §3 + §4.2, with DESIGN.md interpretation #1): the row
+//! Semantics (paper §3 + §4.2, with README § Paper ambiguities,
+//! interpretations and repairs, #1): the row
 //! owner appends a tuple when it initializes or receives a request message;
 //! tuples are removed when the request is *ordered* (moves to the NONL) or
 //! known *completed*. The **front** tuple is the row's current "vote" in the
@@ -541,7 +542,7 @@ impl Mnl {
     /// append-sets are then identical and the copies differ only by
     /// deletions of ordered/completed tuples, so applying both sides'
     /// deletions (set intersection) is the sound merge
-    /// (DESIGN.md interpretation #3).
+    /// (README § Paper ambiguities, interpretations and repairs, #3).
     pub fn intersect(&mut self, other: &Mnl) {
         if self
             .items

@@ -6,7 +6,7 @@
 use rcv_simnet::{Ctx, MutexProtocol, NodeId, RestartOutcome};
 
 use crate::config::RcvConfig;
-use crate::exchange::exchange_recv;
+use crate::exchange::exchange;
 use crate::message::{MsgBody, RcvMessage};
 use crate::order::order;
 use crate::si::Si;
@@ -257,7 +257,7 @@ impl RcvNode {
         ctx: &mut Ctx<'_, RcvMessage>,
     ) {
         self.stats.rms_received += 1;
-        let x = exchange_recv(&mut self.si, &mut body, None);
+        let x = exchange(&mut self.si, &mut body, None);
         self.stats.lemma6_violations += u64::from(x.lemma6_violation);
 
         if self.si.knows_completed(&home) {
@@ -305,7 +305,7 @@ impl RcvNode {
     }
 
     fn handle_em(&mut self, for_req: ReqTuple, mut body: MsgBody, ctx: &mut Ctx<'_, RcvMessage>) {
-        let x = exchange_recv(&mut self.si, &mut body, Some(&for_req));
+        let x = exchange(&mut self.si, &mut body, Some(&for_req));
         self.stats.lemma6_violations += u64::from(x.lemma6_violation);
         if self.state == ReqState::Waiting(for_req) {
             self.enter(for_req, ctx);
@@ -322,7 +322,7 @@ impl RcvNode {
         mut body: MsgBody,
         ctx: &mut Ctx<'_, RcvMessage>,
     ) {
-        let x = exchange_recv(&mut self.si, &mut body, None);
+        let x = exchange(&mut self.si, &mut body, None);
         self.stats.lemma6_violations += u64::from(x.lemma6_violation);
         self.apply_inform(pred, next, ctx);
     }
@@ -342,7 +342,7 @@ impl RcvNode {
     /// worst case is one redundant EM per peer on a rare recovery path.
     fn handle_rv(&mut self, mut body: MsgBody, ctx: &mut Ctx<'_, RcvMessage>) {
         self.stats.rvs_received += 1;
-        let x = exchange_recv(&mut self.si, &mut body, None);
+        let x = exchange(&mut self.si, &mut body, None);
         self.stats.lemma6_violations += u64::from(x.lemma6_violation);
         if let Some(head) = self.si.nonl.head() {
             self.send_or_self_enter_em(head, ctx);

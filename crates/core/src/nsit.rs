@@ -6,7 +6,8 @@
 //! request initialization, at RM reception and at CS release); every other
 //! copy in the system is a snapshot that propagates through messages and is
 //! reconciled by the Exchange procedure (fresher version wins wholesale,
-//! equal versions intersect — see DESIGN.md interpretation #3).
+//! equal versions intersect — see README § Paper ambiguities,
+//! interpretations and repairs, #3).
 //!
 //! # Copy-on-write storage
 //!

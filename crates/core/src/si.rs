@@ -43,7 +43,8 @@ impl Si {
     /// MNL nor in the NONL. (A request always lives in its home row's MNL
     /// from initialization until it is *ordered*, and in the NONL from
     /// ordering until CS exit — so fresh-enough information showing it in
-    /// neither place proves it finished. DESIGN.md interpretation/repair #3.)
+    /// neither place proves it finished. README § Paper ambiguities,
+    /// interpretations and repairs, #3.)
     pub fn knows_completed(&self, t: &ReqTuple) -> bool {
         let home_row = self.nsit.row(t.node);
         home_row.ts >= t.ts && !home_row.mnl.contains(t) && !self.nonl.contains(t)
@@ -80,10 +81,11 @@ impl Si {
         }
     }
 
-    /// Purges tuples with completion evidence from every MNL (repair #3 in
-    /// DESIGN.md: stale third-party row copies can carry "zombie" tuples of
-    /// already-finished requests back in; left alone they could vote, win an
-    /// ordering and wedge the EM chain). Returns the purged tuples.
+    /// Purges tuples with completion evidence from every MNL (the repair of
+    /// README § Paper ambiguities, interpretations and repairs, #3: stale
+    /// third-party row copies can carry "zombie" tuples of already-finished
+    /// requests back in; left alone they could vote, win an ordering and
+    /// wedge the EM chain). Returns the purged tuples.
     pub fn purge_completed(&mut self) -> Vec<ReqTuple> {
         // Filter-first variant of "for t in distinct_tuples(): if completed,
         // purge". Completion evidence for `t = <j, ts>` only involves row j

@@ -16,7 +16,8 @@ pub struct RcvNodeStats {
     /// IMs sent.
     pub ims_sent: u64,
     /// EMs received that no longer matched an outstanding request and were
-    /// dropped (DESIGN.md guard #7). Expected to stay 0; asserted by tests.
+    /// dropped (README § Paper ambiguities, interpretations and repairs,
+    /// #7). Expected to stay 0; asserted by tests.
     pub stale_ems: u64,
     /// RMs received for requests already known completed and dropped.
     /// Expected to stay 0 under reliable delivery; asserted by tests.
@@ -44,7 +45,18 @@ pub struct RcvNodeStats {
 impl RcvNodeStats {
     /// Sum of the "should never happen" counters; tests assert it is zero.
     pub fn anomalies(&self) -> u64 {
-        self.ul_exhausted + self.lemma6_violations
+        self.anomalies_under(false)
+    }
+
+    /// [`Self::anomalies`] for a run whose fault plan is `restartable`
+    /// (some node crashes and restarts). UL exhaustion then stops being an
+    /// anomaly: the restarted node's rebuilt NSIT row has forgotten the
+    /// votes peers registered at it, so an in-flight RM can legitimately
+    /// run out of unvisited nodes without ordering (Lemma 3 assumes no vote
+    /// loss); the retransmission extension re-campaigns and liveness
+    /// recovers. Lemma 6 violations are anomalous in every regime.
+    pub fn anomalies_under(&self, restartable: bool) -> u64 {
+        self.lemma6_violations + if restartable { 0 } else { self.ul_exhausted }
     }
 }
 
@@ -59,5 +71,6 @@ mod tests {
         s.ul_exhausted = 1;
         s.lemma6_violations = 2;
         assert_eq!(s.anomalies(), 3);
+        assert_eq!(s.anomalies_under(true), 2, "only Lemma 6 counts");
     }
 }

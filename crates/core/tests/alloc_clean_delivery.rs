@@ -1,6 +1,6 @@
 //! Per-event heap-allocation test for clean-row deliveries.
 //!
-//! A "clean" delivery is a snapshot + `exchange_recv` where the receiver's
+//! A "clean" delivery is a snapshot + `exchange` where the receiver's
 //! table already agrees with the message: no row is adopted, nothing is
 //! marked dirty, and normalize skips. With copy-on-write snapshots this
 //! path must not rematerialize the O(N)-row table — its allocation cost
@@ -14,7 +14,7 @@
 #[global_allocator]
 static ALLOC: rcv_allocmeter::CountingAllocator = rcv_allocmeter::CountingAllocator;
 
-use rcv_core::{exchange_recv, MsgBody, ReqTuple, Si};
+use rcv_core::{exchange, MsgBody, ReqTuple, Si};
 use rcv_simnet::NodeId;
 
 /// An Si with real content: a few home rows carry owner tuples (spread
@@ -42,13 +42,13 @@ fn bytes_per_clean_delivery(n: usize, k: u64) -> f64 {
     // backings so the metered loop sees only steady-state allocation.
     for _ in 0..3 {
         let mut body = MsgBody::snapshot(&si.nonl, &si.nsit);
-        exchange_recv(&mut recv, &mut body, None);
+        exchange(&mut recv, &mut body, None);
     }
 
     rcv_allocmeter::take();
     for _ in 0..k {
         let mut body = MsgBody::snapshot(&si.nonl, &si.nsit);
-        exchange_recv(&mut recv, &mut body, None);
+        exchange(&mut recv, &mut body, None);
         std::hint::black_box(&recv);
     }
     rcv_allocmeter::take().bytes as f64 / k as f64

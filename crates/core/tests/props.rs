@@ -163,8 +163,8 @@ proptest! {
         for t in si.nonl.iter() {
             prop_assert!(!si.nsit.contains_anywhere(t));
         }
-        // Idempotence: re-applying the (already reconciled) body changes
-        // nothing further.
+        // Idempotence: re-applying the same message (the first pass only
+        // pruned its MONL) changes nothing further.
         let si_after = si.clone();
         let mut body2 = body.clone();
         let _ = exchange(&mut si, &mut body2, None);

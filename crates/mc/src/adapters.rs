@@ -58,36 +58,29 @@ impl McProtocol for RcvNode {
     /// UL exhaustion or Lemma 6 violation the node itself detected is a
     /// counterexample, not a statistic.
     fn check_node(&self) -> Result<(), String> {
-        self.si().invariants_ok(self.id())?;
-        let anomalies = self.stats().anomalies();
-        if anomalies > 0 {
-            return Err(format!(
-                "{} recorded {anomalies} anomalies (ul_exhausted={}, lemma6={})",
-                self.id(),
-                self.stats().ul_exhausted,
-                self.stats().lemma6_violations,
-            ));
-        }
-        Ok(())
+        check_rcv_node(self, false)
     }
 
-    /// Under crash-recovery, UL exhaustion stops being an anomaly: the
-    /// restarted node's rebuilt NSIT row has forgotten the votes peers
-    /// registered at it, so an in-flight RM can legitimately run out of
-    /// unvisited nodes without ordering (Lemma 3 assumes no vote loss) —
-    /// the retransmission extension re-campaigns. The structural lemmas
-    /// and Lemma 6 remain hard violations in every regime.
+    /// The same check with the one relaxation a legitimate crash earns
+    /// ([`rcv_core::RcvNodeStats::anomalies_under`]).
     fn check_node_recovering(&self) -> Result<(), String> {
-        self.si().invariants_ok(self.id())?;
-        let lemma6 = self.stats().lemma6_violations;
-        if lemma6 > 0 {
-            return Err(format!(
-                "{} recorded {lemma6} Lemma 6 violations",
-                self.id()
-            ));
-        }
-        Ok(())
+        check_rcv_node(self, true)
     }
+}
+
+fn check_rcv_node(node: &RcvNode, restartable: bool) -> Result<(), String> {
+    node.si().invariants_ok(node.id())?;
+    let stats = node.stats();
+    let anomalies = stats.anomalies_under(restartable);
+    if anomalies > 0 {
+        return Err(format!(
+            "{} recorded {anomalies} anomalies (ul_exhausted={}, lemma6={})",
+            node.id(),
+            stats.ul_exhausted,
+            stats.lemma6_violations,
+        ));
+    }
+    Ok(())
 }
 
 impl McProtocol for RicartAgrawala {

@@ -29,10 +29,11 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use rcv_simnet::{MutexProtocol, NodeId};
+use rcv_simnet::{DelayModel, FaultPlan, MutexProtocol, NodeId, SimDuration};
 
 use crate::checker::CsChecker;
 use crate::node::{NodeDriver, NodeOutcome, NodeParams};
+use crate::spec::{ticks, Spec};
 use crate::transport::chan::{ChanTransport, Packet, Submitted};
 use crate::transport::netq::FaultQueue;
 use crate::watchdog::StatusCell;
@@ -61,6 +62,24 @@ pub enum NetDelay {
 }
 
 impl NetDelay {
+    /// Renders a simulator delay model at `tick` per simulator tick — the
+    /// one way a tick-denominated delay reaches the real tiers. A constant
+    /// model becomes a degenerate uniform one (per-pair FIFO).
+    pub fn from_model(model: &DelayModel, tick: Duration) -> Self {
+        let uniform = |min: SimDuration, max: SimDuration| NetDelay::Uniform {
+            min: ticks(tick, min.ticks()),
+            max: ticks(tick, max.ticks()),
+        };
+        match *model {
+            DelayModel::Constant(d) => uniform(d, d),
+            DelayModel::Uniform { min, max } => uniform(min, max),
+            DelayModel::Exponential { mean, cap } => NetDelay::Exponential {
+                mean: Duration::from_nanos((tick.as_nanos() as f64 * mean).round() as u64),
+                cap: ticks(tick, cap),
+            },
+        }
+    }
+
     pub(crate) fn sample(&self, rng: &mut SmallRng) -> Duration {
         match *self {
             NetDelay::None => Duration::ZERO,
@@ -79,11 +98,9 @@ impl NetDelay {
     }
 }
 
-/// Wire-level fault injection, applied by the network thread — the
-/// real-concurrency mirror of `rcv_simnet::FaultPlan` (minus *permanent*
-/// crash-stop, which has no faithful analogue while every node thread
-/// must join; bounded crash **windows** do map — see
-/// [`WireFaults::with_crash_restart`]).
+/// Wire-level fault injection, applied at the fabric boundary (network
+/// thread or hub) — what a `rcv_simnet::FaultPlan` renders to on the real
+/// tiers (`WireFaults::try_from(&plan)`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WireFaults {
     /// Every `k`-th message crossing the network thread is dropped.
@@ -96,7 +113,7 @@ pub struct WireFaults {
     /// under otherwise constant delays.
     pub straggler: Option<(u32, u32)>,
     /// `(node index, down_ticks, up_ticks)`: a bounded outage measured
-    /// from cluster start on the [`ClusterSpec::tick`] scale. During the
+    /// from cluster start on the [`Spec::tick`] scale. During the
     /// window the network black-holes every delivery to the node (counted
     /// in [`ClusterReport::crash_dropped`], separately from loss), the
     /// node thread freezes — aborting a held CS, which evicts it from the
@@ -150,47 +167,60 @@ impl WireFaults {
     }
 }
 
-/// Optional hook applied to every message on the wire (e.g. the codec
-/// round-trip installed by [`crate::with_codec_verification`]).
-pub type WireHook<M> = Arc<dyn Fn(M) -> M + Send + Sync>;
+impl TryFrom<&FaultPlan> for WireFaults {
+    type Error = String;
 
-/// Cluster parameters.
-///
-/// Construct with [`ClusterSpec::quick`] and refine through the fluent
-/// builders (`.rounds(..)`, `.faults(..)`, `.tick(..)`, ...). The fields
-/// stay `pub` so generic glue can *read* them, but mutating them
-/// directly is a deprecated idiom — new call sites should chain the
-/// builders.
-#[derive(Clone)]
-pub struct ClusterSpec<M> {
-    /// Number of nodes (threads).
-    pub n: usize,
-    /// CS requests each node performs.
-    pub rounds: u32,
-    /// Pause between a node's CS completion and its next request.
-    pub think: Duration,
-    /// How long the CS is held.
-    pub cs_duration: Duration,
-    /// Network impairment.
-    pub delay: NetDelay,
-    /// Wire-level fault injection (loss, duplication, stragglers).
-    pub faults: WireFaults,
-    /// Wall-clock length of one simulator tick: protocol timers armed via
-    /// `Ctx::set_timer` and the `Ctx::now()` clock both use this scale, so
-    /// tick-denominated protocol logic keeps its proportions when delays
-    /// are scaled up to thread-schedulable magnitudes.
-    pub tick: Duration,
-    /// Seed for all per-node RNG streams.
-    pub seed: u64,
-    /// Abort the run (reporting `timed_out`) after this long.
-    pub timeout: Duration,
-    /// Optional on-wire transformation (codec verification, tampering).
-    pub wire_hook: Option<WireHook<M>>,
+    /// The real-tier rendering of a simulator fault plan; periods, factors
+    /// and window ticks carry over unchanged. Partial: a **permanent**
+    /// crash-stop needs a node to vanish forever, which neither joinable
+    /// threads nor watched worker processes can express — only bounded
+    /// crash *windows* map — and the wire layer holds one straggler and one
+    /// window.
+    fn try_from(plan: &FaultPlan) -> Result<WireFaults, String> {
+        if let Some(&(node, at)) = plan.crashes.first() {
+            return Err(format!(
+                "permanent crash-stop ({node} at t={}) has no wire-level rendering",
+                at.ticks()
+            ));
+        }
+        if plan.stragglers.len() > 1 || plan.restarts.len() > 1 {
+            return Err(format!(
+                "{} stragglers and {} crash windows exceed the wire layer's one of each",
+                plan.stragglers.len(),
+                plan.restarts.len()
+            ));
+        }
+        let straggler = match plan.stragglers.first() {
+            Some(&(node, factor)) => Some((
+                node.raw(),
+                u32::try_from(factor)
+                    .map_err(|_| format!("straggler factor {factor} exceeds u32"))?,
+            )),
+            None => None,
+        };
+        Ok(WireFaults {
+            loss_every: plan.drop_every,
+            dup_every: plan.duplicate_every,
+            straggler,
+            crash_restart: plan
+                .restarts
+                .first()
+                .map(|w| (w.node.raw(), w.down_at.ticks(), w.up_at.ticks())),
+        })
+    }
 }
 
+/// Hook applied to every message on the wire (e.g. the codec round-trip of
+/// [`crate::wire::verifying_hook`]).
+pub type WireHook<M> = Arc<dyn Fn(M) -> M + Send + Sync>;
+
+/// Parameters of a thread-tier run: the shared run parameters plus an
+/// optional on-wire message hook (`ext`).
+pub type ClusterSpec<M> = Spec<Option<WireHook<M>>>;
+
 impl<M> ClusterSpec<M> {
-    /// A small default: `n` nodes, one request each, jittered delivery.
-    /// Customize with the fluent builder methods:
+    /// [`crate::RunSpec::quick`] with no wire hook. Customize with the
+    /// fluent builder methods:
     ///
     /// ```
     /// # use rcv_runtime::{ClusterSpec, WireFaults};
@@ -201,84 +231,18 @@ impl<M> ClusterSpec<M> {
     ///     .tick(Duration::from_micros(200));
     /// ```
     pub fn quick(n: usize, seed: u64) -> Self {
-        ClusterSpec {
-            n,
-            rounds: 1,
-            think: Duration::from_millis(1),
-            cs_duration: Duration::from_millis(2),
-            delay: NetDelay::Uniform {
-                min: Duration::from_micros(50),
-                max: Duration::from_millis(2),
-            },
-            faults: WireFaults::none(),
-            tick: Duration::from_micros(1),
-            seed,
-            timeout: Duration::from_secs(30),
-            wire_hook: None,
-        }
-    }
-
-    // Fluent builders — prefer these over direct field pokes (the fields
-    // stay `pub` for struct-literal construction and reads, but mutation
-    // idiom in specs and tests is `ClusterSpec::quick(n, s).faults(...)`).
-
-    /// Sets the number of CS requests per node.
-    pub fn rounds(mut self, rounds: u32) -> Self {
-        self.rounds = rounds;
-        self
-    }
-
-    /// Sets the pause between a node's CS completion and its next request.
-    pub fn think(mut self, think: Duration) -> Self {
-        self.think = think;
-        self
-    }
-
-    /// Sets how long each CS is held.
-    pub fn cs_duration(mut self, cs: Duration) -> Self {
-        self.cs_duration = cs;
-        self
-    }
-
-    /// Sets the per-message delay model.
-    pub fn delay(mut self, delay: NetDelay) -> Self {
-        self.delay = delay;
-        self
-    }
-
-    /// Sets wire-level fault injection.
-    pub fn faults(mut self, faults: WireFaults) -> Self {
-        self.faults = faults;
-        self
-    }
-
-    /// Sets the wall-clock length of one simulator tick.
-    pub fn tick(mut self, tick: Duration) -> Self {
-        self.tick = tick;
-        self
-    }
-
-    /// Sets the master seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Sets the soft run timeout (the run reports `timed_out` past it).
-    pub fn timeout(mut self, timeout: Duration) -> Self {
-        self.timeout = timeout;
-        self
+        crate::RunSpec::quick(n, seed).with(None)
     }
 
     /// Installs an on-wire message hook (codec verification, tampering).
     pub fn wire_hook(mut self, hook: WireHook<M>) -> Self {
-        self.wire_hook = Some(hook);
+        self.ext = Some(hook);
         self
     }
 }
 
-/// What the cluster observed.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// What a real-tier run observed (either tier).
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ClusterReport {
     /// CS executions completed across all nodes.
     pub completed: u64,
@@ -286,6 +250,10 @@ pub struct ClusterReport {
     pub cs_entries: u64,
     /// Mutual exclusion violations (0 ⇔ safe).
     pub violations: u64,
+    /// Protocol-internal anomalies summed over nodes
+    /// (`rcv_core::RcvNodeStats::anomalies_under`; 0 for protocols without
+    /// the notion).
+    pub anomalies: u64,
     /// Messages that crossed the network thread.
     pub messages: u64,
     /// Messages dropped by wire-level loss injection.
@@ -304,25 +272,15 @@ pub struct ClusterReport {
 }
 
 impl ClusterReport {
-    /// Whether the run was safe and fully live.
+    /// Whether the run was safe, fully live and anomaly-free.
     pub fn is_clean(&self, expected: u64) -> bool {
-        !self.timed_out && self.violations == 0 && self.completed == expected
+        !self.timed_out && self.violations == 0 && self.anomalies == 0 && self.completed == expected
     }
 }
 
-/// Runs a cluster of `spec.n` protocol nodes to completion.
-pub fn run_cluster<P>(
-    spec: ClusterSpec<P::Message>,
-    make_node: impl FnMut(NodeId, usize) -> P,
-) -> ClusterReport
-where
-    P: MutexProtocol + Send + 'static,
-{
-    run_cluster_collecting(spec, make_node).0
-}
-
-/// Like [`run_cluster`], but also hands back every node's final protocol
-/// state (in node-id order) — the runtime analogue of the simulator's
+/// Runs a cluster of `spec.n` protocol nodes to completion and hands
+/// back, with the report, every node's final protocol state (in node-id
+/// order) — the runtime analogue of the simulator's
 /// `Engine::run_collecting`, used e.g. to read RCV's internal anomaly
 /// counters after a real-thread run.
 pub fn run_cluster_collecting<P>(
@@ -345,20 +303,13 @@ where
         inbox_rx.push(rx);
     }
 
-    // The crash window in wall-clock terms. `start` anchors the node
-    // threads' tick clocks AND the window, so tick-denominated protocol
-    // timers and the outage share one time base.
     let start = Instant::now();
-    let tickify = |ticks: u64| spec.tick.saturating_mul(ticks.min(u32::MAX as u64) as u32);
-    let crash_win = spec
-        .faults
-        .crash_restart
-        .map(|(node, down, up)| (node as usize, start + tickify(down), start + tickify(up)));
+    let crash_win = spec.crash_window(start);
 
     // Network thread.
     let (net_tx, net_rx) = unbounded::<Submitted<P::Message>>();
     let net_out: Vec<Sender<Packet<P::Message>>> = inbox_tx.clone();
-    let hook = spec.wire_hook.clone();
+    let hook = spec.ext.clone();
     let faults = spec.faults;
     let net_handle = std::thread::Builder::new()
         .name("rcv-net".into())
@@ -370,12 +321,11 @@ where
 
     // Node threads: each runs the transport-generic driver over the
     // channel fabric.
-    let mut seeder = SmallRng::seed_from_u64(spec.seed);
     let mut handles = Vec::with_capacity(n);
-    for (idx, rx) in inbox_rx.into_iter().enumerate() {
+    for ((idx, rx), seed) in inbox_rx.into_iter().enumerate().zip(spec.node_seeds()) {
         let me = NodeId::new(idx as u32);
         let proto = make_node(me, n);
-        let rng = SmallRng::seed_from_u64(seeder.gen());
+        let rng = SmallRng::seed_from_u64(seed);
         let transport = ChanTransport::new(me, net_tx.clone(), rx, done_tx.clone());
         let params = NodeParams {
             rounds: spec.rounds,
@@ -459,6 +409,7 @@ where
         completed: totals.completed,
         cs_entries: checker.entries(),
         violations: checker.violations(),
+        anomalies: 0,
         messages: totals.messages,
         lost,
         duplicated,

@@ -1,17 +1,29 @@
-//! # rcv-runtime — real-thread message-passing runtime
+//! # rcv-runtime — real-concurrency message-passing runtime
 //!
 //! The simulator in `rcv-simnet` validates the protocols deterministically;
-//! this crate validates them under *real* concurrency. Every node of the
-//! distributed system becomes an OS thread with a crossbeam-channel inbox;
-//! a network thread injects per-message random delays (making channels
-//! non-FIFO, the condition the RCV paper claims to tolerate); a shared
-//! [`CsChecker`] observes every CS entry/exit.
+//! this crate validates them under *real* concurrency, on two tiers that
+//! drive the same node loop over the [`Transport`] trait:
+//!
+//! * **threads** ([`run_cluster_collecting`]): every node is an OS thread with a
+//!   crossbeam-channel inbox; a network thread injects per-message random
+//!   delays (making channels non-FIFO, the condition the RCV paper claims
+//!   to tolerate) and wire-level faults;
+//! * **processes** ([`orchestrator`]): every node is a worker process
+//!   connected to a hub over Unix-domain or TCP loopback sockets.
+//!
+//! A run is described by one [`Spec`]: the shared parameters
+//! ([`RunSpec`]) plus what a tier needs beyond them ([`ClusterSpec`],
+//! [`orchestrator::ProcessSpec`]). Faults and delays are the simulator's
+//! own, rendered one way: `WireFaults::try_from(&FaultPlan)` and
+//! [`NetDelay::from_model`]. Both tiers report a [`ClusterReport`]; a
+//! shared [`CsChecker`] (or the replayed CS log) observes every CS
+//! entry/exit.
 //!
 //! There is deliberately **no shared memory between protocol nodes** — the
 //! paper's system model (§3) — and the [`wire`] module goes one step
-//! further: RCV messages can be serialized to bytes and parsed back on
-//! every hop ([`with_codec_verification`]), proving the protocol state is
-//! plain data.
+//! further: every message type can be serialized to bytes and parsed back
+//! on every hop ([`wire::verifying_hook`] on the thread tier, always on
+//! the socket tier), proving the protocol state is plain data.
 //!
 //! ```
 //! use rcv_runtime::{run_rcv_cluster, ClusterSpec};
@@ -21,11 +33,7 @@
 //! assert!(report.is_clean(3)); // 3 nodes, one CS execution each, no overlap
 //! ```
 //!
-//! Beyond RCV, the cluster is algorithm-agnostic: [`run_cluster`] accepts
-//! any `MutexProtocol`, [`wire::WireCodec`] covers every baseline message
-//! type, and [`ClusterSpec::faults`] mirrors the simulator's fault plans
-//! (loss, duplication, stragglers) at the real-network layer. The
-//! [`watchdog`] module guards threaded tests with a hard wall-clock
+//! The [`watchdog`] module guards threaded tests with a hard wall-clock
 //! deadline plus a thread dump, so a deadlocked cluster fails loudly.
 
 // `deny`, not `forbid`: `transport::readiness` (the hub's one `ppoll`
@@ -38,14 +46,16 @@ mod cluster;
 mod node;
 pub mod orchestrator;
 mod rcv_cluster;
+mod spec;
 pub mod transport;
 pub mod watchdog;
 pub mod wire;
 
 pub use checker::{replay_cs_log, CsChecker, CsLogProbe, CsProbe};
 pub use cluster::{
-    run_cluster, run_cluster_collecting, ClusterReport, ClusterSpec, NetDelay, WireFaults, WireHook,
+    run_cluster_collecting, ClusterReport, ClusterSpec, NetDelay, WireFaults, WireHook,
 };
-pub use rcv_cluster::{run_rcv_cluster, run_rcv_cluster_collecting, with_codec_verification};
+pub use rcv_cluster::run_rcv_cluster;
+pub use spec::{RunSpec, Spec};
 pub use transport::{RecvOutcome, SocketNet, Transport, TransportClosed};
 pub use watchdog::run_with_watchdog;

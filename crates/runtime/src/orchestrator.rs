@@ -49,12 +49,13 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-use rcv_simnet::{MutexProtocol, NodeId, RetryPolicy};
+use rand::SeedableRng;
+use rcv_simnet::{MutexProtocol, NodeId};
 
 use crate::checker::{replay_cs_log, CsLogProbe};
-use crate::cluster::{ClusterReport, NetDelay, WireFaults};
+use crate::cluster::ClusterReport;
 use crate::node::{NodeDriver, NodeParams};
+use crate::spec::{ticks, Spec};
 use crate::transport::frame::{
     encode_frame, encode_frame_into, validate_hello, CtrlFrame, FrameBuf, WorkerConfig,
     WorkerReport, MAX_FRAME,
@@ -65,123 +66,37 @@ use crate::transport::{SocketNet, SocketTransport};
 use crate::watchdog::StatusCell;
 use crate::wire::WireCodec;
 
-/// Parameters for one multi-process cluster run (the process-backend
-/// analogue of [`crate::ClusterSpec`]).
+/// What the socket tier needs beyond the shared run parameters.
 #[derive(Clone, Debug)]
-pub struct ProcessSpec {
-    /// Number of worker processes (= protocol nodes).
-    pub n: usize,
+pub struct ProcessExt {
     /// Algorithm tag every worker must claim in its `Hello` (e.g.
     /// `"rcv"`); also what each worker is told to run.
     pub protocol: String,
-    /// CS requests per node.
-    pub rounds: u32,
-    /// Pause between a node's CS completion and its next request.
-    pub think: Duration,
-    /// How long each node holds the CS.
-    pub cs_duration: Duration,
-    /// Per-message network delay model.
-    pub delay: NetDelay,
-    /// Wire-level fault injection, applied hub-side at the socket
-    /// boundary.
-    pub faults: WireFaults,
-    /// Wall-clock length of one simulator tick.
-    pub tick: Duration,
-    /// Master seed; per-node seeds derive from it exactly as the thread
-    /// backend derives them.
-    pub seed: u64,
-    /// Watchdog deadline for the whole run; stragglers are killed.
-    pub timeout: Duration,
     /// Socket family (Unix-domain by default, TCP loopback on request).
     pub net: SocketNet,
-    /// Retransmission policy forwarded to workers (RCV only).
-    pub retry: Option<RetryPolicy>,
     /// Fault-drill: kill worker `node`'s process this long after `Start`,
     /// to prove the hub returns a crash verdict instead of hanging.
     pub kill_worker: Option<(u32, Duration)>,
 }
 
+/// Parameters of a multi-process cluster run: the shared run parameters
+/// plus [`ProcessExt`] (`ext`).
+pub type ProcessSpec = Spec<ProcessExt>;
+
 impl ProcessSpec {
-    /// A small, fast spec with the same workload defaults as
-    /// [`crate::ClusterSpec::quick`].
+    /// [`crate::RunSpec::quick`] for `protocol` over Unix-domain sockets,
+    /// no kill drill.
     pub fn quick(n: usize, seed: u64, protocol: &str) -> Self {
-        ProcessSpec {
-            n,
+        crate::RunSpec::quick(n, seed).with(ProcessExt {
             protocol: protocol.to_string(),
-            rounds: 1,
-            think: Duration::from_millis(1),
-            cs_duration: Duration::from_millis(2),
-            delay: NetDelay::Uniform {
-                min: Duration::from_micros(50),
-                max: Duration::from_millis(2),
-            },
-            faults: WireFaults::none(),
-            tick: Duration::from_micros(1),
-            seed,
-            timeout: Duration::from_secs(30),
             net: SocketNet::Uds,
-            retry: None,
             kill_worker: None,
-        }
-    }
-
-    /// Sets the rounds each node performs.
-    pub fn rounds(mut self, rounds: u32) -> Self {
-        self.rounds = rounds;
-        self
-    }
-
-    /// Sets the think time between rounds.
-    pub fn think(mut self, think: Duration) -> Self {
-        self.think = think;
-        self
-    }
-
-    /// Sets the CS hold duration.
-    pub fn cs_duration(mut self, cs: Duration) -> Self {
-        self.cs_duration = cs;
-        self
-    }
-
-    /// Sets the per-message delay model.
-    pub fn delay(mut self, delay: NetDelay) -> Self {
-        self.delay = delay;
-        self
-    }
-
-    /// Sets the wire-fault plan.
-    pub fn faults(mut self, faults: WireFaults) -> Self {
-        self.faults = faults;
-        self
-    }
-
-    /// Sets the tick length.
-    pub fn tick(mut self, tick: Duration) -> Self {
-        self.tick = tick;
-        self
-    }
-
-    /// Sets the watchdog deadline.
-    pub fn timeout(mut self, timeout: Duration) -> Self {
-        self.timeout = timeout;
-        self
+        })
     }
 
     /// Selects the socket family.
     pub fn net(mut self, net: SocketNet) -> Self {
-        self.net = net;
-        self
-    }
-
-    /// Sets the retransmission policy forwarded to workers.
-    pub fn retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = Some(retry);
-        self
-    }
-
-    /// Arms the kill-a-worker fault drill.
-    pub fn kill_worker(mut self, node: u32, after: Duration) -> Self {
-        self.kill_worker = Some((node, after));
+        self.ext.net = net;
         self
     }
 }
@@ -193,8 +108,6 @@ impl ProcessSpec {
 pub struct ProcessReport {
     /// Aggregate counters in the same shape as the thread backend.
     pub report: ClusterReport,
-    /// Protocol-internal anomaly count summed over workers.
-    pub anomalies: u64,
     /// Per-node final reports; `None` means the worker never reported.
     pub reports: Vec<Option<WorkerReport>>,
     /// Fatal wire errors reported by workers, with the reporting node.
@@ -243,13 +156,20 @@ pub const OUTBUF_CAP: usize = 4 * MAX_FRAME;
 pub const OVER_CAP_FAULT: &str = "hub: output cap exceeded, worker not reading";
 
 impl ProcessReport {
-    /// Whether the run was safe, fully live, and free of crash verdicts
-    /// and wire faults.
+    /// Findings only this tier can make: wire faults and worker deaths on
+    /// any run, a CS-log / report-counter mismatch on runs that concluded
+    /// (a timed-out run kills stalled workers before they report, which
+    /// legitimately loses their counters).
+    pub fn findings(&self) -> u64 {
+        let r = &self.report;
+        self.faults.len() as u64
+            + self.crashed.len() as u64
+            + u64::from(!r.timed_out && r.cs_entries != r.completed)
+    }
+
+    /// Whether the run was safe, fully live, and free of findings.
     pub fn is_clean(&self, expected: u64) -> bool {
-        self.report.is_clean(expected)
-            && self.crashed.is_empty()
-            && self.faults.is_empty()
-            && self.report.cs_entries == self.report.completed
+        self.report.is_clean(expected) && self.findings() == 0
     }
 }
 
@@ -496,7 +416,7 @@ fn read_frame_blocking(
 /// `spawn` receives the cluster address (`"uds:<path>"` or
 /// `"tcp:<ip>:<port>"`) and must start the worker processes, returning
 /// them **in node order** (index `i` is node `i`, the process
-/// [`ProcessSpec::kill_worker`] targets). It may return an empty vector
+/// [`ProcessExt::kill_worker`] targets). It may return an empty vector
 /// when the workers are driven elsewhere (e.g. test threads).
 ///
 /// Errors are setup/handshake failures — a run that *starts* always
@@ -508,8 +428,9 @@ pub fn run_process_cluster(
     assert!(spec.n >= 1);
     let n = spec.n;
     let tag = HUB_SEQ.fetch_add(1, Ordering::Relaxed);
+    let net = spec.ext.net;
     let (listener, addr) =
-        Listener::bind(spec.net, tag).map_err(|e| format!("bind {}: {e}", spec.net.name()))?;
+        Listener::bind(net, tag).map_err(|e| format!("bind {}: {e}", net.name()))?;
     let cs_log = std::env::temp_dir().join(format!("rcv-cs-{}-{tag}.log", std::process::id()));
     let _ = std::fs::remove_file(&cs_log);
 
@@ -562,7 +483,7 @@ pub fn run_process_cluster(
             }
         };
         let taken: Vec<bool> = slots.iter().map(|s| s.is_some()).collect();
-        match validate_hello(&hello, n as u32, &spec.protocol, &taken) {
+        match validate_hello(&hello, n as u32, &spec.ext.protocol, &taken) {
             Ok(node) => {
                 slots[node as usize] = Some(Slot::new(stream, fb));
                 connected += 1;
@@ -587,11 +508,10 @@ pub fn run_process_cluster(
     // --- Start: derive per-node seeds exactly like the thread backend
     // and ship each worker its configuration (blocking writes; the
     // sockets go nonblocking only for the serve loop). ---
-    let mut seeder = SmallRng::seed_from_u64(spec.seed);
-    let seeds: Vec<u64> = (0..n).map(|_| seeder.gen()).collect();
+    let seeds = spec.node_seeds();
     for (i, slot) in slots.iter_mut().enumerate() {
         let cfg = WorkerConfig {
-            algo: spec.protocol.clone(),
+            algo: spec.ext.protocol.clone(),
             node: i as u32,
             n: n as u32,
             rounds: spec.rounds,
@@ -628,17 +548,16 @@ pub fn run_process_cluster(
     status.set("serving");
     let t0 = Instant::now();
     let deadline = t0 + spec.timeout;
-    let tickify = |ticks: u64| spec.tick.saturating_mul(ticks.min(u32::MAX as u64) as u32);
-    let crash_win = spec
-        .faults
-        .crash_restart
-        .map(|(node, down, up)| (node as usize, t0 + tickify(down), t0 + tickify(up)));
-    let mut q: FaultQueueBytes = crate::transport::netq::FaultQueue::new(spec.faults, crash_win);
+    let mut q: FaultQueueBytes =
+        crate::transport::netq::FaultQueue::new(spec.faults, spec.crash_window(t0));
     let mut faults: Vec<(u32, String)> = Vec::new();
     let mut hub = HubStats::default();
     let mut shutdown_sent = false;
     let mut timed_out = false;
-    let mut kill_at = spec.kill_worker.map(|(victim, after)| (victim, t0 + after));
+    let mut kill_at = spec
+        .ext
+        .kill_worker
+        .map(|(victim, after)| (victim, t0 + after));
     let mut read_buf = vec![0u8; 64 * 1024];
     let mut pollfds: Vec<PollFd> = Vec::with_capacity(n);
     // Frames a worker pipelined behind its `Hello` are already buffered;
@@ -785,6 +704,7 @@ pub fn run_process_cluster(
         completed: sum(|r| r.completed),
         cs_entries,
         violations,
+        anomalies: sum(|r| r.anomalies),
         messages: sum(|r| r.messages),
         lost: q.lost,
         duplicated: q.duplicated,
@@ -794,7 +714,6 @@ pub fn run_process_cluster(
     };
     Ok(ProcessReport {
         report,
-        anomalies: sum(|r| r.anomalies),
         reports,
         faults,
         crashed,
@@ -849,7 +768,6 @@ where
     let rng = SmallRng::seed_from_u64(cfg.seed);
     let tick = Duration::from_micros(cfg.tick_us.max(1));
     let start = Instant::now();
-    let tickify = |ticks: u64| tick.saturating_mul(ticks.min(u32::MAX as u64) as u32);
     let params = NodeParams {
         rounds: cfg.rounds,
         think: Duration::from_micros(cfg.think_us),
@@ -859,7 +777,7 @@ where
         start,
         crash: cfg
             .crash
-            .map(|(down, up)| (start + tickify(down), start + tickify(up))),
+            .map(|(down, up)| (start + ticks(tick, down), start + ticks(tick, up))),
     };
     let transport: SocketTransport<P::Message> = SocketTransport::new(me, stream, fb);
     let driver = NodeDriver::new(
@@ -890,6 +808,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cluster::NetDelay;
     use rcv_baselines::lamport::Lamport;
 
     /// Drives a full Lamport cluster where the "processes" are threads

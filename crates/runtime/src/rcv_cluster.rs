@@ -1,65 +1,38 @@
-//! Convenience entry points for running the **RCV** protocol on the
-//! threaded cluster, including codec-verified mode where every message is
-//! serialized to bytes and parsed back on the wire.
+//! Convenience entry point for running the **RCV** protocol on the
+//! threaded cluster.
 //!
 //! (Baselines run on the same cluster through the generic
-//! [`crate::run_cluster`] + [`crate::wire::verifying_hook`]; the uniform
-//! all-8-algorithms dispatch lives in `rcv_workload::algo`.)
+//! [`crate::run_cluster_collecting`]; the uniform all-8-algorithms dispatch
+//! lives in `rcv_workload::algo`.)
 
 use rcv_core::{RcvConfig, RcvNode};
 use rcv_simnet::NodeId;
 
 use crate::cluster::{run_cluster_collecting, ClusterReport, ClusterSpec};
-use crate::wire;
 
-/// Runs an RCV cluster per `spec`.
+/// Runs an RCV cluster per `spec`. The report's `anomalies` is the sum of
+/// the nodes' internal anomaly counters — the runtime analogue of
+/// `rcv_core::total_anomalies` after a simulation.
 pub fn run_rcv_cluster(
     spec: ClusterSpec<rcv_core::RcvMessage>,
     config: RcvConfig,
 ) -> ClusterReport {
-    run_rcv_cluster_collecting(spec, config).0
-}
-
-/// Runs an RCV cluster and also reports the sum of the nodes' internal
-/// anomaly counters (UL exhaustion, Lemma-6 violations) — the runtime
-/// analogue of `rcv_core::total_anomalies` after a simulation.
-pub fn run_rcv_cluster_collecting(
-    spec: ClusterSpec<rcv_core::RcvMessage>,
-    config: RcvConfig,
-) -> (ClusterReport, u64) {
-    // Under a crash window, UL exhaustion stops being an anomaly: the
-    // restarted node's rebuilt NSIT row has forgotten the votes peers
-    // registered at it, so an in-flight RM can legitimately run out of
-    // unvisited nodes without ordering (Lemma 3 assumes no vote loss);
-    // the retransmission extension re-campaigns and liveness recovers.
-    // Lemma 6 violations remain anomalous in every regime.
     let restartable = spec.faults.crash_restart.is_some();
-    let (report, nodes) = run_cluster_collecting(spec, move |id: NodeId, n| {
+    let (mut report, nodes) = run_cluster_collecting(spec, move |id: NodeId, n| {
         RcvNode::with_config(id, n, config)
     });
-    let anomalies = nodes
+    report.anomalies = nodes
         .iter()
-        .map(|n| {
-            let s = n.stats();
-            s.lemma6_violations + if restartable { 0 } else { s.ul_exhausted }
-        })
+        .map(|n| n.stats().anomalies_under(restartable))
         .sum();
-    (report, anomalies)
-}
-
-/// Adds the encode/decode round-trip hook to a spec: every message crosses
-/// the network as real bytes (panicking loudly if the codec is lossy).
-pub fn with_codec_verification(
-    mut spec: ClusterSpec<rcv_core::RcvMessage>,
-) -> ClusterSpec<rcv_core::RcvMessage> {
-    spec.wire_hook = Some(wire::verifying_hook());
-    spec
+    report
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cluster::{NetDelay, WireFaults};
+    use crate::wire::verifying_hook;
     use std::time::Duration;
 
     #[test]
@@ -81,7 +54,7 @@ mod tests {
 
     #[test]
     fn rcv_threads_with_codec_on_the_wire() {
-        let spec = with_codec_verification(ClusterSpec::quick(4, 3));
+        let spec = ClusterSpec::quick(4, 3).wire_hook(verifying_hook());
         let r = run_rcv_cluster(spec, RcvConfig::paper());
         assert!(r.is_clean(4), "{r:?}");
         assert!(r.messages > 0);
@@ -104,24 +77,24 @@ mod tests {
 
     #[test]
     fn rcv_threads_report_zero_anomalies() {
-        let spec = with_codec_verification(ClusterSpec::quick(5, 6).rounds(2));
-        let (r, anomalies) = run_rcv_cluster_collecting(spec, RcvConfig::paper());
+        let spec = ClusterSpec::quick(5, 6)
+            .rounds(2)
+            .wire_hook(verifying_hook());
+        let r = run_rcv_cluster(spec, RcvConfig::paper());
         assert!(r.is_clean(10), "{r:?}");
-        assert_eq!(anomalies, 0, "RCV internal anomaly counters fired");
+        assert_eq!(r.anomalies, 0, "RCV internal anomaly counters fired");
     }
 
     #[test]
     fn rcv_threads_survive_duplication() {
         // Every message delivered twice: RCV's stale-EM / duplicate-IM
         // guards must absorb it — safe AND live.
-        let spec = with_codec_verification(
-            ClusterSpec::quick(5, 7)
-                .rounds(2)
-                .faults(WireFaults::none().with_duplication(1)),
-        );
-        let (r, anomalies) = run_rcv_cluster_collecting(spec, RcvConfig::paper());
+        let spec = ClusterSpec::quick(5, 7)
+            .rounds(2)
+            .faults(WireFaults::none().with_duplication(1))
+            .wire_hook(verifying_hook());
+        let r = run_rcv_cluster(spec, RcvConfig::paper());
         assert!(r.is_clean(10), "{r:?}");
-        assert_eq!(anomalies, 0);
         assert!(r.duplicated > 0, "duplication regime must actually fire");
     }
 
@@ -136,9 +109,8 @@ mod tests {
             .tick(Duration::from_millis(1))
             .cs_duration(Duration::from_millis(20))
             .faults(WireFaults::none().with_crash_restart(0, 10, 30));
-        let (r, anomalies) = run_rcv_cluster_collecting(spec, RcvConfig::paper());
+        let r = run_rcv_cluster(spec, RcvConfig::paper());
         assert!(r.is_clean(1), "{r:?}");
-        assert_eq!(anomalies, 0);
         assert_eq!(r.restarts, 1, "the crash window must actually fire");
         assert_eq!(
             r.cs_entries, 2,
@@ -166,9 +138,9 @@ mod tests {
             retry: Some(rcv_simnet::RetryPolicy::backoff(400, 3_200)),
             ..RcvConfig::paper()
         };
-        let (r, anomalies) = run_rcv_cluster_collecting(spec, config);
+        let r = run_rcv_cluster(spec, config);
         assert!(r.is_clean(8), "{r:?}");
-        assert_eq!(anomalies, 0, "Lemma 6 must hold across the restart");
+        assert_eq!(r.anomalies, 0, "Lemma 6 must hold across the restart");
         assert_eq!(r.restarts, 1, "the crash window must actually fire");
         assert!(
             r.crash_dropped > 0,
@@ -184,9 +156,8 @@ mod tests {
             .rounds(2)
             .faults(WireFaults::none().with_loss(9))
             .timeout(Duration::from_secs(60));
-        let (r, anomalies) = run_rcv_cluster_collecting(spec, RcvConfig::with_retransmit(2_000));
+        let r = run_rcv_cluster(spec, RcvConfig::with_retransmit(2_000));
         assert!(r.is_clean(8), "{r:?}");
-        assert_eq!(anomalies, 0);
         assert!(r.lost > 0, "loss regime must actually drop messages");
     }
 }

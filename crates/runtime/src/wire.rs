@@ -17,8 +17,9 @@
 //! IM        := tuple (pred) tuple (next) body
 //! ```
 //!
-//! The threaded cluster can run in `verify_codec` mode, round-tripping
-//! every message through its codec on delivery.
+//! The threaded cluster round-trips every message through its codec on
+//! delivery when [`verifying_hook`] is installed as its wire hook; the
+//! socket tier always does.
 //!
 //! The [`WireCodec`] trait extends the same guarantee to **every** message
 //! type in the workspace: RCV plus all baseline algorithms (see

@@ -8,8 +8,8 @@ use rcv_baselines::{
     Lamport, Maekawa, QuorumSystem, RaDynamic, Raymond, RicartAgrawala, SuzukiKasami,
 };
 use rcv_core::{ForwardPolicy, RcvConfig, RcvNode};
-use rcv_runtime::wire::WireCodec;
-use rcv_runtime::{run_cluster_collecting, ClusterReport, ClusterSpec, NetDelay, WireFaults};
+use rcv_runtime::wire::{verifying_hook, WireCodec};
+use rcv_runtime::{run_cluster_collecting, run_rcv_cluster, ClusterReport, NetDelay, RunSpec};
 use rcv_simnet::{Engine, MutexProtocol, NodeId, RetryPolicy, SimConfig, SimReport, Workload};
 
 /// Every algorithm the harness can run.
@@ -99,8 +99,9 @@ impl Algo {
 
     /// Runs this algorithm as a **real-thread cluster** (`rcv-runtime`):
     /// one OS thread per node, asynchronous channels, optional wire-level
-    /// faults — the same protocol state machines the simulator drives,
-    /// under a genuine scheduler.
+    /// faults, every message round-tripped through its binary wire codec —
+    /// the same protocol state machines the simulator drives, under a
+    /// genuine scheduler.
     ///
     /// FIFO-requiring algorithms ([`Algo::requires_fifo`]) are
     /// automatically run under a **constant** delay (the mean of the
@@ -108,34 +109,24 @@ impl Algo {
     /// centralized policy [`crate::ScenarioSpec::algorithms`] applies on
     /// the simulator side, so no call site can accidentally pair Lamport
     /// or Maekawa with reordering delivery.
-    pub fn run_threaded(&self, spec: &ThreadSpec) -> ClusterRun {
-        let spec = &if self.requires_fifo() {
-            spec.delay(fifo_equivalent(spec.delay))
-        } else {
-            *spec
-        };
-        fn baseline<P>(spec: &ThreadSpec, make: impl FnMut(NodeId, usize) -> P) -> ClusterRun
+    pub fn run_threaded(&self, spec: &RunSpec) -> ClusterReport {
+        fn baseline<P>(spec: RunSpec, make: impl FnMut(NodeId, usize) -> P) -> ClusterReport
         where
             P: MutexProtocol + Send + 'static,
             P::Message: WireCodec + PartialEq + Sync,
         {
-            let (report, _nodes) = run_cluster_collecting(spec.cluster_spec(), make);
-            ClusterRun {
-                report,
-                anomalies: 0,
-            }
+            run_cluster_collecting(spec.with(Some(verifying_hook())), make).0
         }
 
+        let spec = self.fifo_safe(spec);
         match *self {
-            Algo::Rcv(policy) => {
-                let config = RcvConfig {
+            Algo::Rcv(policy) => run_rcv_cluster(
+                spec.with(Some(verifying_hook())),
+                RcvConfig {
                     forward: policy,
-                    retry: spec.rcv_retry,
-                };
-                let (report, anomalies) =
-                    rcv_runtime::run_rcv_cluster_collecting(spec.cluster_spec(), config);
-                ClusterRun { report, anomalies }
-            }
+                    retry: spec.retry,
+                },
+            ),
             Algo::Ricart => baseline(spec, RicartAgrawala::new),
             Algo::RaDynamic => baseline(spec, RaDynamic::new),
             Algo::Maekawa => baseline(spec, Maekawa::new),
@@ -145,6 +136,17 @@ impl Algo {
             Algo::Broadcast => baseline(spec, SuzukiKasami::new),
             Algo::Lamport => baseline(spec, Lamport::new),
             Algo::Raymond => baseline(spec, Raymond::new),
+        }
+    }
+
+    /// `spec` as this algorithm may run it on a real tier: unchanged, or
+    /// under the constant-mean ([`fifo_equivalent`]) delay when the
+    /// algorithm assumes ordered channels.
+    pub(crate) fn fifo_safe(&self, spec: &RunSpec) -> RunSpec {
+        if self.requires_fifo() {
+            spec.delay(fifo_equivalent(spec.delay))
+        } else {
+            *spec
         }
     }
 
@@ -194,7 +196,7 @@ impl Algo {
 
     /// Runs one simulation of this algorithm with an explicit RCV
     /// retransmission policy. The baselines have no retransmission knob
-    /// and ignore it; `retry == None` is exactly [`Algo::run`].
+    /// and ignore it.
     pub fn run_retry<W: Workload>(
         &self,
         cfg: SimConfig,
@@ -213,24 +215,6 @@ impl Algo {
                 )
             })
             .run(),
-            _ => self.run(cfg, workload),
-        }
-    }
-
-    /// Runs one simulation of this algorithm.
-    pub fn run<W: Workload>(&self, cfg: SimConfig, workload: W) -> SimReport {
-        match *self {
-            Algo::Rcv(policy) => Engine::new(cfg, workload, |id, n| {
-                RcvNode::with_config(
-                    id,
-                    n,
-                    RcvConfig {
-                        forward: policy,
-                        ..RcvConfig::paper()
-                    },
-                )
-            })
-            .run(),
             Algo::Ricart => Engine::new(cfg, workload, RicartAgrawala::new).run(),
             Algo::RaDynamic => Engine::new(cfg, workload, RaDynamic::new).run(),
             Algo::Maekawa => Engine::new(cfg, workload, Maekawa::new).run(),
@@ -242,6 +226,12 @@ impl Algo {
             Algo::Lamport => Engine::new(cfg, workload, Lamport::new).run(),
             Algo::Raymond => Engine::new(cfg, workload, Raymond::new).run(),
         }
+    }
+
+    /// Runs one simulation of this algorithm (RCV in the paper's
+    /// retransmission-free configuration).
+    pub fn run<W: Workload>(&self, cfg: SimConfig, workload: W) -> SimReport {
+        self.run_retry(cfg, workload, None)
     }
 }
 
@@ -257,168 +247,6 @@ pub(crate) fn fifo_equivalent(delay: NetDelay) -> NetDelay {
     NetDelay::Uniform {
         min: mean,
         max: mean,
-    }
-}
-
-/// Algorithm-agnostic parameters for a real-thread cluster run: the
-/// message-type-independent mirror of `rcv_runtime::ClusterSpec`, so one
-/// spec drives all 8 algorithms through [`Algo::run_threaded`].
-///
-/// Construct with [`ThreadSpec::quick`] and refine through the fluent
-/// builders; direct field mutation is a deprecated idiom kept only for
-/// reading.
-#[derive(Clone, Copy, Debug)]
-pub struct ThreadSpec {
-    /// Number of nodes (threads).
-    pub n: usize,
-    /// CS requests each node performs.
-    pub rounds: u32,
-    /// Pause between a node's CS completion and its next request.
-    pub think: Duration,
-    /// How long the CS is held.
-    pub cs_duration: Duration,
-    /// Network impairment.
-    pub delay: NetDelay,
-    /// Wire-level fault injection (loss, duplication, stragglers).
-    pub faults: WireFaults,
-    /// Wall-clock length of one simulator tick (protocol timer scale).
-    pub tick: Duration,
-    /// Seed for all per-node RNG streams.
-    pub seed: u64,
-    /// Soft deadline: the run reports `timed_out` after this long.
-    pub timeout: Duration,
-    /// Round-trip every message through its binary wire codec.
-    pub verify_codec: bool,
-    /// RCV retransmission policy (`None` = the paper's
-    /// retransmission-free configuration). Baselines ignore it.
-    /// [`RetryPolicy::fixed`] reproduces the historical fixed-period
-    /// retransmission exactly.
-    pub rcv_retry: Option<RetryPolicy>,
-}
-
-impl ThreadSpec {
-    /// A small default: `n` nodes, one request each, jittered non-FIFO
-    /// delivery, codec verification on.
-    pub fn quick(n: usize, seed: u64) -> Self {
-        ThreadSpec {
-            n,
-            rounds: 1,
-            think: Duration::from_millis(1),
-            cs_duration: Duration::from_millis(2),
-            delay: NetDelay::Uniform {
-                min: Duration::from_micros(50),
-                max: Duration::from_millis(2),
-            },
-            faults: WireFaults::none(),
-            tick: Duration::from_micros(1),
-            seed,
-            timeout: Duration::from_secs(30),
-            verify_codec: true,
-            rcv_retry: None,
-        }
-    }
-
-    /// Sets the rounds each node performs.
-    pub fn rounds(mut self, rounds: u32) -> Self {
-        self.rounds = rounds;
-        self
-    }
-
-    /// Sets the think time between rounds.
-    pub fn think(mut self, think: Duration) -> Self {
-        self.think = think;
-        self
-    }
-
-    /// Sets the CS hold duration.
-    pub fn cs_duration(mut self, cs: Duration) -> Self {
-        self.cs_duration = cs;
-        self
-    }
-
-    /// Sets the per-message delay model.
-    pub fn delay(mut self, delay: NetDelay) -> Self {
-        self.delay = delay;
-        self
-    }
-
-    /// Sets the wire-fault plan.
-    pub fn faults(mut self, faults: WireFaults) -> Self {
-        self.faults = faults;
-        self
-    }
-
-    /// Sets the tick length.
-    pub fn tick(mut self, tick: Duration) -> Self {
-        self.tick = tick;
-        self
-    }
-
-    /// Sets the seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Sets the soft deadline.
-    pub fn timeout(mut self, timeout: Duration) -> Self {
-        self.timeout = timeout;
-        self
-    }
-
-    /// Turns codec round-trip verification on or off.
-    pub fn verify_codec(mut self, on: bool) -> Self {
-        self.verify_codec = on;
-        self
-    }
-
-    /// Sets the RCV retransmission policy (baselines ignore it).
-    pub fn rcv_retry(mut self, retry: RetryPolicy) -> Self {
-        self.rcv_retry = Some(retry);
-        self
-    }
-
-    /// Total CS executions a fully live run must complete.
-    pub fn expected(&self) -> u64 {
-        self.n as u64 * self.rounds as u64
-    }
-
-    fn cluster_spec<M>(&self) -> ClusterSpec<M>
-    where
-        M: WireCodec + PartialEq + core::fmt::Debug + Send + Sync + 'static,
-    {
-        ClusterSpec {
-            n: self.n,
-            rounds: self.rounds,
-            think: self.think,
-            cs_duration: self.cs_duration,
-            delay: self.delay,
-            faults: self.faults,
-            tick: self.tick,
-            seed: self.seed,
-            timeout: self.timeout,
-            wire_hook: self
-                .verify_codec
-                .then(rcv_runtime::wire::verifying_hook::<M>),
-        }
-    }
-}
-
-/// Outcome of a threaded run: the cluster report plus protocol-internal
-/// anomaly counters (RCV's UL-exhaustion/Lemma-6 counters; baselines have
-/// none and report 0).
-#[derive(Clone, Debug)]
-pub struct ClusterRun {
-    /// What the cluster observed (safety, liveness, message counts).
-    pub report: ClusterReport,
-    /// Protocol-internal anomalies summed across nodes (0 ⇔ clean).
-    pub anomalies: u64,
-}
-
-impl ClusterRun {
-    /// Safe, fully live, and anomaly-free.
-    pub fn is_clean(&self, expected: u64) -> bool {
-        self.report.is_clean(expected) && self.anomalies == 0
     }
 }
 
@@ -508,15 +336,15 @@ mod tests {
 
     #[test]
     fn run_threaded_pins_fifo_algorithms_to_constant_delay() {
-        // ThreadSpec::quick defaults to jittered (reordering) delivery;
+        // RunSpec::quick defaults to jittered (reordering) delivery;
         // a FIFO-requiring algorithm must still be safe because
         // run_threaded coerces its delay to the constant equivalent. A
         // direct observation of the coercion is the fifo_equivalent test
         // above; this is the end-to-end guarantee.
-        let spec = ThreadSpec::quick(4, 99)
+        let spec = RunSpec::quick(4, 99)
             .rounds(2)
             .think(Duration::from_micros(200));
         let r = Algo::Lamport.run_threaded(&spec);
-        assert!(r.is_clean(spec.expected()), "{:?}", r.report);
+        assert!(r.is_clean(spec.expected()), "{r:?}");
     }
 }

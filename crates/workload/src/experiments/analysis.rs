@@ -1,7 +1,7 @@
 //! **AN1–AN5**: the closed-form claims of the paper's §6.1, checked by
-//! measurement. These are the "table equivalents" of DESIGN.md §4 — the
-//! paper has no numbered tables, so its analytic statements are recorded
-//! and re-measured here.
+//! measurement. These are the "table equivalents" of the README's
+//! experiment index — the paper has no numbered tables, so its analytic
+//! statements are recorded and re-measured here.
 
 use rcv_core::ForwardPolicy;
 use rcv_simnet::{FixedTrace, NodeId, SimConfig, SimTime};
@@ -23,8 +23,9 @@ fn lone_request(n: usize, seed: u64) -> Outcome {
 
 /// **AN1** — §6.1.1: light-load message complexity is `⌊N/2⌋ + 2`.
 ///
-/// Our sole-candidate rule (DESIGN.md §2) orders one hop earlier, so the
-/// measured count is `⌊N/2⌋ + 1`; the table shows both.
+/// Our sole-candidate rule (README § Paper ambiguities, interpretations
+/// and repairs) orders one hop earlier, so the measured count is
+/// `⌊N/2⌋ + 1`; the table shows both.
 pub fn an1(sizes: &[usize], seeds: &[u64]) -> Table {
     let mut t = Table::new(
         "AN1",

@@ -1,6 +1,6 @@
 //! The experiment index: one module per figure/analysis group of the
 //! paper, each producing [`crate::report::Table`]s in the same layout as
-//! the original plots. See DESIGN.md §4 for the full mapping.
+//! the original plots. See README § Experiment index for the full mapping.
 
 pub mod analysis;
 pub mod bandwidth;

@@ -32,7 +32,7 @@ pub mod runner;
 pub mod scenario;
 pub mod sweep;
 
-pub use algo::{Algo, ClusterRun, ThreadSpec};
+pub use algo::Algo;
 pub use arrival::{HotSpotWorkload, PoissonWorkload, SaturationWorkload};
 pub use phased::{Phase, PhasedWorkload, TimedPhase};
 pub use process::{maybe_worker, ClusterBackend, ProcessBackend, WORKER_SENTINEL};

@@ -4,8 +4,8 @@
 //!
 //! The module bridges two worlds:
 //!
-//! * **Hub side** — [`Algo::run_process`] maps a [`ThreadSpec`] (the same
-//!   spec [`Algo::run_threaded`] takes) onto a
+//! * **Hub side** — [`Algo::run_process`] extends a [`RunSpec`] (the same
+//!   spec [`Algo::run_threaded`] takes) into a
 //!   [`rcv_runtime::orchestrator::ProcessSpec`], spawns `n` copies of a
 //!   worker executable and collects the [`ProcessReport`].
 //! * **Worker side** — [`maybe_worker`] is the re-exec entry point: any
@@ -26,12 +26,12 @@ use rcv_baselines::{
     Lamport, Maekawa, QuorumSystem, RaDynamic, Raymond, RicartAgrawala, SuzukiKasami,
 };
 use rcv_core::{ForwardPolicy, RcvConfig, RcvNode};
-use rcv_runtime::orchestrator::{run_process_cluster, run_worker, ProcessReport, ProcessSpec};
+use rcv_runtime::orchestrator::{run_process_cluster, run_worker, ProcessExt, ProcessReport};
 use rcv_runtime::wire::WireCodec;
-use rcv_runtime::SocketNet;
+use rcv_runtime::{ClusterReport, RunSpec, SocketNet};
 use rcv_simnet::{MutexProtocol, NodeId};
 
-use crate::algo::{fifo_equivalent, Algo, ClusterRun, ThreadSpec};
+use crate::algo::Algo;
 
 /// First argv token that turns a process into a cluster worker instead of
 /// whatever the binary normally does. Deliberately implausible as a user
@@ -92,30 +92,15 @@ impl Algo {
     /// yields a report (crashes and wire faults recorded inside it).
     pub fn run_process(
         &self,
-        spec: &ThreadSpec,
+        spec: &RunSpec,
         backend: &ProcessBackend,
     ) -> Result<ProcessReport, String> {
-        let spec = &if self.requires_fifo() {
-            spec.delay(fifo_equivalent(spec.delay))
-        } else {
-            *spec
-        };
-        let mut pspec = ProcessSpec::quick(spec.n, spec.seed, self.tag())
-            .rounds(spec.rounds)
-            .think(spec.think)
-            .cs_duration(spec.cs_duration)
-            .delay(spec.delay)
-            .faults(spec.faults)
-            .tick(spec.tick)
-            .timeout(spec.timeout)
-            .net(backend.net);
-        if let Some(r) = spec.rcv_retry {
-            pspec = pspec.retry(r);
-        }
-        if let Some((node, after)) = backend.kill_worker {
-            pspec = pspec.kill_worker(node, after);
-        }
         let tag = self.tag();
+        let pspec = self.fifo_safe(spec).with(ProcessExt {
+            protocol: tag.to_string(),
+            net: backend.net,
+            kill_worker: backend.kill_worker,
+        });
         run_process_cluster(&pspec, |addr| {
             (0..spec.n)
                 .map(|i| {
@@ -132,37 +117,24 @@ impl Algo {
     }
 
     /// Runs this algorithm on the chosen fabric through one entry point,
-    /// condensing either backend's result into a [`ClusterRun`].
+    /// condensing either backend's result into a [`ClusterReport`].
     ///
-    /// Process-tier verdict folding: fatal wire faults and crashed
-    /// (never-reported) workers each count as anomalies, so
-    /// [`ClusterRun::is_clean`] stays a single honest predicate across
-    /// backends — a clean process run has none of either.
+    /// The process tier's own findings ([`ProcessReport::findings`]) fold
+    /// into the anomaly count, so [`ClusterReport::is_clean`] stays a
+    /// single honest predicate across backends.
     pub fn run_on(
         &self,
-        spec: &ThreadSpec,
+        spec: &RunSpec,
         backend: &ClusterBackend,
-    ) -> Result<ClusterRun, String> {
+    ) -> Result<ClusterReport, String> {
         match backend {
             ClusterBackend::Threads => Ok(self.run_threaded(spec)),
             ClusterBackend::Process(pb) => {
                 let pr = self.run_process(spec, pb)?;
-                // Process-tier extras fold into the anomaly count so the
-                // differential verdict stays one predicate: wire faults and
-                // worker deaths are findings on any cell; a CS-log /
-                // report-counter mismatch only on runs that concluded
-                // (timed-out runs kill stalled workers before they report,
-                // which legitimately loses their counters — the thread
-                // tier's stall handling covers that axis).
-                Ok(ClusterRun {
-                    anomalies: pr.anomalies
-                        + pr.faults.len() as u64
-                        + pr.crashed.len() as u64
-                        + u64::from(
-                            !pr.report.timed_out && pr.report.cs_entries != pr.report.completed,
-                        ),
-                    report: pr.report,
-                })
+                let findings = pr.findings();
+                let mut report = pr.report;
+                report.anomalies += findings;
+                Ok(report)
             }
         }
     }
@@ -202,13 +174,7 @@ impl Algo {
                         },
                     )
                 },
-                // Without cluster-wide restart knowledge UL exhaustion is
-                // an anomaly; under a crash-restart plan it is the expected
-                // mechanism (same accounting as the thread backend).
-                |p, cfg| {
-                    let s = p.stats();
-                    s.lemma6_violations + if cfg.restartable { 0 } else { s.ul_exhausted }
-                },
+                |p, cfg| p.stats().anomalies_under(cfg.restartable),
             ),
             Algo::Ricart => baseline(addr, node, tag, RicartAgrawala::new),
             Algo::RaDynamic => baseline(addr, node, tag, RaDynamic::new),
@@ -349,15 +315,13 @@ mod tests {
         // worker code path (handshake, Start, socket transport, report)
         // without process spawning — each algorithm once, tiny workload.
         for algo in Algo::all() {
-            let spec = ThreadSpec::quick(3, 0x5eed ^ algo.tag().len() as u64)
+            let spec = RunSpec::quick(3, 0x5eed ^ algo.tag().len() as u64)
                 .think(Duration::from_micros(200));
-            let pspec = ProcessSpec::quick(spec.n, spec.seed, algo.tag())
-                .think(spec.think)
-                .delay(if algo.requires_fifo() {
-                    fifo_equivalent(spec.delay)
-                } else {
-                    spec.delay
-                });
+            let pspec = algo.fifo_safe(&spec).with(ProcessExt {
+                protocol: algo.tag().to_string(),
+                net: SocketNet::Uds,
+                kill_worker: None,
+            });
             let report = run_process_cluster(&pspec, |addr| {
                 for i in 0..3u32 {
                     let addr = addr.to_string();

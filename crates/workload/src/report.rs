@@ -6,7 +6,7 @@ use core::fmt;
 /// A rendered experiment result.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Table {
-    /// Experiment id from DESIGN.md (e.g. "FIG4").
+    /// Experiment id from README § Experiment index (e.g. "FIG4").
     pub id: &'static str,
     /// Human title.
     pub title: String,

@@ -324,150 +324,6 @@ impl FaultSpec {
     }
 }
 
-impl From<&FaultSpec> for FaultPlan {
-    /// The simulator-side rendering ([`FaultSpec::plan`]). Total: every
-    /// regime has a simulator mirror.
-    fn from(spec: &FaultSpec) -> FaultPlan {
-        spec.plan()
-    }
-}
-
-impl TryFrom<&FaultSpec> for rcv_runtime::WireFaults {
-    type Error = String;
-
-    /// The runtime-side rendering, applied at the fabric boundary (channel
-    /// network thread or orchestrator hub). Partial: a **permanent**
-    /// crash-stop ([`FaultSpec::Crash`]) needs a node to vanish forever,
-    /// which neither joinable threads nor watched worker processes can
-    /// express — only bounded crash *windows* map.
-    fn try_from(spec: &FaultSpec) -> Result<rcv_runtime::WireFaults, String> {
-        use rcv_runtime::WireFaults;
-        let narrow = |factor: u64| -> Result<u32, String> {
-            u32::try_from(factor).map_err(|_| format!("straggler factor {factor} exceeds u32"))
-        };
-        Ok(match *spec {
-            FaultSpec::None => WireFaults::none(),
-            FaultSpec::Duplication { every } => WireFaults::none().with_duplication(every),
-            FaultSpec::Loss { every } => WireFaults::none().with_loss(every),
-            FaultSpec::Crash { node, at } => {
-                return Err(format!(
-                    "permanent crash-stop (node {node} at t={at}) has no wire-level mirror; \
-                     only bounded crash windows map to the runtime"
-                ))
-            }
-            FaultSpec::CrashRestart { node, down, up } => {
-                WireFaults::none().with_crash_restart(node, down, up)
-            }
-            FaultSpec::Chaos {
-                crash: (node, down, up),
-                loss_every,
-                straggler: (slow, factor),
-            } => WireFaults::none()
-                .with_loss(loss_every)
-                .with_straggler(slow, narrow(factor)?)
-                .with_crash_restart(node, down, up),
-            FaultSpec::Straggler { node, factor } => {
-                WireFaults::none().with_straggler(node, narrow(factor)?)
-            }
-            FaultSpec::Stacked {
-                loss_every,
-                dup_every,
-                straggler: (node, factor),
-            } => WireFaults::none()
-                .with_loss(loss_every)
-                .with_duplication(dup_every)
-                .with_straggler(node, narrow(factor)?),
-        })
-    }
-}
-
-impl TryFrom<&rcv_runtime::WireFaults> for FaultSpec {
-    type Error = String;
-
-    /// Names a wire-fault configuration as the [`FaultSpec`] regime it
-    /// renders. Partial: combinations outside the named registry regimes
-    /// (e.g. loss + duplication without a straggler) have no canonical
-    /// name and are rejected rather than misfiled.
-    fn try_from(wf: &rcv_runtime::WireFaults) -> Result<FaultSpec, String> {
-        let straggler = wf.straggler.map(|(n, f)| (n, f as u64));
-        Ok(
-            match (wf.loss_every, wf.dup_every, straggler, wf.crash_restart) {
-                (None, None, None, None) => FaultSpec::None,
-                (None, Some(every), None, None) => FaultSpec::Duplication { every },
-                (Some(every), None, None, None) => FaultSpec::Loss { every },
-                (None, None, None, Some((node, down, up))) => {
-                    FaultSpec::CrashRestart { node, down, up }
-                }
-                (Some(loss_every), None, Some(straggler), Some(crash)) => FaultSpec::Chaos {
-                    crash,
-                    loss_every,
-                    straggler,
-                },
-                (None, None, Some((node, factor)), None) => FaultSpec::Straggler { node, factor },
-                (Some(loss_every), Some(dup_every), Some(straggler), None) => FaultSpec::Stacked {
-                    loss_every,
-                    dup_every,
-                    straggler,
-                },
-                _ => return Err(format!("wire faults {wf:?} match no named regime")),
-            },
-        )
-    }
-}
-
-impl TryFrom<&FaultPlan> for FaultSpec {
-    type Error = String;
-
-    /// Names a simulator fault plan as its [`FaultSpec`] regime. Partial
-    /// for the same reason as the [`rcv_runtime::WireFaults`] direction,
-    /// plus: multi-node crash/straggler lists exceed what one named
-    /// regime describes.
-    fn try_from(plan: &FaultPlan) -> Result<FaultSpec, String> {
-        let unnamed = || format!("fault plan {plan:?} matches no named regime");
-        if plan.crashes.len() > 1 || plan.restarts.len() > 1 || plan.stragglers.len() > 1 {
-            return Err(unnamed());
-        }
-        let crash = plan.crashes.first().map(|&(n, at)| (n.raw(), at.ticks()));
-        let window = plan
-            .restarts
-            .first()
-            .map(|w| (w.node.raw(), w.down_at.ticks(), w.up_at.ticks()));
-        let straggler = plan.stragglers.first().map(|&(n, f)| (n.raw(), f));
-        if let Some((node, at)) = crash {
-            if plan.duplicate_every.is_some()
-                || plan.drop_every.is_some()
-                || window.is_some()
-                || straggler.is_some()
-            {
-                return Err(unnamed());
-            }
-            return Ok(FaultSpec::Crash { node, at });
-        }
-        Ok(
-            match (plan.drop_every, plan.duplicate_every, straggler, window) {
-                (None, None, None, None) => FaultSpec::None,
-                (None, Some(every), None, None) => FaultSpec::Duplication { every },
-                (Some(every), None, None, None) => FaultSpec::Loss { every },
-                (None, None, None, Some((node, down, up))) => {
-                    FaultSpec::CrashRestart { node, down, up }
-                }
-                (Some(loss_every), None, Some(straggler), Some(crash)) => FaultSpec::Chaos {
-                    crash,
-                    loss_every,
-                    straggler,
-                },
-                (None, None, Some((node, factor)), None) => FaultSpec::Straggler { node, factor },
-                (Some(loss_every), Some(dup_every), Some(straggler), None) => FaultSpec::Stacked {
-                    loss_every,
-                    dup_every,
-                    straggler,
-                },
-                _ => return Err(unnamed()),
-            },
-        )
-    }
-}
-
 /// Delay regime of a scenario.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DelaySpec {
@@ -550,27 +406,32 @@ impl ScenarioSpec {
         true
     }
 
-    /// Whether the real-thread runtime can express this scenario
-    /// faithfully: closed-loop shapes (burst / saturation / Poisson-like
-    /// think times) map onto per-node rounds, and every fault regime
-    /// except crash-stop has a wire-level mirror
-    /// (`rcv_runtime::WireFaults`). Hot-spot and ramp shapes are per-node
-    /// heterogeneous / time-varying and stay simulator-only; *permanent*
-    /// crash-stop cells need a node to vanish forever, which a joinable
-    /// thread cannot. Bounded crash *windows* DO map: the runtime's
-    /// network thread black-holes the node's traffic for the window and
-    /// the node thread re-runs its protocol's restart hook at the end.
-    /// Size is also a boundary: the runtime is thread-per-node (plus a
-    /// network thread), so the large-N `scale-*` cells would spawn
-    /// hundreds-to-thousands of OS threads and measure the host scheduler
-    /// rather than the protocol — they stay simulator-only.
+    /// The simulator configuration of one seeded run of this scenario.
+    pub fn sim_config(&self, seed: u64) -> SimConfig {
+        let mut cfg = SimConfig::paper(self.n, seed);
+        cfg.delay = self.delay.model();
+        cfg.faults = self.faults.plan();
+        // A violation must become a failed verdict, not a panic.
+        cfg.panic_on_violation = false;
+        cfg
+    }
+
+    /// Whether the real tiers can express this scenario faithfully:
+    /// closed-loop shapes (burst / saturation / Poisson-like think times)
+    /// map onto per-node rounds, and the fault plan must render at the
+    /// wire level (`rcv_runtime::WireFaults::try_from` — everything but a
+    /// permanent crash-stop does). Hot-spot and ramp shapes are per-node
+    /// heterogeneous / time-varying and stay simulator-only. Size is also
+    /// a boundary: the runtime is thread-per-node (plus a network thread),
+    /// so the large-N `scale-*` cells would spawn hundreds-to-thousands of
+    /// OS threads and measure the host scheduler rather than the protocol
+    /// — they stay simulator-only.
     pub fn runtime_mappable(&self) -> bool {
         let shape_ok = matches!(
             self.shape,
             ShapeSpec::Burst | ShapeSpec::Saturation { .. } | ShapeSpec::Poisson { .. }
         );
-        let faults_ok = !matches!(self.faults, FaultSpec::Crash { .. });
-        shape_ok && faults_ok && self.n <= 64
+        shape_ok && self.n <= 64 && rcv_runtime::WireFaults::try_from(&self.faults.plan()).is_ok()
     }
 }
 
@@ -670,14 +531,11 @@ pub fn run_cell(cell: &Cell) -> CellResult {
 
     for idx in 0..spec.seeds {
         let seed = cell_seed(&spec.name, cell.algo.name(), idx);
-        let mut cfg = SimConfig::paper(spec.n, seed);
-        cfg.delay = spec.delay.model();
-        cfg.faults = spec.faults.plan();
-        // A violation must become a failed verdict, not a panic.
-        cfg.panic_on_violation = false;
-        let report: SimReport = cell
-            .algo
-            .run_retry(cfg, spec.shape.workload(spec.n), spec.retry);
+        let report: SimReport = cell.algo.run_retry(
+            spec.sim_config(seed),
+            spec.shape.workload(spec.n),
+            spec.retry,
+        );
 
         out.completed += report.metrics.completed() as u64;
         out.messages += report.metrics.messages_sent();
@@ -1162,53 +1020,94 @@ mod tests {
     }
 
     #[test]
-    fn fault_regimes_roundtrip_through_both_backend_renderings() {
-        // Every registry regime must (a) render to a simulator plan and
-        // name itself back from it, and (b) either do the same through the
-        // wire-level rendering or be the one documented exception
-        // (permanent crash-stop).
-        for spec in registry() {
-            let fs = &spec.faults;
-            let plan = FaultPlan::from(fs);
-            assert_eq!(plan, fs.plan(), "{}: From must equal plan()", spec.name);
-            assert_eq!(
-                FaultSpec::try_from(&plan).as_ref(),
-                Ok(fs),
-                "{}: plan roundtrip",
-                spec.name
-            );
-            match rcv_runtime::WireFaults::try_from(fs) {
-                Ok(wf) => assert_eq!(
-                    FaultSpec::try_from(&wf).as_ref(),
-                    Ok(fs),
-                    "{}: wire roundtrip",
-                    spec.name
-                ),
-                Err(e) => {
-                    assert!(
-                        matches!(fs, FaultSpec::Crash { .. }),
-                        "{}: only permanent crash-stop may be unmappable ({e})",
-                        spec.name
-                    );
-                    assert!(!spec.runtime_mappable(), "{}", spec.name);
-                }
-            }
-        }
-    }
+    fn every_registry_regime_renders_one_way_onto_the_real_tiers() {
+        use rcv_runtime::{NetDelay, WireFaults};
+        use std::time::Duration;
 
-    #[test]
-    fn unnamed_fault_combinations_are_rejected_not_misfiled() {
-        // loss + duplication without a straggler is no registry regime.
-        let wf = rcv_runtime::WireFaults::none()
-            .with_loss(5)
-            .with_duplication(3);
-        assert!(FaultSpec::try_from(&wf).is_err());
-        let plan = FaultPlan::losing(5).with_duplication(3);
-        assert!(FaultSpec::try_from(&plan).is_err());
-        // A crash-stop stacked with anything is equally unnameable.
-        let mut plan = FaultPlan::crash(NodeId::new(0), SimTime::from_ticks(10));
-        plan.drop_every = Some(7);
-        assert!(FaultSpec::try_from(&plan).is_err());
+        // What each faulty cell injects on the real tiers, and what each
+        // delay regime becomes at rtmatrix's default 200 µs tick — written
+        // out by hand, so a change to either rendering shows up here.
+        let none = WireFaults::none;
+        let pinned_faults = |name: &str| -> Option<WireFaults> {
+            Some(match name {
+                "cancel-burst-n12" | "crash-holder-burst-n10" => return None,
+                "loss-burst-n12" => none().with_loss(17),
+                "loss-poisson-n12" => none().with_loss(29),
+                "dup-burst-n12" => none().with_duplication(3),
+                "dup-jitter-burst-n12" => none().with_duplication(1),
+                "straggler-burst-n12" | "straggler-jitter-burst-n12" => none().with_straggler(0, 8),
+                "straggler-poisson-n12" => none().with_straggler(1, 6),
+                "stacked-burst-n10" => none()
+                    .with_loss(23)
+                    .with_duplication(7)
+                    .with_straggler(1, 4),
+                "chaos-restart-holder-burst-n8" => none().with_crash_restart(0, 25, 120),
+                "chaos-restart-waiter-burst-n8" => none().with_crash_restart(2, 12, 100),
+                "chaos-restart-bystander-poisson-n8" => none().with_crash_restart(3, 2_000, 2_600),
+                "chaos-stacked-burst-n8" => none()
+                    .with_loss(31)
+                    .with_straggler(2, 3)
+                    .with_crash_restart(1, 30, 150),
+                _ => none(),
+            })
+        };
+        let us = Duration::from_micros;
+        let pinned_delay = |delay: DelaySpec| match delay {
+            DelaySpec::Constant => NetDelay::Uniform {
+                min: us(1_000),
+                max: us(1_000),
+            },
+            DelaySpec::Jitter => NetDelay::Uniform {
+                min: us(200),
+                max: us(1_800),
+            },
+            DelaySpec::HeavyTail => NetDelay::Exponential {
+                mean: us(1_000),
+                cap: us(8_000),
+            },
+        };
+
+        for spec in registry() {
+            let name = &spec.name;
+            // The simulator runs exactly the plan and the model.
+            let cfg = spec.sim_config(7);
+            let plan = spec.faults.plan();
+            assert_eq!(cfg.faults, plan, "{name}");
+            assert_eq!(cfg.delay, spec.delay.model(), "{name}");
+
+            // The real tiers run their one rendering of each, or nothing.
+            let rendered = WireFaults::try_from(&plan);
+            assert_eq!(
+                rendered.as_ref().ok(),
+                pinned_faults(name).as_ref(),
+                "{name}"
+            );
+            assert_eq!(
+                rendered.is_err(),
+                matches!(spec.faults, FaultSpec::Crash { .. }),
+                "{name}: only permanent crash-stop may fail to render"
+            );
+            assert_eq!(
+                NetDelay::from_model(&cfg.delay, us(200)),
+                pinned_delay(spec.delay),
+                "{name}"
+            );
+            let shape_ok = matches!(
+                spec.shape,
+                ShapeSpec::Burst | ShapeSpec::Saturation { .. } | ShapeSpec::Poisson { .. }
+            );
+            assert_eq!(
+                spec.runtime_mappable(),
+                shape_ok && spec.n <= 64 && rendered.is_ok(),
+                "{name}"
+            );
+        }
+
+        // What the wire layer cannot hold is refused, not truncated.
+        let two_slow = FaultPlan::straggler(NodeId::new(0), 2).with_straggler(NodeId::new(1), 2);
+        assert!(WireFaults::try_from(&two_slow).is_err());
+        let huge = FaultPlan::straggler(NodeId::new(0), u64::MAX);
+        assert!(WireFaults::try_from(&huge).is_err());
     }
 
     #[test]

@@ -10,24 +10,24 @@
 use std::time::Duration;
 
 use rcv::core::RcvConfig;
-use rcv::runtime::{run_rcv_cluster, with_codec_verification, ClusterSpec, NetDelay};
+use rcv::runtime::wire::verifying_hook;
+use rcv::runtime::{run_rcv_cluster, ClusterSpec, NetDelay, RunSpec};
 
 fn main() {
     let n = 8;
     let rounds = 5;
 
     // Round-trip every message through the binary wire codec.
-    let spec = with_codec_verification(
-        ClusterSpec::quick(n, 7)
-            .rounds(rounds)
-            .think(Duration::from_micros(300))
-            .cs_duration(Duration::from_millis(1))
-            .delay(NetDelay::Uniform {
-                min: Duration::from_micros(100),
-                max: Duration::from_millis(3),
-            })
-            .timeout(Duration::from_secs(60)),
-    );
+    let spec = ClusterSpec::quick(n, 7)
+        .rounds(rounds)
+        .think(Duration::from_micros(300))
+        .cs_duration(Duration::from_millis(1))
+        .delay(NetDelay::Uniform {
+            min: Duration::from_micros(100),
+            max: Duration::from_millis(3),
+        })
+        .timeout(Duration::from_secs(60))
+        .wire_hook(verifying_hook());
 
     println!(
         "Threaded RCV cluster: {n} nodes x {rounds} CS rounds, jittered non-FIFO delivery,\n\
@@ -57,14 +57,14 @@ fn main() {
     // per-pair-FIFO delay).
     println!("\nAll 8 algorithms on real threads (4 nodes x 2 rounds each):");
     for (i, algo) in rcv::workload::Algo::all().into_iter().enumerate() {
-        let spec = rcv::workload::ThreadSpec::quick(4, 40 + i as u64).rounds(2);
+        let spec = RunSpec::quick(4, 40 + i as u64).rounds(2);
         let r = algo.run_threaded(&spec);
         assert!(r.is_clean(spec.expected()), "{}: {:?}", algo.name(), r);
         println!(
             "  {:<12} {} CS, {:>4} msgs, safe, codec-verified",
             algo.name(),
-            r.report.completed,
-            r.report.messages
+            r.completed,
+            r.messages
         );
     }
 }

@@ -24,7 +24,7 @@
 //! merging against representation drift.
 
 use proptest::prelude::*;
-use rcv_core::{exchange_recv, ExchangeOutcome, MsgBody, ReqTuple, Si};
+use rcv_core::{exchange, ExchangeOutcome, MsgBody, ReqTuple, Si};
 use rcv_simnet::NodeId;
 
 fn tuple(node: u32, ts: u64) -> ReqTuple {
@@ -170,7 +170,7 @@ fn apply(si: &mut Si, donor: &Si, op: &Op, shared: bool) -> Option<ExchangeOutco
             } else {
                 deep_copy_body(&MsgBody::snapshot(&donor.nonl, &donor.nsit))
             };
-            Some(exchange_recv(si, &mut body, None))
+            Some(exchange(si, &mut body, None))
         }
     }
 }

@@ -5,8 +5,8 @@
 //! operation does not depend on any specific node. What we verify:
 //!
 //! * **Safety is unconditional**: no fault combination ever produces two
-//!   nodes in the CS. The duplicate-EM guard (DESIGN.md #7) carries the
-//!   duplication case.
+//!   nodes in the CS. The duplicate-EM guard (README § Paper ambiguities,
+//!   interpretations and repairs, #7) carries the duplication case.
 //! * **Liveness is conditional**: requests whose roaming RM never needs the
 //!   crashed node still complete; an RM forwarded into a crashed node is
 //!   lost (the paper has no retry machinery, and neither do we — recorded

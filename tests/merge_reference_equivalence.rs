@@ -1,5 +1,5 @@
 //! Property test: the incremental Exchange/normalize pipeline (dirty-row
-//! tracking, epoch-stamped scratch maps, decision memo, receive-mode body
+//! tracking, epoch-stamped scratch maps, decision memo, receive-side body
 //! skips) is **observably identical** to a retained reference that runs the
 //! paper's merge the slow way — exact linear membership probes and an
 //! unconditional full-table scrub + purge after every merge.
@@ -12,10 +12,13 @@
 //!
 //! * identical post-`Si` (value equality; change-tracking metadata is
 //!   excluded from `Eq` by design),
-//! * identical refreshed message body,
 //! * identical [`ExchangeOutcome`] (prune counts, adoption flags, zombie
-//!   count, Lemma-6 anomaly flag),
-//! * and `exchange_recv` leaves the SI exactly as `exchange` would.
+//!   count, Lemma-6 anomaly flag).
+//!
+//! The reference also refreshes the message body, as the paper's
+//! bidirectional procedure does; the shipped `exchange` is receive-side
+//! only (every handler drops the message after the call), so the bodies
+//! are not compared.
 //!
 //! Generated states satisfy the invariants the shipped algorithms maintain
 //! (Lemma 1: one tuple per node per MNL; one NONL entry per node) — the
@@ -23,7 +26,7 @@
 //! unconstrained, so Lemma-6 fallback paths are exercised too.
 
 use proptest::prelude::*;
-use rcv_core::{exchange, exchange_recv, ExchangeOutcome, MsgBody, ReqTuple, Si};
+use rcv_core::{exchange, ExchangeOutcome, MsgBody, ReqTuple, Si};
 use rcv_simnet::NodeId;
 
 /// Upper bound on the generated system size; actual `n` is drawn below it
@@ -238,25 +241,16 @@ proptest! {
         let em: Option<ReqTuple> = bodies[em_which].monl.iter().nth(em_i).copied();
 
         let mut si_fast = si0.clone();
-        let mut si_ref = si0.clone();
-        let mut si_recv = si0;
+        let mut si_ref = si0;
 
         for (step, body) in bodies.iter().enumerate() {
             let em_for = if step == 0 { em.as_ref() } else { None };
 
-            let mut b_fast = body.clone();
-            let mut b_ref = body.clone();
-            let mut b_recv = body.clone();
-
-            let out_fast = exchange(&mut si_fast, &mut b_fast, em_for);
-            let out_ref = exchange_reference(&mut si_ref, &mut b_ref, em_for);
-            let out_recv = exchange_recv(&mut si_recv, &mut b_recv, em_for);
+            let out_fast = exchange(&mut si_fast, &mut body.clone(), em_for);
+            let out_ref = exchange_reference(&mut si_ref, &mut body.clone(), em_for);
 
             prop_assert_eq!(&out_fast, &out_ref, "outcome diverged at step {}", step);
             prop_assert_eq!(&si_fast, &si_ref, "post-SI diverged at step {}", step);
-            prop_assert_eq!(&b_fast, &b_ref, "refreshed body diverged at step {}", step);
-            prop_assert_eq!(&out_recv, &out_fast, "recv outcome diverged at step {}", step);
-            prop_assert_eq!(&si_recv, &si_fast, "recv post-SI diverged at step {}", step);
         }
     }
 }

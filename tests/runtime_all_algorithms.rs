@@ -11,8 +11,8 @@
 
 use std::time::Duration;
 
-use rcv::runtime::{run_with_watchdog, NetDelay, WireFaults};
-use rcv::workload::{Algo, ClusterRun, ThreadSpec};
+use rcv::runtime::{run_with_watchdog, ClusterReport, NetDelay, RunSpec, WireFaults};
+use rcv::workload::Algo;
 
 /// Hard deadline per cluster run — far above any healthy run (< 1 s),
 /// far below the CI job timeout.
@@ -25,7 +25,7 @@ const FIFO_DELAY: NetDelay = NetDelay::Uniform {
     max: Duration::from_micros(500),
 };
 
-fn run(algo: Algo, spec: ThreadSpec) -> ClusterRun {
+fn run(algo: Algo, spec: RunSpec) -> ClusterReport {
     run_with_watchdog(algo.name(), WATCHDOG, move || algo.run_threaded(&spec))
 }
 
@@ -34,17 +34,12 @@ fn all_eight_algorithms_complete_with_codec_on_the_wire() {
     // No per-algorithm special-casing here: `run_threaded` itself coerces
     // FIFO-requiring algorithms onto a constant (per-pair FIFO) delay.
     for (i, algo) in Algo::all().into_iter().enumerate() {
-        let spec = ThreadSpec::quick(5, 100 + i as u64)
+        let spec = RunSpec::quick(5, 100 + i as u64)
             .rounds(2)
             .think(Duration::from_micros(300));
         let r = run(algo, spec);
-        assert!(
-            r.is_clean(spec.expected()),
-            "{}: {:?}",
-            algo.name(),
-            r.report
-        );
-        assert_eq!(r.report.cs_entries, spec.expected(), "{}", algo.name());
+        assert!(r.is_clean(spec.expected()), "{}: {r:?}", algo.name());
+        assert_eq!(r.cs_entries, spec.expected(), "{}", algo.name());
     }
 }
 
@@ -53,17 +48,12 @@ fn non_fifo_algorithms_survive_heavy_jitter() {
     // The four algorithms that claim to tolerate unordered channels, under
     // wide random delays (×40 spread) and several rounds of contention.
     for algo in Algo::all().into_iter().filter(|a| !a.requires_fifo()) {
-        let spec = ThreadSpec::quick(4, 7).rounds(3).delay(NetDelay::Uniform {
+        let spec = RunSpec::quick(4, 7).rounds(3).delay(NetDelay::Uniform {
             min: Duration::from_micros(50),
             max: Duration::from_millis(2),
         });
         let r = run(algo, spec);
-        assert!(
-            r.is_clean(spec.expected()),
-            "{}: {:?}",
-            algo.name(),
-            r.report
-        );
+        assert!(r.is_clean(spec.expected()), "{}: {r:?}", algo.name());
     }
 }
 
@@ -73,16 +63,11 @@ fn all_eight_algorithms_tolerate_a_straggler_node() {
     // speed; constant base delay keeps per-pair FIFO for the algorithms
     // that need it (a straggler scales all of a pair's delays equally).
     for (i, algo) in Algo::all().into_iter().enumerate() {
-        let spec = ThreadSpec::quick(4, 200 + i as u64)
+        let spec = RunSpec::quick(4, 200 + i as u64)
             .delay(FIFO_DELAY)
             .faults(WireFaults::none().with_straggler(0, 4));
         let r = run(algo, spec);
-        assert!(
-            r.is_clean(spec.expected()),
-            "{}: {:?}",
-            algo.name(),
-            r.report
-        );
+        assert!(r.is_clean(spec.expected()), "{}: {r:?}", algo.name());
     }
 }
 
@@ -93,16 +78,15 @@ fn message_loss_never_costs_safety() {
     // must be unconditional. Completion is NOT demanded here; the short
     // timeout bounds the stall.
     for algo in [Algo::Ricart, Algo::Broadcast] {
-        let spec = ThreadSpec::quick(4, 17)
+        let spec = RunSpec::quick(4, 17)
             .faults(WireFaults::none().with_loss(7))
             .timeout(Duration::from_secs(2));
         let r = run(algo, spec);
         assert_eq!(
-            r.report.violations,
+            r.violations,
             0,
-            "{}: loss broke mutual exclusion: {:?}",
-            algo.name(),
-            r.report
+            "{}: loss broke mutual exclusion: {r:?}",
+            algo.name()
         );
         assert_eq!(r.anomalies, 0, "{}", algo.name());
     }
@@ -114,7 +98,7 @@ fn rcv_with_retransmission_beats_loss_and_duplication_at_once() {
     // duplicated, node 1 four times slower — and RCV (with its
     // retransmission extension re-arming lost RMs) must still be safe,
     // anomaly-free AND fully live.
-    let spec = ThreadSpec::quick(5, 23)
+    let spec = RunSpec::quick(5, 23)
         .rounds(2)
         .faults(
             WireFaults::none()
@@ -123,13 +107,9 @@ fn rcv_with_retransmission_beats_loss_and_duplication_at_once() {
                 .with_straggler(1, 4),
         )
         .timeout(Duration::from_secs(60))
-        .rcv_retry(rcv::simnet::RetryPolicy::fixed(2_000));
+        .retry(rcv::simnet::RetryPolicy::fixed(2_000));
     let r = run(Algo::Rcv(rcv::core::ForwardPolicy::Random), spec);
-    assert!(r.is_clean(spec.expected()), "{:?}", r.report);
-    assert!(r.report.lost > 0, "loss regime must fire: {:?}", r.report);
-    assert!(
-        r.report.duplicated > 0,
-        "duplication regime must fire: {:?}",
-        r.report
-    );
+    assert!(r.is_clean(spec.expected()), "{r:?}");
+    assert!(r.lost > 0, "loss regime must fire: {r:?}");
+    assert!(r.duplicated > 0, "duplication regime must fire: {r:?}");
 }
