@@ -27,7 +27,7 @@
 //! a one-line summary to the running `BENCH_HISTORY.jsonl` trajectory.
 //! Methodology: every cell reports its best measurement window (the
 //! statistic least distorted by background load — external noise only ever
-//! slows a window down, like criterion's minimum).
+//! slows a window down).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -36,6 +36,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
+use rcv_bench::cli::Flags;
 use rcv_bench::perf::{
     parse_metric, EngineRecord, PerfReport, PhaseRecord, QueueRecord, GATE_KEY, GATE_KEY_N1000,
 };
@@ -63,67 +64,52 @@ const SINGLE_RUN_N: usize = 1000;
 const GATE_FRACTION: f64 = 0.7;
 
 struct Opts {
-    quick: bool,
     out: PathBuf,
     baseline: Option<PathBuf>,
-    filter: Option<String>,
-    profile: bool,
     append_history: Option<PathBuf>,
     /// Explicit engine-matrix sizes (`--sizes 30,1000`), overriding
     /// [`SIZES`] and the quick-mode large-N skip. Lets CI measure the
     /// N=1,000 cell alone under its own wall-clock cap.
     sizes: Option<Vec<usize>>,
+    quick: bool,
+    profile: bool,
+    filter: Option<String>,
 }
 
-fn parse_opts() -> Opts {
-    let mut opts = Opts {
-        quick: false,
+fn parse_opts() -> Result<Opts, String> {
+    let mut f = Flags::from_env();
+    let sizes = match f.opt::<String>("--sizes")? {
+        Some(csv) => Some(
+            csv.split(',')
+                .map(|s| s.trim().parse())
+                .collect::<Result<Vec<usize>, _>>()
+                .map_err(|_| "--sizes entries must be integers")?,
+        ),
+        None => None,
+    };
+    // `cargo bench` appends `--bench` to harness=false binaries.
+    f.flag("--bench");
+    let opts = Opts {
         // Compiled-in workspace root: crates/bench/../../ — stable no
         // matter what cwd cargo hands the bench binary.
-        out: PathBuf::from(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../BENCH_RESULTS.json"
-        )),
-        baseline: None,
-        filter: None,
-        profile: false,
-        append_history: None,
-        sizes: None,
+        out: f.value(
+            "--out",
+            PathBuf::from(concat!(
+                env!("CARGO_MANIFEST_DIR"),
+                "/../../BENCH_RESULTS.json"
+            )),
+        )?,
+        baseline: f.opt("--baseline")?,
+        append_history: f.opt("--append-history")?,
+        sizes,
+        quick: f.flag("--quick"),
+        profile: f.flag("--profile"),
+        filter: f.positionals().pop(),
     };
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--quick" => opts.quick = true,
-            "--profile" => opts.profile = true,
-            "--out" => opts.out = PathBuf::from(args.next().expect("--out needs a path")),
-            "--baseline" => {
-                opts.baseline = Some(PathBuf::from(args.next().expect("--baseline needs a path")));
-            }
-            "--append-history" => {
-                opts.append_history = Some(PathBuf::from(
-                    args.next().expect("--append-history needs a path"),
-                ));
-            }
-            "--sizes" => {
-                let csv = args.next().expect("--sizes needs a comma-separated list");
-                opts.sizes = Some(
-                    csv.split(',')
-                        .map(|s| s.trim().parse().expect("--sizes entries must be integers"))
-                        .collect(),
-                );
-            }
-            // `cargo bench` appends `--bench` to harness=false binaries.
-            "--bench" => {}
-            s if s.starts_with("--") => {
-                // A typo'd --baseline/--out must not silently disable the
-                // regression gate.
-                eprintln!("engine_throughput: unknown flag {s}");
-                std::process::exit(2);
-            }
-            s => opts.filter = Some(s.to_string()),
-        }
-    }
-    opts
+    // A typo'd --baseline/--out must not silently disable the regression
+    // gate.
+    f.finish()?;
+    Ok(opts)
 }
 
 /// Runs `routine` repeatedly in `windows` timed windows of ~`window_secs`
@@ -178,9 +164,8 @@ fn bench_engine(algo: Algo, n: usize, windows: u32, window_secs: f64) -> EngineR
     }
 }
 
-/// `--profile`: the per-event phase split of the RCV burst (the
-/// `examples/scaling_probe.rs` view, promoted into the bench so the split
-/// lands in `BENCH_RESULTS.json` next to the throughput numbers). Probes
+/// `--profile`: the per-event phase split of the RCV burst, so the split
+/// lands in `BENCH_RESULTS.json` next to the throughput numbers. Probes
 /// cover snapshot/merge/normalize/order/metrics; the remainder (event
 /// queue, protocol handlers, delivery plumbing) is reported as `engine`.
 fn profile_sweep(quick: bool, report: &mut PerfReport) {
@@ -296,7 +281,13 @@ fn git_short_head() -> Option<String> {
 }
 
 fn main() -> ExitCode {
-    let opts = parse_opts();
+    let opts = match parse_opts() {
+        Ok(opts) => opts,
+        Err(e) => {
+            eprintln!("engine_throughput: {e}");
+            return ExitCode::from(2);
+        }
+    };
     let (windows, window_secs) = if opts.quick { (3, 0.12) } else { (5, 0.5) };
     let mut report = PerfReport {
         mode: if opts.quick { "quick" } else { "full" },

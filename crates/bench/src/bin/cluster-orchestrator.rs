@@ -32,6 +32,7 @@ use std::fmt::Write as _;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
+use rcv_bench::cli::Flags;
 use rcv_bench::perf::json_str;
 use rcv_runtime::orchestrator::ProcessReport;
 use rcv_runtime::{RunSpec, SocketNet};
@@ -46,76 +47,6 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
-struct Args {
-    algos: Vec<Algo>,
-    n: usize,
-    rounds: u32,
-    net: SocketNet,
-    seed: u64,
-    timeout: Duration,
-    kill: Option<(u32, Duration)>,
-    json: Option<String>,
-    list: bool,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        algos: vec![Algo::from_tag("rcv").expect("default tag")],
-        n: 4,
-        rounds: 2,
-        net: SocketNet::Uds,
-        seed: 1,
-        timeout: Duration::from_secs(60),
-        kill: None,
-        json: None,
-        list: false,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| it.next().ok_or(format!("{flag} needs a value"));
-        match arg.as_str() {
-            "--algo" => {
-                let tag = value("--algo")?;
-                args.algos =
-                    vec![Algo::from_tag(&tag).ok_or(format!("unknown algorithm tag {tag:?}"))?];
-            }
-            "--all" => args.algos = Algo::all().to_vec(),
-            "-n" => args.n = value("-n")?.parse().map_err(|_| "bad n")?,
-            "--rounds" => args.rounds = value("--rounds")?.parse().map_err(|_| "bad rounds")?,
-            "--net" => {
-                args.net = match value("--net")?.as_str() {
-                    "uds" => SocketNet::Uds,
-                    "tcp" => SocketNet::Tcp,
-                    other => return Err(format!("bad net {other:?} (want uds|tcp)")),
-                }
-            }
-            "--seed" => args.seed = value("--seed")?.parse().map_err(|_| "bad seed")?,
-            "--timeout-secs" => {
-                args.timeout = Duration::from_secs(
-                    value("--timeout-secs")?
-                        .parse()
-                        .map_err(|_| "bad timeout")?,
-                )
-            }
-            "--kill" => {
-                let v = value("--kill")?;
-                let (node, ms) = v.split_once(',').ok_or("bad --kill (want NODE,MS)")?;
-                args.kill = Some((
-                    node.parse().map_err(|_| "bad --kill node")?,
-                    Duration::from_millis(ms.parse().map_err(|_| "bad --kill ms")?),
-                ));
-            }
-            "--json" => args.json = Some(value("--json")?),
-            "--list" => args.list = true,
-            other => return Err(format!("unknown argument {other}")),
-        }
-    }
-    if args.n == 0 {
-        return Err("n must be >= 1".into());
-    }
-    Ok(args)
-}
-
 struct Row {
     algo: &'static str,
     tag: &'static str,
@@ -126,8 +57,41 @@ struct Row {
 }
 
 fn run() -> Result<ExitCode, String> {
-    let args = parse_args()?;
-    if args.list {
+    let mut f = Flags::from_env();
+    let tag: String = f.value("--algo", "rcv".to_string())?;
+    let algo = Algo::from_tag(&tag).ok_or(format!("unknown algorithm tag {tag:?}"))?;
+    let net = match f.value("--net", "uds".to_string())?.as_str() {
+        "uds" => SocketNet::Uds,
+        "tcp" => SocketNet::Tcp,
+        other => return Err(format!("bad net {other:?} (want uds|tcp)")),
+    };
+    let kill: Option<(u32, Duration)> = match f.opt::<String>("--kill")? {
+        Some(v) => {
+            let (node, ms) = v.split_once(',').ok_or("bad --kill (want NODE,MS)")?;
+            Some((
+                node.parse().map_err(|_| "bad --kill node")?,
+                Duration::from_millis(ms.parse().map_err(|_| "bad --kill ms")?),
+            ))
+        }
+        None => None,
+    };
+    let n: usize = f.value("-n", 4)?;
+    let rounds: u32 = f.value("--rounds", 2)?;
+    let seed: u64 = f.value("--seed", 1)?;
+    let timeout = Duration::from_secs(f.value("--timeout-secs", 60)?);
+    let json: Option<String> = f.opt("--json")?;
+    let algos = if f.flag("--all") {
+        Algo::all().to_vec()
+    } else {
+        vec![algo]
+    };
+    let list = f.flag("--list");
+    f.finish()?;
+    if n == 0 {
+        return Err("n must be >= 1".into());
+    }
+
+    if list {
         for algo in Algo::all() {
             println!("{:<12} {}", algo.tag(), algo.name());
         }
@@ -135,20 +99,18 @@ fn run() -> Result<ExitCode, String> {
     }
     let mut backend = ProcessBackend::current_exe()
         .map_err(|e| format!("current_exe: {e}"))?
-        .net(args.net);
-    if let Some((node, after)) = args.kill {
-        if node as usize >= args.n {
-            return Err(format!("--kill node {node} out of range (n = {})", args.n));
+        .net(net);
+    if let Some((node, after)) = kill {
+        if node as usize >= n {
+            return Err(format!("--kill node {node} out of range (n = {n})"));
         }
         backend = backend.kill_worker(node, after);
     }
 
     let mut rows: Vec<Row> = Vec::new();
     let mut all_ok = true;
-    for algo in &args.algos {
-        let spec = RunSpec::quick(args.n, args.seed)
-            .rounds(args.rounds)
-            .timeout(args.timeout);
+    for algo in &algos {
+        let spec = RunSpec::quick(n, seed).rounds(rounds).timeout(timeout);
         let expected = spec.expected();
         let started = Instant::now();
         let report = algo.run_process(&spec, &backend)?;
@@ -157,7 +119,7 @@ fn run() -> Result<ExitCode, String> {
         // With the kill drill armed, the *correct* outcome is a crash
         // verdict naming the victim (and still zero CS overlap); without
         // it, the run must be clean outright.
-        let verdict = if let Some((victim, _)) = args.kill {
+        let verdict = if let Some((victim, _)) = kill {
             if report.report.violations > 0 {
                 format!("fail:unsafe({} violations)", report.report.violations)
             } else if report.crashed.contains(&victim) {
@@ -184,9 +146,9 @@ fn run() -> Result<ExitCode, String> {
             "[orchestrator] {:<12} n={} rounds={} net={} -> {verdict} \
              ({} CS, {} msgs, {millis} ms)",
             algo.tag(),
-            args.n,
-            args.rounds,
-            args.net.name(),
+            n,
+            rounds,
+            net.name(),
             report.report.completed,
             report.report.messages,
         );
@@ -203,12 +165,12 @@ fn run() -> Result<ExitCode, String> {
         });
     }
 
-    if let Some(path) = &args.json {
+    if let Some(path) = &json {
         let mut s = String::new();
         s.push_str("{\n  \"schema\": \"rcv-cluster-orchestrator/v1\",\n");
-        let _ = writeln!(s, "  \"net\": {},", json_str(args.net.name()));
-        let _ = writeln!(s, "  \"n\": {},", args.n);
-        let _ = writeln!(s, "  \"rounds\": {},", args.rounds);
+        let _ = writeln!(s, "  \"net\": {},", json_str(net.name()));
+        let _ = writeln!(s, "  \"n\": {n},");
+        let _ = writeln!(s, "  \"rounds\": {rounds},");
         s.push_str("  \"runs\": [\n");
         for (i, r) in rows.iter().enumerate() {
             let (report, hub) = (&r.report.report, &r.report.hub);

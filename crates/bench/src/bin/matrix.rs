@@ -26,6 +26,7 @@
 use std::collections::BTreeSet;
 use std::process::ExitCode;
 
+use rcv_bench::cli::Flags;
 use rcv_bench::matrix::{doc_from_results, gate, merge_docs, parse_doc, render_doc, MatrixDoc};
 use rcv_workload::scenario::{cells, registry, run_cells, shard, REGISTRY_VERSION};
 use rcv_workload::sweep::default_threads;
@@ -37,62 +38,6 @@ fn usage() -> ExitCode {
          \u{20}      matrix --merge FILE... [--out PATH] [--check BASELINE]"
     );
     ExitCode::from(2)
-}
-
-struct Args {
-    shard: (usize, usize),
-    filter: Option<String>,
-    threads: usize,
-    out: Option<String>,
-    check: Option<String>,
-    list: bool,
-    merge: Vec<String>,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        shard: (0, 1),
-        filter: None,
-        threads: default_threads(),
-        out: None,
-        check: None,
-        list: false,
-        merge: Vec::new(),
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| it.next().ok_or(format!("{flag} needs a value"));
-        match arg.as_str() {
-            "--shard" => {
-                let v = value("--shard")?;
-                let (i, m) = v.split_once('/').ok_or("--shard expects I/M")?;
-                let i: usize = i.parse().map_err(|_| "bad shard index")?;
-                let m: usize = m.parse().map_err(|_| "bad shard modulus")?;
-                if m < 1 || i >= m {
-                    return Err(format!("shard {i}/{m} out of range"));
-                }
-                args.shard = (i, m);
-            }
-            "--threads" => {
-                args.threads = value("--threads")?
-                    .parse()
-                    .map_err(|_| "bad thread count")?;
-            }
-            "--filter" => args.filter = Some(value("--filter")?),
-            "--out" => args.out = Some(value("--out")?),
-            "--check" => args.check = Some(value("--check")?),
-            "--list" => args.list = true,
-            "--merge" => {
-                // Everything after --merge that is not a flag is a shard file.
-                args.merge.push(value("--merge")?);
-            }
-            other if !other.starts_with('-') && !args.merge.is_empty() => {
-                args.merge.push(other.to_string());
-            }
-            other => return Err(format!("unknown argument {other}")),
-        }
-    }
-    Ok(args)
 }
 
 /// Errors unless `doc` covers every cell of the current registry exactly.
@@ -126,10 +71,33 @@ fn require_full_grid(doc: &MatrixDoc) -> Result<(), String> {
 }
 
 fn run() -> Result<ExitCode, String> {
-    let args = parse_args()?;
-    let (i, m) = args.shard;
-    let full_shard = m == 1 && args.filter.is_none();
-    if args.filter.is_some() && args.check.is_some() {
+    let mut f = Flags::from_env();
+    let (i, m) = match f.opt::<String>("--shard")? {
+        Some(v) => {
+            let (i, m) = v.split_once('/').ok_or("--shard expects I/M")?;
+            let i: usize = i.parse().map_err(|_| "bad shard index")?;
+            let m: usize = m.parse().map_err(|_| "bad shard modulus")?;
+            if m < 1 || i >= m {
+                return Err(format!("shard {i}/{m} out of range"));
+            }
+            (i, m)
+        }
+        None => (0, 1),
+    };
+    let filter: Option<String> = f.opt("--filter")?;
+    let threads = f.value("--threads", default_threads())?;
+    let out: Option<String> = f.opt("--out")?;
+    let check: Option<String> = f.opt("--check")?;
+    let mut merge: Vec<String> = f.opt("--merge")?.into_iter().collect();
+    let list = f.flag("--list");
+    // Everything after --merge that is not a flag is a shard file.
+    if !merge.is_empty() {
+        merge.extend(f.positionals());
+    }
+    f.finish()?;
+
+    let full_shard = m == 1 && filter.is_none();
+    if filter.is_some() && check.is_some() {
         return Err(
             "--filter and --check are mutually exclusive (the gate needs the full grid)".into(),
         );
@@ -139,9 +107,9 @@ fn run() -> Result<ExitCode, String> {
     // path (`MATRIX_RESULTS.json`), so reading it after the write would
     // gate the run against itself — always green — while clobbering the
     // committed baseline it was meant to be compared with.
-    let baseline = match &args.check {
+    let baseline = match &check {
         Some(path) => {
-            if !full_shard && args.merge.is_empty() {
+            if !full_shard && merge.is_empty() {
                 return Err("--check needs the full grid (use --shard 0/1 or --merge)".into());
             }
             let text = std::fs::read_to_string(path)
@@ -151,15 +119,15 @@ fn run() -> Result<ExitCode, String> {
         None => None,
     };
 
-    let doc = if args.merge.is_empty() {
+    let doc = if merge.is_empty() {
         let mut grid = shard(cells(&registry()), i, m);
-        if let Some(f) = &args.filter {
+        if let Some(f) = &filter {
             grid.retain(|c| c.scenario.name.contains(f.as_str()));
             if grid.is_empty() {
                 return Err(format!("--filter {f:?} matches no registry cells"));
             }
         }
-        if args.list {
+        if list {
             println!(
                 "# registry {REGISTRY_VERSION}, shard {i}/{m}: {} cells",
                 grid.len()
@@ -172,9 +140,9 @@ fn run() -> Result<ExitCode, String> {
         eprintln!(
             "[matrix] shard {i}/{m}: running {} cells on {} threads",
             grid.len(),
-            args.threads
+            threads
         );
-        let results = run_cells(grid, args.threads);
+        let results = run_cells(grid, threads);
         let failed: Vec<_> = results.iter().filter(|r| !r.passed()).collect();
         for f in &failed {
             eprintln!("[matrix] FAILED {} / {}: {}", f.scenario, f.algo, f.verdict);
@@ -187,7 +155,7 @@ fn run() -> Result<ExitCode, String> {
         doc_from_results(&results)
     } else {
         let mut docs = Vec::new();
-        for path in &args.merge {
+        for path in &merge {
             let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
             docs.push(parse_doc(&text).map_err(|e| format!("parsing {path}: {e}"))?);
         }
@@ -195,16 +163,16 @@ fn run() -> Result<ExitCode, String> {
         require_full_grid(&merged).map_err(|e| format!("merged grid incomplete: {e}"))?;
         eprintln!(
             "[matrix] merged {} shard file(s): {} cells",
-            args.merge.len(),
+            merge.len(),
             merged.cells.len()
         );
         merged
     };
 
-    let out = args.out.clone().unwrap_or_else(|| {
-        if args.filter.is_some() {
+    let out = out.clone().unwrap_or_else(|| {
+        if filter.is_some() {
             "matrix-filtered.json".to_string()
-        } else if full_shard || !args.merge.is_empty() {
+        } else if full_shard || !merge.is_empty() {
             "MATRIX_RESULTS.json".to_string()
         } else {
             format!("matrix-shard-{i}of{m}.json")
@@ -216,7 +184,7 @@ fn run() -> Result<ExitCode, String> {
     // against itself and launder it green.
     let mut gate_failed = false;
     if let Some(baseline) = &baseline {
-        let baseline_path = args.check.as_deref().unwrap_or_default();
+        let baseline_path = check.as_deref().unwrap_or_default();
         require_full_grid(&doc).map_err(|e| format!("grid incomplete: {e}"))?;
         let g = gate(&doc, baseline);
         eprint!("{}", g.summary());
@@ -232,7 +200,7 @@ fn run() -> Result<ExitCode, String> {
     // gate, where silent fingerprint drift would replace the committed
     // file and make a confirming re-run read "identical". Refreshing is
     // the no---check run (see README § "Scenario matrix").
-    if args.check.as_deref() == Some(out.as_str()) {
+    if check.as_deref() == Some(out.as_str()) {
         eprintln!(
             "[matrix] {out} is the gate baseline; not rewriting it (refresh: run without --check)"
         );
@@ -250,7 +218,7 @@ fn run() -> Result<ExitCode, String> {
     // the gate names the regression against the baseline.
     let fresh_failures = doc.cells.iter().filter(|c| c.verdict != "pass").count();
     if baseline.is_none() && fresh_failures > 0 {
-        if full_shard || args.filter.is_some() || !args.merge.is_empty() {
+        if full_shard || filter.is_some() || !merge.is_empty() {
             eprintln!("[matrix] {fresh_failures} failing cell(s) and no --check baseline given");
             return Ok(ExitCode::FAILURE);
         }

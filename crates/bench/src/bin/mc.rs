@@ -29,6 +29,7 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
+use rcv_bench::cli::Flags;
 use rcv_bench::mc::{
     algo_slug, ci_suite, parse_algo, render_report, run_cell, McCell, McOptions, McOutcome,
     Strategy, SCHEMA,
@@ -43,78 +44,6 @@ fn usage() -> ExitCode {
          algorithms: rcv-seq rcv-most-stale rcv-freshest ricart lamport"
     );
     ExitCode::from(2)
-}
-
-struct Args {
-    ci: bool,
-    list: bool,
-    cell: Option<McCell>,
-    opts: McOptions,
-    out: Option<String>,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        ci: false,
-        list: false,
-        cell: None,
-        opts: McOptions::default(),
-        out: None,
-    };
-    let mut algo = None;
-    let mut n = None;
-    let mut drops = 0;
-    let mut dups = 0;
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| it.next().ok_or(format!("{flag} needs a value"));
-        match arg.as_str() {
-            "--ci" => args.ci = true,
-            "--list" => args.list = true,
-            "--algo" => {
-                let a = value("--algo")?;
-                algo = Some(parse_algo(&a).ok_or(format!("unknown algorithm {a}"))?);
-            }
-            "--n" => n = Some(value("--n")?.parse().map_err(|_| "bad node count")?),
-            "--drops" => drops = value("--drops")?.parse().map_err(|_| "bad drop budget")?,
-            "--dups" => dups = value("--dups")?.parse().map_err(|_| "bad dup budget")?,
-            "--rounds" => {
-                args.opts.rounds = value("--rounds")?.parse().map_err(|_| "bad round count")?
-            }
-            "--strategy" => {
-                let s = value("--strategy")?;
-                args.opts.strategy =
-                    Strategy::parse(&s).ok_or(format!("unknown strategy {s} (dfs|bfs)"))?;
-            }
-            "--depth" => {
-                args.opts.max_depth =
-                    Some(value("--depth")?.parse().map_err(|_| "bad depth bound")?)
-            }
-            "--max-states" => {
-                args.opts.max_states = value("--max-states")?
-                    .parse()
-                    .map_err(|_| "bad state cap")?
-            }
-            "--out" => args.out = Some(value("--out")?),
-            other => return Err(format!("unknown argument {other}")),
-        }
-    }
-    match (algo, n) {
-        (Some(algo), Some(n)) => {
-            args.cell = Some(McCell {
-                algo,
-                n,
-                drops,
-                dups,
-            })
-        }
-        (None, None) => {}
-        _ => return Err("--algo and --n go together".into()),
-    }
-    if !args.ci && !args.list && args.cell.is_none() {
-        return Err("nothing to do: pass --ci, --list or --algo/--n".into());
-    }
-    Ok(args)
 }
 
 fn report_outcome(o: &McOutcome) {
@@ -134,8 +63,37 @@ fn report_outcome(o: &McOutcome) {
 }
 
 fn run() -> Result<ExitCode, String> {
-    let args = parse_args()?;
-    if args.list {
+    let mut f = Flags::from_env();
+    let defaults = McOptions::default();
+    let algo = match f.opt::<String>("--algo")? {
+        Some(a) => Some(parse_algo(&a).ok_or(format!("unknown algorithm {a}"))?),
+        None => None,
+    };
+    let (drops, dups) = (f.value("--drops", 0)?, f.value("--dups", 0)?);
+    let cell = match (algo, f.opt("--n")?) {
+        (Some(algo), Some(n)) => Some(McCell {
+            algo,
+            n,
+            drops,
+            dups,
+        }),
+        (None, None) => None,
+        _ => return Err("--algo and --n go together".into()),
+    };
+    let opts = McOptions {
+        strategy: match f.opt::<String>("--strategy")? {
+            Some(s) => Strategy::parse(&s).ok_or(format!("unknown strategy {s} (dfs|bfs)"))?,
+            None => defaults.strategy,
+        },
+        rounds: f.value("--rounds", defaults.rounds)?,
+        max_depth: f.opt("--depth")?,
+        max_states: f.value("--max-states", defaults.max_states)?,
+    };
+    let out: Option<String> = f.opt("--out")?;
+    let (ci, list) = (f.flag("--ci"), f.flag("--list"));
+    f.finish()?;
+
+    if list {
         println!("# {SCHEMA}: {} CI cells", ci_suite().len());
         for c in ci_suite() {
             println!("{}", c.name());
@@ -143,10 +101,10 @@ fn run() -> Result<ExitCode, String> {
         return Ok(ExitCode::SUCCESS);
     }
 
-    let cells = if args.ci {
-        ci_suite()
-    } else {
-        vec![args.cell.clone().expect("parse_args guarantees a cell")]
+    let cells = match (ci, cell) {
+        (true, _) => ci_suite(),
+        (false, Some(cell)) => vec![cell],
+        (false, None) => return Err("nothing to do: pass --ci, --list or --algo/--n".into()),
     };
     for c in &cells {
         if !c.algo.model_checkable() {
@@ -160,7 +118,7 @@ fn run() -> Result<ExitCode, String> {
     let started = Instant::now();
     let mut outcomes = Vec::with_capacity(cells.len());
     for cell in &cells {
-        let o = run_cell(cell, &args.opts);
+        let o = run_cell(cell, &opts);
         report_outcome(&o);
         outcomes.push(o);
     }
@@ -172,7 +130,7 @@ fn run() -> Result<ExitCode, String> {
         started.elapsed(),
     );
 
-    if let Some(out) = &args.out {
+    if let Some(out) = &out {
         std::fs::write(out, render_report(&outcomes)).map_err(|e| format!("writing {out}: {e}"))?;
         println!("[mc] wrote {out}");
     }

@@ -3,7 +3,7 @@
 //! ```text
 //! repro [--quick] [--markdown] <experiment>...
 //!
-//! experiments: fig4 fig5 fig6 fig7 an1 an2 an3 an4 an5 all
+//! experiments: fig4 fig5 fig6 fig7 an1 an2 an3 an4 an5 ext1 ext2 ext3 all
 //! ```
 //!
 //! `--quick` runs reduced sweeps (2 seeds, fewer points); the default is
@@ -11,12 +11,12 @@
 //! 100 000-tick horizon; 5 seeds).
 
 use rcv_bench::{emit, Scale};
-use rcv_workload::experiments::{analysis, bandwidth, fairness, fig4_5, fig6_7};
+use rcv_workload::experiments::{analysis, bandwidth, fairness, fig4_5, fig6_7, forwarding};
 
 fn usage() -> ! {
     eprintln!(
         "usage: repro [--quick] [--markdown] <experiment>...\n\
-         experiments: fig4 fig5 fig6 fig7 an1 an2 an3 an4 an5 ext1 ext2 all"
+         experiments: fig4 fig5 fig6 fig7 an1 an2 an3 an4 an5 ext1 ext2 ext3 all"
     );
     std::process::exit(2);
 }
@@ -41,6 +41,7 @@ fn main() {
     if wanted.iter().any(|w| w == "all") {
         wanted = [
             "fig4", "fig5", "fig6", "fig7", "an1", "an2", "an3", "an4", "an5", "ext1", "ext2",
+            "ext3",
         ]
         .into_iter()
         .map(String::from)
@@ -79,6 +80,7 @@ fn main() {
             "an5" => emit(&analysis::an5(&an_sizes, &seeds), markdown),
             "ext1" => emit(&bandwidth::run(&an_sizes, &seeds), markdown),
             "ext2" => emit(&fairness::run(12, 5, &seeds), markdown),
+            "ext3" => emit(&forwarding::run(20, &seeds), markdown),
             _ => usage(),
         }
     }

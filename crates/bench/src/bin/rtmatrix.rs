@@ -17,7 +17,7 @@
 //!   `SUBSTR` (applied after `--limit`; e.g. `chaos` for the CI chaos
 //!   job, which runs the crash-window cells on real threads).
 //! * `--threads T` — concurrent differential cells (each one spawns its
-//!   own `n + 1` cluster threads; keep this small). Default 2.
+//!   own `n` cluster threads; keep this small). Default 2.
 //! * `--list` — print the selected cells instead of running them.
 //! * `--out PATH` — where to write the JSON report (schema
 //!   `rcv-rtmatrix/v3`; each row carries its `backend`). Default
@@ -31,6 +31,7 @@
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
+use rcv_bench::cli::Flags;
 use rcv_bench::rtmatrix::{render_report, run_diff_cells_on, runtime_grid, DiffOptions, SCHEMA};
 use rcv_workload::{ClusterBackend, ProcessBackend};
 
@@ -43,73 +44,6 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
-struct Args {
-    backend: String,
-    limit: usize,
-    filter: Option<String>,
-    threads: usize,
-    out: String,
-    list: bool,
-    opts: DiffOptions,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        backend: "thread".to_string(),
-        limit: 0,
-        filter: None,
-        threads: 2,
-        out: "RTMATRIX_RESULTS.json".to_string(),
-        list: false,
-        opts: DiffOptions::default(),
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| it.next().ok_or(format!("{flag} needs a value"));
-        match arg.as_str() {
-            "--backend" => {
-                let b = value("--backend")?;
-                if !matches!(b.as_str(), "thread" | "process" | "both") {
-                    return Err(format!("bad backend {b:?} (want thread|process|both)"));
-                }
-                args.backend = b;
-            }
-            "--limit" => args.limit = value("--limit")?.parse().map_err(|_| "bad limit")?,
-            "--filter" => args.filter = Some(value("--filter")?),
-            "--threads" => {
-                args.threads = value("--threads")?
-                    .parse()
-                    .map_err(|_| "bad thread count")?
-            }
-            "--out" => args.out = value("--out")?,
-            "--list" => args.list = true,
-            "--timeout-secs" => {
-                args.opts.timeout = Duration::from_secs(
-                    value("--timeout-secs")?
-                        .parse()
-                        .map_err(|_| "bad timeout")?,
-                )
-            }
-            "--stall-timeout-secs" => {
-                args.opts.stall_timeout = Duration::from_secs(
-                    value("--stall-timeout-secs")?
-                        .parse()
-                        .map_err(|_| "bad stall timeout")?,
-                )
-            }
-            "--reruns" => {
-                args.opts.reruns = value("--reruns")?.parse().map_err(|_| "bad rerun count")?
-            }
-            "--tick-us" => {
-                args.opts.tick =
-                    Duration::from_micros(value("--tick-us")?.parse().map_err(|_| "bad tick")?)
-            }
-            other => return Err(format!("unknown argument {other}")),
-        }
-    }
-    Ok(args)
-}
-
 fn backends(choice: &str) -> Result<Vec<ClusterBackend>, String> {
     let process = || -> Result<ClusterBackend, String> {
         let pb = ProcessBackend::current_exe().map_err(|e| format!("current_exe: {e}"))?;
@@ -119,21 +53,42 @@ fn backends(choice: &str) -> Result<Vec<ClusterBackend>, String> {
         "thread" => vec![ClusterBackend::Threads],
         "process" => vec![process()?],
         "both" => vec![ClusterBackend::Threads, process()?],
-        other => return Err(format!("bad backend {other:?}")),
+        other => return Err(format!("bad backend {other:?} (want thread|process|both)")),
     })
 }
 
 fn run() -> Result<ExitCode, String> {
-    let args = parse_args()?;
-    let backends = backends(&args.backend)?;
-    let mut grid = runtime_grid(args.limit);
-    if let Some(f) = &args.filter {
+    let mut f = Flags::from_env();
+    let defaults = DiffOptions::default();
+    let backend: String = f.value("--backend", "thread".to_string())?;
+    let limit = f.value("--limit", 0)?;
+    let filter: Option<String> = f.opt("--filter")?;
+    let threads = f.value("--threads", 2)?;
+    let out: String = f.value("--out", "RTMATRIX_RESULTS.json".to_string())?;
+    let opts = DiffOptions {
+        timeout: f
+            .opt("--timeout-secs")?
+            .map_or(defaults.timeout, Duration::from_secs),
+        stall_timeout: f
+            .opt("--stall-timeout-secs")?
+            .map_or(defaults.stall_timeout, Duration::from_secs),
+        reruns: f.value("--reruns", defaults.reruns)?,
+        tick: f
+            .opt("--tick-us")?
+            .map_or(defaults.tick, Duration::from_micros),
+    };
+    let list = f.flag("--list");
+    f.finish()?;
+
+    let backends = backends(&backend)?;
+    let mut grid = runtime_grid(limit);
+    if let Some(f) = &filter {
         grid.retain(|c| c.scenario.name.contains(f.as_str()));
         if grid.is_empty() {
             return Err(format!("--filter {f:?} matches no runtime-mappable cells"));
         }
     }
-    if args.list {
+    if list {
         println!("# {SCHEMA}: {} differential cells", grid.len());
         for c in &grid {
             println!("{} / {}", c.scenario.name, c.algo.name());
@@ -145,19 +100,14 @@ fn run() -> Result<ExitCode, String> {
         "[rtmatrix] running {} cells x {} backend(s) [{}] ({} at a time, tick {:?})",
         grid.len(),
         backends.len(),
-        args.backend,
-        args.threads,
-        args.opts.tick,
+        backend,
+        threads,
+        opts.tick,
     );
     let started = Instant::now();
     let mut outcomes = Vec::new();
     for backend in &backends {
-        outcomes.extend(run_diff_cells_on(
-            grid.clone(),
-            args.threads,
-            &args.opts,
-            backend,
-        ));
+        outcomes.extend(run_diff_cells_on(grid.clone(), threads, &opts, backend));
     }
     let failed: Vec<_> = outcomes.iter().filter(|o| !o.passed()).collect();
     for f in &failed {
@@ -175,9 +125,8 @@ fn run() -> Result<ExitCode, String> {
         started.elapsed(),
     );
 
-    std::fs::write(&args.out, render_report(&outcomes))
-        .map_err(|e| format!("writing {}: {e}", args.out))?;
-    eprintln!("[rtmatrix] wrote {}", args.out);
+    std::fs::write(&out, render_report(&outcomes)).map_err(|e| format!("writing {out}: {e}"))?;
+    eprintln!("[rtmatrix] wrote {out}");
 
     Ok(if failed.is_empty() {
         ExitCode::SUCCESS

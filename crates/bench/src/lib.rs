@@ -1,12 +1,9 @@
 //! # rcv-bench — benchmark harness and figure regeneration
 //!
-//! Two entry points:
+//! Entry points:
 //!
 //! * the **`repro` binary** — regenerates every figure/analytic table of
 //!   the paper (`cargo run -p rcv-bench --release --bin repro -- all`);
-//! * the **criterion benches** — `cargo bench -p rcv-bench`, one bench
-//!   group per paper figure plus the forwarding-policy ablation and the
-//!   procedure microbenchmarks;
 //! * the **throughput bench** — `cargo bench -p rcv-bench --bench
 //!   engine_throughput`: events/sec for every algorithm on the paper's
 //!   constant-delay burst, written as machine-readable
@@ -27,6 +24,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod cli;
 pub mod matrix;
 pub mod mc;
 pub mod perf;

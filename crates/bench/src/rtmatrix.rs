@@ -329,7 +329,7 @@ pub fn run_diff_cell_on(cell: &Cell, opts: &DiffOptions, backend: &ClusterBacken
 
 /// Runs a slice of cells on the chosen fabric (order-preserving, limited
 /// parallelism — a process-tier cell spawns `n` worker processes of its
-/// own, a thread-tier cell `n + 1` threads).
+/// own, a thread-tier cell `n` threads).
 pub fn run_diff_cells_on(
     grid: Vec<Cell>,
     threads: usize,

@@ -72,8 +72,8 @@ pub struct RcvConfig {
     /// cannot be lost; under the crash faults of `rcv_simnet::FaultPlan`
     /// an RM forwarded into a dead node vanishes and its request can
     /// starve — retransmission restores liveness at light load (see
-    /// EXPERIMENTS.md §faults for the contended-load boundary that
-    /// retransmission alone cannot fix). All duplicate signals a re-issued
+    /// README § "Experiment index", §faults, for the contended-load
+    /// boundary that retransmission alone cannot fix). All duplicate signals a re-issued
     /// RM can cause are absorbed by the stale-EM / duplicate-IM guards.
     pub retry: Option<RetryPolicy>,
 }

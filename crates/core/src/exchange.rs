@@ -65,12 +65,11 @@ pub struct ExchangeOutcome {
 /// message are not run. `body` is left partially merged and must not be
 /// forwarded. The one message-side purge that later row merges read back
 /// into `si` (lines 17-18) is kept, as an overlay — see the comment there.
+///
+/// `body.msit` must have `si.n()` rows and name no node beyond them:
+/// `RcvNode::on_message` drops a body of another size before calling, and
+/// the wire decoder rejects out-of-table node ids.
 pub fn exchange(si: &mut Si, body: &mut MsgBody, em_for: Option<&ReqTuple>) -> ExchangeOutcome {
-    debug_assert_eq!(
-        si.n(),
-        body.msit.n(),
-        "SI and message disagree on system size"
-    );
     let mut out = ExchangeOutcome::default();
     {
         let _p = rcv_simnet::profile::probe(rcv_simnet::profile::ProbePhase::Merge);

@@ -257,6 +257,9 @@ impl RcvNode {
         ctx: &mut Ctx<'_, RcvMessage>,
     ) {
         self.stats.rms_received += 1;
+        // Being visited is what takes a node off the unvisited list; a
+        // sender does that before forwarding, decoded input may not have.
+        ul.retain(|&h| h != self.me);
         let x = exchange(&mut self.si, &mut body, None);
         self.stats.lemma6_violations += u64::from(x.lemma6_violation);
 
@@ -402,6 +405,21 @@ impl MutexProtocol for RcvNode {
     }
 
     fn on_message(&mut self, _from: NodeId, msg: RcvMessage, ctx: &mut Ctx<'_, RcvMessage>) {
+        // Decoded input may be well-formed yet not for this node: a body
+        // describing a system of another size (Exchange indexes both
+        // tables by node id), an IM for another predecessor (acting on it
+        // would grant `next` an EM nobody owes), this node's own RM (no
+        // peer forwards it home). It stops here.
+        let misdelivered = msg.body().msit.n() != self.n
+            || match &msg {
+                RcvMessage::Im { pred, .. } => pred.node != self.me,
+                RcvMessage::Rm { home, .. } => home.node == self.me,
+                RcvMessage::Em { .. } | RcvMessage::Rv { .. } => false,
+            };
+        if misdelivered {
+            self.stats.misdelivered += 1;
+            return;
+        }
         match msg {
             RcvMessage::Rm { home, ul, body } => self.handle_rm(home, ul, body, ctx),
             RcvMessage::Em { for_req, body } => self.handle_em(for_req, body, ctx),
@@ -644,6 +662,49 @@ mod tests {
         });
         assert!(h.outbox.is_empty(), "zombie RM must not be forwarded");
         assert_eq!(b.stats().zombie_rms, 1);
+    }
+
+    #[test]
+    fn messages_not_meant_for_this_node_are_dropped_and_counted() {
+        let mut h = Harness::new();
+        let me = NodeId::new(0);
+        let mut node = RcvNode::new(me, 3);
+        let t = |n: u32, ts: u64| ReqTuple::new(NodeId::new(n), ts);
+        let body = |n: usize| MsgBody::snapshot(&crate::Nonl::new(), &crate::Nsit::new(n));
+        let untouched = node.si().clone();
+        // A body sized for a 2-node system (Exchange would index past it),
+        // an IM for another predecessor, this node's own RM coming back.
+        let misdelivered = [
+            RcvMessage::Rv { body: body(2) },
+            RcvMessage::Im {
+                pred: t(1, 1),
+                next: t(2, 1),
+                body: body(3),
+            },
+            RcvMessage::Rm {
+                home: t(0, 1),
+                ul: vec![NodeId::new(2)],
+                body: body(3),
+            },
+        ];
+        for (i, msg) in misdelivered.into_iter().enumerate() {
+            h.drive(me, |ctx| node.on_message(NodeId::new(1), msg, ctx));
+            assert_eq!(node.stats().misdelivered, i as u64 + 1);
+        }
+        assert_eq!(node.stats().anomalies_under(true), 3);
+        assert_eq!(node.si(), &untouched);
+        assert!(h.outbox.is_empty() && !h.enter);
+
+        // An RM that still lists this node as unvisited is served, and
+        // never forwarded back to it.
+        let rm = RcvMessage::Rm {
+            home: t(1, 1),
+            ul: vec![me],
+            body: body(3),
+        };
+        h.drive(me, |ctx| node.on_message(NodeId::new(1), rm, ctx));
+        assert_eq!(node.stats().rms_received, 1);
+        assert!(h.outbox.iter().all(|(to, _)| *to != me), "{:?}", h.outbox);
     }
 
     #[test]

@@ -175,23 +175,6 @@ impl Nonl {
         }
     }
 
-    /// Per-node timestamp table for O(1) membership probes in an `n`-node
-    /// system: slot `j` holds the timestamp of node `j`'s entry, if any.
-    /// The second component is false when some node has *two* entries (an
-    /// invariant violation never produced by the shipped algorithms) — the
-    /// table is then lossy and callers must fall back to exact
-    /// [`Nonl::contains`] probes.
-    pub fn ts_by_node(&self, n: usize) -> (Vec<Option<u64>>, bool) {
-        let mut map: Vec<Option<u64>> = vec![None; n];
-        let mut unique = true;
-        for t in self.items.iter() {
-            let slot = &mut map[t.node.index()];
-            unique &= slot.is_none();
-            *slot = Some(t.ts);
-        }
-        (map, unique)
-    }
-
     /// Tuples present in `self` but not in `other`, in order.
     pub fn difference<'a>(&'a self, other: &'a Nonl) -> impl Iterator<Item = &'a ReqTuple> {
         self.items.iter().filter(move |t| !other.contains(t))

@@ -23,7 +23,7 @@
 //! a sole candidate is ordered iff `S1 > N − S1` — its votes strictly exceed
 //! the unknowns. This yields the paper's light-load behaviour (ordering
 //! after ~⌊N/2⌋ hops; our exact count is within one hop of the paper's
-//! `[N/2]+1`, see EXPERIMENTS.md AN1).
+//! `[N/2]+1`, see README § "Experiment index", AN1).
 
 use crate::si::Si;
 use crate::tuple::ReqTuple;
@@ -54,68 +54,10 @@ struct Ranking {
     votes_total: usize,
 }
 
-/// Builds the ranked candidate sequence `{TP_h}` from the current votes.
-/// `by_node` is caller-provided scratch, reused across the ordering loop's
-/// iterations (one allocation per Order invocation instead of per round).
-///
-/// Fast path: candidates almost always concern distinct nodes (a node has
-/// one outstanding request), so votes accumulate into a per-node slot and
-/// the leader/runner-up fall out of a single top-2 pass under the exact
-/// ranking comparator `(votes desc, node asc)` — no sort, no per-vote
-/// candidate scan. Two distinct tuples of one node (possible only through
-/// stale copies) fall back to the original sort-based ranking, whose
-/// stable insertion-order semantics are preserved verbatim.
-fn rank(si: &Si, by_node: &mut Vec<(u64, usize)>) -> Option<Ranking> {
-    let n = si.nsit.n();
-    by_node.clear();
-    by_node.resize(n, (0, 0));
-    let mut votes_total = 0;
-    for vote in si.nsit.votes() {
-        votes_total += 1;
-        let slot = &mut by_node[vote.node.index()];
-        if slot.1 == 0 {
-            *slot = (vote.ts, 1);
-        } else if slot.0 == vote.ts {
-            slot.1 += 1;
-        } else {
-            return rank_slow(si);
-        }
-    }
-    // Top-2 by (votes desc, node asc); node-ascending iteration means a
-    // later candidate only displaces an earlier one with strictly more
-    // votes, exactly the sorted order's tie-breaking.
-    let mut best: Option<(ReqTuple, usize)> = None;
-    let mut second: Option<(ReqTuple, usize)> = None;
-    for (j, &(ts, c)) in by_node.iter().enumerate() {
-        if c == 0 {
-            continue;
-        }
-        let cand = (ReqTuple::new(rcv_simnet::NodeId::new(j as u32), ts), c);
-        match best {
-            None => best = Some(cand),
-            Some(b) if cand.1 > b.1 => {
-                second = best;
-                best = Some(cand);
-            }
-            _ => match second {
-                None => second = Some(cand),
-                Some(s) if cand.1 > s.1 => second = Some(cand),
-                _ => {}
-            },
-        }
-    }
-    let (leader, s1) = best?;
-    Some(Ranking {
-        leader,
-        s1,
-        s2: second.map_or(0, |r| r.1),
-        runner_id: second.map(|r| r.0.node),
-        votes_total,
-    })
-}
-
-/// The original sort-based ranking, kept for the same-node-candidates
-/// corner case and as the reference implementation.
+/// Builds the ranked candidate sequence `{TP_h}` from the current votes
+/// by counting and sorting — the straight-line form, used by
+/// [`order_loop_reference`] (two distinct tuples of one node can vote here,
+/// so votes are counted per tuple, not per node).
 fn rank_slow(si: &Si) -> Option<Ranking> {
     // (tuple, votes); insertion keeps this deterministic.
     let mut counts: Vec<(ReqTuple, usize)> = Vec::new();
@@ -194,7 +136,7 @@ thread_local! {
 /// seeds per-node counts, and each round's removal sweep reports exactly
 /// which rows changed their front (only those rows' votes can change), so
 /// later rounds re-rank over the candidate set instead of re-scanning the
-/// whole table. Falls back to the reference rank()-per-round loop the
+/// whole table. Falls back to the reference rank-per-round loop the
 /// moment two voting tuples share a node (corrupt states only); the
 /// reference recomputes everything from the current SI each round, so
 /// switching mid-call is seamless.
@@ -246,9 +188,8 @@ fn order_loop_inner(
         return order_loop_reference(si, home, out);
     }
     loop {
-        // Top-2 by (votes desc, node asc) — the same total comparator
-        // rank() realizes through its node-ascending scan, so scan order
-        // over the candidate set cannot change the outcome.
+        // Top-2 by (votes desc, node asc) — a total comparator, so scan
+        // order over the candidate set cannot change the outcome.
         let mut best: Option<(u32, u64, u32)> = None;
         let mut second: Option<(u32, u32)> = None;
         for &j in candidates.iter() {
@@ -332,8 +273,7 @@ fn order_loop_inner(
 /// The reference ordering loop: re-rank from the live SI every round.
 fn order_loop_reference(si: &mut Si, home: ReqTuple, out: &mut OrderOutcome) {
     let n = si.nsit.n();
-    let mut by_node: Vec<(u64, usize)> = Vec::new();
-    while let Some(r) = rank(si, &mut by_node) {
+    while let Some(r) = rank_slow(si) {
         // Every non-empty row casts exactly one vote, so the unknown
         // count (rows with empty MNLs) falls out of the rank pass.
         let unknowns = n - r.votes_total;

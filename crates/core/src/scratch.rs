@@ -5,8 +5,8 @@
 //! this ordered list?" and "what are node `j`'s home-row facts?" probes.
 //! Answering them with list walks made every message cost O(NONL length)
 //! per probe, and answering them with freshly allocated per-node tables
-//! (`Nonl::ts_by_node`) made every message cost an O(N) allocation + clear
-//! even when nothing changed. These scratch maps amortize both away: the
+//! made every message cost an O(N) allocation + clear even when nothing
+//! changed. These scratch maps amortize both away: the
 //! backing vectors live in a thread-local and are reused across calls, and
 //! "clearing" is a single epoch bump — slots written under an older epoch
 //! read as vacant in O(1).

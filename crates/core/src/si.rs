@@ -55,30 +55,10 @@ impl Si {
     /// row copies from nodes that had not yet heard of an ordering.
     /// Returns the number of deletions performed.
     pub fn scrub_ordered_from_mnls(&mut self) -> usize {
-        // One retain pass per row (instead of one per ordered tuple per
-        // row): this runs once per received message. Membership in the
-        // NONL is tested through a per-node timestamp table — the NONL
-        // holds at most one entry per node (a node has one outstanding
-        // request), which turns each probe into an O(1) compare instead of
-        // a list walk. Should that invariant ever not hold, fall back to
-        // the exact linear probe rather than silently mis-scrub.
         let Si { nonl, nsit, .. } = self;
-        if nonl.is_empty() {
-            return 0;
-        }
-        let (by_node, unique) = nonl.ts_by_node(nsit.n());
-        if unique {
-            nsit.rows_mut()
-                .map(|r| {
-                    r.mnl
-                        .remove_where(|t| by_node[t.node.index()] == Some(t.ts))
-                })
-                .sum()
-        } else {
-            nsit.rows_mut()
-                .map(|r| r.mnl.remove_where(|t| nonl.contains(t)))
-                .sum()
-        }
+        nsit.rows_mut()
+            .map(|r| r.mnl.remove_where(|t| nonl.contains(t)))
+            .sum()
     }
 
     /// Purges tuples with completion evidence from every MNL (the repair of
@@ -87,44 +67,14 @@ impl Si {
     /// requests back in; left alone they could vote, win an ordering and
     /// wedge the EM chain). Returns the purged tuples.
     pub fn purge_completed(&mut self) -> Vec<ReqTuple> {
-        // Filter-first variant of "for t in distinct_tuples(): if completed,
-        // purge". Completion evidence for `t = <j, ts>` only involves row j
-        // and the NONL ([`Si::knows_completed`]), and by Lemma 1 row j holds
-        // at most one tuple of node j — so precomputing each home row's
-        // `(ts, own tuple)` makes the occurrence scan O(1) per tuple, where
-        // the naive form re-walked the home MNL for every occurrence. The
-        // checks are independent of the deletions (removing one zombie
-        // cannot create or destroy evidence for another), so filtering
-        // everything first yields the same purge set in the same
-        // first-occurrence order as the original check-and-delete loop.
-        if self.nsit.iter().all(|(_, r)| r.mnl.is_empty()) {
-            return Vec::new();
-        }
+        // The checks are independent of the deletions (removing one zombie
+        // cannot create or destroy evidence for another), so everything is
+        // filtered first, in first-occurrence order, then deleted.
         let mut purged: Vec<ReqTuple> = Vec::new();
-        match self.home_facts() {
-            Some(home) => {
-                for (_, row) in self.nsit.iter() {
-                    for t in row.mnl.iter() {
-                        let (home_ts, own) = home[t.node.index()];
-                        if home_ts >= t.ts
-                            && own != Some(t)
-                            && !purged.contains(&t)
-                            && !self.nonl.contains(&t)
-                        {
-                            purged.push(t);
-                        }
-                    }
-                }
-            }
-            // Lemma 1 violated somewhere: use the exact per-occurrence
-            // probe rather than trust the precomputed own-tuple.
-            None => {
-                for (_, row) in self.nsit.iter() {
-                    for t in row.mnl.iter() {
-                        if !purged.contains(&t) && self.knows_completed(&t) {
-                            purged.push(t);
-                        }
-                    }
+        for (_, row) in self.nsit.iter() {
+            for t in row.mnl.iter() {
+                if !purged.contains(&t) && self.knows_completed(&t) {
+                    purged.push(t);
                 }
             }
         }
@@ -132,25 +82,6 @@ impl Si {
             self.nsit.delete_everywhere(t);
         }
         purged
-    }
-
-    /// Per-node `(home row ts, home row's own tuple)` for the O(1)
-    /// completion-evidence check — valid only under Lemma 1 (at most one
-    /// tuple of node j in row j). Returns `None` when that invariant is
-    /// violated so callers can fall back to exact probes.
-    fn home_facts(&self) -> Option<Vec<(u64, Option<ReqTuple>)>> {
-        let mut home: Vec<(u64, Option<ReqTuple>)> = Vec::with_capacity(self.nsit.n());
-        for (j, row) in self.nsit.iter() {
-            let mut own: Option<ReqTuple> = None;
-            for t in row.mnl.iter().filter(|t| t.node == j) {
-                if own.is_some() {
-                    return None;
-                }
-                own = Some(t);
-            }
-            home.push((row.ts, own));
-        }
-        Some(home)
     }
 
     /// Post-merge normalization: removes ordered tuples from every MNL
@@ -387,10 +318,9 @@ mod tests {
 
     #[test]
     fn purge_survives_lemma1_violation() {
-        // Corrupt state: row 1 holds TWO of its own tuples. The fast path's
-        // precomputed own-tuple would see only <1,1> and wrongly purge the
-        // live <1,2>; the guard must route to the exact probe, which keeps
-        // any tuple still listed in its home row.
+        // Corrupt state: row 1 holds TWO of its own tuples. A cached
+        // own-tuple would see only <1,1> and wrongly purge the live <1,2>;
+        // the exact probe keeps any tuple still listed in its home row.
         let mut si = Si::new(3);
         let row1 = si.nsit.row_mut(NodeId::new(1));
         row1.ts = 2;

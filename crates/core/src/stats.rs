@@ -40,6 +40,11 @@ pub struct RcvNodeStats {
     pub restarts: u64,
     /// Revival Messages received from restarted peers.
     pub rvs_received: u64,
+    /// Messages dropped unread because they were not meant for this node:
+    /// an MSIT sized for a system of another `N`, an IM naming another node
+    /// as predecessor, an RM of this node's own request. Reachable only
+    /// from decoded input; expected 0.
+    pub misdelivered: u64,
 }
 
 impl RcvNodeStats {
@@ -54,9 +59,10 @@ impl RcvNodeStats {
     /// votes peers registered at it, so an in-flight RM can legitimately
     /// run out of unvisited nodes without ordering (Lemma 3 assumes no vote
     /// loss); the retransmission extension re-campaigns and liveness
-    /// recovers. Lemma 6 violations are anomalous in every regime.
+    /// recovers. Lemma 6 violations and misdelivered messages are
+    /// anomalous in every regime.
     pub fn anomalies_under(&self, restartable: bool) -> u64 {
-        self.lemma6_violations + if restartable { 0 } else { self.ul_exhausted }
+        self.lemma6_violations + self.misdelivered + if restartable { 0 } else { self.ul_exhausted }
     }
 }
 

@@ -101,18 +101,18 @@ proptest! {
     /// consistent request set (arbitrary subsets in arbitrary orders).
     #[test]
     fn order_structural_invariants(
-        ts_by_node in vec(1u64..6, 5),
+        req_ts in vec(1u64..6, 5),
         rows in vec(vec((0u32..5, any::<bool>()), 0..5), 5),
         home_node in 0u32..5,
     ) {
-        let home = ReqTuple::new(NodeId::new(home_node), ts_by_node[home_node as usize]);
+        let home = ReqTuple::new(NodeId::new(home_node), req_ts[home_node as usize]);
         let mut si = Si::new(5);
         for (r, picks) in rows.iter().enumerate() {
             let row = si.nsit.row_mut(NodeId::new(r as u32));
             row.ts = 1;
             for &(node, include) in picks {
                 if include {
-                    row.mnl.push(ReqTuple::new(NodeId::new(node), ts_by_node[node as usize]));
+                    row.mnl.push(ReqTuple::new(NodeId::new(node), req_ts[node as usize]));
                 }
             }
         }

@@ -4,13 +4,13 @@
 //! being FIFO, exactly the property the RCV algorithm claims not to need)
 //! and, optionally, wire-level faults mirroring the simulator's
 //! `FaultPlan`: message loss, duplicated delivery and per-endpoint
-//! straggler slowdowns, all applied by the network thread.
+//! straggler slowdowns, all applied by the calling thread as it routes.
 //!
 //! Topology:
 //!
 //! ```text
 //! node thread 0 ─┐                        ┌─▶ node inbox 0
-//! node thread 1 ─┼─▶ network thread ──────┼─▶ node inbox 1
+//! node thread 1 ─┼─▶ calling thread ──────┼─▶ node inbox 1
 //!      ...       │   (delay heap,         └─▶ ...
 //! node thread N ─┘    loss/dup/straggler)
 //! ```
@@ -19,22 +19,25 @@
 //! requests, executes the CS by *sleeping* for `cs_duration` (registering
 //! entry/exit with the shared [`CsChecker`]), and keeps serving protocol
 //! messages between and after its own requests until the whole cluster is
-//! done. Every cluster thread registers a [`crate::watchdog::StatusCell`],
-//! so a deadlocked run can be post-mortemed with
+//! done. The caller of [`run_cluster_collecting`] serves the delay queue
+//! itself — a run creates exactly `n` threads. Every cluster thread, the
+//! caller included, registers a [`crate::watchdog::StatusCell`], so a
+//! deadlocked run can be post-mortemed with
 //! [`crate::watchdog::thread_dump`].
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{unbounded, RecvTimeoutError};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use rcv_simnet::{DelayModel, FaultPlan, MutexProtocol, NodeId, SimDuration};
 
 use crate::checker::CsChecker;
-use crate::node::{NodeDriver, NodeOutcome, NodeParams};
+use crate::node::{NodeDriver, NodeParams};
 use crate::spec::{ticks, Spec};
 use crate::transport::chan::{ChanTransport, Packet, Submitted};
+use crate::transport::frame::WorkerReport;
 use crate::transport::netq::FaultQueue;
 use crate::watchdog::StatusCell;
 
@@ -98,12 +101,12 @@ impl NetDelay {
     }
 }
 
-/// Wire-level fault injection, applied at the fabric boundary (network
-/// thread or hub) — what a `rcv_simnet::FaultPlan` renders to on the real
+/// Wire-level fault injection, applied at the fabric boundary (the thread
+/// tier's caller or the hub) — what a `rcv_simnet::FaultPlan` renders to on the real
 /// tiers (`WireFaults::try_from(&plan)`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WireFaults {
-    /// Every `k`-th message crossing the network thread is dropped.
+    /// Every `k`-th message crossing the fabric is dropped.
     pub loss_every: Option<u64>,
     /// Every `k`-th delivered message is delivered twice (the duplicate
     /// arrives later, after an extra delay).
@@ -254,7 +257,7 @@ pub struct ClusterReport {
     /// (`rcv_core::RcvNodeStats::anomalies_under`; 0 for protocols without
     /// the notion).
     pub anomalies: u64,
-    /// Messages that crossed the network thread.
+    /// Messages the nodes submitted to the fabric.
     pub messages: u64,
     /// Messages dropped by wire-level loss injection.
     pub lost: u64,
@@ -276,6 +279,37 @@ impl ClusterReport {
     pub fn is_clean(&self, expected: u64) -> bool {
         !self.timed_out && self.violations == 0 && self.anomalies == 0 && self.completed == expected
     }
+
+    /// Folds a finished run into its report: the nodes' own counters, the
+    /// CS checker's `(entries, violations)`, the delay queue's fault
+    /// counters and whether the deadline cut the run short.
+    pub(crate) fn fold<'a, T>(
+        nodes: impl Iterator<Item = &'a WorkerReport>,
+        (cs_entries, violations): (u64, u64),
+        q: &FaultQueue<T>,
+        timed_out: bool,
+    ) -> Self {
+        let mut report = ClusterReport {
+            cs_entries,
+            violations,
+            lost: q.lost,
+            duplicated: q.duplicated,
+            // The queue black-holes in-window deliveries; the node-side
+            // inbox drain at the crash instant adds the already-delivered
+            // ones.
+            crash_dropped: q.crash_dropped,
+            timed_out,
+            ..ClusterReport::default()
+        };
+        for r in nodes {
+            report.completed += r.completed;
+            report.anomalies += r.anomalies;
+            report.messages += r.messages;
+            report.crash_dropped += r.crash_dropped;
+            report.restarts += r.restarts;
+        }
+        report
+    }
 }
 
 /// Runs a cluster of `spec.n` protocol nodes to completion and hands
@@ -283,6 +317,11 @@ impl ClusterReport {
 /// order) — the runtime analogue of the simulator's
 /// `Engine::run_collecting`, used e.g. to read RCV's internal anomaly
 /// counters after a real-thread run.
+///
+/// The calling thread is the fabric: it routes every message through the
+/// `FaultQueue` until each node has announced `Done`, then shuts the
+/// nodes down — the life cycle of [`crate::orchestrator`]'s hub, over
+/// channels.
 pub fn run_cluster_collecting<P>(
     spec: ClusterSpec<P::Message>,
     mut make_node: impl FnMut(NodeId, usize) -> P,
@@ -293,178 +332,87 @@ where
     assert!(spec.n >= 1);
     let n = spec.n;
     let checker = Arc::new(CsChecker::new());
-
-    // Inboxes.
-    let mut inbox_tx = Vec::with_capacity(n);
-    let mut inbox_rx = Vec::with_capacity(n);
-    for _ in 0..n {
-        let (tx, rx) = unbounded::<Packet<P::Message>>();
-        inbox_tx.push(tx);
-        inbox_rx.push(rx);
-    }
-
     let start = Instant::now();
-    let crash_win = spec.crash_window(start);
-
-    // Network thread.
-    let (net_tx, net_rx) = unbounded::<Submitted<P::Message>>();
-    let net_out: Vec<Sender<Packet<P::Message>>> = inbox_tx.clone();
-    let hook = spec.ext.clone();
-    let faults = spec.faults;
-    let net_handle = std::thread::Builder::new()
-        .name("rcv-net".into())
-        .spawn(move || network_thread(net_rx, net_out, hook, faults, crash_win))
-        .expect("spawn network thread");
-
-    // Done notifications.
-    let (done_tx, done_rx) = unbounded::<NodeId>();
 
     // Node threads: each runs the transport-generic driver over the
     // channel fabric.
+    let (net_tx, net_rx) = unbounded::<Submitted<P::Message>>();
+    let mut inboxes = Vec::with_capacity(n);
     let mut handles = Vec::with_capacity(n);
-    for ((idx, rx), seed) in inbox_rx.into_iter().enumerate().zip(spec.node_seeds()) {
+    for (idx, seed) in spec.node_seeds().into_iter().enumerate() {
         let me = NodeId::new(idx as u32);
-        let proto = make_node(me, n);
-        let rng = SmallRng::seed_from_u64(seed);
-        let transport = ChanTransport::new(me, net_tx.clone(), rx, done_tx.clone());
-        let params = NodeParams {
-            rounds: spec.rounds,
-            think: spec.think,
-            cs_duration: spec.cs_duration,
-            delay: spec.delay,
-            tick: spec.tick,
-            start,
-            crash: crash_win
-                .filter(|&(node, _, _)| node == idx)
-                .map(|(_, down, up)| (down, up)),
-        };
+        let (tx, rx) = unbounded::<Packet<P::Message>>();
+        inboxes.push(tx);
         let driver = NodeDriver::new(
             me,
-            proto,
-            transport,
+            make_node(me, n),
+            ChanTransport::new(me, net_tx.clone(), rx),
             Arc::clone(&checker),
-            rng,
-            params,
+            SmallRng::seed_from_u64(seed),
+            NodeParams::new(
+                spec.rounds,
+                spec.think,
+                spec.cs_duration,
+                spec.delay,
+                spec.tick,
+                start,
+                spec.crash_ticks(idx),
+            ),
             StatusCell::register(format!("rcv-node-{idx}")),
         );
         handles.push(
             std::thread::Builder::new()
                 .name(format!("rcv-node-{idx}"))
                 .spawn(move || {
-                    let (proto, _transport, outcome) = driver.run();
-                    (proto, outcome)
+                    let (proto, _transport, report) = driver.run();
+                    (proto, report)
                 })
                 .expect("spawn node thread"),
         );
     }
     drop(net_tx);
-    drop(done_tx);
 
-    // Wait for every node to finish its rounds (or time out).
-    let deadline = Instant::now() + spec.timeout;
-    let mut finished = 0usize;
-    let mut timed_out = false;
-    while finished < n {
-        let now = Instant::now();
-        if now >= deadline {
-            timed_out = true;
-            break;
-        }
-        match done_rx.recv_timeout(deadline - now) {
-            Ok(_) => finished += 1,
-            Err(RecvTimeoutError::Timeout) => {
-                timed_out = true;
-                break;
-            }
-            Err(RecvTimeoutError::Disconnected) => break,
-        }
-    }
-
-    // Tear down: stop node threads, then the network drains and exits.
-    // Node panics (protocol bugs, codec failures) must surface, not be
-    // swallowed into a mystery timeout.
-    for tx in &inbox_tx {
-        let _ = tx.send(Packet::Shutdown);
-    }
-    let mut nodes = Vec::with_capacity(n);
-    let mut totals = NodeOutcome::default();
-    for h in handles {
-        match h.join() {
-            Ok((proto, out)) => {
-                nodes.push(proto);
-                totals.completed += out.completed;
-                totals.messages += out.messages;
-                totals.crash_dropped += out.crash_dropped;
-                totals.restarts += out.restarts;
-            }
-            Err(panic) => std::panic::resume_unwind(panic),
-        }
-    }
-    let (lost, duplicated, net_crash_dropped) = match net_handle.join() {
-        Ok(counters) => counters,
-        Err(panic) => std::panic::resume_unwind(panic),
-    };
-
-    let report = ClusterReport {
-        completed: totals.completed,
-        cs_entries: checker.entries(),
-        violations: checker.violations(),
-        anomalies: 0,
-        messages: totals.messages,
-        lost,
-        duplicated,
-        // The network black-holes in-window deliveries; the node-side
-        // inbox drain at the crash instant adds the already-delivered ones.
-        crash_dropped: net_crash_dropped + totals.crash_dropped,
-        restarts: totals.restarts,
-        timed_out,
-    };
-    (report, nodes)
-}
-
-/// Routes node-submitted messages through the shared [`FaultQueue`]
-/// (delays, loss, duplication, stragglers, crash-window black-holing) and
-/// delivers what survives. Returns `(lost, duplicated, crash_dropped)`.
-fn network_thread<M: Clone>(
-    rx: Receiver<Submitted<M>>,
-    out: Vec<Sender<Packet<M>>>,
-    hook: Option<WireHook<M>>,
-    faults: WireFaults,
-    crash_win: Option<(usize, Instant, Instant)>,
-) -> (u64, u64, u64) {
+    // Serve: deliver what is due, then wait on the one inbound channel
+    // until the next delivery falls due or the deadline passes.
     let status = StatusCell::register("rcv-net");
-    let mut q: FaultQueue<M> = FaultQueue::new(faults, crash_win);
-    let mut disconnected = false;
-    loop {
-        // Deliver everything due.
+    let mut q: FaultQueue<P::Message> = FaultQueue::new(spec.faults, spec.crash_window(start));
+    let deadline = Instant::now() + spec.timeout;
+    let mut done = 0usize;
+    let timed_out = loop {
         let now = Instant::now();
         while let Some((from, to, msg)) = q.pop_due(now) {
-            let msg = match &hook {
-                Some(h) => h(msg),
+            let msg = match &spec.ext {
+                Some(hook) => hook(msg),
                 None => msg,
             };
             status.bump();
-            // A closed inbox just means that node already shut down.
-            let _ = out[to].send(Packet::Msg {
+            // A closed inbox just means that node's thread is gone.
+            let _ = inboxes[to].send(Packet::Msg {
                 from: NodeId::new(from as u32),
                 msg,
             });
         }
-        if disconnected && q.is_empty() {
-            return (q.lost, q.duplicated, q.crash_dropped);
+        if done == n {
+            break false;
+        }
+        if now >= deadline {
+            break true;
         }
         let wait = q
             .next_due()
             .map(|due| due.saturating_duration_since(Instant::now()))
-            .unwrap_or(Duration::from_millis(50));
-        if disconnected {
-            std::thread::sleep(wait);
-            continue;
-        }
-        match rx.recv_timeout(wait.max(Duration::from_micros(100))) {
-            Ok(Submitted { env, delay }) => {
+            .unwrap_or(Duration::from_millis(50))
+            .max(Duration::from_micros(100))
+            .min(deadline - now);
+        match net_rx.recv_timeout(wait) {
+            Ok(Submitted::Msg {
+                from,
+                to,
+                msg,
+                delay,
+            }) => {
                 status.bump();
-                q.submit(env.from.index(), env.to.index(), delay, env.msg);
+                q.submit(from.index(), to.index(), delay, msg);
                 // Periodic status only: formatting per message would put
                 // an allocation in the cluster's single serialization
                 // point (StatusCell's own contract: transitions, not
@@ -473,15 +421,44 @@ fn network_thread<M: Clone>(
                     status.set(format!("in-flight {} (seen {})", q.in_flight(), q.seen()));
                 }
             }
+            Ok(Submitted::Done) => done += 1,
             Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => disconnected = true,
+            // Every node thread is gone without being told to: they
+            // panicked, and the joins below say how.
+            Err(RecvTimeoutError::Disconnected) => break false,
+        }
+    };
+
+    // Tear down. Node panics (protocol bugs, codec failures) must surface,
+    // not be swallowed into a mystery timeout.
+    status.set("shutting down");
+    for tx in &inboxes {
+        let _ = tx.send(Packet::Shutdown);
+    }
+    let mut nodes = Vec::with_capacity(n);
+    let mut reports = Vec::with_capacity(n);
+    for h in handles {
+        match h.join() {
+            Ok((proto, report)) => {
+                nodes.push(proto);
+                reports.push(report);
+            }
+            Err(panic) => std::panic::resume_unwind(panic),
         }
     }
+    let report = ClusterReport::fold(
+        reports.iter(),
+        (checker.entries(), checker.violations()),
+        &q,
+        timed_out,
+    );
+    (report, nodes)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rcv_baselines::RicartAgrawala;
 
     #[test]
     fn net_delay_samples_stay_in_range() {
@@ -521,5 +498,42 @@ mod tests {
     #[should_panic(expected = "loss period")]
     fn zero_loss_period_is_rejected() {
         let _ = WireFaults::none().with_loss(0);
+    }
+
+    #[test]
+    fn total_loss_stalls_into_a_timeout_verdict() {
+        // Every message is dropped, so no reply ever arrives: the serving
+        // loop must give up at the soft deadline, not hang or spin.
+        let timeout = Duration::from_millis(300);
+        let started = Instant::now();
+        let report = crate::run_with_watchdog("thread-stall", Duration::from_secs(30), move || {
+            let spec = ClusterSpec::quick(2, 1)
+                .faults(WireFaults::none().with_loss(1))
+                .timeout(timeout);
+            run_cluster_collecting(spec, RicartAgrawala::new).0
+        });
+        assert!(report.timed_out, "{report:?}");
+        assert_eq!((report.completed, report.violations), (0, 0), "{report:?}");
+        assert!(
+            report.lost > 0 && report.lost == report.messages,
+            "{report:?}"
+        );
+        let elapsed = started.elapsed();
+        assert!(
+            elapsed >= timeout && elapsed < Duration::from_secs(10),
+            "{elapsed:?}"
+        );
+    }
+
+    #[test]
+    fn zero_rounds_cluster_returns_clean_at_once() {
+        // Every node is `Done` before any message exists.
+        let spec = ClusterSpec::quick(3, 1).rounds(0);
+        let timeout = spec.timeout;
+        let started = Instant::now();
+        let (report, nodes) = run_cluster_collecting(spec, RicartAgrawala::new);
+        assert!(report.is_clean(0), "{report:?}");
+        assert_eq!((report.messages, nodes.len()), (0, 3));
+        assert!(started.elapsed() < timeout / 10, "{:?}", started.elapsed());
     }
 }

@@ -5,7 +5,7 @@
 //! drive the same node loop over the [`Transport`] trait:
 //!
 //! * **threads** ([`run_cluster_collecting`]): every node is an OS thread with a
-//!   crossbeam-channel inbox; a network thread injects per-message random
+//!   crossbeam-channel inbox; the calling thread injects per-message random
 //!   delays (making channels non-FIFO, the condition the RCV paper claims
 //!   to tolerate) and wire-level faults;
 //! * **processes** ([`orchestrator`]): every node is a worker process

@@ -1,8 +1,7 @@
 //! The transport-generic node driver: one protocol state machine driven
 //! over any [`Transport`].
 //!
-//! This is the loop that used to be welded to the threaded cluster's
-//! channels. It owns the node's workload (issue `rounds` CS requests,
+//! It owns the node's workload (issue `rounds` CS requests,
 //! think between them), materializes protocol intents (outbound messages
 //! with node-sampled delays, one-shot timers, CS entry), executes the CS
 //! by sleeping while registered with a [`CsProbe`], and serves this
@@ -16,30 +15,48 @@ use rcv_simnet::{Ctx, MutexProtocol, NodeId, RestartOutcome, SimDuration, SimTim
 
 use crate::checker::CsProbe;
 use crate::cluster::NetDelay;
+use crate::spec::ticks;
+use crate::transport::frame::WorkerReport;
 use crate::transport::{RecvOutcome, Transport};
 use crate::watchdog::StatusCell;
 
 /// Workload and timing parameters for one node (fabric-independent).
 pub(crate) struct NodeParams {
-    pub(crate) rounds: u32,
-    pub(crate) think: Duration,
-    pub(crate) cs_duration: Duration,
-    pub(crate) delay: NetDelay,
+    rounds: u32,
+    think: Duration,
+    cs_duration: Duration,
+    delay: NetDelay,
     /// Wall-clock length of one simulator tick (timer/clock scale).
-    pub(crate) tick: Duration,
+    tick: Duration,
     /// Anchor of the node's tick clock and crash window.
-    pub(crate) start: Instant,
+    start: Instant,
     /// This node's crash window `(down, up)`, if any.
-    pub(crate) crash: Option<(Instant, Instant)>,
+    crash: Option<(Instant, Instant)>,
 }
 
-/// What one node observed, summed into the cluster report by the caller.
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct NodeOutcome {
-    pub(crate) completed: u64,
-    pub(crate) messages: u64,
-    pub(crate) crash_dropped: u64,
-    pub(crate) restarts: u64,
+impl NodeParams {
+    /// `crash_ticks` is this node's crash window `(down, up)` in ticks
+    /// from `start` ([`crate::Spec::crash_ticks`]).
+    pub(crate) fn new(
+        rounds: u32,
+        think: Duration,
+        cs_duration: Duration,
+        delay: NetDelay,
+        tick: Duration,
+        start: Instant,
+        crash_ticks: Option<(u64, u64)>,
+    ) -> Self {
+        NodeParams {
+            rounds,
+            think,
+            cs_duration,
+            delay,
+            tick,
+            start,
+            crash: crash_ticks
+                .map(|(down, up)| (start + ticks(tick, down), start + ticks(tick, up))),
+        }
+    }
 }
 
 pub(crate) struct NodeDriver<P: MutexProtocol, T, C> {
@@ -53,7 +70,9 @@ pub(crate) struct NodeDriver<P: MutexProtocol, T, C> {
     timers: Vec<(Instant, u64)>,
     /// Whether the crash window has already been served.
     crash_done: bool,
-    out: NodeOutcome,
+    /// This node's counters (`anomalies` stays 0 here: reading it needs
+    /// the protocol's concrete type, which the caller has).
+    out: WorkerReport,
     /// Watchdog slot: state transitions are recorded here so a hung run
     /// can be diagnosed from [`crate::watchdog::thread_dump`].
     status: StatusCell,
@@ -83,7 +102,10 @@ where
             params,
             timers: Vec::new(),
             crash_done: false,
-            out: NodeOutcome::default(),
+            out: WorkerReport {
+                node: me.raw(),
+                ..WorkerReport::default()
+            },
             status,
         }
     }
@@ -243,7 +265,7 @@ where
     /// Drives the node to cluster shutdown; returns the final protocol
     /// state, the transport (so callers can speak after-run control
     /// traffic on it) and the node's counters.
-    pub(crate) fn run(mut self) -> (P, T, NodeOutcome) {
+    pub(crate) fn run(mut self) -> (P, T, WorkerReport) {
         let mut remaining = self.params.rounds;
         let mut waiting_grant = false;
         let mut next_request: Option<Instant> = (remaining > 0).then(Instant::now);

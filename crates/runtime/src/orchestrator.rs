@@ -21,10 +21,9 @@
 //!    It then reads only the sockets reported ready and flushes only the
 //!    slots with queued output, so an idle cluster costs no CPU and a
 //!    `Send` is read the moment it arrives. `Send` frames are routed
-//!    through the same `FaultQueue` (in `transport::netq`) the in-process
-//!    network thread uses, so
-//!    loss/duplication/straggler/crash-window semantics are identical
-//!    across backends. Output toward a worker is bounded by
+//!    through the same `FaultQueue` (in `transport::netq`) the thread tier
+//!    serves, so loss/duplication/straggler/crash-window semantics are
+//!    identical across backends. Output toward a worker is bounded by
 //!    [`OUTBUF_CAP`]: a worker that stops reading is written off (and
 //!    named in `faults`, see [`OVER_CAP_FAULT`]) instead of growing the
 //!    hub. Mutual exclusion is checked *post hoc* by replaying
@@ -55,7 +54,7 @@ use rcv_simnet::{MutexProtocol, NodeId};
 use crate::checker::{replay_cs_log, CsLogProbe};
 use crate::cluster::ClusterReport;
 use crate::node::{NodeDriver, NodeParams};
-use crate::spec::{ticks, Spec};
+use crate::spec::Spec;
 use crate::transport::frame::{
     encode_frame, encode_frame_into, validate_hello, CtrlFrame, FrameBuf, WorkerConfig,
     WorkerReport, MAX_FRAME,
@@ -113,8 +112,10 @@ pub struct ProcessReport {
     /// Fatal wire errors reported by workers, with the reporting node.
     /// Each detail is a rendered [`crate::wire::WireError`], already
     /// protocol/variant-framed (e.g. `"RCV/Rm: truncated message"`).
-    /// A worker the hub wrote off at [`OUTBUF_CAP`] is listed here too,
-    /// with [`OVER_CAP_FAULT`] as its detail.
+    /// The hub's own findings about a worker are listed here too: one
+    /// written off at [`OUTBUF_CAP`] (detail [`OVER_CAP_FAULT`]), a
+    /// corrupt control frame, a `Send` addressed to a node the cluster
+    /// does not have.
     pub faults: Vec<(u32, String)>,
     /// Nodes whose process vanished before sending its report.
     pub crashed: Vec<u32>,
@@ -344,6 +345,8 @@ impl Slot {
                 })) => {
                     if (to as usize) < n {
                         q.submit(i, to as usize, Duration::from_micros(delay_us), payload);
+                    } else {
+                        faults.push((i as u32, format!("hub: Send addressed to node {to} of {n}")));
                     }
                 }
                 Ok(Some(CtrlFrame::Done { .. })) => self.done = true,
@@ -520,11 +523,7 @@ pub fn run_process_cluster(
             tick_us: spec.tick.as_micros().max(1) as u64,
             seed: seeds[i],
             delay: spec.delay,
-            crash: spec
-                .faults
-                .crash_restart
-                .filter(|&(node, _, _)| node as usize == i)
-                .map(|(_, down, up)| (down, up)),
+            crash: spec.crash_ticks(i),
             retry: spec.retry,
             restartable: spec.faults.crash_restart.is_some(),
             cs_log: cs_log.display().to_string(),
@@ -699,19 +698,12 @@ pub fn run_process_cluster(
         .filter(|(_, s)| s.report.is_none() && s.eof)
         .map(|(i, _)| i as u32)
         .collect();
-    let sum = |f: fn(&WorkerReport) -> u64| reports.iter().flatten().map(f).sum::<u64>();
-    let report = ClusterReport {
-        completed: sum(|r| r.completed),
-        cs_entries,
-        violations,
-        anomalies: sum(|r| r.anomalies),
-        messages: sum(|r| r.messages),
-        lost: q.lost,
-        duplicated: q.duplicated,
-        crash_dropped: q.crash_dropped + sum(|r| r.crash_dropped),
-        restarts: sum(|r| r.restarts),
+    let report = ClusterReport::fold(
+        reports.iter().flatten(),
+        (cs_entries, violations),
+        &q,
         timed_out,
-    };
+    );
     Ok(ProcessReport {
         report,
         reports,
@@ -766,19 +758,15 @@ where
     let me = NodeId::new(node);
     let proto = make_node(me, cfg.n as usize, &cfg);
     let rng = SmallRng::seed_from_u64(cfg.seed);
-    let tick = Duration::from_micros(cfg.tick_us.max(1));
-    let start = Instant::now();
-    let params = NodeParams {
-        rounds: cfg.rounds,
-        think: Duration::from_micros(cfg.think_us),
-        cs_duration: Duration::from_micros(cfg.cs_us),
-        delay: cfg.delay,
-        tick,
-        start,
-        crash: cfg
-            .crash
-            .map(|(down, up)| (start + ticks(tick, down), start + ticks(tick, up))),
-    };
+    let params = NodeParams::new(
+        cfg.rounds,
+        Duration::from_micros(cfg.think_us),
+        Duration::from_micros(cfg.cs_us),
+        cfg.delay,
+        Duration::from_micros(cfg.tick_us.max(1)),
+        Instant::now(),
+        cfg.crash,
+    );
     let transport: SocketTransport<P::Message> = SocketTransport::new(me, stream, fb);
     let driver = NodeDriver::new(
         me,
@@ -789,16 +777,10 @@ where
         params,
         StatusCell::register(format!("rcv-worker-{node}")),
     );
-    let (proto, mut transport, out) = driver.run();
+    let (proto, mut transport, mut report) = driver.run();
+    report.anomalies = anomalies(&proto, &cfg);
     let fatal = transport.fatal_error().map(|e| e.to_string());
-    let _ = transport.send_frame(&CtrlFrame::Report(WorkerReport {
-        node,
-        completed: out.completed,
-        messages: out.messages,
-        crash_dropped: out.crash_dropped,
-        restarts: out.restarts,
-        anomalies: anomalies(&proto, &cfg),
-    }));
+    let _ = transport.send_frame(&CtrlFrame::Report(report));
     match fatal {
         Some(e) => Err(format!("wire fault: {e}")),
         None => Ok(()),

@@ -99,6 +99,27 @@ mod tests {
     }
 
     #[test]
+    fn bodies_sized_for_another_system_surface_as_anomalies() {
+        // A tampering hook swaps every message for one whose body has
+        // three rows; the two nodes must drop them unread (not index past
+        // their own two), so nobody is ever granted the CS and the report
+        // says why.
+        let foreign = rcv_core::MsgBody::snapshot(&rcv_core::Nonl::new(), &rcv_core::Nsit::new(3));
+        let spec = ClusterSpec::quick(2, 11)
+            .timeout(Duration::from_millis(300))
+            .wire_hook(std::sync::Arc::new(move |_| rcv_core::RcvMessage::Rv {
+                body: foreign.clone(),
+            }));
+        let r = run_rcv_cluster(spec, RcvConfig::paper());
+        assert!(
+            r.timed_out && r.completed == 0 && r.violations == 0,
+            "{r:?}"
+        );
+        assert_eq!(r.anomalies, r.messages, "{r:?}");
+        assert!(r.anomalies > 0, "{r:?}");
+    }
+
+    #[test]
     fn crashed_holder_is_evicted_and_resumes_after_restart() {
         // A single node enters the CS at ~0ms and would hold it for 20ms;
         // the crash window (10ms..30ms at a 1ms tick) kills it mid-hold.

@@ -38,8 +38,8 @@ pub struct Spec<X> {
     pub cs_duration: Duration,
     /// Per-message network delay model.
     pub delay: NetDelay,
-    /// Wire-level fault injection, applied at the fabric boundary (network
-    /// thread or hub).
+    /// Wire-level fault injection, applied at the fabric boundary (the
+    /// thread tier's caller or the hub).
     pub faults: WireFaults,
     /// Wall-clock length of one simulator tick: protocol timers armed via
     /// `Ctx::set_timer`, the `Ctx::now()` clock and the crash window all
@@ -167,6 +167,15 @@ impl<X> Spec<X> {
     pub(crate) fn node_seeds(&self) -> Vec<u64> {
         let mut seeder = SmallRng::seed_from_u64(self.seed);
         (0..self.n).map(|_| seeder.gen()).collect()
+    }
+
+    /// Node `i`'s crash window `(down, up)` in ticks from the run's start,
+    /// if `i` is the node that crashes.
+    pub(crate) fn crash_ticks(&self, i: usize) -> Option<(u64, u64)> {
+        self.faults
+            .crash_restart
+            .filter(|&(node, _, _)| node as usize == i)
+            .map(|(_, down, up)| (down, up))
     }
 
     /// The crash window `(node, down, up)` in wall-clock terms. `start`

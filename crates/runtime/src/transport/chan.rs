@@ -1,6 +1,7 @@
 //! The in-process channel fabric: each node holds a crossbeam inbox and a
-//! sender into the shared network thread. This is the original threaded
-//! cluster's plumbing, now behind the [`Transport`] trait.
+//! sender into the one channel the cluster's serving thread reads. This is
+//! the original threaded cluster's plumbing, behind the [`Transport`]
+//! trait.
 
 use std::time::Duration;
 
@@ -9,60 +10,48 @@ use rcv_simnet::NodeId;
 
 use super::{RecvOutcome, Transport, TransportClosed};
 
-/// A routed protocol message.
-pub(crate) struct Envelope<M> {
-    pub(crate) from: NodeId,
-    pub(crate) to: NodeId,
-    pub(crate) msg: M,
+/// What a node sends up to the serving thread.
+pub(crate) enum Submitted<M> {
+    /// A protocol message to route: the sampled base delay is applied (and
+    /// possibly stretched, dropped or doubled) by the delay queue.
+    Msg {
+        from: NodeId,
+        to: NodeId,
+        msg: M,
+        delay: Duration,
+    },
+    /// The sending node has completed all its rounds.
+    Done,
 }
 
-/// What a node hands the network thread: the sampled base delay is
-/// applied (and possibly stretched, dropped or doubled) network-side.
-pub(crate) struct Submitted<M> {
-    pub(crate) env: Envelope<M>,
-    pub(crate) delay: Duration,
-}
-
-/// What the network thread (or the coordinator) puts in a node's inbox.
+/// What the serving thread puts in a node's inbox.
 pub(crate) enum Packet<M> {
     Msg { from: NodeId, msg: M },
     Shutdown,
 }
 
-/// The channel-backed [`Transport`]: node ⇄ network-thread plumbing of
-/// the in-process cluster.
+/// The channel-backed [`Transport`]: node ⇄ serving-thread plumbing of the
+/// in-process cluster.
 pub struct ChanTransport<M> {
     me: NodeId,
     net_tx: Sender<Submitted<M>>,
     rx: Receiver<Packet<M>>,
-    done_tx: Sender<NodeId>,
 }
 
 impl<M> ChanTransport<M> {
-    pub(crate) fn new(
-        me: NodeId,
-        net_tx: Sender<Submitted<M>>,
-        rx: Receiver<Packet<M>>,
-        done_tx: Sender<NodeId>,
-    ) -> Self {
-        ChanTransport {
-            me,
-            net_tx,
-            rx,
-            done_tx,
-        }
+    pub(crate) fn new(me: NodeId, net_tx: Sender<Submitted<M>>, rx: Receiver<Packet<M>>) -> Self {
+        ChanTransport { me, net_tx, rx }
     }
 }
 
 impl<M: Send> Transport<M> for ChanTransport<M> {
     fn send(&mut self, to: NodeId, msg: M, delay: Duration) -> Result<(), TransportClosed> {
+        let from = self.me;
         self.net_tx
-            .send(Submitted {
-                env: Envelope {
-                    from: self.me,
-                    to,
-                    msg,
-                },
+            .send(Submitted::Msg {
+                from,
+                to,
+                msg,
                 delay,
             })
             .map_err(|_| TransportClosed)
@@ -79,6 +68,6 @@ impl<M: Send> Transport<M> for ChanTransport<M> {
     }
 
     fn notify_done(&mut self) {
-        let _ = self.done_tx.send(self.me);
+        let _ = self.net_tx.send(Submitted::Done);
     }
 }

@@ -28,7 +28,7 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 use rcv_simnet::RetryPolicy;
 
 use crate::cluster::NetDelay;
-use crate::wire::WireError;
+use crate::wire::{get_flag, get_u16, get_u32, get_u64, get_u8, need, WireError};
 
 /// Protocol tag used in [`WireError::Framed`] contexts for this codec.
 pub const CTRL_PROTOCOL: &str = "hub-ctl";
@@ -162,29 +162,10 @@ fn put_str(buf: &mut Vec<u8>, s: &str) {
 }
 
 fn get_str(buf: &mut Bytes) -> Result<String, WireError> {
-    if buf.remaining() < 2 {
-        return Err(WireError::Truncated);
-    }
-    let len = buf.get_u16() as usize;
-    if buf.remaining() < len {
-        return Err(WireError::Truncated);
-    }
+    let len = get_u16(buf)? as usize;
+    need(buf, len)?;
     let raw = buf.split_to(len);
     String::from_utf8(raw.as_slice().to_vec()).map_err(|_| WireError::Malformed("non-UTF-8 string"))
-}
-
-fn get_u32(buf: &mut Bytes) -> Result<u32, WireError> {
-    if buf.remaining() < 4 {
-        return Err(WireError::Truncated);
-    }
-    Ok(buf.get_u32())
-}
-
-fn get_u64(buf: &mut Bytes) -> Result<u64, WireError> {
-    if buf.remaining() < 8 {
-        return Err(WireError::Truncated);
-    }
-    Ok(buf.get_u64())
 }
 
 fn put_delay(buf: &mut Vec<u8>, delay: &NetDelay) {
@@ -208,9 +189,7 @@ fn put_delay(buf: &mut Vec<u8>, delay: &NetDelay) {
 }
 
 fn get_delay(buf: &mut Bytes) -> Result<NetDelay, WireError> {
-    if buf.remaining() < 17 {
-        return Err(WireError::Truncated);
-    }
+    need(buf, 17)?;
     let tag = buf.get_u8();
     let a = std::time::Duration::from_micros(buf.get_u64());
     let b = std::time::Duration::from_micros(buf.get_u64());
@@ -258,17 +237,6 @@ fn put_config(buf: &mut Vec<u8>, cfg: &WorkerConfig) {
     }
     buf.put_u8(cfg.restartable as u8);
     put_str(buf, &cfg.cs_log);
-}
-
-fn get_flag(buf: &mut Bytes) -> Result<bool, WireError> {
-    if buf.remaining() < 1 {
-        return Err(WireError::Truncated);
-    }
-    match buf.get_u8() {
-        0 => Ok(false),
-        1 => Ok(true),
-        t => Err(WireError::BadTag(t)),
-    }
 }
 
 fn get_config(buf: &mut Bytes) -> Result<WorkerConfig, WireError> {
@@ -403,10 +371,7 @@ pub(crate) fn encode_frame_into(out: &mut Vec<u8>, frame: &CtrlFrame) {
 /// Decodes one frame **body** (without the length prefix). Strict: the
 /// whole buffer must be one frame.
 pub fn decode_ctrl(mut buf: Bytes) -> Result<CtrlFrame, WireError> {
-    if buf.remaining() < 1 {
-        return Err(WireError::Truncated.in_protocol(CTRL_PROTOCOL));
-    }
-    let tag = buf.get_u8();
+    let tag = get_u8(&mut buf).map_err(|e| e.in_protocol(CTRL_PROTOCOL))?;
     let variant = match tag {
         0 => "Hello",
         1 => "Reject",
@@ -423,10 +388,7 @@ pub fn decode_ctrl(mut buf: Bytes) -> Result<CtrlFrame, WireError> {
         let frame = match tag {
             0 => {
                 let magic = get_u32(&mut buf)?;
-                if buf.remaining() < 2 {
-                    return Err(WireError::Truncated);
-                }
-                let version = buf.get_u16();
+                let version = get_u16(&mut buf)?;
                 let node = get_u32(&mut buf)?;
                 let protocol = get_str(&mut buf)?;
                 CtrlFrame::Hello {

@@ -7,9 +7,9 @@
 //! announcement. The node driver in `crate::node` is written against this
 //! trait alone, so the same protocol-driving code runs on both fabrics:
 //!
-//! * [`ChanTransport`] — the original in-process fabric: crossbeam
-//!   channels into a network thread (delay heap + fault injection).
-//!   Behavior-preserving with the pre-trait cluster.
+//! * [`ChanTransport`] — the in-process fabric: crossbeam channels into
+//!   the thread that called `run_cluster_collecting`, which serves the
+//!   delay heap and fault injection.
 //! * [`SocketTransport`] — a real socket (Unix-domain or TCP loopback) to
 //!   the orchestrator hub; every message crosses as length-prefixed
 //!   [`WireCodec`](crate::wire::WireCodec) bytes inside a control frame,
@@ -21,7 +21,7 @@
 //!                      │                      │
 //!            ChanTransport              SocketTransport
 //!                      │                      │
-//!          network thread (threads)    orchestrator hub (processes)
+//!          calling thread (threads)    orchestrator hub (processes)
 //!              FaultQueue ─────────────── FaultQueue
 //! ```
 

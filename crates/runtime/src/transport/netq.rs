@@ -1,10 +1,10 @@
 //! The fault-injecting delay queue shared by both fabrics.
 //!
-//! The in-process network thread and the multi-process orchestrator hub
+//! The thread tier's serving loop and the multi-process orchestrator hub
 //! schedule deliveries through the same [`FaultQueue`], so loss,
 //! duplication, straggler stretching and crash-window black-holing behave
 //! identically whether a message rides a crossbeam channel or a socket.
-//! The payload type is generic: the network thread queues typed protocol
+//! The payload type is generic: the thread tier queues typed protocol
 //! messages, the hub queues already-encoded frames.
 
 use std::cmp::Reverse;
@@ -72,8 +72,7 @@ impl<T: Clone> FaultQueue<T> {
     }
 
     /// Submits one message to the fabric: applies straggler stretching,
-    /// then loss, then duplication (in the network thread's historical
-    /// order), and schedules the surviving deliveries.
+    /// then loss, then duplication (in that order), and schedules the surviving deliveries.
     pub(crate) fn submit(&mut self, from: usize, to: usize, mut delay: Duration, payload: T) {
         self.seen += 1;
         if let Some((node, factor)) = self.faults.straggler {
@@ -137,10 +136,6 @@ impl<T: Clone> FaultQueue<T> {
         self.heap.peek().map(|Reverse(p)| p.due)
     }
 
-    pub(crate) fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
     pub(crate) fn in_flight(&self) -> usize {
         self.heap.len()
     }
@@ -162,7 +157,7 @@ mod tests {
             q.submit(0, 1, Duration::ZERO, i);
         }
         // seen 1..6: loss at 3 and 6 (2 lost); dup at 2 and 4 (6 is lost
-        // before the dup check — the network thread's historical order).
+        // before the dup check).
         assert_eq!(q.lost, 2);
         assert_eq!(q.duplicated, 2);
         assert_eq!(q.in_flight(), 6, "4 survivors + 2 duplicates");
@@ -204,6 +199,6 @@ mod tests {
         }
         assert_eq!(got, vec![2], "only the unstretched message is due");
         assert!(q.next_due().is_some());
-        assert!(!q.is_empty());
+        assert_eq!(q.in_flight(), 1);
     }
 }

@@ -3,7 +3,7 @@
 //! The cluster's own `ClusterSpec::timeout` is a *soft* deadline: it makes
 //! a stalled run return `timed_out = true`, but it only works while the
 //! coordination machinery itself is healthy. If the cluster deadlocks in a
-//! way the soft timeout cannot observe (a wedged network thread, a node
+//! way the soft timeout cannot observe (a wedged serving loop, a node
 //! stuck in a blocking send, a teardown bug), a test would hang the whole
 //! CI job. [`run_with_watchdog`] closes that hole: it runs the cluster on
 //! a helper thread and, when the hard deadline expires, prints a dump of

@@ -144,6 +144,55 @@ pub(crate) fn framed<T>(
 
 const MAX_LEN: u32 = 1 << 20;
 
+/// The checked primitive readers every decoder of this crate goes through
+/// (this module, [`baselines`] and the control frames of
+/// `transport::frame`): a short buffer is `Truncated`, never a panic.
+pub(crate) fn need(buf: &Bytes, bytes: usize) -> Result<(), WireError> {
+    if buf.remaining() < bytes {
+        Err(WireError::Truncated)
+    } else {
+        Ok(())
+    }
+}
+
+pub(crate) fn get_u8(buf: &mut Bytes) -> Result<u8, WireError> {
+    need(buf, 1)?;
+    Ok(buf.get_u8())
+}
+
+pub(crate) fn get_u16(buf: &mut Bytes) -> Result<u16, WireError> {
+    need(buf, 2)?;
+    Ok(buf.get_u16())
+}
+
+pub(crate) fn get_u32(buf: &mut Bytes) -> Result<u32, WireError> {
+    need(buf, 4)?;
+    Ok(buf.get_u32())
+}
+
+pub(crate) fn get_u64(buf: &mut Bytes) -> Result<u64, WireError> {
+    need(buf, 8)?;
+    Ok(buf.get_u64())
+}
+
+/// A list length, bounded by the sanity limit.
+pub(crate) fn get_len(buf: &mut Bytes) -> Result<u32, WireError> {
+    let len = get_u32(buf)?;
+    if len > MAX_LEN {
+        return Err(WireError::LengthOverflow(len));
+    }
+    Ok(len)
+}
+
+/// A presence byte: 0 or 1.
+pub(crate) fn get_flag(buf: &mut Bytes) -> Result<bool, WireError> {
+    match get_u8(buf)? {
+        0 => Ok(false),
+        1 => Ok(true),
+        t => Err(WireError::BadTag(t)),
+    }
+}
+
 /// A message type with a self-contained binary wire format.
 ///
 /// Implementations must uphold, for every value `m`:
@@ -204,12 +253,11 @@ fn put_tuple(buf: &mut BytesMut, t: &ReqTuple) {
     buf.put_u64(t.ts);
 }
 
-fn get_tuple(buf: &mut Bytes) -> Result<ReqTuple, WireError> {
-    if buf.remaining() < 12 {
-        return Err(WireError::Truncated);
-    }
-    let node = buf.get_u32();
-    let ts = buf.get_u64();
+/// Reads one tuple and raises `nodes`, the number of table rows the
+/// message's node ids imply so far, to cover it.
+fn get_tuple(buf: &mut Bytes, nodes: &mut u32) -> Result<ReqTuple, WireError> {
+    let node = get_u32(buf)?;
+    let ts = get_u64(buf)?;
     // The packed row storage holds 16-bit node ids and 48-bit timestamps;
     // the codec is the trust boundary, so out-of-domain values are a
     // decode error here, not a panic in `Mnl::push` later.
@@ -219,18 +267,8 @@ fn get_tuple(buf: &mut Bytes) -> Result<ReqTuple, WireError> {
     if ts > rcv_core::MAX_PACKED_TS {
         return Err(WireError::Malformed("tuple timestamp out of range"));
     }
+    *nodes = (*nodes).max(node + 1);
     Ok(ReqTuple::new(NodeId::new(node), ts))
-}
-
-fn get_len(buf: &mut Bytes) -> Result<u32, WireError> {
-    if buf.remaining() < 4 {
-        return Err(WireError::Truncated);
-    }
-    let len = buf.get_u32();
-    if len > MAX_LEN {
-        return Err(WireError::LengthOverflow(len));
-    }
-    Ok(len)
 }
 
 fn put_tuple_list(buf: &mut BytesMut, len: usize, items: impl Iterator<Item = ReqTuple>) {
@@ -249,25 +287,28 @@ fn put_body(buf: &mut BytesMut, body: &MsgBody) {
     }
 }
 
-fn get_body(buf: &mut Bytes) -> Result<MsgBody, WireError> {
+/// Reads the body, the last field of every variant. `nodes` arrives
+/// covering the header's node ids; a message naming a node its own table
+/// has no row for is rejected here — the receiver indexes rows by node id.
+fn get_body(buf: &mut Bytes, mut nodes: u32) -> Result<MsgBody, WireError> {
     let monl_len = get_len(buf)?;
     let mut monl = Nonl::new();
     for _ in 0..monl_len {
-        monl.append(get_tuple(buf)?);
+        monl.append(get_tuple(buf, &mut nodes)?);
     }
-    let n = get_len(buf)? as usize;
-    let mut msit = Nsit::new(n);
+    let n = get_len(buf)?;
+    let mut msit = Nsit::new(n as usize);
     for i in 0..n {
-        if buf.remaining() < 8 {
-            return Err(WireError::Truncated);
-        }
-        let ts = buf.get_u64();
-        let row = msit.row_mut(NodeId::new(i as u32));
+        let ts = get_u64(buf)?;
+        let row = msit.row_mut(NodeId::new(i));
         row.ts = ts;
         let mnl_len = get_len(buf)?;
         for _ in 0..mnl_len {
-            row.mnl.push(get_tuple(buf)?);
+            row.mnl.push(get_tuple(buf, &mut nodes)?);
         }
+    }
+    if nodes > n {
+        return Err(WireError::Malformed("node id beyond the message's table"));
     }
     Ok(MsgBody { monl, msit })
 }
@@ -309,10 +350,7 @@ pub fn encode(msg: &RcvMessage) -> Bytes {
 /// come back [`WireError::Framed`] with the protocol/variant they hit.
 pub fn decode(mut buf: Bytes) -> Result<RcvMessage, WireError> {
     const P: &str = <RcvMessage as WireCodec>::PROTOCOL;
-    if buf.remaining() < 1 {
-        return Err(WireError::Truncated.in_protocol(P));
-    }
-    let tag = buf.get_u8();
+    let tag = get_u8(&mut buf).map_err(|e| e.in_protocol(P))?;
     let variant = match tag {
         0 => "Rm",
         1 => "Em",
@@ -321,33 +359,33 @@ pub fn decode(mut buf: Bytes) -> Result<RcvMessage, WireError> {
         t => return Err(WireError::BadTag(t).in_protocol(P)),
     };
     let msg = framed(P, variant, || {
+        let mut nodes = 0u32;
         Ok(match tag {
             0 => {
-                let home = get_tuple(&mut buf)?;
+                let home = get_tuple(&mut buf, &mut nodes)?;
                 let ul_len = get_len(&mut buf)?;
                 let mut ul = Vec::with_capacity(ul_len as usize);
                 for _ in 0..ul_len {
-                    if buf.remaining() < 4 {
-                        return Err(WireError::Truncated);
-                    }
-                    ul.push(NodeId::new(buf.get_u32()));
+                    let hop = get_u32(&mut buf)?;
+                    nodes = nodes.max(hop.saturating_add(1));
+                    ul.push(NodeId::new(hop));
                 }
-                let body = get_body(&mut buf)?;
+                let body = get_body(&mut buf, nodes)?;
                 RcvMessage::Rm { home, ul, body }
             }
             1 => {
-                let for_req = get_tuple(&mut buf)?;
-                let body = get_body(&mut buf)?;
+                let for_req = get_tuple(&mut buf, &mut nodes)?;
+                let body = get_body(&mut buf, nodes)?;
                 RcvMessage::Em { for_req, body }
             }
             2 => {
-                let pred = get_tuple(&mut buf)?;
-                let next = get_tuple(&mut buf)?;
-                let body = get_body(&mut buf)?;
+                let pred = get_tuple(&mut buf, &mut nodes)?;
+                let next = get_tuple(&mut buf, &mut nodes)?;
+                let body = get_body(&mut buf, nodes)?;
                 RcvMessage::Im { pred, next, body }
             }
             _ => {
-                let body = get_body(&mut buf)?;
+                let body = get_body(&mut buf, nodes)?;
                 RcvMessage::Rv { body }
             }
         })
@@ -493,6 +531,43 @@ mod tests {
             err.to_string(),
             "RCV/Em: implausible length prefix 4294967295"
         );
+    }
+
+    #[test]
+    fn node_ids_beyond_the_messages_own_table_are_rejected() {
+        // Each encodes fine and used to decode too — and then index past
+        // the receiver's tables in Exchange. Node 9 of 3 in the MONL, in a
+        // row, in the header and in the UL:
+        let mut in_monl = sample_body();
+        in_monl.monl.append(t(9, 1));
+        let mut in_row = sample_body();
+        in_row.msit.row_mut(NodeId::new(1)).mnl.push(t(9, 1));
+        let bad = [
+            RcvMessage::Rv { body: in_monl },
+            RcvMessage::Rv { body: in_row },
+            RcvMessage::Em {
+                for_req: t(9, 1),
+                body: sample_body(),
+            },
+            RcvMessage::Im {
+                pred: t(0, 2),
+                next: t(3, 1),
+                body: sample_body(),
+            },
+            RcvMessage::Rm {
+                home: t(0, 2),
+                ul: vec![NodeId::new(1), NodeId::new(u32::MAX)],
+                body: sample_body(),
+            },
+        ];
+        for msg in bad {
+            let err = decode(encode(&msg)).expect_err("out-of-table node id must not decode");
+            assert_eq!(
+                err.kind(),
+                &WireError::Malformed("node id beyond the message's table"),
+                "{msg:?}"
+            );
+        }
     }
 
     #[test]

@@ -18,38 +18,11 @@
 //! All decoders are strict (whole-buffer, sane length prefixes) and total
 //! (adversarial bytes return `Err`, never panic).
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 use rcv_baselines::{LpMessage, MkMessage, RaMessage, RdMessage, RyMessage, SkMessage, Token};
 use rcv_simnet::NodeId;
 
-use super::{finish, framed, WireCodec, WireError, MAX_LEN};
-
-fn need(buf: &Bytes, bytes: usize) -> Result<(), WireError> {
-    if buf.remaining() < bytes {
-        Err(WireError::Truncated)
-    } else {
-        Ok(())
-    }
-}
-
-fn get_tag(buf: &mut Bytes) -> Result<u8, WireError> {
-    need(buf, 1)?;
-    Ok(buf.get_u8())
-}
-
-fn get_u64_checked(buf: &mut Bytes) -> Result<u64, WireError> {
-    need(buf, 8)?;
-    Ok(buf.get_u64())
-}
-
-fn get_len_checked(buf: &mut Bytes) -> Result<u32, WireError> {
-    need(buf, 4)?;
-    let len = buf.get_u32();
-    if len > MAX_LEN {
-        return Err(WireError::LengthOverflow(len));
-    }
-    Ok(len)
-}
+use super::{finish, framed, get_len, get_u32, get_u64, get_u8, WireCodec, WireError};
 
 /// `tag` alone (parameterless variants).
 fn bare(tag: u8) -> Bytes {
@@ -78,7 +51,7 @@ impl WireCodec for RaMessage {
 
     fn decode_wire(mut buf: Bytes) -> Result<Self, WireError> {
         const P: &str = RaMessage::PROTOCOL;
-        let variant = match get_tag(&mut buf).map_err(|e| e.in_protocol(P))? {
+        let variant = match get_u8(&mut buf).map_err(|e| e.in_protocol(P))? {
             0 => "Request",
             1 => "Reply",
             t => return Err(WireError::BadTag(t).in_protocol(P)),
@@ -86,7 +59,7 @@ impl WireCodec for RaMessage {
         framed(P, variant, || {
             let msg = match variant {
                 "Request" => RaMessage::Request {
-                    ts: get_u64_checked(&mut buf)?,
+                    ts: get_u64(&mut buf)?,
                 },
                 _ => RaMessage::Reply,
             };
@@ -107,7 +80,7 @@ impl WireCodec for RdMessage {
 
     fn decode_wire(mut buf: Bytes) -> Result<Self, WireError> {
         const P: &str = RdMessage::PROTOCOL;
-        let variant = match get_tag(&mut buf).map_err(|e| e.in_protocol(P))? {
+        let variant = match get_u8(&mut buf).map_err(|e| e.in_protocol(P))? {
             0 => "Request",
             1 => "Reply",
             t => return Err(WireError::BadTag(t).in_protocol(P)),
@@ -115,7 +88,7 @@ impl WireCodec for RdMessage {
         framed(P, variant, || {
             let msg = match variant {
                 "Request" => RdMessage::Request {
-                    ts: get_u64_checked(&mut buf)?,
+                    ts: get_u64(&mut buf)?,
                 },
                 _ => RdMessage::Reply,
             };
@@ -137,7 +110,7 @@ impl WireCodec for LpMessage {
 
     fn decode_wire(mut buf: Bytes) -> Result<Self, WireError> {
         const P: &str = LpMessage::PROTOCOL;
-        let tag = get_tag(&mut buf).map_err(|e| e.in_protocol(P))?;
+        let tag = get_u8(&mut buf).map_err(|e| e.in_protocol(P))?;
         let variant = match tag {
             0 => "Request",
             1 => "Ack",
@@ -145,7 +118,7 @@ impl WireCodec for LpMessage {
             t => return Err(WireError::BadTag(t).in_protocol(P)),
         };
         framed(P, variant, || {
-            let ts = get_u64_checked(&mut buf)?;
+            let ts = get_u64(&mut buf)?;
             let msg = match tag {
                 0 => LpMessage::Request { ts },
                 1 => LpMessage::Ack { ts },
@@ -172,12 +145,12 @@ impl WireCodec for MkMessage {
 
     fn decode_wire(mut buf: Bytes) -> Result<Self, WireError> {
         const P: &str = MkMessage::PROTOCOL;
-        let tag = get_tag(&mut buf).map_err(|e| e.in_protocol(P))?;
+        let tag = get_u8(&mut buf).map_err(|e| e.in_protocol(P))?;
         let (variant, msg) = match tag {
             0 => (
                 "Request",
                 MkMessage::Request {
-                    ts: framed(P, "Request", || get_u64_checked(&mut buf))?,
+                    ts: framed(P, "Request", || get_u64(&mut buf))?,
                 },
             ),
             1 => ("Locked", MkMessage::Locked),
@@ -217,7 +190,7 @@ impl WireCodec for SkMessage {
 
     fn decode_wire(mut buf: Bytes) -> Result<Self, WireError> {
         const P: &str = SkMessage::PROTOCOL;
-        let tag = get_tag(&mut buf).map_err(|e| e.in_protocol(P))?;
+        let tag = get_u8(&mut buf).map_err(|e| e.in_protocol(P))?;
         let variant = match tag {
             0 => "Request",
             1 => "Token",
@@ -226,20 +199,19 @@ impl WireCodec for SkMessage {
         framed(P, variant, || {
             let msg = match tag {
                 0 => SkMessage::Request {
-                    seq: get_u64_checked(&mut buf)?,
+                    seq: get_u64(&mut buf)?,
                 },
                 _ => {
-                    let ln_len = get_len_checked(&mut buf)?;
+                    let ln_len = get_len(&mut buf)?;
                     let mut last_served = Vec::with_capacity(ln_len.min(1024) as usize);
                     for _ in 0..ln_len {
-                        last_served.push(get_u64_checked(&mut buf)?);
+                        last_served.push(get_u64(&mut buf)?);
                     }
-                    let q_len = get_len_checked(&mut buf)?;
+                    let q_len = get_len(&mut buf)?;
                     let mut queue =
                         std::collections::VecDeque::with_capacity(q_len.min(1024) as usize);
                     for _ in 0..q_len {
-                        need(&buf, 4)?;
-                        queue.push_back(NodeId::new(buf.get_u32()));
+                        queue.push_back(NodeId::new(get_u32(&mut buf)?));
                     }
                     SkMessage::Token(Box::new(Token { last_served, queue }))
                 }
@@ -261,7 +233,7 @@ impl WireCodec for RyMessage {
 
     fn decode_wire(mut buf: Bytes) -> Result<Self, WireError> {
         const P: &str = RyMessage::PROTOCOL;
-        let (variant, msg) = match get_tag(&mut buf).map_err(|e| e.in_protocol(P))? {
+        let (variant, msg) = match get_u8(&mut buf).map_err(|e| e.in_protocol(P))? {
             0 => ("Request", RyMessage::Request),
             1 => ("Privilege", RyMessage::Privilege),
             t => return Err(WireError::BadTag(t).in_protocol(P)),

@@ -210,3 +210,25 @@ fn worker_that_never_reads_is_written_off_at_the_buffer_cap() {
         "only what the kernel buffered was ever written: {hub:?}"
     );
 }
+
+#[test]
+fn send_to_a_node_the_cluster_lacks_is_named_and_the_run_concludes() {
+    let timeout = Duration::from_secs(30);
+    let (report, elapsed) = run_pair(timeout, Fake::finish_politely, |mut fake, _released| {
+        fake.send(&CtrlFrame::Send {
+            to: 2, // n = 2: nodes 0 and 1
+            delay_us: 0,
+            payload: vec![7u8; 8].into(),
+        });
+        fake.finish_politely();
+    });
+    assert_eq!(report.faults.len(), 1, "{report:?}");
+    let (node, detail) = &report.faults[0];
+    assert_eq!(*node, 1, "the sender is named");
+    assert!(detail.contains("node 2 of 2"), "{detail}");
+    assert!(!report.report.timed_out, "{report:?}");
+    assert!(report.crashed.is_empty(), "{report:?}");
+    assert!(report.reports.iter().all(Option::is_some), "{report:?}");
+    assert!(elapsed < timeout / 2, "{elapsed:?}");
+    assert_eq!(report.hub.frames_routed, 0, "nowhere to route it");
+}

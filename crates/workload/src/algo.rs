@@ -1,6 +1,8 @@
 //! Uniform dispatch over all implemented mutual exclusion algorithms —
-//! over the deterministic simulator ([`Algo::run`]) and over the
-//! real-thread runtime ([`Algo::run_threaded`]).
+//! over the deterministic simulator ([`Algo::run`]), the real-thread
+//! runtime ([`Algo::run_threaded`]) and worker processes
+//! ([`Algo::serve_worker`]). Every entry point builds its nodes through
+//! the one protocol table, `with_protocol!`.
 
 use std::time::Duration;
 
@@ -8,9 +10,53 @@ use rcv_baselines::{
     Lamport, Maekawa, QuorumSystem, RaDynamic, Raymond, RicartAgrawala, SuzukiKasami,
 };
 use rcv_core::{ForwardPolicy, RcvConfig, RcvNode};
-use rcv_runtime::wire::{verifying_hook, WireCodec};
-use rcv_runtime::{run_cluster_collecting, run_rcv_cluster, ClusterReport, NetDelay, RunSpec};
-use rcv_simnet::{Engine, MutexProtocol, NodeId, RetryPolicy, SimConfig, SimReport, Workload};
+use rcv_runtime::orchestrator::run_worker;
+use rcv_runtime::wire::verifying_hook;
+use rcv_runtime::{run_cluster_collecting, ClusterReport, NetDelay, RunSpec};
+use rcv_simnet::{Engine, NodeId, RetryPolicy, SimConfig, SimReport, Workload};
+
+/// The protocol table: each algorithm's node constructor and anomaly
+/// reader, stated once. Evaluates `$body` with `$make` bound to
+/// `Fn(NodeId, usize, Option<RetryPolicy>) -> P` (baselines ignore the
+/// retry policy) and `$anom` to `Fn(&P, restartable: bool) -> u64`
+/// (0 for protocols without the notion) — a macro rather than a function
+/// because `P` differs per arm.
+macro_rules! with_protocol {
+    (@baseline $ctor:expr, $make:ident, $anom:ident, $body:expr) => {{
+        let $make = |id: NodeId, n: usize, _: Option<RetryPolicy>| $ctor(id, n);
+        let $anom = no_anomalies(&$make);
+        $body
+    }};
+    ($algo:expr, |$make:ident, $anom:ident| $body:expr) => {
+        match $algo {
+            Algo::Rcv(forward) => {
+                let $make = move |id: NodeId, n: usize, retry: Option<RetryPolicy>| {
+                    RcvNode::with_config(id, n, RcvConfig { forward, retry })
+                };
+                let $anom = |p: &RcvNode, restartable: bool| p.stats().anomalies_under(restartable);
+                $body
+            }
+            Algo::Ricart => with_protocol!(@baseline RicartAgrawala::new, $make, $anom, $body),
+            Algo::RaDynamic => with_protocol!(@baseline RaDynamic::new, $make, $anom, $body),
+            Algo::Maekawa => with_protocol!(@baseline Maekawa::new, $make, $anom, $body),
+            Algo::MaekawaFpp => with_protocol!(
+                @baseline |id, n| Maekawa::with_quorums(id, QuorumSystem::best(n)),
+                $make, $anom, $body
+            ),
+            Algo::Broadcast => with_protocol!(@baseline SuzukiKasami::new, $make, $anom, $body),
+            Algo::Lamport => with_protocol!(@baseline Lamport::new, $make, $anom, $body),
+            Algo::Raymond => with_protocol!(@baseline Raymond::new, $make, $anom, $body),
+        }
+    };
+}
+
+/// The anomaly reader of a protocol that counts none, typed by its
+/// constructor.
+fn no_anomalies<P>(
+    _make: &impl Fn(NodeId, usize, Option<RetryPolicy>) -> P,
+) -> impl Fn(&P, bool) -> u64 {
+    |_, _| 0
+}
 
 /// Every algorithm the harness can run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -110,33 +156,33 @@ impl Algo {
     /// the simulator side, so no call site can accidentally pair Lamport
     /// or Maekawa with reordering delivery.
     pub fn run_threaded(&self, spec: &RunSpec) -> ClusterReport {
-        fn baseline<P>(spec: RunSpec, make: impl FnMut(NodeId, usize) -> P) -> ClusterReport
-        where
-            P: MutexProtocol + Send + 'static,
-            P::Message: WireCodec + PartialEq + Sync,
-        {
-            run_cluster_collecting(spec.with(Some(verifying_hook())), make).0
-        }
-
         let spec = self.fifo_safe(spec);
-        match *self {
-            Algo::Rcv(policy) => run_rcv_cluster(
-                spec.with(Some(verifying_hook())),
-                RcvConfig {
-                    forward: policy,
-                    retry: spec.retry,
-                },
-            ),
-            Algo::Ricart => baseline(spec, RicartAgrawala::new),
-            Algo::RaDynamic => baseline(spec, RaDynamic::new),
-            Algo::Maekawa => baseline(spec, Maekawa::new),
-            Algo::MaekawaFpp => baseline(spec, |id, n| {
-                Maekawa::with_quorums(id, QuorumSystem::best(n))
-            }),
-            Algo::Broadcast => baseline(spec, SuzukiKasami::new),
-            Algo::Lamport => baseline(spec, Lamport::new),
-            Algo::Raymond => baseline(spec, Raymond::new),
-        }
+        let restartable = spec.faults.crash_restart.is_some();
+        with_protocol!(*self, |make, anomalies| {
+            let (mut report, nodes) =
+                run_cluster_collecting(spec.with(Some(verifying_hook())), |id, n| {
+                    make(id, n, spec.retry)
+                });
+            report.anomalies = nodes.iter().map(|p| anomalies(p, restartable)).sum();
+            report
+        })
+    }
+
+    /// Serves one worker node of this algorithm: connect to the hub at
+    /// `addr`, handshake as `node`, drive the protocol to completion,
+    /// report, return. This is the body of a worker process
+    /// ([`crate::maybe_worker`]), public so tests can drive workers from
+    /// threads without spawning executables.
+    pub fn serve_worker(&self, addr: &str, node: u32) -> Result<(), String> {
+        with_protocol!(*self, |make, anomalies| {
+            run_worker(
+                addr,
+                node,
+                self.tag(),
+                |id, n, cfg| make(id, n, cfg.retry),
+                |p, cfg| anomalies(p, cfg.restartable),
+            )
+        })
     }
 
     /// `spec` as this algorithm may run it on a real tier: unchanged, or
@@ -203,29 +249,9 @@ impl Algo {
         workload: W,
         retry: Option<RetryPolicy>,
     ) -> SimReport {
-        match *self {
-            Algo::Rcv(policy) => Engine::new(cfg, workload, move |id, n| {
-                RcvNode::with_config(
-                    id,
-                    n,
-                    RcvConfig {
-                        forward: policy,
-                        retry,
-                    },
-                )
-            })
-            .run(),
-            Algo::Ricart => Engine::new(cfg, workload, RicartAgrawala::new).run(),
-            Algo::RaDynamic => Engine::new(cfg, workload, RaDynamic::new).run(),
-            Algo::Maekawa => Engine::new(cfg, workload, Maekawa::new).run(),
-            Algo::MaekawaFpp => Engine::new(cfg, workload, |id, n| {
-                Maekawa::with_quorums(id, QuorumSystem::best(n))
-            })
-            .run(),
-            Algo::Broadcast => Engine::new(cfg, workload, SuzukiKasami::new).run(),
-            Algo::Lamport => Engine::new(cfg, workload, Lamport::new).run(),
-            Algo::Raymond => Engine::new(cfg, workload, Raymond::new).run(),
-        }
+        with_protocol!(*self, |make, _anomalies| {
+            Engine::new(cfg, workload, move |id, n| make(id, n, retry)).run()
+        })
     }
 
     /// Runs one simulation of this algorithm (RCV in the paper's
@@ -253,7 +279,10 @@ pub(crate) fn fifo_equivalent(delay: NetDelay) -> NetDelay {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rcv_simnet::BurstOnce;
+    use rcv_runtime::orchestrator::{run_process_cluster, ProcessExt};
+    use rcv_runtime::wire::WireCodec;
+    use rcv_runtime::SocketNet;
+    use rcv_simnet::{BurstOnce, MutexProtocol};
 
     #[test]
     fn every_algorithm_survives_a_burst() {
@@ -261,6 +290,78 @@ mod tests {
             let r = algo.run(SimConfig::paper(9, 11), BurstOnce);
             assert!(r.is_safe(), "{}", algo.name());
             assert_eq!(r.metrics.completed(), 9, "{}", algo.name());
+        }
+    }
+
+    /// What a table arm builds: the node's protocol name and the codec
+    /// label of its message type.
+    fn identity<P: MutexProtocol>(p: &P) -> (&'static str, &'static str)
+    where
+        P::Message: WireCodec,
+    {
+        (p.name(), P::Message::PROTOCOL)
+    }
+
+    #[test]
+    fn the_protocol_table_serves_every_entry_point() {
+        // One table, three entry points: an algorithm cannot exist on one
+        // tier only. Each arm builds the node its `Algo` names, and a
+        // two-node, one-round run is clean on the simulator, on threads
+        // and over sockets.
+        let rcv = ("rcv", "RCV");
+        let expected = [
+            (Algo::Rcv(ForwardPolicy::Random), rcv),
+            (Algo::Rcv(ForwardPolicy::Sequential), rcv),
+            (Algo::Rcv(ForwardPolicy::MostStale), rcv),
+            (Algo::Rcv(ForwardPolicy::Freshest), rcv),
+            (Algo::Maekawa, ("maekawa", "Maekawa")),
+            (Algo::MaekawaFpp, ("maekawa", "Maekawa")),
+            (Algo::Ricart, ("ricart-agrawala", "Ricart")),
+            (Algo::RaDynamic, ("ra-dynamic", "RA-dynamic")),
+            (Algo::Broadcast, ("suzuki-kasami", "Broadcast")),
+            (Algo::Lamport, ("lamport", "Lamport")),
+            (Algo::Raymond, ("raymond", "Raymond")),
+        ];
+        assert!(Algo::all()
+            .iter()
+            .all(|a| expected.iter().any(|(e, _)| e == a)));
+        for (algo, want) in expected {
+            let tag = algo.tag();
+            let got = with_protocol!(algo, |make, anomalies| {
+                let node = make(NodeId::new(0), 2, None);
+                assert_eq!(anomalies(&node, false), 0, "{tag}");
+                identity(&node)
+            });
+            assert_eq!(got, want, "{tag}");
+
+            let sim = algo.run(SimConfig::paper(2, 1), BurstOnce);
+            assert!(
+                sim.is_safe() && sim.metrics.completed() == 2,
+                "{tag} on simnet"
+            );
+
+            let spec = RunSpec::quick(2, 1);
+            let threads = algo.run_threaded(&spec);
+            assert!(threads.is_clean(2), "{tag} on threads: {threads:?}");
+
+            let pspec = algo.fifo_safe(&spec).with(ProcessExt {
+                protocol: tag.to_string(),
+                net: SocketNet::Uds,
+                kill_worker: None,
+            });
+            let mut workers = Vec::new();
+            let sockets = run_process_cluster(&pspec, |addr| {
+                for node in 0..2 {
+                    let addr = addr.to_string();
+                    workers.push(std::thread::spawn(move || algo.serve_worker(&addr, node)));
+                }
+                Ok(Vec::new())
+            })
+            .unwrap_or_else(|e| panic!("{tag} over sockets: {e}"));
+            for w in workers {
+                w.join().expect("worker thread").expect("worker ok");
+            }
+            assert!(sockets.is_clean(2), "{tag} over sockets: {sockets:?}");
         }
     }
 

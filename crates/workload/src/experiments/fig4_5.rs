@@ -66,8 +66,8 @@ mod tests {
     fn small_sweep_has_paper_shape() {
         // A reduced sweep (test-speed) must already show the headline
         // claim: RCV sends the fewest messages of the four. At N=5 the
-        // Broadcast token can edge RCV out (a crossover recorded in
-        // EXPERIMENTS.md); from N=10 up RCV must win outright.
+        // Broadcast token can edge RCV out (README § "Experiment index",
+        // FIG4, is this sweep); from N=10 up RCV must win outright.
         let (fig4, fig5) = run(&[10, 15], &[1, 2]);
         assert_eq!(fig4.rows.len(), 2);
         assert_eq!(fig5.rows.len(), 2);

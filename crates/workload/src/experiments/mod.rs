@@ -7,3 +7,4 @@ pub mod bandwidth;
 pub mod fairness;
 pub mod fig4_5;
 pub mod fig6_7;
+pub mod forwarding;

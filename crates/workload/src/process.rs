@@ -22,14 +22,9 @@ use std::path::PathBuf;
 use std::process::{Command, Stdio};
 use std::time::Duration;
 
-use rcv_baselines::{
-    Lamport, Maekawa, QuorumSystem, RaDynamic, Raymond, RicartAgrawala, SuzukiKasami,
-};
-use rcv_core::{ForwardPolicy, RcvConfig, RcvNode};
-use rcv_runtime::orchestrator::{run_process_cluster, run_worker, ProcessExt, ProcessReport};
-use rcv_runtime::wire::WireCodec;
+use rcv_core::ForwardPolicy;
+use rcv_runtime::orchestrator::{run_process_cluster, ProcessExt, ProcessReport};
 use rcv_runtime::{ClusterReport, RunSpec, SocketNet};
-use rcv_simnet::{MutexProtocol, NodeId};
 
 use crate::algo::Algo;
 
@@ -136,55 +131,6 @@ impl Algo {
                 report.anomalies += findings;
                 Ok(report)
             }
-        }
-    }
-
-    /// Serves one worker node of this algorithm: connect to the hub at
-    /// `addr`, handshake as `node`, drive the protocol to completion,
-    /// report, return. This is the body of a worker process
-    /// ([`maybe_worker`]), public so tests can drive workers from threads
-    /// without spawning executables.
-    pub fn serve_worker(&self, addr: &str, node: u32) -> Result<(), String> {
-        fn baseline<P>(
-            addr: &str,
-            node: u32,
-            tag: &str,
-            make: impl FnOnce(NodeId, usize) -> P,
-        ) -> Result<(), String>
-        where
-            P: MutexProtocol,
-            P::Message: WireCodec + Send,
-        {
-            run_worker(addr, node, tag, |id, n, _cfg| make(id, n), |_, _| 0)
-        }
-
-        let tag = self.tag();
-        match *self {
-            Algo::Rcv(policy) => run_worker(
-                addr,
-                node,
-                tag,
-                |id, n, cfg| {
-                    RcvNode::with_config(
-                        id,
-                        n,
-                        RcvConfig {
-                            forward: policy,
-                            retry: cfg.retry,
-                        },
-                    )
-                },
-                |p, cfg| p.stats().anomalies_under(cfg.restartable),
-            ),
-            Algo::Ricart => baseline(addr, node, tag, RicartAgrawala::new),
-            Algo::RaDynamic => baseline(addr, node, tag, RaDynamic::new),
-            Algo::Maekawa => baseline(addr, node, tag, Maekawa::new),
-            Algo::MaekawaFpp => baseline(addr, node, tag, |id, n| {
-                Maekawa::with_quorums(id, QuorumSystem::best(n))
-            }),
-            Algo::Broadcast => baseline(addr, node, tag, SuzukiKasami::new),
-            Algo::Lamport => baseline(addr, node, tag, Lamport::new),
-            Algo::Raymond => baseline(addr, node, tag, Raymond::new),
         }
     }
 }

@@ -422,8 +422,7 @@ impl ScenarioSpec {
     /// wire level (`rcv_runtime::WireFaults::try_from` — everything but a
     /// permanent crash-stop does). Hot-spot and ramp shapes are per-node
     /// heterogeneous / time-varying and stay simulator-only. Size is also
-    /// a boundary: the runtime is thread-per-node (plus a network thread),
-    /// so the large-N `scale-*` cells would spawn hundreds-to-thousands of
+    /// a boundary: the runtime is thread-per-node, so the large-N `scale-*` cells would spawn hundreds-to-thousands of
     /// OS threads and measure the host scheduler rather than the protocol
     /// — they stay simulator-only.
     pub fn runtime_mappable(&self) -> bool {

@@ -14,8 +14,8 @@
 //! * [`workload`] — workload generators, metrics and the experiment
 //!   runners that regenerate every figure of the paper.
 //!
-//! See `README.md` for a guided tour and `EXPERIMENTS.md` for the
-//! paper-vs-measured record.
+//! See `README.md` for a guided tour; its § "Experiment index" maps every
+//! figure and analytic claim of the paper to the code that re-measures it.
 
 #![forbid(unsafe_code)]
 

@@ -10,7 +10,7 @@
 //! * **Liveness is conditional**: requests whose roaming RM never needs the
 //!   crashed node still complete; an RM forwarded into a crashed node is
 //!   lost (the paper has no retry machinery, and neither do we — recorded
-//!   honestly in EXPERIMENTS.md).
+//!   honestly in README § "Experiment index", §faults).
 //! * **Contrast with token algorithms**: when Suzuki–Kasami's initial token
 //!   holder crashes, *nothing* ever completes; RCV keeps granting.
 
@@ -48,7 +48,8 @@ fn duplication_under_every_message_doubled() {
 
 #[test]
 fn crash_of_idle_bystander_is_safe_but_wedges_contended_bursts() {
-    // NEGATIVE RESULT, recorded deliberately (EXPERIMENTS.md §faults):
+    // NEGATIVE RESULT, recorded deliberately (README § "Experiment
+    // index", §faults):
     // under contention, every roaming RM eventually forwards into the
     // crashed node and is lost; a request whose RM died can still get
     // *ordered* at other nodes (as a side effect of their RMs), but only
