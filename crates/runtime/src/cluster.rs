@@ -398,13 +398,8 @@ where
         if now >= deadline {
             break true;
         }
-        let wait = q
-            .next_due()
-            .map(|due| due.saturating_duration_since(Instant::now()))
-            .unwrap_or(Duration::from_millis(50))
-            .max(Duration::from_micros(100))
-            .min(deadline - now);
-        match net_rx.recv_timeout(wait) {
+        let wake = q.next_due().map_or(deadline, |due| due.min(deadline));
+        match net_rx.recv_timeout(wake.saturating_duration_since(Instant::now())) {
             Ok(Submitted::Msg {
                 from,
                 to,

@@ -397,17 +397,14 @@ fn read_frame_blocking(
             Ok(None) => {}
             Err(e) => return Err(e.to_string()),
         }
-        let now = Instant::now();
-        if now >= deadline {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
             return Err("handshake deadline exceeded".into());
         }
-        stream
-            .set_read_timeout(Some(deadline - now))
-            .map_err(|e| e.to_string())?;
-        match stream.read_chunk(&mut buf) {
-            Ok(0) => return Err("connection closed during handshake".into()),
-            Ok(n) => fb.extend(&buf[..n]),
-            Err(e) if is_timeout(&e) => return Err("handshake deadline exceeded".into()),
+        match stream.read_within(&mut buf, left) {
+            Ok(None) => {} // the loop head sorts out whether time is up
+            Ok(Some(0)) => return Err("connection closed during handshake".into()),
+            Ok(Some(n)) => fb.extend(&buf[..n]),
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(e) => return Err(e.to_string()),
         }

@@ -80,7 +80,8 @@ pub trait Transport<M>: Send {
     /// Queues `msg` for `to` with the node-sampled base `delay`.
     fn send(&mut self, to: NodeId, msg: M, delay: Duration) -> Result<(), TransportClosed>;
 
-    /// Waits up to `timeout` for the next inbound event.
+    /// Waits up to `timeout` for the next inbound event. A zero `timeout`
+    /// polls: what has already arrived, or `Timeout`, without blocking.
     fn recv(&mut self, timeout: Duration) -> RecvOutcome<M>;
 
     /// Announces that this node has completed all its CS rounds (it keeps

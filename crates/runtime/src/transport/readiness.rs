@@ -1,11 +1,16 @@
-//! Socket readiness for the orchestrator hub: one `ppoll(2)` call over a
-//! set of descriptors with a sub-millisecond timeout.
+//! Socket readiness, the one way this crate waits on a socket: one
+//! `ppoll(2)` call over a set of descriptors with a sub-millisecond
+//! timeout. The hub waits on all its workers' sockets, a worker on its one.
 //!
 //! std has no readiness API, and `poll`/`epoll_wait` take their timeout in
 //! whole milliseconds — they would round the 20–200 µs delays the hub
-//! injects up to 1 ms. `ppoll` takes a `timespec`, so the hub can sleep
-//! exactly until the next queued delivery is due. This is the only module
-//! of `rcv-runtime` allowed to contain `unsafe`: the one foreign call.
+//! injects up to 1 ms; a socket read timeout is rounded up to the scheduler
+//! tick (4 ms at `CONFIG_HZ=250`) and treats zero as "forever". `ppoll`
+//! takes a `timespec` on the high-resolution clock, so the hub can sleep
+//! exactly until the next queued delivery is due, a node exactly until its
+//! next request or timer, and a zero timeout is a poll. This is the only
+//! module of `rcv-runtime` allowed to contain `unsafe`: the one foreign
+//! call.
 
 use std::os::raw::{c_int, c_long, c_ulong, c_void};
 use std::os::unix::io::RawFd;
@@ -15,7 +20,7 @@ use std::time::Duration;
 // which is what `Timespec` below assumes. Some 32-bit targets (musl,
 // riscv32) have a 64-bit `time_t` beside a 32-bit `long`.
 #[cfg(not(all(target_os = "linux", target_pointer_width = "64")))]
-compile_error!("rcv-runtime's hub waits with ppoll(2): 64-bit Linux only");
+compile_error!("rcv-runtime waits on sockets with ppoll(2): 64-bit Linux only");
 
 const POLLIN: i16 = 0x001;
 const POLLOUT: i16 = 0x004;

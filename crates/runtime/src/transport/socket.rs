@@ -1,10 +1,14 @@
 //! The socket fabric's worker side: a blocking stream (Unix-domain or TCP
 //! loopback) speaking the control-frame protocol of [`super::frame`].
 //!
-//! Workers use plain blocking I/O with a read timeout: a worker watches
-//! exactly one socket. The hub in `crate::orchestrator` watches N, so it
-//! puts them in nonblocking mode and blocks in one `ppoll` readiness wait
-//! (`super::readiness`) over all of them, through `SocketStream::raw_fd`.
+//! Every wait on a socket, on either side, is one `ppoll` readiness wait
+//! (`super::readiness`): a worker waits on its one descriptor
+//! (`SocketStream::read_within`) and then reads it with plain blocking
+//! I/O; the hub in `crate::orchestrator` watches N, so it puts them in
+//! nonblocking mode and waits on all of them at once, through
+//! `SocketStream::raw_fd`. `ppoll` times out on the high-resolution clock
+//! and a zero timeout is a poll — the socket's own read timeout is rounded
+//! up to the scheduler tick and cannot say "do not wait".
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -15,6 +19,7 @@ use std::time::{Duration, Instant};
 use rcv_simnet::NodeId;
 
 use super::frame::{encode_frame, CtrlFrame, FrameBuf};
+use super::readiness::{self, PollFd};
 use super::{RecvOutcome, Transport, TransportClosed};
 use crate::wire::{WireCodec, WireError};
 
@@ -41,7 +46,7 @@ impl SocketNet {
 }
 
 /// A connected stream of either family. All I/O the fabric needs, with
-/// uniform timeout/nonblocking control.
+/// uniform waiting and nonblocking control.
 pub(crate) enum SocketStream {
     Tcp(TcpStream),
     Unix(UnixStream),
@@ -65,13 +70,6 @@ impl SocketStream {
         }
     }
 
-    pub(crate) fn set_read_timeout(&self, t: Option<Duration>) -> std::io::Result<()> {
-        match self {
-            SocketStream::Tcp(s) => s.set_read_timeout(t),
-            SocketStream::Unix(s) => s.set_read_timeout(t),
-        }
-    }
-
     pub(crate) fn set_nonblocking(&self, nb: bool) -> std::io::Result<()> {
         match self {
             SocketStream::Tcp(s) => s.set_nonblocking(nb),
@@ -92,6 +90,21 @@ impl SocketStream {
             SocketStream::Tcp(s) => s.read(buf),
             SocketStream::Unix(s) => s.read(buf),
         }
+    }
+
+    /// Waits up to `timeout` for the socket to have something to read —
+    /// data, EOF or an error — and reads it; `None` if nothing came (the
+    /// wait ran out, or a signal cut it short: the caller owns the
+    /// deadline). A zero `timeout` does not block.
+    pub(crate) fn read_within(
+        &mut self,
+        buf: &mut [u8],
+        timeout: Duration,
+    ) -> std::io::Result<Option<usize>> {
+        if readiness::wait(&mut [PollFd::new(self.raw_fd(), false)], timeout)? == 0 {
+            return Ok(None);
+        }
+        self.read_chunk(buf).map(Some)
     }
 
     pub(crate) fn write_all_bytes(&mut self, bytes: &[u8]) -> std::io::Result<()> {
@@ -200,25 +213,14 @@ impl<M: WireCodec + Send> Transport<M> for SocketTransport<M> {
                 Ok(None) => {}
                 Err(e) => return self.fail(e),
             }
-            let now = Instant::now();
-            let remaining = deadline.saturating_duration_since(now);
-            if remaining.is_zero() && self.fb.pending() == 0 {
-                return RecvOutcome::Timeout;
-            }
-            // A zero read timeout means "block forever" to the kernel;
-            // clamp to keep the loop honest.
-            let wait = remaining.max(Duration::from_micros(100));
-            if self.stream.set_read_timeout(Some(wait)).is_err() {
-                return RecvOutcome::Shutdown;
-            }
-            match self.stream.read_chunk(&mut self.read_buf) {
-                Ok(0) => return RecvOutcome::Shutdown, // hub gone
-                Ok(n) => self.fb.extend(&self.read_buf[..n]),
-                Err(e) if is_timeout(&e) => {
-                    if Instant::now() >= deadline {
-                        return RecvOutcome::Timeout;
-                    }
-                }
+            // No complete frame is buffered (half of one may be): wait
+            // for the socket, never past the deadline.
+            let left = deadline.saturating_duration_since(Instant::now());
+            match self.stream.read_within(&mut self.read_buf, left) {
+                Ok(None) if Instant::now() >= deadline => return RecvOutcome::Timeout,
+                Ok(None) => {}
+                Ok(Some(0)) => return RecvOutcome::Shutdown, // hub gone
+                Ok(Some(n)) => self.fb.extend(&self.read_buf[..n]),
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(_) => return RecvOutcome::Shutdown,
             }
@@ -229,5 +231,84 @@ impl<M: WireCodec + Send> Transport<M> for SocketTransport<M> {
         let _ = self.send_frame(&CtrlFrame::Done {
             node: self.me.raw(),
         });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rcv_baselines::RaMessage;
+
+    fn pair() -> (SocketTransport<RaMessage>, UnixStream) {
+        let (a, b) = UnixStream::pair().expect("socketpair");
+        let t = SocketTransport::new(NodeId::new(0), SocketStream::Unix(a), FrameBuf::new());
+        (t, b)
+    }
+
+    /// `NodeDriver::serve_crash_window` drains "what already arrived" with
+    /// `recv(ZERO)`: half a frame in the buffer is not an arrival, and not
+    /// a reason to wait for the other half.
+    #[test]
+    fn a_zero_timeout_polls_even_with_half_a_frame_buffered() {
+        let (mut t, mut hub) = pair();
+        let frame = encode_frame(&CtrlFrame::Deliver {
+            from: 1,
+            payload: RaMessage::Request { ts: 9 }.encode_wire(),
+        });
+        let (head, tail) = frame.as_ref().split_at(frame.len() / 2);
+        hub.write_all(head).expect("write");
+        // The first poll moves the half frame off the socket.
+        assert!(matches!(t.recv(Duration::ZERO), RecvOutcome::Timeout));
+        assert_eq!(t.fb.pending(), head.len());
+        // Nothing more is coming: each further poll must cost a system
+        // call, not a timer (best of 20, for a loaded machine).
+        let best = (0..20)
+            .map(|_| {
+                let t0 = Instant::now();
+                assert!(matches!(t.recv(Duration::ZERO), RecvOutcome::Timeout));
+                t0.elapsed()
+            })
+            .min()
+            .expect("tries");
+        assert!(best < Duration::from_micros(500), "blocked for {best:?}");
+        hub.write_all(tail).expect("write");
+        match t.recv(Duration::ZERO) {
+            RecvOutcome::Msg { from, msg } => {
+                assert_eq!((from, msg), (NodeId::new(1), RaMessage::Request { ts: 9 }))
+            }
+            other => panic!("expected the completed frame, got {other:?}"),
+        }
+    }
+
+    /// A socket read timeout would round 200 µs up to the scheduler tick
+    /// (4 ms at HZ=250); `ppoll` does not. A loaded machine overshoots any
+    /// timer, hence the median and the loose upper bound.
+    #[test]
+    fn honours_a_sub_millisecond_timeout() {
+        let (mut t, _hub) = pair();
+        let timeout = Duration::from_micros(200);
+        let mut waits: Vec<Duration> = (0..21)
+            .map(|_| {
+                let t0 = Instant::now();
+                assert!(matches!(t.recv(timeout), RecvOutcome::Timeout));
+                t0.elapsed()
+            })
+            .collect();
+        waits.sort();
+        assert!(waits[0] >= timeout, "returned early: {waits:?}");
+        assert!(
+            waits[10] < Duration::from_millis(2),
+            "rounded up: {waits:?}"
+        );
+    }
+
+    #[test]
+    fn a_hub_that_hangs_up_is_a_shutdown_not_a_timeout() {
+        let (mut t, hub) = pair();
+        drop(hub);
+        assert!(matches!(
+            t.recv(Duration::from_secs(5)),
+            RecvOutcome::Shutdown
+        ));
     }
 }
