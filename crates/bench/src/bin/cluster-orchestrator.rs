@@ -32,20 +32,15 @@ use std::fmt::Write as _;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
-use rcv_bench::cli::Flags;
+use rcv_bench::cli::{self, Flags};
 use rcv_bench::perf::json_str;
 use rcv_runtime::orchestrator::ProcessReport;
 use rcv_runtime::{RunSpec, SocketNet};
 use rcv_workload::{maybe_worker, Algo, ProcessBackend};
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage: cluster-orchestrator [--algo TAG | --all] [-n N] [--rounds R]\n\
-         \u{20}                           [--net uds|tcp] [--seed S] [--timeout-secs S]\n\
-         \u{20}                           [--kill NODE,MS] [--json PATH] [--list]"
-    );
-    ExitCode::from(2)
-}
+const USAGE: &str = "usage: cluster-orchestrator [--algo TAG | --all] [-n N] [--rounds R]\n\
+    \u{20}                           [--net uds|tcp] [--seed S] [--timeout-secs S]\n\
+    \u{20}                           [--kill NODE,MS] [--json PATH] [--list]";
 
 struct Row {
     algo: &'static str,
@@ -224,11 +219,5 @@ fn main() -> ExitCode {
     // Re-exec guard: worker invocations (argv `__rcv_worker ...`) run one
     // cluster node and exit inside this call.
     maybe_worker();
-    match run() {
-        Ok(code) => code,
-        Err(e) => {
-            eprintln!("cluster-orchestrator: {e}");
-            usage()
-        }
-    }
+    cli::main("cluster-orchestrator", USAGE, run)
 }

@@ -26,19 +26,14 @@
 use std::collections::BTreeSet;
 use std::process::ExitCode;
 
-use rcv_bench::cli::Flags;
+use rcv_bench::cli::{self, Flags};
 use rcv_bench::matrix::{doc_from_results, gate, merge_docs, parse_doc, render_doc, MatrixDoc};
 use rcv_workload::scenario::{cells, registry, run_cells, shard, REGISTRY_VERSION};
 use rcv_workload::sweep::default_threads;
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage: matrix [--shard I/M] [--filter SUBSTR] [--threads T] [--out PATH]\n\
-         \u{20}      [--check BASELINE] [--list]\n\
-         \u{20}      matrix --merge FILE... [--out PATH] [--check BASELINE]"
-    );
-    ExitCode::from(2)
-}
+const USAGE: &str = "usage: matrix [--shard I/M] [--filter SUBSTR] [--threads T] [--out PATH]\n\
+    \u{20}      [--check BASELINE] [--list]\n\
+    \u{20}      matrix --merge FILE... [--out PATH] [--check BASELINE]";
 
 /// Errors unless `doc` covers every cell of the current registry exactly.
 fn require_full_grid(doc: &MatrixDoc) -> Result<(), String> {
@@ -230,11 +225,5 @@ fn run() -> Result<ExitCode, String> {
 }
 
 fn main() -> ExitCode {
-    match run() {
-        Ok(code) => code,
-        Err(e) => {
-            eprintln!("matrix: {e}");
-            usage()
-        }
-    }
+    cli::main("matrix", USAGE, run)
 }

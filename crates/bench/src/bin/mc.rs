@@ -10,9 +10,10 @@
 //! * `--ci` — run the time-boxed CI suite (RCV at N=3 under all three
 //!   deterministic forwarding policies with loss+duplication branching,
 //!   plus Ricart–Agrawala and Lamport at N=3), each to exhaustion.
-//! * `--algo A` — one scenario; `A` is `rcv-seq`, `rcv-most-stale`,
-//!   `rcv-freshest`, `ricart` or `lamport` (Lamport checks in FIFO mode,
-//!   its correctness precondition).
+//! * `--algo A` — one scenario; `A` is an algorithm tag (as
+//!   `cluster-orchestrator --list` prints them) with a checker adapter:
+//!   `rcv-seq`, `rcv-stale`, `rcv-fresh`, `ricart` or `lamport` (Lamport
+//!   checks in FIFO mode, its correctness precondition).
 //! * `--strategy bfs` — breadth-first: slower frontier, but a violation,
 //!   if found, is a *minimal* counterexample.
 //! * `--depth K` — bound the search (the verdict is then explicitly
@@ -29,22 +30,17 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
-use rcv_bench::cli::Flags;
+use rcv_bench::cli::{self, Flags};
 use rcv_bench::mc::{
-    algo_slug, ci_suite, parse_algo, render_report, run_cell, McCell, McOptions, McOutcome,
-    Strategy, SCHEMA,
+    ci_suite, render_report, run_cell, McCell, McOptions, McOutcome, Strategy, SCHEMA,
 };
+use rcv_workload::Algo;
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage: mc --ci [--out PATH]\n\
-         \u{20}      mc --algo A --n N [--drops D] [--dups P] [--rounds R]\n\
-         \u{20}         [--strategy dfs|bfs] [--depth K] [--max-states M] [--out PATH]\n\
-         \u{20}      mc --list\n\
-         algorithms: rcv-seq rcv-most-stale rcv-freshest ricart lamport"
-    );
-    ExitCode::from(2)
-}
+const USAGE: &str = "usage: mc --ci [--out PATH]\n\
+    \u{20}      mc --algo A --n N [--drops D] [--dups P] [--rounds R]\n\
+    \u{20}         [--strategy dfs|bfs] [--depth K] [--max-states M] [--out PATH]\n\
+    \u{20}      mc --list\n\
+    algorithms: rcv-seq rcv-stale rcv-fresh ricart lamport";
 
 fn report_outcome(o: &McOutcome) {
     println!(
@@ -66,7 +62,7 @@ fn run() -> Result<ExitCode, String> {
     let mut f = Flags::from_env();
     let defaults = McOptions::default();
     let algo = match f.opt::<String>("--algo")? {
-        Some(a) => Some(parse_algo(&a).ok_or(format!("unknown algorithm {a}"))?),
+        Some(a) => Some(Algo::from_tag(&a).ok_or(format!("unknown algorithm {a}"))?),
         None => None,
     };
     let (drops, dups) = (f.value("--drops", 0)?, f.value("--dups", 0)?);
@@ -106,19 +102,11 @@ fn run() -> Result<ExitCode, String> {
         (false, Some(cell)) => vec![cell],
         (false, None) => return Err("nothing to do: pass --ci, --list or --algo/--n".into()),
     };
-    for c in &cells {
-        if !c.algo.model_checkable() {
-            return Err(format!(
-                "{} has no model-checker adapter",
-                algo_slug(c.algo)
-            ));
-        }
-    }
 
     let started = Instant::now();
     let mut outcomes = Vec::with_capacity(cells.len());
     for cell in &cells {
-        let o = run_cell(cell, &opts);
+        let o = run_cell(cell, &opts)?;
         report_outcome(&o);
         outcomes.push(o);
     }
@@ -143,11 +131,5 @@ fn run() -> Result<ExitCode, String> {
 }
 
 fn main() -> ExitCode {
-    match run() {
-        Ok(code) => code,
-        Err(e) => {
-            eprintln!("mc: {e}");
-            usage()
-        }
-    }
+    cli::main("mc", USAGE, run)
 }

@@ -8,31 +8,27 @@
 //! ordered in one Order invocation). With `--node` only events touching
 //! that node are shown; `--gantt` appends an ASCII CS-occupancy timeline.
 
+use std::process::ExitCode;
+
+use rcv_bench::cli::{self, Flags};
 use rcv_core::RcvNode;
 use rcv_simnet::{BurstOnce, Engine, NodeId, SimConfig};
 
-fn main() {
-    let mut args = std::env::args().skip(1);
-    let mut n = 4usize;
-    let mut seed = 7u64;
-    let mut focus: Option<NodeId> = None;
-    let mut gantt = false;
-    let mut positional = 0;
-    while let Some(a) = args.next() {
-        if a == "--gantt" {
-            gantt = true;
-        } else if a == "--node" {
-            let id: u32 = args
-                .next()
-                .and_then(|v| v.parse().ok())
-                .expect("--node needs a numeric id");
-            focus = Some(NodeId::new(id));
-        } else if positional == 0 {
-            n = a.parse().expect("N must be a number");
-            positional += 1;
-        } else {
-            seed = a.parse().expect("seed must be a number");
-        }
+const USAGE: &str = "usage: narrate [N] [seed] [--node <id>] [--gantt]";
+
+fn run() -> Result<ExitCode, String> {
+    let mut f = Flags::from_env();
+    let focus = f.opt::<u32>("--node")?.map(NodeId::new);
+    let gantt = f.flag("--gantt");
+    let mut positionals = f.positionals().into_iter();
+    f.finish()?;
+    let mut next = |what: &str, default: u64| match positionals.next() {
+        Some(v) => v.parse().map_err(|_| format!("bad {what} {v:?}")),
+        None => Ok(default),
+    };
+    let (n, seed) = (next("N", 4)? as usize, next("seed", 7)?);
+    if let Some(extra) = positionals.next() {
+        return Err(format!("unknown argument {extra}"));
     }
 
     let mut cfg = SimConfig::paper(n, seed);
@@ -50,10 +46,12 @@ fn main() {
         None => print!("{}", report.trace.render()),
     }
     if gantt {
-        println!(
-            "
-CS occupancy (one column per tick):"
-        );
+        println!("\nCS occupancy (one column per tick):");
         print!("{}", report.trace.render_gantt(n, 1));
     }
+    Ok(ExitCode::SUCCESS)
+}
+
+fn main() -> ExitCode {
+    cli::main("narrate", USAGE, run)
 }

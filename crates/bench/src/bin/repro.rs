@@ -10,42 +10,34 @@
 //! the paper's full axes (N = 5..50 step 5; 1/λ sweep at N = 30 over a
 //! 100 000-tick horizon; 5 seeds).
 
+use std::process::ExitCode;
+
+use rcv_bench::cli::{self, Flags};
 use rcv_bench::{emit, Scale};
 use rcv_workload::experiments::{analysis, bandwidth, fairness, fig4_5, fig6_7, forwarding};
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: repro [--quick] [--markdown] <experiment>...\n\
-         experiments: fig4 fig5 fig6 fig7 an1 an2 an3 an4 an5 ext1 ext2 ext3 all"
-    );
-    std::process::exit(2);
-}
+const EXPERIMENTS: [&str; 12] = [
+    "fig4", "fig5", "fig6", "fig7", "an1", "an2", "an3", "an4", "an5", "ext1", "ext2", "ext3",
+];
 
-fn main() {
-    let mut scale = Scale::Full;
-    let mut markdown = false;
-    let mut wanted: Vec<String> = Vec::new();
+const USAGE: &str = "usage: repro [--quick] [--markdown] <experiment>...\n\
+    experiments: fig4 fig5 fig6 fig7 an1 an2 an3 an4 an5 ext1 ext2 ext3 all";
 
-    for arg in std::env::args().skip(1) {
-        match arg.as_str() {
-            "--quick" => scale = Scale::Quick,
-            "--markdown" => markdown = true,
-            "--help" | "-h" => usage(),
-            other if other.starts_with('-') => usage(),
-            other => wanted.push(other.to_string()),
-        }
-    }
+fn run() -> Result<ExitCode, String> {
+    let mut f = Flags::from_env();
+    let scale = if f.flag("--quick") {
+        Scale::Quick
+    } else {
+        Scale::Full
+    };
+    let markdown = f.flag("--markdown");
+    let mut wanted = f.positionals();
+    f.finish()?;
     if wanted.is_empty() {
-        usage();
+        return Err("name at least one experiment".into());
     }
     if wanted.iter().any(|w| w == "all") {
-        wanted = [
-            "fig4", "fig5", "fig6", "fig7", "an1", "an2", "an3", "an4", "an5", "ext1", "ext2",
-            "ext3",
-        ]
-        .into_iter()
-        .map(String::from)
-        .collect();
+        wanted = EXPERIMENTS.map(String::from).to_vec();
     }
 
     let seeds = scale.seeds();
@@ -81,7 +73,12 @@ fn main() {
             "ext1" => emit(&bandwidth::run(&an_sizes, &seeds), markdown),
             "ext2" => emit(&fairness::run(12, 5, &seeds), markdown),
             "ext3" => emit(&forwarding::run(20, &seeds), markdown),
-            _ => usage(),
+            other => return Err(format!("unknown experiment {other}")),
         }
     }
+    Ok(ExitCode::SUCCESS)
+}
+
+fn main() -> ExitCode {
+    cli::main("repro", USAGE, run)
 }

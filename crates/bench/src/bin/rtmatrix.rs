@@ -31,18 +31,14 @@
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
-use rcv_bench::cli::Flags;
+use rcv_bench::cli::{self, Flags};
 use rcv_bench::rtmatrix::{render_report, run_diff_cells_on, runtime_grid, DiffOptions, SCHEMA};
 use rcv_workload::{ClusterBackend, ProcessBackend};
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage: rtmatrix [--backend thread|process|both] [--limit K] [--filter SUBSTR]\n\
-         \u{20}               [--threads T] [--out PATH] [--list] [--timeout-secs S]\n\
-         \u{20}               [--stall-timeout-secs S] [--reruns R] [--tick-us U]"
-    );
-    ExitCode::from(2)
-}
+const USAGE: &str =
+    "usage: rtmatrix [--backend thread|process|both] [--limit K] [--filter SUBSTR]\n\
+    \u{20}               [--threads T] [--out PATH] [--list] [--timeout-secs S]\n\
+    \u{20}               [--stall-timeout-secs S] [--reruns R] [--tick-us U]";
 
 fn backends(choice: &str) -> Result<Vec<ClusterBackend>, String> {
     let process = || -> Result<ClusterBackend, String> {
@@ -139,11 +135,5 @@ fn main() -> ExitCode {
     // Re-exec guard: with `--backend process` this binary spawns copies of
     // itself as cluster workers; a worker invocation never returns here.
     rcv_workload::maybe_worker();
-    match run() {
-        Ok(code) => code,
-        Err(e) => {
-            eprintln!("rtmatrix: {e}");
-            usage()
-        }
-    }
+    cli::main("rtmatrix", USAGE, run)
 }

@@ -1,8 +1,19 @@
 //! The one flag parser of the `rcv-bench` binaries: take what you know by
 //! name, then [`Flags::finish`] rejects whatever is left. Errors are
-//! strings; every binary prints them above its usage text and exits 2.
+//! strings; every binary's [`main`] prints them above its usage text and
+//! exits 2.
 
+use std::process::ExitCode;
 use std::str::FromStr;
+
+/// The `main` of every binary: `run`'s exit code, or on an error the error
+/// above `usage` and exit code 2.
+pub fn main(name: &str, usage: &str, run: impl FnOnce() -> Result<ExitCode, String>) -> ExitCode {
+    run().unwrap_or_else(|e| {
+        eprintln!("{name}: {e}\n{usage}");
+        ExitCode::from(2)
+    })
+}
 
 /// A command line, consumed flag by flag.
 pub struct Flags(Vec<String>);

@@ -5,6 +5,7 @@
 //! The heavy lifting lives in the `rcv-mc` crate; this module maps the
 //! harness-level [`Algo`] onto the per-protocol checker builders and
 //! erases the per-protocol types so one report ranges over all of them.
+//! Algorithms are named by [`Algo::tag`], as on every other binary.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -57,36 +58,11 @@ impl McCell {
     pub fn name(&self) -> String {
         format!(
             "{}/n{}/d{}p{}",
-            algo_slug(self.algo),
+            self.algo.tag(),
             self.n,
             self.drops,
             self.dups
         )
-    }
-}
-
-/// CLI slug for a checkable algorithm (see [`parse_algo`]).
-pub fn algo_slug(algo: Algo) -> &'static str {
-    match algo {
-        Algo::Rcv(ForwardPolicy::Sequential) => "rcv-seq",
-        Algo::Rcv(ForwardPolicy::MostStale) => "rcv-most-stale",
-        Algo::Rcv(ForwardPolicy::Freshest) => "rcv-freshest",
-        Algo::Ricart => "ricart",
-        Algo::Lamport => "lamport",
-        _ => "unsupported",
-    }
-}
-
-/// Parses an algorithm slug. Only deterministic, adapter-backed
-/// algorithms are accepted.
-pub fn parse_algo(s: &str) -> Option<Algo> {
-    match s {
-        "rcv-seq" => Some(Algo::Rcv(ForwardPolicy::Sequential)),
-        "rcv-most-stale" => Some(Algo::Rcv(ForwardPolicy::MostStale)),
-        "rcv-freshest" => Some(Algo::Rcv(ForwardPolicy::Freshest)),
-        "ricart" => Some(Algo::Ricart),
-        "lamport" => Some(Algo::Lamport),
-        _ => None,
     }
 }
 
@@ -190,26 +166,25 @@ where
     }
 }
 
-/// Runs one cell to completion.
-///
-/// # Panics
-///
-/// If the cell's algorithm is not [`Algo::model_checkable`].
-pub fn run_cell(cell: &McCell, opts: &McOptions) -> McOutcome {
+/// Runs one cell to completion; refuses an algorithm that is not
+/// [`Algo::model_checkable`].
+pub fn run_cell(cell: &McCell, opts: &McOptions) -> Result<McOutcome, String> {
     let started = Instant::now();
     let report = match cell.algo {
-        Algo::Rcv(policy) => finish(rcv_checker(cell.n, policy), cell, opts),
+        Algo::Rcv(policy) if cell.algo.model_checkable() => {
+            finish(rcv_checker(cell.n, policy), cell, opts)
+        }
         Algo::Ricart => finish(ricart_checker(cell.n), cell, opts),
         Algo::Lamport => finish(lamport_checker(cell.n), cell, opts),
-        other => panic!("{} has no model-checker adapter", other.name()),
+        other => return Err(format!("{} has no model-checker adapter", other.tag())),
     };
-    McOutcome {
+    Ok(McOutcome {
         cell: cell.name(),
         algo: cell.algo.name(),
         n: cell.n,
         report,
         secs: started.elapsed().as_secs_f64(),
-    }
+    })
 }
 
 /// Renders the outcomes as the `rcv-mc/v1` JSON artifact. Like the
@@ -284,7 +259,7 @@ mod tests {
             drops: 0,
             dups: 0,
         };
-        let out = run_cell(&cell, &McOptions::default());
+        let out = run_cell(&cell, &McOptions::default()).expect("checkable");
         assert!(out.passed(), "{}", out.report.summary());
         let json = render_report(&[out]);
         assert!(json.contains("\"schema\": \"rcv-mc/v1\""));
@@ -316,9 +291,35 @@ mod tests {
 
     #[test]
     fn slugs_round_trip() {
+        // A cell is named by its algorithm's tag, the name `--algo` takes.
         for cell in ci_suite() {
-            assert_eq!(parse_algo(algo_slug(cell.algo)), Some(cell.algo));
+            let name = cell.name();
+            assert_eq!(
+                name.split('/').next().and_then(Algo::from_tag),
+                Some(cell.algo)
+            );
         }
-        assert!(parse_algo("rcv-random").is_none());
+        assert!(Algo::from_tag("rcv-random").is_none());
+    }
+
+    #[test]
+    fn every_checkable_algorithm_exhausts_n2_and_the_rest_are_refused() {
+        let checkable = ci_suite().into_iter().map(|c| c.algo);
+        for algo in Algo::all().into_iter().chain(checkable) {
+            let cell = McCell {
+                algo,
+                n: 2,
+                drops: 0,
+                dups: 0,
+            };
+            match run_cell(&cell, &McOptions::default()) {
+                Ok(o) => assert!(
+                    algo.model_checkable() && o.passed(),
+                    "{}",
+                    o.report.summary()
+                ),
+                Err(e) => assert!(!algo.model_checkable(), "{e}"),
+            }
+        }
     }
 }

@@ -5,8 +5,8 @@
 //! agree: it takes [`Cell`]s from the PR-3 scenario registry, runs each on
 //! **both** backends, and cross-checks
 //!
-//! * **safety** — zero mutual-exclusion violations on either side
-//!   (simnet's `SafetyMonitor` vs the runtime's `CsChecker`);
+//! * **safety** — zero mutual-exclusion violations on either side, both
+//!   judged by the one `rcv_simnet::SafetyMonitor`;
 //! * **anomaly-freedom** — RCV's internal anomaly counters stay zero
 //!   under real concurrency, not just simulated concurrency;
 //! * **liveness** — cells whose fault regime preserves reliable delivery

@@ -17,23 +17,23 @@
 //!
 //! Each node thread owns its protocol state machine, issues its workload's
 //! requests, executes the CS by *sleeping* for `cs_duration` (registering
-//! entry/exit with the shared [`CsChecker`]), and keeps serving protocol
-//! messages between and after its own requests until the whole cluster is
-//! done. The caller of [`run_cluster_collecting`] serves the delay queue
+//! entry/exit with the one shared [`SafetyMonitor`]), and keeps serving
+//! protocol messages between and after its own requests until the whole
+//! cluster is done. The caller of [`run_cluster_collecting`] serves the delay queue
 //! itself — a run creates exactly `n` threads. Every cluster thread, the
 //! caller included, registers a [`crate::watchdog::StatusCell`], so a
 //! deadlocked run can be post-mortemed with
 //! [`crate::watchdog::thread_dump`].
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, RecvTimeoutError};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use rcv_simnet::{DelayModel, FaultPlan, MutexProtocol, NodeId, SimDuration};
+use rcv_simnet::{DelayModel, FaultPlan, MutexProtocol, NodeId, SafetyMonitor, SimDuration};
 
-use crate::checker::CsChecker;
+use crate::checker::{lock, tally};
 use crate::node::{NodeDriver, NodeParams};
 use crate::spec::{ticks, Spec};
 use crate::transport::chan::{ChanTransport, Packet, Submitted};
@@ -120,8 +120,8 @@ pub struct WireFaults {
     /// window the network black-holes every delivery to the node (counted
     /// in [`ClusterReport::crash_dropped`], separately from loss), the
     /// node thread freezes — aborting a held CS, which evicts it from the
-    /// checker — and at the window's end the thread re-runs the protocol's
-    /// [`rcv_simnet::MutexProtocol::on_restart`] hook and rejoins.
+    /// safety monitor — and at the window's end the thread re-runs the
+    /// protocol's [`rcv_simnet::MutexProtocol::on_restart`] hook and rejoins.
     pub crash_restart: Option<(u32, u64, u64)>,
 }
 
@@ -249,7 +249,7 @@ impl<M> ClusterSpec<M> {
 pub struct ClusterReport {
     /// CS executions completed across all nodes.
     pub completed: u64,
-    /// CS entries seen by the checker (should equal `completed`).
+    /// CS entries seen by the safety monitor (should equal `completed`).
     pub cs_entries: u64,
     /// Mutual exclusion violations (0 ⇔ safe).
     pub violations: u64,
@@ -281,7 +281,7 @@ impl ClusterReport {
     }
 
     /// Folds a finished run into its report: the nodes' own counters, the
-    /// CS checker's `(entries, violations)`, the delay queue's fault
+    /// safety monitor's `(entries, violations)`, the delay queue's fault
     /// counters and whether the deadline cut the run short.
     pub(crate) fn fold<'a, T>(
         nodes: impl Iterator<Item = &'a WorkerReport>,
@@ -331,7 +331,7 @@ where
 {
     assert!(spec.n >= 1);
     let n = spec.n;
-    let checker = Arc::new(CsChecker::new());
+    let monitor = Arc::new(Mutex::new(SafetyMonitor::new()));
     let start = Instant::now();
 
     // Node threads: each runs the transport-generic driver over the
@@ -347,7 +347,7 @@ where
             me,
             make_node(me, n),
             ChanTransport::new(me, net_tx.clone(), rx),
-            Arc::clone(&checker),
+            Arc::clone(&monitor),
             SmallRng::seed_from_u64(seed),
             NodeParams::new(
                 spec.rounds,
@@ -441,12 +441,7 @@ where
             Err(panic) => std::panic::resume_unwind(panic),
         }
     }
-    let report = ClusterReport::fold(
-        reports.iter(),
-        (checker.entries(), checker.violations()),
-        &q,
-        timed_out,
-    );
+    let report = ClusterReport::fold(reports.iter(), tally(&lock(&monitor)), &q, timed_out);
     (report, nodes)
 }
 

@@ -175,7 +175,7 @@ where
     /// release handler is NOT run, and the execution does not count.
     fn execute_cs(&mut self) -> bool {
         self.status.set("in CS");
-        self.probe.enter(self.me);
+        self.probe.enter(self.me, self.now());
         let end = Instant::now() + self.params.cs_duration;
         loop {
             let now = Instant::now();
@@ -195,7 +195,7 @@ where
             }
             std::thread::sleep(nap);
         }
-        self.probe.exit(self.me);
+        self.probe.exit(self.me, self.now());
         self.out.completed += 1;
         // The release handler may send messages but never re-enters.
         let entered_again = self.dispatch(|p, ctx| p.on_cs_released(ctx));
@@ -474,8 +474,8 @@ mod tests {
     }
 
     impl CsProbe for Log {
-        fn enter(&self, _node: NodeId) {}
-        fn exit(&self, _node: NodeId) {
+        fn enter(&self, _node: NodeId, _now: SimTime) {}
+        fn exit(&self, _node: NodeId, _now: SimTime) {
             self.push(Ev::CsDone);
         }
         fn evict(&self, _node: NodeId) {

@@ -26,8 +26,8 @@
 //!    identical across backends. Output toward a worker is bounded by
 //!    [`OUTBUF_CAP`]: a worker that stops reading is written off (and
 //!    named in `faults`, see [`OVER_CAP_FAULT`]) instead of growing the
-//!    hub. Mutual exclusion is checked *post hoc* by replaying
-//!    the shared append-only CS log ([`crate::replay_cs_log`]) — workers
+//!    hub. Mutual exclusion is checked *post hoc* by replaying the shared
+//!    append-only CS log into an [`rcv_simnet::SafetyMonitor`] — workers
 //!    write entry/exit records from inside the CS, and the kernel's
 //!    `O_APPEND` serialization makes interleaved records a faithful
 //!    witness of real overlap.

@@ -1,44 +1,35 @@
-//! Convenience entry point for running the **RCV** protocol on the
-//! threaded cluster.
-//!
-//! (Baselines run on the same cluster through the generic
-//! [`crate::run_cluster_collecting`]; the uniform all-8-algorithms dispatch
-//! lives in `rcv_workload::algo`.)
+//! RCV end to end on the thread tier: safety, liveness and anomaly
+//! freedom under each fault the wire layer injects. Test-only; the
+//! cluster is [`crate::run_cluster_collecting`], for RCV as for every
+//! baseline.
 
-use rcv_core::{RcvConfig, RcvNode};
-use rcv_simnet::NodeId;
-
-use crate::cluster::{run_cluster_collecting, ClusterReport, ClusterSpec};
-
-/// Runs an RCV cluster per `spec`. The report's `anomalies` is the sum of
-/// the nodes' internal anomaly counters — the runtime analogue of
-/// `rcv_core::total_anomalies` after a simulation.
-pub fn run_rcv_cluster(
-    spec: ClusterSpec<rcv_core::RcvMessage>,
-    config: RcvConfig,
-) -> ClusterReport {
-    let restartable = spec.faults.crash_restart.is_some();
-    let (mut report, nodes) = run_cluster_collecting(spec, move |id: NodeId, n| {
-        RcvNode::with_config(id, n, config)
-    });
-    report.anomalies = nodes
-        .iter()
-        .map(|n| n.stats().anomalies_under(restartable))
-        .sum();
-    report
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::cluster::{NetDelay, WireFaults};
-    use crate::wire::verifying_hook;
     use std::time::Duration;
+
+    use rcv_core::{RcvConfig, RcvNode};
+
+    use crate::cluster::{
+        run_cluster_collecting, ClusterReport, ClusterSpec, NetDelay, WireFaults,
+    };
+    use crate::wire::verifying_hook;
+
+    /// Runs an RCV cluster per `spec`, with `anomalies` summed over the
+    /// nodes' counters as `rcv_workload::Algo::run_threaded` sums them.
+    fn run_rcv(spec: ClusterSpec<rcv_core::RcvMessage>, config: RcvConfig) -> ClusterReport {
+        let restartable = spec.faults.crash_restart.is_some();
+        let (mut report, nodes) =
+            run_cluster_collecting(spec, |id, n| RcvNode::with_config(id, n, config));
+        report.anomalies = nodes
+            .iter()
+            .map(|n| n.stats().anomalies_under(restartable))
+            .sum();
+        report
+    }
 
     #[test]
     fn rcv_threads_one_round_is_safe() {
         let spec = ClusterSpec::quick(4, 1);
-        let r = run_rcv_cluster(spec, RcvConfig::paper());
+        let r = run_rcv(spec, RcvConfig::paper());
         assert!(r.is_clean(4), "{r:?}");
         assert_eq!(r.cs_entries, 4);
     }
@@ -48,14 +39,14 @@ mod tests {
         let spec = ClusterSpec::quick(5, 2)
             .rounds(3)
             .think(Duration::from_micros(200));
-        let r = run_rcv_cluster(spec, RcvConfig::paper());
+        let r = run_rcv(spec, RcvConfig::paper());
         assert!(r.is_clean(15), "{r:?}");
     }
 
     #[test]
     fn rcv_threads_with_codec_on_the_wire() {
         let spec = ClusterSpec::quick(4, 3).wire_hook(verifying_hook());
-        let r = run_rcv_cluster(spec, RcvConfig::paper());
+        let r = run_rcv(spec, RcvConfig::paper());
         assert!(r.is_clean(4), "{r:?}");
         assert!(r.messages > 0);
     }
@@ -63,14 +54,14 @@ mod tests {
     #[test]
     fn rcv_threads_without_injected_delay() {
         let spec = ClusterSpec::quick(6, 4).delay(NetDelay::None);
-        let r = run_rcv_cluster(spec, RcvConfig::paper());
+        let r = run_rcv(spec, RcvConfig::paper());
         assert!(r.is_clean(6), "{r:?}");
     }
 
     #[test]
     fn single_node_cluster() {
         let spec = ClusterSpec::quick(1, 5).rounds(3);
-        let r = run_rcv_cluster(spec, RcvConfig::paper());
+        let r = run_rcv(spec, RcvConfig::paper());
         assert!(r.is_clean(3), "{r:?}");
         assert_eq!(r.messages, 0, "one node never needs the network");
     }
@@ -80,7 +71,7 @@ mod tests {
         let spec = ClusterSpec::quick(5, 6)
             .rounds(2)
             .wire_hook(verifying_hook());
-        let r = run_rcv_cluster(spec, RcvConfig::paper());
+        let r = run_rcv(spec, RcvConfig::paper());
         assert!(r.is_clean(10), "{r:?}");
         assert_eq!(r.anomalies, 0, "RCV internal anomaly counters fired");
     }
@@ -93,7 +84,7 @@ mod tests {
             .rounds(2)
             .faults(WireFaults::none().with_duplication(1))
             .wire_hook(verifying_hook());
-        let r = run_rcv_cluster(spec, RcvConfig::paper());
+        let r = run_rcv(spec, RcvConfig::paper());
         assert!(r.is_clean(10), "{r:?}");
         assert!(r.duplicated > 0, "duplication regime must actually fire");
     }
@@ -110,7 +101,7 @@ mod tests {
             .wire_hook(std::sync::Arc::new(move |_| rcv_core::RcvMessage::Rv {
                 body: foreign.clone(),
             }));
-        let r = run_rcv_cluster(spec, RcvConfig::paper());
+        let r = run_rcv(spec, RcvConfig::paper());
         assert!(
             r.timed_out && r.completed == 0 && r.violations == 0,
             "{r:?}"
@@ -130,7 +121,7 @@ mod tests {
             .tick(Duration::from_millis(1))
             .cs_duration(Duration::from_millis(20))
             .faults(WireFaults::none().with_crash_restart(0, 10, 30));
-        let r = run_rcv_cluster(spec, RcvConfig::paper());
+        let r = run_rcv(spec, RcvConfig::paper());
         assert!(r.is_clean(1), "{r:?}");
         assert_eq!(r.restarts, 1, "the crash window must actually fire");
         assert_eq!(
@@ -159,7 +150,7 @@ mod tests {
             retry: Some(rcv_simnet::RetryPolicy::backoff(400, 3_200)),
             ..RcvConfig::paper()
         };
-        let r = run_rcv_cluster(spec, config);
+        let r = run_rcv(spec, config);
         assert!(r.is_clean(8), "{r:?}");
         assert_eq!(r.anomalies, 0, "Lemma 6 must hold across the restart");
         assert_eq!(r.restarts, 1, "the crash window must actually fire");
@@ -177,7 +168,7 @@ mod tests {
             .rounds(2)
             .faults(WireFaults::none().with_loss(9))
             .timeout(Duration::from_secs(60));
-        let r = run_rcv_cluster(spec, RcvConfig::with_retransmit(2_000));
+        let r = run_rcv(spec, RcvConfig::with_retransmit(2_000));
         assert!(r.is_clean(8), "{r:?}");
         assert!(r.lost > 0, "loss regime must actually drop messages");
     }

@@ -88,8 +88,6 @@ pub struct SimReport {
     pub metrics: SimMetrics,
     /// Mutual exclusion violations (empty ⇔ safe).
     pub violations: Vec<Violation>,
-    /// Raw exit→entry gaps for the synchronization delay metric.
-    pub sync_gaps: Vec<SimDuration>,
     /// Total CS entries observed by the monitor.
     pub cs_entries: u64,
     /// Execution trace (empty unless `trace_capacity` was set).
@@ -260,7 +258,6 @@ impl<P: MutexProtocol, W: Workload> Engine<P, W> {
             deadlocked,
             truncated,
             violations: parts.violations,
-            sync_gaps: parts.sync_gaps,
             cs_entries: parts.entries,
             metrics: self.metrics,
             trace: self.trace,
@@ -332,6 +329,7 @@ impl<P: MutexProtocol, W: Workload> Engine<P, W> {
         }
         self.in_cs[node.index()] = false;
         self.monitor.exit(node, now);
+        self.check_safety();
         self.metrics.cs_exited(node, now);
         self.dispatch(node, now, |p, ctx| p.on_cs_released(ctx));
         self.workload
@@ -509,13 +507,7 @@ impl<P: MutexProtocol, W: Workload> Engine<P, W> {
             "{node:?} entered the CS it already holds"
         );
         self.monitor.enter(node, now);
-        if self.cfg.panic_on_violation && !self.monitor.is_safe() {
-            let v = self.monitor.violations().last().unwrap();
-            panic!(
-                "MUTUAL EXCLUSION VIOLATED at {:?}: {:?} entered while {:?} was inside",
-                v.at, v.intruder, v.holder
-            );
-        }
+        self.check_safety();
         if self.trace.enabled() {
             self.trace.record(TraceEvent::CsEnter { at: now, node });
         }
@@ -527,6 +519,16 @@ impl<P: MutexProtocol, W: Workload> Engine<P, W> {
         self.queue
             .schedule(exit_at, EventKind::CsExit { node, epoch });
         self.dispatch(node, now, |p, ctx| p.on_cs_granted(ctx));
+    }
+
+    /// With `panic_on_violation`, panics at the first violation the
+    /// monitor records, naming it.
+    fn check_safety(&self) {
+        if let Some(v) = self.monitor.violations().first() {
+            if self.cfg.panic_on_violation {
+                panic!("MUTUAL EXCLUSION VIOLATED: {v:?}");
+            }
+        }
     }
 
     /// Read-only access to a node, for white-box assertions in tests.
@@ -717,10 +719,11 @@ mod tests {
     #[test]
     fn sync_gap_under_saturation_is_positive() {
         let r = run_burst(6, 3, DelayModel::paper_constant());
-        assert!(!r.sync_gaps.is_empty());
+        let gaps = r.metrics.sync_gaps();
+        assert!(!gaps.is_empty());
         // Central protocol: exit -> Done(5) -> Grant(5) = 10tu gaps for
         // non-coordinator handoffs.
-        assert!(r.sync_gaps.iter().all(|g| g.ticks() <= 10));
+        assert!(gaps.iter().all(|g| g.ticks() <= 10));
     }
 
     #[test]

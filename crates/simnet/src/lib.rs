@@ -20,9 +20,9 @@
 //!   under this simulator and under the real-thread runtime in
 //!   `rcv-runtime`;
 //! * [`SafetyMonitor`] — an omniscient observer checking mutual exclusion
-//!   externally and collecting synchronization-delay samples;
-//! * [`SimMetrics`] — NME / response-time bookkeeping matching the paper's
-//!   measures;
+//!   externally, on this simulator and on both real tiers of `rcv-runtime`;
+//! * [`SimMetrics`] — NME / response-time / synchronization-delay
+//!   bookkeeping matching the paper's measures;
 //! * [`Engine`] — the event loop tying it all together.
 //!
 //! ## Example

@@ -8,7 +8,11 @@
 //!   execution is over" — is inconsistent with its own light-load formula
 //!   `([N/2]+2)·Tn`, which excludes `Tc`; we use the entry-time reading and
 //!   record exit times too so either can be reported.)
-//! * **Synchronization delay** — collected by the [`crate::SafetyMonitor`].
+//! * **Synchronization delay** (§6.1.2) — the gap between one CS exit and
+//!   the next CS entry, whoever the two nodes are ([`SimMetrics::sync_gaps`]).
+//!
+//! Whether mutual exclusion held is not a metric: the
+//! [`crate::SafetyMonitor`] checks it.
 
 use std::collections::BTreeMap;
 
@@ -74,6 +78,10 @@ pub struct SimMetrics {
     requests_aborted: u64,
     /// Interrupted requests re-adopted by their node after a restart.
     requests_resumed: u64,
+    /// The last CS exit, until the next entry turns it into a gap.
+    last_exit: Option<SimTime>,
+    /// Gap between each CS exit and the immediately following CS entry.
+    sync_gaps: Vec<SimDuration>,
 }
 
 impl SimMetrics {
@@ -104,6 +112,9 @@ impl SimMetrics {
 
     /// `node` entered the CS at `now`.
     pub fn cs_entered(&mut self, node: NodeId, now: SimTime) {
+        if let Some(exit) = self.last_exit.take() {
+            self.sync_gaps.push(now.saturating_since(exit));
+        }
         if let Some(&idx) = self.open.get(&node) {
             let rec = &mut self.records[idx];
             assert!(
@@ -114,8 +125,11 @@ impl SimMetrics {
         }
     }
 
-    /// `node` exited the CS at `now`; its request is now complete.
+    /// `node` exited the CS at `now`; its request is now complete. A hold
+    /// that ends in a crash reports no exit, so it starts no gap: the wait
+    /// to the next entry would measure recovery, not a hand-off.
     pub fn cs_exited(&mut self, node: NodeId, now: SimTime) {
+        self.last_exit = Some(now);
         if let Some(idx) = self.open.remove(&node) {
             self.records[idx].exited = Some(now);
         }
@@ -234,6 +248,13 @@ impl SimMetrics {
     /// All request records (completed and in-flight).
     pub fn records(&self) -> &[RequestRecord] {
         &self.records
+    }
+
+    /// Raw exit→entry gaps. Under saturation these *are* the paper's
+    /// synchronization delay samples; under light load they include idle
+    /// time and must be filtered by the caller (see `rcv-workload`).
+    pub fn sync_gaps(&self) -> &[SimDuration] {
+        &self.sync_gaps
     }
 
     /// **NME**: mean number of messages exchanged per completed CS
@@ -361,6 +382,40 @@ mod tests {
         // Response time runs from the resume, not the original arrival.
         assert_eq!(m.response_time().mean, 5.0);
         assert_eq!(m.requests_aborted(), 1, "the interruption stays counted");
+    }
+
+    fn gaps(m: &SimMetrics) -> Vec<u64> {
+        m.sync_gaps().iter().map(|d| d.ticks()).collect()
+    }
+
+    #[test]
+    fn sync_gaps_measure_exit_to_entry() {
+        let mut m = SimMetrics::new();
+        m.cs_entered(NodeId::new(0), t(0));
+        m.cs_exited(NodeId::new(0), t(10));
+        m.cs_entered(NodeId::new(1), t(15)); // gap 5
+        m.cs_exited(NodeId::new(1), t(25));
+        m.cs_entered(NodeId::new(2), t(30)); // gap 5
+        assert_eq!(gaps(&m), vec![5, 5]);
+    }
+
+    #[test]
+    fn eviction_starts_no_gap() {
+        // A holder that crashes reports no exit; the next entry measures
+        // crash recovery, not a protocol hand-off, and records nothing.
+        let mut m = SimMetrics::new();
+        m.cs_entered(NodeId::new(0), t(0));
+        m.cs_exited(NodeId::new(0), t(10));
+        m.cs_entered(NodeId::new(1), t(12)); // gap 2, then N1 crashes
+        m.cs_entered(NodeId::new(2), t(50));
+        assert_eq!(gaps(&m), vec![2]);
+    }
+
+    #[test]
+    fn first_entry_has_no_gap() {
+        let mut m = SimMetrics::new();
+        m.cs_entered(NodeId::new(0), t(7));
+        assert!(m.sync_gaps().is_empty());
     }
 
     #[test]

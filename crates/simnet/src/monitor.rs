@@ -1,23 +1,37 @@
 //! Global safety monitor.
 //!
-//! The monitor is the simulation's omniscient observer: it sees every CS
+//! The monitor is the omniscient observer of every tier: it sees every CS
 //! entry and exit and checks the paper's Theorem 1 (mutual exclusion)
-//! externally, independent of any protocol bookkeeping. It also records the
-//! raw material for the **synchronization delay** metric (§6.1.2): the gap
-//! between one CS exit and the next CS entry.
+//! externally, independent of any protocol bookkeeping. The engine feeds
+//! it directly, the thread tier shares one behind a mutex, and the process
+//! tier replays its CS log into one. It checks and does not measure: the
+//! synchronization delay (§6.1.2) is a metric, kept by
+//! [`crate::SimMetrics`].
 
 use crate::ids::NodeId;
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 
 /// A recorded mutual exclusion violation.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Violation {
-    /// When the second node entered.
-    pub at: SimTime,
-    /// Who already held the CS.
-    pub holder: NodeId,
-    /// Who entered on top of them.
-    pub intruder: NodeId,
+pub enum Violation {
+    /// A node entered while another was inside.
+    Overlap {
+        /// When the second node entered.
+        at: SimTime,
+        /// Who already held the CS.
+        holder: NodeId,
+        /// Who entered on top of them.
+        intruder: NodeId,
+    },
+    /// A node exited a CS it did not hold.
+    ForeignExit {
+        /// When it exited.
+        at: SimTime,
+        /// Who exited.
+        node: NodeId,
+        /// Who held the CS at the time (`None`: nobody).
+        holder: Option<NodeId>,
+    },
 }
 
 /// Everything a [`SafetyMonitor`] accumulated over a run, moved out (not
@@ -26,24 +40,19 @@ pub struct Violation {
 pub struct MonitorParts {
     /// All recorded violations (empty ⇔ mutual exclusion held).
     pub violations: Vec<Violation>,
-    /// Raw exit→entry gaps (the synchronization-delay samples).
-    pub sync_gaps: Vec<SimDuration>,
     /// Total CS entries observed.
     pub entries: u64,
     /// Total CS exits observed.
     pub exits: u64,
 }
 
-/// Tracks CS occupancy and collects safety/synchronization observations.
+/// Tracks CS occupancy and records every violation of it.
 #[derive(Debug, Default)]
 pub struct SafetyMonitor {
     occupant: Option<NodeId>,
-    last_exit: Option<SimTime>,
     entries: u64,
     exits: u64,
     violations: Vec<Violation>,
-    /// Gap between each CS exit and the immediately following CS entry.
-    sync_gaps: Vec<SimDuration>,
 }
 
 impl SafetyMonitor {
@@ -54,46 +63,40 @@ impl SafetyMonitor {
 
     /// Records `node` entering the CS at `now`.
     ///
-    /// If the CS is already occupied the violation is recorded (and the new
-    /// node becomes the tracked occupant so subsequent exits stay coherent).
+    /// If the CS is already occupied — by another node or by `node`
+    /// itself — the violation is recorded, and the new node becomes the
+    /// tracked occupant so subsequent exits stay coherent.
     pub fn enter(&mut self, node: NodeId, now: SimTime) {
         if let Some(holder) = self.occupant {
-            self.violations.push(Violation {
+            self.violations.push(Violation::Overlap {
                 at: now,
                 holder,
                 intruder: node,
             });
         }
-        if let Some(exit) = self.last_exit.take() {
-            self.sync_gaps.push(now.saturating_since(exit));
-        }
         self.occupant = Some(node);
         self.entries += 1;
     }
 
-    /// Records `node` leaving the CS at `now`.
-    ///
-    /// Exiting a CS one does not hold is also a violation of the protocol
-    /// contract; it is surfaced via a panic in debug builds and ignored in
-    /// release (the monitor stays coherent either way).
+    /// Records `node` leaving the CS at `now`. Exiting a CS one does not
+    /// hold is a violation too; the occupant, if any, stays.
     pub fn exit(&mut self, node: NodeId, now: SimTime) {
-        debug_assert_eq!(
-            self.occupant,
-            Some(node),
-            "node {node:?} exited a CS it does not hold at {now:?}"
-        );
         if self.occupant == Some(node) {
             self.occupant = None;
-            self.last_exit = Some(now);
+        } else {
+            self.violations.push(Violation::ForeignExit {
+                at: now,
+                node,
+                holder: self.occupant,
+            });
         }
         self.exits += 1;
     }
 
     /// Removes `node` as occupant without recording a CS exit: its process
-    /// died (crash fault) — a dead process cannot be "inside" the CS. No
-    /// sync-gap sample is started, since the gap to the next entry would
-    /// measure crash recovery, not a protocol handoff. Returns whether the
-    /// node actually held the CS. Exit/entry counters are untouched.
+    /// died (crash fault) — a dead process cannot be "inside" the CS.
+    /// Returns whether the node actually held the CS (it may have been
+    /// displaced by an earlier overlap). Exit/entry counters are untouched.
     pub fn evict(&mut self, node: NodeId) -> bool {
         if self.occupant == Some(node) {
             self.occupant = None;
@@ -128,19 +131,11 @@ impl SafetyMonitor {
         self.violations.is_empty()
     }
 
-    /// Raw exit→entry gaps. Under saturation these *are* the paper's
-    /// synchronization delay samples; under light load they include idle
-    /// time and must be filtered by the caller (see `rcv-workload`).
-    pub fn sync_gaps(&self) -> &[SimDuration] {
-        &self.sync_gaps
-    }
-
     /// Consumes the monitor, moving its accumulated observations out
-    /// without copying the (potentially large) violation/gap vectors.
+    /// without copying the violation vector.
     pub fn into_parts(self) -> MonitorParts {
         MonitorParts {
             violations: self.violations,
-            sync_gaps: self.sync_gaps,
             entries: self.entries,
             exits: self.exits,
         }
@@ -176,7 +171,7 @@ mod tests {
         assert!(!m.is_safe());
         assert_eq!(
             m.violations(),
-            &[Violation {
+            &[Violation::Overlap {
                 at: t(12),
                 holder: NodeId::new(0),
                 intruder: NodeId::new(1)
@@ -185,24 +180,29 @@ mod tests {
     }
 
     #[test]
-    fn sync_gaps_measure_exit_to_entry() {
-        let mut m = SafetyMonitor::new();
-        m.enter(NodeId::new(0), t(0));
-        m.exit(NodeId::new(0), t(10));
-        m.enter(NodeId::new(1), t(15)); // gap 5
-        m.exit(NodeId::new(1), t(25));
-        m.enter(NodeId::new(2), t(30)); // gap 5
-        let gaps: Vec<u64> = m.sync_gaps().iter().map(|d| d.ticks()).collect();
-        assert_eq!(gaps, vec![5, 5]);
-    }
-
-    #[test]
-    #[should_panic(expected = "exited a CS it does not hold")]
-    #[cfg(debug_assertions)]
-    fn foreign_exit_panics_in_debug() {
+    fn foreign_exit_is_a_counted_violation() {
         let mut m = SafetyMonitor::new();
         m.enter(NodeId::new(0), t(1));
         m.exit(NodeId::new(1), t(2));
+        assert_eq!(m.occupant(), Some(NodeId::new(0)), "the holder stays");
+        m.exit(NodeId::new(0), t(4));
+        m.exit(NodeId::new(0), t(5)); // nobody holds it now
+        assert_eq!(m.exits(), 3);
+        assert_eq!(
+            m.violations(),
+            &[
+                Violation::ForeignExit {
+                    at: t(2),
+                    node: NodeId::new(1),
+                    holder: Some(NodeId::new(0))
+                },
+                Violation::ForeignExit {
+                    at: t(5),
+                    node: NodeId::new(0),
+                    holder: None
+                }
+            ]
+        );
     }
 
     #[test]
@@ -213,31 +213,21 @@ mod tests {
         m.enter(NodeId::new(1), t(15));
         let p = m.into_parts();
         assert!(p.violations.is_empty());
-        assert_eq!(p.sync_gaps, vec![SimDuration::from_ticks(5)]);
         assert_eq!(p.entries, 2);
         assert_eq!(p.exits, 1);
     }
 
     #[test]
     fn evict_clears_occupancy_without_sync_gap() {
+        // The gap half of this claim lives with the gaps, in
+        // `metrics::tests::eviction_starts_no_gap`.
         let mut m = SafetyMonitor::new();
         m.enter(NodeId::new(0), t(0));
         assert!(m.evict(NodeId::new(0)));
         assert_eq!(m.occupant(), None);
         assert_eq!(m.exits(), 0, "an eviction is not a protocol exit");
         m.enter(NodeId::new(1), t(50));
-        assert!(
-            m.sync_gaps().is_empty(),
-            "recovery latency must not pollute the handoff metric"
-        );
         assert!(m.is_safe());
         assert!(!m.evict(NodeId::new(0)), "no-op when not the occupant");
-    }
-
-    #[test]
-    fn first_entry_has_no_gap() {
-        let mut m = SafetyMonitor::new();
-        m.enter(NodeId::new(0), t(7));
-        assert!(m.sync_gaps().is_empty());
     }
 }

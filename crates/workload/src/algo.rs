@@ -196,8 +196,8 @@ impl Algo {
         }
     }
 
-    /// Whether [`Algo::model_check`] has an exhaustive-checker adapter
-    /// for this algorithm.
+    /// Whether the exhaustive model checker (`rcv-mc`, driven by the `mc`
+    /// binary) has an adapter for this algorithm.
     ///
     /// Checkable: RCV under any *deterministic* forwarding policy,
     /// Ricart–Agrawala, and Lamport (in FIFO mode). Not checkable:
@@ -211,33 +211,6 @@ impl Algo {
             ) | Algo::Ricart
                 | Algo::Lamport
         )
-    }
-
-    /// Exhaustively model-checks this algorithm at `n` nodes (synchronized
-    /// full burst, one round each) with the given loss/duplication
-    /// budgets, via DFS. Returns `None` when the algorithm has no checker
-    /// adapter ([`Algo::model_checkable`]); use the `rcv_mc` builders
-    /// directly for requesters/rounds/depth/strategy control.
-    pub fn model_check(&self, n: usize, drops: u32, dups: u32) -> Option<rcv_mc::McSummary> {
-        let summary = match *self {
-            Algo::Rcv(policy) if self.model_checkable() => rcv_mc::rcv_checker(n, policy)
-                .drops(drops)
-                .dups(dups)
-                .run_dfs()
-                .erase(),
-            Algo::Ricart => rcv_mc::ricart_checker(n)
-                .drops(drops)
-                .dups(dups)
-                .run_dfs()
-                .erase(),
-            Algo::Lamport => rcv_mc::lamport_checker(n)
-                .drops(drops)
-                .dups(dups)
-                .run_dfs()
-                .erase(),
-            _ => return None,
-        };
-        Some(summary)
     }
 
     /// Runs one simulation of this algorithm with an explicit RCV
@@ -369,37 +342,6 @@ mod tests {
     fn paper_four_are_the_figure_legends() {
         let names: Vec<_> = Algo::paper_four().iter().map(|a| a.name()).collect();
         assert_eq!(names, vec!["RCV (ours)", "Maekawa", "Ricart", "Broadcast"]);
-    }
-
-    #[test]
-    fn model_check_hook_covers_the_adapted_algorithms() {
-        use rcv_core::ForwardPolicy;
-        for algo in [
-            Algo::Rcv(ForwardPolicy::Sequential),
-            Algo::Ricart,
-            Algo::Lamport,
-        ] {
-            assert!(algo.model_checkable(), "{}", algo.name());
-            let s = algo.model_check(2, 0, 0).expect("adapter exists");
-            assert!(
-                s.exhausted && s.violation.is_none(),
-                "{}: {}",
-                algo.name(),
-                s.summary()
-            );
-            assert!(s.visited > 0);
-        }
-        for algo in [
-            Algo::Rcv(ForwardPolicy::Random),
-            Algo::Maekawa,
-            Algo::Broadcast,
-            Algo::Raymond,
-            Algo::RaDynamic,
-            Algo::MaekawaFpp,
-        ] {
-            assert!(!algo.model_checkable(), "{}", algo.name());
-            assert!(algo.model_check(2, 0, 0).is_none(), "{}", algo.name());
-        }
     }
 
     #[test]

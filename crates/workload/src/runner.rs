@@ -38,10 +38,11 @@ impl Outcome {
         assert!(!r.deadlocked, "deadlocked run must never be summarized");
         assert!(!r.truncated, "truncated run must never be summarized");
         let rt = r.metrics.response_time();
-        let sync_mean = if r.sync_gaps.is_empty() {
+        let gaps = r.metrics.sync_gaps();
+        let sync_mean = if gaps.is_empty() {
             0.0
         } else {
-            r.sync_gaps.iter().map(|d| d.as_f64()).sum::<f64>() / r.sync_gaps.len() as f64
+            gaps.iter().map(|d| d.as_f64()).sum::<f64>() / gaps.len() as f64
         };
         Outcome {
             nme: r.metrics.nme().unwrap_or(0.0),

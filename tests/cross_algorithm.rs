@@ -107,12 +107,12 @@ fn sync_delay_rcv_beats_maekawa() {
     let n = 9;
     let rcv = {
         let r = Algo::paper_four()[0].run(SimConfig::paper(n, 3), SaturationWorkload::new(n, 2));
-        let gaps = &r.sync_gaps;
+        let gaps = r.metrics.sync_gaps();
         gaps.iter().map(|g| g.as_f64()).sum::<f64>() / gaps.len() as f64
     };
     let mk = {
         let r = Algo::Maekawa.run(SimConfig::paper(n, 3), SaturationWorkload::new(n, 2));
-        let gaps = &r.sync_gaps;
+        let gaps = r.metrics.sync_gaps();
         gaps.iter().map(|g| g.as_f64()).sum::<f64>() / gaps.len() as f64
     };
     assert!(
