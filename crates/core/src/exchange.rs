@@ -330,14 +330,20 @@ fn scrub_suffix(table: &mut Nsit, list: &Nonl, from: usize, map: &mut NodeTsMap,
         // The suffix is short (orderings learned since the other side's
         // snapshot), so its node mask filters out almost every row without
         // touching the row's backing allocation. A clear intersection
-        // proves the row holds no suffix-node tuple at all. Only rows that
-        // actually lose a tuple are marked for the normalization pass.
-        table.for_each_row_mut(|_, row| {
-            if row.mnl.nodes_mask() & suffix_mask == 0 {
-                return false;
+        // proves the row holds no suffix-node tuple at all. A read-only
+        // prescan finds the first row that loses a tuple, so a suffix no
+        // row holds leaves a shared table shared.
+        let in_suffix = |t: &ReqTuple| map.get(t.node) == Some(t.ts);
+        let Some(first) = table.iter().position(|(_, row)| {
+            row.mnl.nodes_mask() & suffix_mask != 0 && row.mnl.iter().any(|t| in_suffix(&t))
+        }) else {
+            return;
+        };
+        for row in table.rows_mut().skip(first) {
+            if row.mnl.nodes_mask() & suffix_mask != 0 {
+                row.mnl.remove_where(in_suffix);
             }
-            row.mnl.remove_where(|t| map.get(t.node) == Some(t.ts)) > 0
-        });
+        }
     } else {
         for t in list.iter().skip(from).copied().collect::<Vec<_>>() {
             table.delete_everywhere(&t);
@@ -412,6 +418,26 @@ mod tests {
             !si.nsit.contains_anywhere(&t(0, 1)),
             "ordered tuple must stop voting"
         );
+    }
+
+    #[test]
+    fn scrub_of_a_suffix_no_row_holds_keeps_the_table_shared() {
+        let mut table = Nsit::new(3);
+        table.row_mut(nid(1)).mnl.push(t(2, 1));
+        let snapshot = table.clone();
+        // <2,5> shares node 2's mask bit with the listed <2,1>, so only the
+        // prescan of row 1's contents proves nothing is to be removed.
+        let list: Nonl = [t(0, 1), t(2, 5)].into_iter().collect();
+        MERGE_SCRATCH.with(|c| scrub_suffix(&mut table, &list, 1, &mut c.borrow_mut().b, 3));
+        assert!(
+            table.same_backing(&snapshot),
+            "no-op scrub must not unshare"
+        );
+        // A suffix some row holds is scrubbed from the table, not the snapshot.
+        let list: Nonl = [t(2, 1)].into_iter().collect();
+        MERGE_SCRATCH.with(|c| scrub_suffix(&mut table, &list, 0, &mut c.borrow_mut().b, 3));
+        assert!(!table.contains_anywhere(&t(2, 1)));
+        assert!(snapshot.contains_anywhere(&t(2, 1)));
     }
 
     #[test]

@@ -613,11 +613,12 @@ impl Mnl {
     }
 }
 
-#[cfg(test)]
 impl Mnl {
-    /// Test-only: builds a list bypassing `push`'s Lemma 1 enforcement,
-    /// for exercising the invariant-violation fallback paths.
-    pub(crate) fn from_raw(items: Vec<ReqTuple>) -> Self {
+    /// Builds an untracked list bypassing `push`'s Lemma 1 enforcement.
+    /// No protocol path produces such a list; it exists so tests can
+    /// exercise the invariant-violation fallback paths.
+    #[doc(hidden)]
+    pub fn from_raw(items: Vec<ReqTuple>) -> Self {
         let mut m = Mnl {
             items: Items::Heap(Arc::new(items.into_iter().map(PackedTuple::pack).collect())),
             ..Mnl::default()

@@ -225,20 +225,16 @@ fn order_loop_inner(
         slots[bj as usize].count = 0;
         // Remove the leader from every row — semantically exactly
         // `si.nsit.delete_everywhere(&r.leader)` — while updating the vote
-        // counts of rows whose front changed. Only rows that actually lose
-        // the tuple are marked changed for the normalization tracking.
-        si.nsit.for_each_row_mut(|_, row| {
+        // counts of rows whose front changed.
+        for row in si.nsit.rows_mut() {
             // Mask filter: a clear bit proves the row cannot hold the
             // leader's tuple, skipping the row without a deref.
             if !row.mnl.may_contain_node(r.leader.node) {
-                return false;
+                continue;
             }
             let was_front = row.mnl.top() == Some(r.leader);
-            if !row.mnl.remove(&r.leader) {
-                return false;
-            }
-            if !was_front {
-                return true;
+            if !row.mnl.remove(&r.leader) || !was_front {
+                continue;
             }
             match row.mnl.top() {
                 None => votes_total -= 1,
@@ -258,8 +254,7 @@ fn order_loop_inner(
                     }
                 }
             }
-            true
-        });
+        }
         if r.leader == home {
             out.home_ordered = true;
             break; // paper line 17: Continue = false

@@ -1,28 +1,26 @@
-//! Epoch-stamped per-node scratch indexes for the Exchange/normalize hot
-//! path.
+//! Per-node scratch indexes for the Exchange/normalize hot path.
 //!
 //! The Exchange procedure repeatedly needs "is tuple `<j, ts>` a member of
 //! this ordered list?" and "what are node `j`'s home-row facts?" probes.
 //! Answering them with list walks made every message cost O(NONL length)
 //! per probe, and answering them with freshly allocated per-node tables
-//! made every message cost an O(N) allocation + clear even when nothing
-//! changed. These scratch maps amortize both away: the
-//! backing vectors live in a thread-local and are reused across calls, and
-//! "clearing" is a single epoch bump — slots written under an older epoch
-//! read as vacant in O(1).
+//! made every message cost an O(N) allocation. The backing vectors live in
+//! a thread-local and are reused across calls. The membership maps clear
+//! with a single epoch bump — slots written under an older epoch read as
+//! vacant in O(1); the normalize facts are refilled whole by a pass that
+//! reads every row anyway.
 //!
-//! Nothing here affects semantics: the maps cache facts derived from the
-//! lists they are filled from, within one Exchange phase, and every fill
-//! reports whether the one-entry-per-node invariant held so callers can
-//! fall back to exact linear probes when it did not (corrupt states only —
-//! the shipped algorithms never produce them).
+//! Nothing here affects semantics: the scratch caches facts derived from
+//! the lists and rows it is filled from, within one Exchange phase, and
+//! every fill reports whether the one-entry-per-node invariant held so
+//! callers can fall back to exact probes when it did not (corrupt states
+//! only — the shipped algorithms never produce them).
 
 use std::cell::RefCell;
 
 use rcv_simnet::NodeId;
 
 use crate::nonl::Nonl;
-use crate::tuple::ReqTuple;
 
 /// A per-node `Option<u64>` map with O(1) epoch-based clearing.
 pub(crate) struct NodeTsMap {
@@ -83,122 +81,15 @@ impl NodeTsMap {
     }
 }
 
-/// Lazily computed per-node home-row facts: `(row ts, own tuple, valid)`.
-/// `valid` is false when the home row violates Lemma 1 (two own tuples) —
-/// the cached own-tuple is then meaningless and callers must probe exactly.
-pub(crate) struct HomeFactsMap {
-    stamp: Vec<u32>,
-    ts: Vec<u64>,
-    own: Vec<Option<ReqTuple>>,
-    valid: Vec<bool>,
-    epoch: u32,
-}
-
-impl HomeFactsMap {
-    fn new() -> Self {
-        HomeFactsMap {
-            stamp: Vec::new(),
-            ts: Vec::new(),
-            own: Vec::new(),
-            valid: Vec::new(),
-            epoch: 0,
-        }
-    }
-
-    /// Starts a fresh map for an `n`-node system.
-    pub(crate) fn begin(&mut self, n: usize) {
-        if self.stamp.len() < n {
-            self.stamp.resize(n, 0);
-            self.ts.resize(n, 0);
-            self.own.resize(n, None);
-            self.valid.resize(n, false);
-        }
-        if self.epoch == u32::MAX {
-            self.stamp.fill(0);
-            self.epoch = 0;
-        }
-        self.epoch += 1;
-    }
-
-    /// Cached facts for `node`, if computed this epoch.
-    #[inline]
-    pub(crate) fn get(&self, node: NodeId) -> Option<(u64, Option<ReqTuple>, bool)> {
-        let i = node.index();
-        (self.stamp[i] == self.epoch).then(|| (self.ts[i], self.own[i], self.valid[i]))
-    }
-
-    /// Records facts for `node` and returns them.
-    pub(crate) fn set(
-        &mut self,
-        node: NodeId,
-        ts: u64,
-        own: Option<ReqTuple>,
-        valid: bool,
-    ) -> (u64, Option<ReqTuple>, bool) {
-        let i = node.index();
-        self.stamp[i] = self.epoch;
-        self.ts[i] = ts;
-        self.own[i] = own;
-        self.valid[i] = valid;
-        (ts, own, valid)
-    }
-}
-
-/// Per-node memo of normalize keep/remove decisions. The decision for a
-/// tuple `<j, ts>` is a pure function of the NONL and node `j`'s home-row
-/// facts — independent of which row the occurrence sits in — and neither
-/// input changes during a normalization pass (the pass's own removals
-/// never alter home facts in Lemma-1-valid states). One request's tuple
-/// typically appears in many rows, so caching the first decision per
-/// `(node, ts)` turns the repeat occurrences into a single probe.
-pub(crate) struct DecisionMemo {
-    stamp: Vec<u32>,
-    ts: Vec<u64>,
-    remove: Vec<bool>,
-    epoch: u32,
-}
-
-impl DecisionMemo {
-    fn new() -> Self {
-        DecisionMemo {
-            stamp: Vec::new(),
-            ts: Vec::new(),
-            remove: Vec::new(),
-            epoch: 0,
-        }
-    }
-
-    /// Starts a fresh memo for an `n`-node system.
-    pub(crate) fn begin(&mut self, n: usize) {
-        if self.stamp.len() < n {
-            self.stamp.resize(n, 0);
-            self.ts.resize(n, 0);
-            self.remove.resize(n, false);
-        }
-        if self.epoch == u32::MAX {
-            self.stamp.fill(0);
-            self.epoch = 0;
-        }
-        self.epoch += 1;
-    }
-
-    /// The decision recorded for this exact tuple this epoch, if any.
-    /// (A different timestamp for the same node misses — last one wins;
-    /// stale-copy timestamps are rare enough that a 1-deep memo suffices.)
-    #[inline]
-    pub(crate) fn get(&self, node: NodeId, ts: u64) -> Option<bool> {
-        let i = node.index();
-        (self.stamp[i] == self.epoch && self.ts[i] == ts).then(|| self.remove[i])
-    }
-
-    /// Records the decision for a tuple.
-    #[inline]
-    pub(crate) fn set(&mut self, node: NodeId, ts: u64, remove: bool) {
-        let i = node.index();
-        self.stamp[i] = self.epoch;
-        self.ts[i] = ts;
-        self.remove[i] = remove;
-    }
+/// One node's facts for the normalize decision pass, filled densely per
+/// call ([`crate::si::Si::normalize_after_merge`]).
+pub(crate) struct NodeFacts {
+    /// Timestamp of the node's NONL entry, if it has one.
+    pub(crate) nonl: Option<u64>,
+    /// The node's home row version.
+    pub(crate) home_ts: u64,
+    /// Timestamp of the node's own tuple in its home row, if listed.
+    pub(crate) own: Option<u64>,
 }
 
 /// The scratch bundle one Exchange/normalize invocation works with.
@@ -212,12 +103,8 @@ pub(crate) struct MergeScratch {
     /// message-row *reads*, instead of purging (and thereby unsharing) the
     /// message's copy-on-write table that is about to be dropped anyway.
     pub(crate) ov: NodeTsMap,
-    /// Lazily computed home-row facts for the normalize sweep.
-    pub(crate) home: HomeFactsMap,
-    /// Per-row keep/remove decisions for the normalize sweep.
-    pub(crate) keep: Vec<bool>,
-    /// Per-tuple decision memo for the normalize sweep.
-    pub(crate) memo: DecisionMemo,
+    /// Per-node facts for the normalize pass, indexed by node id.
+    pub(crate) facts: Vec<NodeFacts>,
 }
 
 impl MergeScratch {
@@ -226,9 +113,7 @@ impl MergeScratch {
             a: NodeTsMap::new(),
             b: NodeTsMap::new(),
             ov: NodeTsMap::new(),
-            home: HomeFactsMap::new(),
-            keep: Vec::new(),
-            memo: DecisionMemo::new(),
+            facts: Vec::new(),
         }
     }
 }
@@ -245,6 +130,7 @@ thread_local! {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tuple::ReqTuple;
 
     fn t(n: u32, ts: u64) -> ReqTuple {
         ReqTuple::new(NodeId::new(n), ts)

@@ -5,6 +5,7 @@ use rcv_simnet::NodeId;
 
 use crate::nonl::Nonl;
 use crate::nsit::Nsit;
+use crate::scratch::NodeFacts;
 use crate::tuple::ReqTuple;
 
 /// A node's complete replicated view of the system.
@@ -86,150 +87,106 @@ impl Si {
 
     /// Post-merge normalization: removes ordered tuples from every MNL
     /// ([`Si::scrub_ordered_from_mnls`]) and purges tuples with completion
-    /// evidence ([`Si::purge_completed`]) in a **single table pass**,
-    /// returning the number of zombies purged. This pair runs at the tail
-    /// of every Exchange — the hottest loop of the whole simulation — so
-    /// the fused form matters.
+    /// evidence ([`Si::purge_completed`]), returning the number of zombies
+    /// purged. This pair runs at the tail of every Exchange — the hottest
+    /// loop of the whole simulation — so it is fused into two dense passes:
     ///
-    /// Equivalence to `scrub(); purge().len()`: scrub only removes exact
-    /// NONL members, which the purge pass skips anyway (`t ∉ NONL` is part
-    /// of the completion evidence), and completion evidence for a tuple
-    /// depends only on its home row's `(ts, own tuple)` and the NONL —
-    /// none of which scrub's removals can change (an ordered own-tuple is
-    /// itself a NONL member, excluded either way; a valid home row never
-    /// loses its own tuple to the zombie branch, because the evidence
-    /// test `own != t` fails for it). Every occurrence of a zombie
-    /// satisfies the same occurrence-independent conditions, so removing
-    /// them inline equals the deferred `delete_everywhere`.
+    /// 1. **Facts:** one pass over the rows records, per node `j`, its
+    ///    NONL timestamp, its home row's version and its own tuple there.
+    /// 2. **Decisions:** one pass over every tuple. `<j, ts>` goes iff
+    ///    `ts == nonl[j]` (ordered: must not keep voting), or
+    ///    `home_ts[j] >= ts && own[j] != ts` (completion evidence; removed
+    ///    tuples outside the NONL are the zombies). Only rows that lose a
+    ///    tuple are written, so clean rows stay shared.
     ///
-    /// The probes come from thread-local epoch-stamped scratch maps
-    /// (`crate::scratch`) instead of per-call allocated tables, and the
-    /// home-row facts are computed lazily per *referenced* node, so a
-    /// message whose merge touched little costs little: each tuple pays
-    /// two O(1) array probes and a clean row is never cloned-for-write.
+    /// Equivalence to `scrub(); purge().len()`: completion evidence for a
+    /// tuple depends only on its home row's `(ts, own tuple)` and the
+    /// NONL. Scrub's removals cannot change those facts for any tuple the
+    /// purge looks at — an ordered own tuple is itself a NONL member,
+    /// excluded either way — and purge's own removals cannot either (the
+    /// evidence test `own != t` keeps every home row's own tuple). So both
+    /// passes decide from the same facts, and deciding every tuple from
+    /// facts taken up front equals the reference's decide-then-delete. The
+    /// facts are only exact while every home row holds at most one own
+    /// tuple (Lemma 1) and the NONL at most one entry per node; a state
+    /// breaking either (never produced by the shipped algorithms) runs the
+    /// reference pair instead.
     pub fn normalize_after_merge(&mut self) -> usize {
         crate::scratch::MERGE_SCRATCH.with(|cell| {
-            let scratch = &mut *cell.borrow_mut();
-            self.normalize_with(scratch)
+            let facts = &mut cell.borrow_mut().facts;
+            if !self.fill_facts(facts) {
+                // The reference pair; it reads no scratch.
+                self.scrub_ordered_from_mnls();
+                return self.purge_completed().len();
+            }
+            self.remove_by_facts(facts)
         })
     }
 
-    fn normalize_with(&mut self, s: &mut crate::scratch::MergeScratch) -> usize {
-        let n = self.nsit.n();
-        // The NONL-membership probe is only O(1) while the NONL holds one
-        // entry per node; a violation (never produced by the shipped
-        // algorithms) routes to the exact two-pass fallback, same as ever.
-        if !s.a.fill(&self.nonl, n) {
-            self.scrub_ordered_from_mnls();
-            let purged = self.purge_completed().len();
-            self.nsit.clear_dirty();
-            return purged;
-        }
-        s.home.begin(n);
-        s.memo.begin(n);
-        let mut purged: Vec<ReqTuple> = Vec::new();
-        for k in NodeId::all(n) {
-            // Skip rows the change tracking proves clean: unchanged since
-            // the last pass, and referencing no node whose home row changed
-            // (see the soundness argument in [`crate::nsit`]). Scanned rows
-            // always include every row referencing a changed node, so the
-            // lazy home-facts cache observes mid-pass state at the same
-            // points a full pass would.
-            if !self.nsit.needs_normalize(k) {
-                continue;
-            }
-            // Read-only decision pass: with copy-on-write rows shared
-            // across nodes and messages, deciding before touching keeps
-            // clean rows (the overwhelmingly common case) unwritten.
-            let row_dirty = self.nsit.row_is_dirty(k);
-            let row = self.nsit.row(k);
-            if row.mnl.is_empty() {
-                continue;
-            }
-            s.keep.clear();
-            let mut removals = 0usize;
-            for t in row.mnl.iter() {
-                let remove = 'decide: {
-                    // In a clean row (scanned only because its node mask
-                    // intersects the folded dirty summary), every tuple was
-                    // kept by its last decision; only tuples whose home
-                    // row actually changed can decide differently now —
-                    // an exact per-node probe at any N
-                    // ([`crate::nsit::Nsit::home_is_dirty`]).
-                    if !row_dirty && !self.nsit.home_is_dirty(t.node) {
-                        break 'decide false;
-                    }
-                    // A request's tuple recurs across many rows; its
-                    // decision is row-independent and pass-constant, so
-                    // the first occurrence settles all the rest.
-                    if let Some(remove) = s.memo.get(t.node, t.ts) {
-                        break 'decide remove;
-                    }
-                    if s.a.get(t.node) == Some(t.ts) {
-                        s.memo.set(t.node, t.ts, true);
-                        break 'decide true; // ordered: must not keep voting
-                    }
-                    let (home_ts, own, valid) = match s.home.get(t.node) {
-                        Some(facts) => facts,
-                        None => {
-                            // First reference to this node: record its home
-                            // facts. The home row's own-tuple cache answers
-                            // in O(1) without dereferencing the row, and a
-                            // Lemma 1 violation (cache untrusted) routes to
-                            // the exact walk, marked invalid so decisions
-                            // probe the live state.
-                            let hr = self.nsit.row(t.node);
-                            let (own, valid) = match hr.mnl.owner_fact() {
-                                Some(own) => (own, true),
-                                None => {
-                                    let mut own: Option<ReqTuple> = None;
-                                    let mut valid = true;
-                                    for x in hr.mnl.iter().filter(|x| x.node == t.node) {
-                                        if own.is_some() {
-                                            valid = false;
-                                            break;
-                                        }
-                                        own = Some(x);
-                                    }
-                                    (own, valid)
-                                }
-                            };
-                            s.home.set(t.node, hr.ts, own, valid)
+    /// The facts pass: refills `facts` with one entry per node. Returns
+    /// false on a Lemma 1 violation in a home row or a NONL with two
+    /// entries for one node, where the facts would be lossy.
+    fn fill_facts(&self, facts: &mut Vec<NodeFacts>) -> bool {
+        facts.clear();
+        for (j, row) in self.nsit.iter() {
+            // The own-tuple cache answers without touching the row's
+            // storage; an untracked list or a Lemma 1 violation (cache
+            // untrusted) is walked.
+            let own = match row.mnl.owner_fact() {
+                Some(own) => own.map(|t| t.ts),
+                None => {
+                    let mut own = None;
+                    for x in row.mnl.iter().filter(|x| x.node == j) {
+                        if own.is_some() {
+                            return false;
                         }
-                    };
-                    if valid {
-                        let remove = home_ts >= t.ts && own != Some(t);
-                        s.memo.set(t.node, t.ts, remove);
-                        remove
-                    } else {
-                        // Lemma 1 violated for this home row: probe the
-                        // live state exactly, uncached (mid-pass removals
-                        // could shift the answer here, unlike the valid
-                        // path).
-                        self.knows_completed(&t)
+                        own = Some(x.ts);
                     }
-                };
-                if remove {
-                    // Removals that are not NONL members are zombies.
-                    if s.a.get(t.node) != Some(t.ts) && !purged.contains(&t) {
-                        purged.push(t);
-                    }
-                    removals += 1;
+                    own
                 }
-                s.keep.push(!remove);
-            }
-            if removals > 0 {
-                let keep = &s.keep;
-                let mut i = 0usize;
-                self.nsit.row_mut(k).mnl.remove_where(|_| {
-                    let remove = !keep[i];
-                    i += 1;
-                    remove
-                });
-            }
+            };
+            facts.push(NodeFacts {
+                nonl: None,
+                home_ts: row.ts,
+                own,
+            });
         }
-        self.nsit.clear_dirty();
-        purged.len()
+        for t in self.nonl.iter() {
+            let slot = &mut facts[t.node.index()].nonl;
+            if slot.is_some() {
+                return false;
+            }
+            *slot = Some(t.ts);
+        }
+        true
+    }
+
+    /// The decision pass over facts filled by [`Si::fill_facts`]; returns
+    /// the number of distinct zombies removed.
+    fn remove_by_facts(&mut self, facts: &[NodeFacts]) -> usize {
+        let remove = |t: &ReqTuple| {
+            let f = &facts[t.node.index()];
+            f.nonl == Some(t.ts) || (f.home_ts >= t.ts && f.own != Some(t.ts))
+        };
+        let mut zombies: Vec<ReqTuple> = Vec::new();
+        for k in NodeId::all(self.n()) {
+            // Decide read-only first: with copy-on-write rows shared across
+            // nodes and messages, a row that keeps everything (the common
+            // case) is never cloned-for-write.
+            if !self.nsit.row(k).mnl.iter().any(|t| remove(&t)) {
+                continue;
+            }
+            self.nsit.row_mut(k).mnl.remove_where(|t| {
+                if !remove(t) {
+                    return false;
+                }
+                if facts[t.node.index()].nonl != Some(t.ts) && !zombies.contains(t) {
+                    zombies.push(*t);
+                }
+                true
+            });
+        }
+        zombies.len()
     }
 
     /// Structural invariants bundled for tests/property checks.

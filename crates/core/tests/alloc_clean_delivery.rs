@@ -1,12 +1,12 @@
 //! Per-event heap-allocation test for clean-row deliveries.
 //!
 //! A "clean" delivery is a snapshot + `exchange` where the receiver's
-//! table already agrees with the message: no row is adopted, nothing is
-//! marked dirty, and normalize skips. With copy-on-write snapshots this
-//! path must not rematerialize the O(N)-row table — its allocation cost
-//! per delivery is a handful of Arc control blocks plus the O(N/64) dirty
-//! bitset clone, regardless of how many rows (or how much row content)
-//! the table holds.
+//! table already agrees with the message: no row is adopted and normalize
+//! removes nothing. With copy-on-write snapshots this path must not
+//! rematerialize the O(N)-row table — a snapshot is a reference-count bump
+//! per list, so the allocation cost per delivery is a small constant
+//! (measured: zero) with no term that grows with the number of rows or
+//! their content.
 //!
 //! This binary registers [`rcv_allocmeter::CountingAllocator`] so the
 //! assertion is on *measured bytes*, not on reasoning about the code.
@@ -33,7 +33,7 @@ fn populated_si(n: usize) -> Si {
 
 /// Bytes allocated across `k` clean snapshot+deliver round trips at size
 /// `n`, after warm-up deliveries that let the thread-local merge scratch
-/// (overlay maps, memo tables) size itself to `n`.
+/// (overlay maps, normalize facts) size itself to `n`.
 fn bytes_per_clean_delivery(n: usize, k: u64) -> f64 {
     let si = populated_si(n);
     let mut recv = si.clone();
@@ -60,20 +60,17 @@ fn clean_delivery_allocation_does_not_grow_with_n() {
     let per_large = bytes_per_clean_delivery(1000, 64);
 
     // Absolute cap: a deep snapshot at N=1000 would clone ~1000 rows
-    // (hundreds of KB). The COW path must stay under a small constant —
-    // the only size-dependent term is the N/64-word dirty bitset clone
-    // inside `Nsit::clone` (~128 B at N=1000).
+    // (hundreds of KB). The COW path must stay under a small constant.
     assert!(
-        per_large < 2048.0,
+        per_large < 256.0,
         "clean delivery at N=1000 allocates {per_large:.0} B/event — \
          snapshot path is rematerializing the table"
     );
 
-    // Relative: going 200 -> 1000 rows (5x) must not scale allocation by
-    // anything close to 5x once the bitset term (128 B vs 32 B) and a
-    // fixed grace are netted out.
+    // Relative: `Nsit::clone` is a single `Arc` bump, so going 200 -> 1000
+    // rows must not allocate a single byte more per delivery.
     assert!(
-        per_large <= 2.0 * per_small + 256.0,
+        per_large <= per_small,
         "per-event allocation grew with N: {per_small:.0} B at N=200 vs \
          {per_large:.0} B at N=1000"
     );

@@ -1,17 +1,17 @@
-//! Property test: the incremental Exchange/normalize pipeline (dirty-row
-//! tracking, epoch-stamped scratch maps, decision memo, receive-side body
-//! skips) is **observably identical** to a retained reference that runs the
-//! paper's merge the slow way — exact linear membership probes and an
+//! Property test: the shipped Exchange/normalize pipeline (epoch-stamped
+//! scratch maps, batched suffix scrub, finished-tuple overlay, the dense
+//! facts-then-decisions normalization, receive-side body skips) is
+//! **observably identical** to a retained reference that runs the paper's
+//! merge the slow way — exact linear membership probes and an
 //! unconditional full-table scrub + purge after every merge.
 //!
 //! The reference below is a line-for-line port of the pre-optimization
-//! `exchange` (public API only, no scratch state, no change tracking). For
-//! arbitrary generated SI states and message bodies — including chained
-//! deliveries, so the second merge starts from a *clean* dirty-tracking
-//! state and actually exercises the incremental skip paths — we require:
+//! `exchange` (public API only, no scratch state). For arbitrary generated
+//! SI states and message bodies — including chained deliveries, so the
+//! second merge starts from a state the first one normalized — we require:
 //!
-//! * identical post-`Si` (value equality; change-tracking metadata is
-//!   excluded from `Eq` by design),
+//! * identical post-`Si` (value equality; sharing structure is excluded
+//!   from `Eq` by design),
 //! * identical [`ExchangeOutcome`] (prune counts, adoption flags, zombie
 //!   count, Lemma-6 anomaly flag).
 //!
@@ -23,7 +23,9 @@
 //! Generated states satisfy the invariants the shipped algorithms maintain
 //! (Lemma 1: one tuple per node per MNL; one NONL entry per node) — the
 //! documented regime of the optimized probes. Ordered-list *order* is
-//! unconstrained, so Lemma-6 fallback paths are exercised too.
+//! unconstrained, so Lemma-6 fallback paths are exercised too. The
+//! normalization alone is checked on larger and invariant-breaking states
+//! by `tests/normalize_reference_equivalence.rs`.
 
 use proptest::prelude::*;
 use rcv_core::{exchange, ExchangeOutcome, MsgBody, ReqTuple, Si};
@@ -205,9 +207,8 @@ proptest! {
 
     /// Two chained deliveries against arbitrary states: the optimized
     /// pipeline and the reference must agree on everything observable
-    /// after each merge. The second delivery runs against the first's
-    /// settled change-tracking state — the incremental paths, not the
-    /// all-dirty cold start.
+    /// after each merge. The second delivery runs against the state the
+    /// first one left behind, not a freshly built one.
     #[test]
     fn incremental_merge_matches_reference(
         n in 2usize..7,

@@ -1,8 +1,8 @@
 //! Determinism contract for the large-N merge rework (PR 7).
 //!
-//! The incremental Exchange/Si merge — Arc-backed copy-on-write MNL/NONL
+//! The Exchange/Si merge machinery — Arc-backed copy-on-write MNL/NONL
 //! storage, batched suffix scrubbing, scratch-indexed prune probes and the
-//! allocation-free `normalize_after_merge` sweep — claims to be
+//! dense facts-then-decisions `normalize_after_merge` — claims to be
 //! **bit-for-bit** behavior preserving, exactly like the PR 2 queue swap.
 //! This battery pins that claim at the sizes the paper reports: the
 //! `SimReport` fingerprints below (processed events, end time, messages
