@@ -31,7 +31,7 @@
 use std::fmt::Write as _;
 use std::time::Duration;
 
-use rcv_runtime::{run_with_watchdog, ClusterReport, NetDelay, RunSpec, WireFaults};
+use rcv_runtime::{run_with_watchdog, ClusterReport, NetDelay, RunSpec};
 use rcv_workload::scenario::{cell_seed, cells, registry, run_cell, Cell, FaultSpec, ShapeSpec};
 use rcv_workload::sweep::parmap;
 use rcv_workload::{Algo, ClusterBackend};
@@ -199,15 +199,13 @@ pub fn run_spec(cell: &Cell, opts: &DiffOptions, attempt: u32) -> RunSpec {
     // A seed stream disjoint from the simulator's (idx 0 and 1).
     let seed = cell_seed(&spec.name, cell.algo.name(), 1_000 + attempt);
     let run = RunSpec::quick(spec.n, seed).tick(opts.tick);
+    let (think, cs_duration) = (run.ticks(think_ticks), run.ticks(sim.cs_duration.ticks()));
     let run = run
         .rounds(rounds)
-        .think(run.ticks(think_ticks))
-        .cs_duration(run.ticks(sim.cs_duration.ticks()))
+        .think(think)
+        .cs_duration(cs_duration)
         .delay(NetDelay::from_model(&sim.delay, opts.tick))
-        .faults(
-            WireFaults::try_from(&sim.faults)
-                .unwrap_or_else(|e| unreachable!("runtime_mappable violated: {e}")),
-        )
+        .faults(sim.faults)
         .timeout(if spec.expect_live() {
             opts.timeout
         } else {
@@ -492,9 +490,11 @@ mod tests {
             .find(|c| matches!(c.scenario.faults, FaultSpec::Stacked { .. }))
             .expect("stacked cell");
         let ts = run_spec(stacked, &opts, 0);
-        assert!(ts.faults.lossy());
-        assert!(ts.faults.dup_every.is_some());
-        assert!(ts.faults.straggler.is_some());
+        assert_eq!(
+            ts.faults,
+            stacked.scenario.faults.plan(),
+            "the simulator's own plan"
+        );
         assert_eq!(ts.n, stacked.scenario.n);
         assert_eq!(ts.timeout, opts.stall_timeout, "lossy => stall timeout");
         assert_eq!(ts.tick, opts.tick);
@@ -524,7 +524,10 @@ mod tests {
             .expect("chaos cell");
         let ts = run_spec(chaos, &opts, 0);
         assert_eq!(ts.retry, chaos.scenario.retry);
-        assert_eq!(ts.faults.crash_restart, Some((0, 25, 120)));
+        use rcv_simnet::{FaultPlan, NodeId, SimTime};
+        let at = SimTime::from_ticks;
+        let window = FaultPlan::crash_restart(NodeId::new(0), at(25), at(120));
+        assert_eq!(ts.faults, window);
         assert_eq!(ts.timeout, opts.timeout, "retry restores liveness");
 
         // Rerun seeds differ (fresh schedule per attempt).

@@ -3,8 +3,8 @@
 //! The paper forwards the roaming request message to a node "selected
 //! randomly" from the unvisited list and names the design of better
 //! forwarding methods as future work (§7). The alternative policies here
-//! implement that future work; the ablation bench `ablation_forwarding`
-//! compares them.
+//! implement that future work; `repro ext3`
+//! (`rcv_workload::experiments::forwarding`) compares them.
 
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -84,15 +84,6 @@ impl RcvConfig {
         Self::default()
     }
 
-    /// Paper configuration plus the historical fixed-interval
-    /// retransmission extension: re-issue every `ticks`, forever, no
-    /// jitter. Exactly [`RetryPolicy::fixed`], kept as the compatibility
-    /// spelling — runs configured this way are bit-identical to the
-    /// pre-policy `retransmit_after` engine.
-    pub fn with_retransmit(ticks: u64) -> Self {
-        Self::with_retry(RetryPolicy::fixed(ticks))
-    }
-
     /// Paper configuration plus an arbitrary retransmission policy.
     pub fn with_retry(policy: RetryPolicy) -> Self {
         RcvConfig {
@@ -140,35 +131,6 @@ mod tests {
         let ul = vec![nid(1), nid(2), nid(3)];
         assert_eq!(ForwardPolicy::MostStale.choose(&ul, &si, &mut rng), nid(2));
         assert_eq!(ForwardPolicy::Freshest.choose(&ul, &si, &mut rng), nid(1));
-    }
-
-    #[test]
-    fn with_retransmit_maps_onto_the_fixed_policy_bit_identically() {
-        // Pinned compatibility contract: the historical `with_retransmit`
-        // spelling is *exactly* `RetryPolicy::fixed` — same deadline at
-        // every attempt, no doubling, no jitter (so no RNG draw), no
-        // budget. Matrix fingerprints of retransmitting cells rest on this.
-        let cfg = RcvConfig::with_retransmit(2_000);
-        let policy = cfg.retry.expect("retransmission enabled");
-        assert_eq!(policy, RetryPolicy::fixed(2_000));
-        assert_eq!(policy.deadline, 2_000);
-        assert_eq!(policy.max_deadline, 2_000);
-        assert_eq!(policy.jitter, 0);
-        assert_eq!(policy.budget, None);
-        let mut rng = SmallRng::seed_from_u64(0);
-        let before = rng.clone();
-        for attempt in 0..32 {
-            assert_eq!(
-                policy.backoff_delay(attempt, &mut rng),
-                Some(rcv_simnet::SimDuration::from_ticks(2_000))
-            );
-        }
-        assert_eq!(
-            rng.gen::<u64>(),
-            before.clone().gen::<u64>(),
-            "fixed policy must not consume randomness"
-        );
-        assert_eq!(cfg.forward, ForwardPolicy::Random, "paper default kept");
     }
 
     #[test]

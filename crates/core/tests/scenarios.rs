@@ -5,7 +5,7 @@
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use rcv_core::{RcvConfig, RcvMessage, RcvNode, ReqState};
-use rcv_simnet::{Ctx, MutexProtocol, NodeId, SimDuration, SimTime};
+use rcv_simnet::{Ctx, MutexProtocol, NodeId, RetryPolicy, SimDuration, SimTime};
 
 fn nid(n: u32) -> NodeId {
     NodeId::new(n)
@@ -203,7 +203,7 @@ fn duplicate_im_is_idempotent() {
 #[test]
 fn retransmit_timer_reissues_only_while_waiting() {
     let mut bench = Bench::new();
-    let mut node = RcvNode::with_config(nid(0), 4, RcvConfig::with_retransmit(100));
+    let mut node = RcvNode::with_config(nid(0), 4, RcvConfig::with_retry(RetryPolicy::fixed(100)));
 
     let (out, _) = bench.step(&mut node, |n, ctx| n.on_request(ctx));
     assert_eq!(out.len(), 1, "initial RM");

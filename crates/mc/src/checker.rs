@@ -530,18 +530,9 @@ where
             if record {
                 trace.push(TraceEvent::Arrival { at, node: r });
             }
-            let enter = dispatch(
-                &mut s.nodes,
-                &mut s.pending,
-                r,
-                at,
-                trace,
-                record,
-                |p, ctx| p.on_request(ctx),
-            );
-            if enter && violation.is_none() {
-                violation = self.note_enter(&mut s, r, at, trace, record);
-            }
+            // The first violation wins; later requesters still issue.
+            let v = self.handle(&mut s, r, at, trace, record, |p, ctx| p.on_request(ctx));
+            violation = violation.or(v);
         }
         (s, violation)
     }
@@ -604,7 +595,6 @@ where
         // `remove` (not `swap_remove`): within-channel order is FIFO
         // order and must survive the deletion.
         let ev = next.pending.remove(idx);
-        let mut violation = None;
         match action {
             Action::Drop => {
                 let McEvent::Deliver { from, to, .. } = &ev else {
@@ -633,7 +623,7 @@ where
             }
             Action::Deliver => {}
         }
-        match ev {
+        let violation = match ev {
             McEvent::Deliver { from, to, msg } => {
                 if record {
                     trace.push(TraceEvent::Deliver {
@@ -643,18 +633,9 @@ where
                         kind: msg.kind(),
                     });
                 }
-                let enter = dispatch(
-                    &mut next.nodes,
-                    &mut next.pending,
-                    to,
-                    at,
-                    trace,
-                    record,
-                    |p, ctx| p.on_message(from, msg, ctx),
-                );
-                if enter {
-                    violation = self.note_enter(&mut next, to, at, trace, record);
-                }
+                self.handle(&mut next, to, at, trace, record, |p, ctx| {
+                    p.on_message(from, msg, ctx)
+                })
             }
             McEvent::CsExit { node } => {
                 debug_assert_eq!(
@@ -667,18 +648,9 @@ where
                 if record {
                     trace.push(TraceEvent::CsExit { at, node });
                 }
-                let enter = dispatch(
-                    &mut next.nodes,
-                    &mut next.pending,
-                    node,
-                    at,
-                    trace,
-                    record,
-                    |p, ctx| p.on_cs_released(ctx),
-                );
-                if enter {
-                    violation = self.note_enter(&mut next, node, at, trace, record);
-                }
+                let mut violation = self.handle(&mut next, node, at, trace, record, |p, ctx| {
+                    p.on_cs_released(ctx)
+                });
                 // Multi-round workload: the node immediately re-requests.
                 if violation.is_none()
                     && next.completed[node.index()] < self.rounds
@@ -687,39 +659,22 @@ where
                     if record {
                         trace.push(TraceEvent::Arrival { at, node });
                     }
-                    let enter = dispatch(
-                        &mut next.nodes,
-                        &mut next.pending,
-                        node,
-                        at,
-                        trace,
-                        record,
-                        |p, ctx| p.on_request(ctx),
-                    );
-                    if enter {
-                        violation = self.note_enter(&mut next, node, at, trace, record);
-                    }
+                    violation = self.handle(&mut next, node, at, trace, record, |p, ctx| {
+                        p.on_request(ctx)
+                    });
                 }
+                violation
             }
             McEvent::Timer { node, tag } => {
                 if record {
                     trace.push(TraceEvent::Timer { at, node, tag });
                 }
-                let enter = dispatch(
-                    &mut next.nodes,
-                    &mut next.pending,
-                    node,
-                    at,
-                    trace,
-                    record,
-                    |p, ctx| p.on_timer(tag, ctx),
-                );
-                if enter {
-                    violation = self.note_enter(&mut next, node, at, trace, record);
-                }
+                self.handle(&mut next, node, at, trace, record, |p, ctx| {
+                    p.on_timer(tag, ctx)
+                })
             }
             McEvent::CrashRestart { .. } => unreachable!("routed to apply_crash above"),
-        }
+        };
         Applied {
             state: next,
             violation,
@@ -798,22 +753,32 @@ where
             if record {
                 trace.push(TraceEvent::Arrival { at, node });
             }
-            let enter = dispatch(
-                &mut next.nodes,
-                &mut next.pending,
-                node,
-                at,
-                trace,
-                record,
-                |p, ctx| p.on_request(ctx),
-            );
-            if enter {
-                violation = self.note_enter(&mut next, node, at, trace, record);
-            }
+            violation = self.handle(&mut next, node, at, trace, record, |p, ctx| {
+                p.on_request(ctx)
+            });
         }
         Applied {
             state: next,
             violation,
+        }
+    }
+
+    /// Runs one handler of `node` via [`dispatch`] and judges an `enter_cs`
+    /// intent it raises with [`Self::note_enter`]: the violation, if any.
+    fn handle(
+        &self,
+        s: &mut SystemState<P>,
+        node: NodeId,
+        at: SimTime,
+        trace: &mut Vec<TraceEvent>,
+        record: bool,
+        f: impl FnOnce(&mut P, &mut Ctx<'_, P::Message>),
+    ) -> Option<String> {
+        let enter = dispatch(&mut s.nodes, &mut s.pending, node, at, trace, record, f);
+        if enter {
+            self.note_enter(s, node, at, trace, record)
+        } else {
+            None
         }
     }
 

@@ -2,9 +2,9 @@
 //! threads and crossbeam channels, with an impairment layer that injects
 //! random per-message delays (and therefore reordering — the channels stop
 //! being FIFO, exactly the property the RCV algorithm claims not to need)
-//! and, optionally, wire-level faults mirroring the simulator's
-//! `FaultPlan`: message loss, duplicated delivery and per-endpoint
-//! straggler slowdowns, all applied by the calling thread as it routes.
+//! and, optionally, the simulator's own `FaultPlan` — message loss,
+//! duplicated delivery, per-endpoint straggler slowdowns and crash
+//! windows — applied by the calling thread as it routes.
 //!
 //! Topology:
 //!
@@ -101,115 +101,30 @@ impl NetDelay {
     }
 }
 
-/// Wire-level fault injection, applied at the fabric boundary (the thread
-/// tier's caller or the hub) — what a `rcv_simnet::FaultPlan` renders to on the real
-/// tiers (`WireFaults::try_from(&plan)`).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct WireFaults {
-    /// Every `k`-th message crossing the fabric is dropped.
-    pub loss_every: Option<u64>,
-    /// Every `k`-th delivered message is delivered twice (the duplicate
-    /// arrives later, after an extra delay).
-    pub dup_every: Option<u64>,
-    /// `(node index, factor)`: messages to or from this node take
-    /// `factor ×` the sampled delay — a slow node, FIFO-breaking even
-    /// under otherwise constant delays.
-    pub straggler: Option<(u32, u32)>,
-    /// `(node index, down_ticks, up_ticks)`: a bounded outage measured
-    /// from cluster start on the [`Spec::tick`] scale. During the
-    /// window the network black-holes every delivery to the node (counted
-    /// in [`ClusterReport::crash_dropped`], separately from loss), the
-    /// node thread freezes — aborting a held CS, which evicts it from the
-    /// safety monitor — and at the window's end the thread re-runs the
-    /// protocol's [`rcv_simnet::MutexProtocol::on_restart`] hook and rejoins.
-    pub crash_restart: Option<(u32, u64, u64)>,
-}
-
-impl WireFaults {
-    /// No faults — the paper's reliable model.
-    pub fn none() -> Self {
-        Self::default()
+/// Whether the real tiers can run `plan` as the simulator would: `Ok`, or
+/// why not. A plan they cannot hold is refused, never truncated:
+///
+/// * a **permanent** crash-stop needs a node to vanish forever, which
+///   neither joinable threads nor watched worker processes can express —
+///   only bounded crash *windows* run;
+/// * a node's driver serves one crash window, so a node may have at most
+///   one;
+/// * a straggler stretches a `Duration`, which scales by `u32`.
+pub fn serves(plan: &FaultPlan) -> Result<(), String> {
+    if let Some(&(node, at)) = plan.crashes.first() {
+        return Err(format!(
+            "permanent crash-stop ({node} at t={}) has no real-tier rendering",
+            at.ticks()
+        ));
     }
-
-    /// Adds message loss with period `every` (must be ≥ 1).
-    pub fn with_loss(mut self, every: u64) -> Self {
-        assert!(every >= 1, "loss period must be >= 1");
-        self.loss_every = Some(every);
-        self
-    }
-
-    /// Adds duplicated delivery with period `every` (must be ≥ 1).
-    pub fn with_duplication(mut self, every: u64) -> Self {
-        assert!(every >= 1, "duplication period must be >= 1");
-        self.dup_every = Some(every);
-        self
-    }
-
-    /// Makes `node`'s links `factor ×` slower (factor must be ≥ 1).
-    pub fn with_straggler(mut self, node: u32, factor: u32) -> Self {
-        assert!(factor >= 1, "straggler factor must be >= 1");
-        self.straggler = Some((node, factor));
-        self
-    }
-
-    /// Crashes `node` at `down_ticks` from cluster start and restarts it
-    /// at `up_ticks` (both on the spec's tick scale; `down < up`).
-    pub fn with_crash_restart(mut self, node: u32, down_ticks: u64, up_ticks: u64) -> Self {
-        assert!(
-            down_ticks < up_ticks,
-            "crash window must end after it starts"
-        );
-        self.crash_restart = Some((node, down_ticks, up_ticks));
-        self
-    }
-
-    /// Whether messages can vanish — the one regime that voids the
-    /// liveness guarantee of every retransmission-free algorithm.
-    pub fn lossy(&self) -> bool {
-        self.loss_every.is_some()
-    }
-}
-
-impl TryFrom<&FaultPlan> for WireFaults {
-    type Error = String;
-
-    /// The real-tier rendering of a simulator fault plan; periods, factors
-    /// and window ticks carry over unchanged. Partial: a **permanent**
-    /// crash-stop needs a node to vanish forever, which neither joinable
-    /// threads nor watched worker processes can express — only bounded
-    /// crash *windows* map — and the wire layer holds one straggler and one
-    /// window.
-    fn try_from(plan: &FaultPlan) -> Result<WireFaults, String> {
-        if let Some(&(node, at)) = plan.crashes.first() {
-            return Err(format!(
-                "permanent crash-stop ({node} at t={}) has no wire-level rendering",
-                at.ticks()
-            ));
+    for (i, w) in plan.restarts.iter().enumerate() {
+        if plan.restarts[..i].iter().any(|v| v.node == w.node) {
+            return Err(format!("{} has more than one crash window", w.node));
         }
-        if plan.stragglers.len() > 1 || plan.restarts.len() > 1 {
-            return Err(format!(
-                "{} stragglers and {} crash windows exceed the wire layer's one of each",
-                plan.stragglers.len(),
-                plan.restarts.len()
-            ));
-        }
-        let straggler = match plan.stragglers.first() {
-            Some(&(node, factor)) => Some((
-                node.raw(),
-                u32::try_from(factor)
-                    .map_err(|_| format!("straggler factor {factor} exceeds u32"))?,
-            )),
-            None => None,
-        };
-        Ok(WireFaults {
-            loss_every: plan.drop_every,
-            dup_every: plan.duplicate_every,
-            straggler,
-            crash_restart: plan
-                .restarts
-                .first()
-                .map(|w| (w.node.raw(), w.down_at.ticks(), w.up_at.ticks())),
-        })
+    }
+    match plan.stragglers.iter().find(|&&(_, f)| f > u32::MAX as u64) {
+        Some(&(node, factor)) => Err(format!("straggler factor {factor} of {node} exceeds u32")),
+        None => Ok(()),
     }
 }
 
@@ -226,11 +141,12 @@ impl<M> ClusterSpec<M> {
     /// fluent builder methods:
     ///
     /// ```
-    /// # use rcv_runtime::{ClusterSpec, WireFaults};
+    /// # use rcv_runtime::ClusterSpec;
+    /// # use rcv_simnet::FaultPlan;
     /// # use std::time::Duration;
     /// let spec: ClusterSpec<rcv_core::RcvMessage> = ClusterSpec::quick(4, 7)
     ///     .rounds(3)
-    ///     .faults(WireFaults::none().with_duplication(2))
+    ///     .faults(FaultPlan::duplicating(2))
     ///     .tick(Duration::from_micros(200));
     /// ```
     pub fn quick(n: usize, seed: u64) -> Self {
@@ -259,16 +175,17 @@ pub struct ClusterReport {
     pub anomalies: u64,
     /// Messages the nodes submitted to the fabric.
     pub messages: u64,
-    /// Messages dropped by wire-level loss injection.
+    /// Messages dropped by the plan's loss (`FaultPlan::drops`).
     pub lost: u64,
-    /// Extra copies delivered by wire-level duplication injection.
+    /// Extra copies delivered by the plan's duplication
+    /// (`FaultPlan::duplicates`).
     pub duplicated: u64,
     /// Deliveries black-holed because the receiver was inside its crash
     /// window (counted separately from `lost`: loss is a network fault,
     /// this is a dead process).
     pub crash_dropped: u64,
-    /// Node restarts performed (0 or 1 per run with the current
-    /// single-window [`WireFaults::crash_restart`]).
+    /// Node restarts performed (one per served crash window in the
+    /// plan's [`FaultPlan::restarts`]).
     pub restarts: u64,
     /// True if the run hit the timeout before all rounds completed.
     pub timed_out: bool,
@@ -330,6 +247,7 @@ where
     P: MutexProtocol + Send + 'static,
 {
     assert!(spec.n >= 1);
+    serves(&spec.faults).expect("the thread tier runs this fault plan");
     let n = spec.n;
     let monitor = Arc::new(Mutex::new(SafetyMonitor::new()));
     let start = Instant::now();
@@ -375,7 +293,7 @@ where
     // Serve: deliver what is due, then wait on the one inbound channel
     // until the next delivery falls due or the deadline passes.
     let status = StatusCell::register("rcv-net");
-    let mut q: FaultQueue<P::Message> = FaultQueue::new(spec.faults, spec.crash_window(start));
+    let mut q: FaultQueue<P::Message> = FaultQueue::new(&spec.faults, start, spec.tick);
     let deadline = Instant::now() + spec.timeout;
     let mut done = 0usize;
     let timed_out = loop {
@@ -449,6 +367,7 @@ where
 mod tests {
     use super::*;
     use rcv_baselines::RicartAgrawala;
+    use rcv_simnet::SimTime;
 
     #[test]
     fn net_delay_samples_stay_in_range() {
@@ -472,22 +391,21 @@ mod tests {
     }
 
     #[test]
-    fn wire_faults_builder_composes() {
-        let f = WireFaults::none()
-            .with_loss(17)
-            .with_duplication(5)
-            .with_straggler(2, 8);
-        assert_eq!(f.loss_every, Some(17));
-        assert_eq!(f.dup_every, Some(5));
-        assert_eq!(f.straggler, Some((2, 8)));
-        assert!(f.lossy());
-        assert!(!WireFaults::none().with_duplication(3).lossy());
-    }
+    fn serves_what_the_drivers_hold() {
+        let at = SimTime::from_ticks;
+        let (a, b) = (NodeId::new(0), NodeId::new(1));
+        let two_slow = FaultPlan::straggler(a, 2).with_straggler(b, 3);
+        assert_eq!(serves(&two_slow), Ok(()));
+        let two_windows =
+            FaultPlan::crash_restart(a, at(5), at(10)).with_crash_restart(b, at(5), at(10));
+        assert_eq!(serves(&two_windows), Ok(()));
 
-    #[test]
-    #[should_panic(expected = "loss period")]
-    fn zero_loss_period_is_rejected() {
-        let _ = WireFaults::none().with_loss(0);
+        assert!(serves(&FaultPlan::crash(a, at(5))).is_err());
+        let twice =
+            FaultPlan::crash_restart(a, at(5), at(10)).with_crash_restart(a, at(20), at(30));
+        assert!(serves(&twice).is_err());
+        assert!(serves(&FaultPlan::straggler(a, u64::MAX)).is_err());
+        assert!(serves(&FaultPlan::straggler(a, u32::MAX as u64)).is_ok());
     }
 
     #[test]
@@ -498,7 +416,7 @@ mod tests {
         let started = Instant::now();
         let report = crate::run_with_watchdog("thread-stall", Duration::from_secs(30), move || {
             let spec = ClusterSpec::quick(2, 1)
-                .faults(WireFaults::none().with_loss(1))
+                .faults(FaultPlan::losing(1))
                 .timeout(timeout);
             run_cluster_collecting(spec, RicartAgrawala::new).0
         });

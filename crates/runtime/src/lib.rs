@@ -7,18 +7,18 @@
 //! * **threads** ([`run_cluster_collecting`]): every node is an OS thread with a
 //!   channel inbox; the calling thread injects per-message random
 //!   delays (making channels non-FIFO, the condition the RCV paper claims
-//!   to tolerate) and wire-level faults;
+//!   to tolerate) and the simulator's fault plan;
 //! * **processes** ([`orchestrator`]): every node is a worker process
 //!   connected to a hub over Unix-domain or TCP loopback sockets.
 //!
 //! A run is described by one [`Spec`]: the shared parameters
 //! ([`RunSpec`]) plus what a tier needs beyond them ([`ClusterSpec`],
 //! [`orchestrator::ProcessSpec`]). Faults and delays are the simulator's
-//! own, rendered one way: `WireFaults::try_from(&FaultPlan)` and
-//! [`NetDelay::from_model`]. Both tiers report a [`ClusterReport`], and
-//! both judge mutual exclusion with the simulator's own
-//! [`rcv_simnet::SafetyMonitor`]: the node threads share one, the worker
-//! processes' CS log is replayed into one.
+//! own: both tiers run its `FaultPlan` itself ([`serves`] says which plans
+//! they hold), and [`NetDelay::from_model`] renders its delay model. Both
+//! tiers report a [`ClusterReport`], and both judge mutual exclusion with
+//! the simulator's own [`rcv_simnet::SafetyMonitor`]: the node threads
+//! share one, the worker processes' CS log is replayed into one.
 //!
 //! There is deliberately **no shared memory between protocol nodes** — the
 //! paper's system model (§3) — and the [`wire`] module goes one step
@@ -54,9 +54,7 @@ pub mod transport;
 pub mod watchdog;
 pub mod wire;
 
-pub use cluster::{
-    run_cluster_collecting, ClusterReport, ClusterSpec, NetDelay, WireFaults, WireHook,
-};
+pub use cluster::{run_cluster_collecting, serves, ClusterReport, ClusterSpec, NetDelay, WireHook};
 pub use spec::{RunSpec, Spec};
 pub use transport::{RecvOutcome, SocketNet, Transport, TransportClosed};
 pub use watchdog::run_with_watchdog;

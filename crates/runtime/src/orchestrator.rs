@@ -426,6 +426,7 @@ pub fn run_process_cluster(
     spawn: impl FnOnce(&str) -> std::io::Result<Vec<Child>>,
 ) -> Result<ProcessReport, String> {
     assert!(spec.n >= 1);
+    crate::serves(&spec.faults)?;
     let n = spec.n;
     let tag = HUB_SEQ.fetch_add(1, Ordering::Relaxed);
     let net = spec.ext.net;
@@ -522,7 +523,7 @@ pub fn run_process_cluster(
             delay: spec.delay,
             crash: spec.crash_ticks(i),
             retry: spec.retry,
-            restartable: spec.faults.crash_restart.is_some(),
+            restartable: !spec.faults.restarts.is_empty(),
             cs_log: cs_log.display().to_string(),
         };
         if let Err(e) = slot
@@ -545,7 +546,7 @@ pub fn run_process_cluster(
     let t0 = Instant::now();
     let deadline = t0 + spec.timeout;
     let mut q: FaultQueueBytes =
-        crate::transport::netq::FaultQueue::new(spec.faults, spec.crash_window(t0));
+        crate::transport::netq::FaultQueue::new(&spec.faults, t0, spec.tick);
     let mut faults: Vec<(u32, String)> = Vec::new();
     let mut hub = HubStats::default();
     let mut shutdown_sent = false;

@@ -1,5 +1,5 @@
 //! RCV end to end on the thread tier: safety, liveness and anomaly
-//! freedom under each fault the wire layer injects. Test-only; the
+//! freedom under each fault class the real tiers inject. Test-only; the
 //! cluster is [`crate::run_cluster_collecting`], for RCV as for every
 //! baseline.
 
@@ -7,16 +7,15 @@ mod tests {
     use std::time::Duration;
 
     use rcv_core::{RcvConfig, RcvNode};
+    use rcv_simnet::{FaultPlan, NodeId, RetryPolicy, SimTime};
 
-    use crate::cluster::{
-        run_cluster_collecting, ClusterReport, ClusterSpec, NetDelay, WireFaults,
-    };
+    use crate::cluster::{run_cluster_collecting, ClusterReport, ClusterSpec, NetDelay};
     use crate::wire::verifying_hook;
 
     /// Runs an RCV cluster per `spec`, with `anomalies` summed over the
     /// nodes' counters as `rcv_workload::Algo::run_threaded` sums them.
     fn run_rcv(spec: ClusterSpec<rcv_core::RcvMessage>, config: RcvConfig) -> ClusterReport {
-        let restartable = spec.faults.crash_restart.is_some();
+        let restartable = !spec.faults.restarts.is_empty();
         let (mut report, nodes) =
             run_cluster_collecting(spec, |id, n| RcvNode::with_config(id, n, config));
         report.anomalies = nodes
@@ -24,6 +23,15 @@ mod tests {
             .map(|n| n.stats().anomalies_under(restartable))
             .sum();
         report
+    }
+
+    /// Node 0 is down during ticks `[down, up)`.
+    fn window(down: u64, up: u64) -> FaultPlan {
+        FaultPlan::crash_restart(
+            NodeId::new(0),
+            SimTime::from_ticks(down),
+            SimTime::from_ticks(up),
+        )
     }
 
     #[test]
@@ -82,7 +90,7 @@ mod tests {
         // guards must absorb it — safe AND live.
         let spec = ClusterSpec::quick(5, 7)
             .rounds(2)
-            .faults(WireFaults::none().with_duplication(1))
+            .faults(FaultPlan::duplicating(1))
             .wire_hook(verifying_hook());
         let r = run_rcv(spec, RcvConfig::paper());
         assert!(r.is_clean(10), "{r:?}");
@@ -120,7 +128,7 @@ mod tests {
         let spec = ClusterSpec::quick(1, 9)
             .tick(Duration::from_millis(1))
             .cs_duration(Duration::from_millis(20))
-            .faults(WireFaults::none().with_crash_restart(0, 10, 30));
+            .faults(window(10, 30));
         let r = run_rcv(spec, RcvConfig::paper());
         assert!(r.is_clean(1), "{r:?}");
         assert_eq!(r.restarts, 1, "the crash window must actually fire");
@@ -144,10 +152,10 @@ mod tests {
                 min: Duration::from_millis(1),
                 max: Duration::from_millis(1),
             })
-            .faults(WireFaults::none().with_crash_restart(0, 25, 120))
+            .faults(window(25, 120))
             .timeout(Duration::from_secs(60));
         let config = RcvConfig {
-            retry: Some(rcv_simnet::RetryPolicy::backoff(400, 3_200)),
+            retry: Some(RetryPolicy::backoff(400, 3_200)),
             ..RcvConfig::paper()
         };
         let r = run_rcv(spec, config);
@@ -166,9 +174,9 @@ mod tests {
         // retransmit extension armed, RCV must still complete every CS.
         let spec = ClusterSpec::quick(4, 8)
             .rounds(2)
-            .faults(WireFaults::none().with_loss(9))
+            .faults(FaultPlan::losing(9))
             .timeout(Duration::from_secs(60));
-        let r = run_rcv(spec, RcvConfig::with_retransmit(2_000));
+        let r = run_rcv(spec, RcvConfig::with_retry(RetryPolicy::fixed(2_000)));
         assert!(r.is_clean(8), "{r:?}");
         assert!(r.lost > 0, "loss regime must actually drop messages");
     }

@@ -6,7 +6,7 @@
 //! policy — plus one tier-specific extension `ext`. Its three
 //! instantiations are the whole vocabulary:
 //!
-//! * [`RunSpec`] (`ext = ()`): the parameters alone, `Copy`, what the
+//! * [`RunSpec`] (`ext = ()`): the parameters alone, what the
 //!   algorithm-agnostic entry points of `rcv-workload` take;
 //! * [`crate::ClusterSpec`]: plus the thread tier's on-wire message hook;
 //! * [`crate::orchestrator::ProcessSpec`]: plus the socket tier's protocol
@@ -14,19 +14,19 @@
 //!
 //! Each parameter has one field and one builder, here.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use rcv_simnet::RetryPolicy;
+use rcv_simnet::{FaultPlan, RetryPolicy};
 
-use crate::cluster::{NetDelay, WireFaults};
+use crate::cluster::NetDelay;
 
 /// Run parameters plus a tier-specific extension; see the module docs.
 ///
 /// Construct with the instantiation's `quick` and refine through the
 /// fluent builders (`.rounds(..)`, `.faults(..)`, `.tick(..)`, ...).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
 pub struct Spec<X> {
     /// Number of nodes.
     pub n: usize,
@@ -38,9 +38,10 @@ pub struct Spec<X> {
     pub cs_duration: Duration,
     /// Per-message network delay model.
     pub delay: NetDelay,
-    /// Wire-level fault injection, applied at the fabric boundary (the
-    /// thread tier's caller or the hub).
-    pub faults: WireFaults,
+    /// The simulator's fault plan, in ticks of [`Spec::tick`], applied at
+    /// the fabric boundary (the thread tier's caller or the hub); it must
+    /// pass [`crate::serves`].
+    pub faults: FaultPlan,
     /// Wall-clock length of one simulator tick: protocol timers armed via
     /// `Ctx::set_timer`, the `Ctx::now()` clock and the crash window all
     /// use this scale, so tick-denominated protocol logic keeps its
@@ -77,7 +78,7 @@ impl RunSpec {
                 min: Duration::from_micros(50),
                 max: Duration::from_millis(2),
             },
-            faults: WireFaults::none(),
+            faults: FaultPlan::none(),
             tick: Duration::from_micros(1),
             seed,
             timeout: Duration::from_secs(30),
@@ -112,8 +113,8 @@ impl<X> Spec<X> {
         self
     }
 
-    /// Sets wire-level fault injection.
-    pub fn faults(mut self, faults: WireFaults) -> Self {
+    /// Sets the fault plan.
+    pub fn faults(mut self, faults: FaultPlan) -> Self {
         self.faults = faults;
         self
     }
@@ -170,25 +171,13 @@ impl<X> Spec<X> {
     }
 
     /// Node `i`'s crash window `(down, up)` in ticks from the run's start,
-    /// if `i` is the node that crashes.
+    /// if the plan gives it one.
     pub(crate) fn crash_ticks(&self, i: usize) -> Option<(u64, u64)> {
         self.faults
-            .crash_restart
-            .filter(|&(node, _, _)| node as usize == i)
-            .map(|(_, down, up)| (down, up))
-    }
-
-    /// The crash window `(node, down, up)` in wall-clock terms. `start`
-    /// also anchors the nodes' tick clocks, so tick-denominated protocol
-    /// timers and the outage share one time base.
-    pub(crate) fn crash_window(&self, start: Instant) -> Option<(usize, Instant, Instant)> {
-        self.faults.crash_restart.map(|(node, down, up)| {
-            (
-                node as usize,
-                start + self.ticks(down),
-                start + self.ticks(up),
-            )
-        })
+            .restarts
+            .iter()
+            .find(|w| w.node.index() == i)
+            .map(|w| (w.down_at.ticks(), w.up_at.ticks()))
     }
 }
 

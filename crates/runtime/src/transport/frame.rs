@@ -67,8 +67,8 @@ pub struct WorkerConfig {
     pub seed: u64,
     /// Per-message delay model (the node samples, the hub applies).
     pub delay: NetDelay,
-    /// This node's crash window `(down_ticks, up_ticks)`, if it is the
-    /// one named in the cluster's `WireFaults::crash_restart`.
+    /// This node's crash window `(down_ticks, up_ticks)`, if the cluster's
+    /// fault plan gives it one (`FaultPlan::restarts`).
     pub crash: Option<(u64, u64)>,
     /// Retransmission policy (RCV only).
     pub retry: Option<RetryPolicy>,

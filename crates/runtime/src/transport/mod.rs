@@ -13,8 +13,8 @@
 //! * [`SocketTransport`] — a real socket (Unix-domain or TCP loopback) to
 //!   the orchestrator hub; every message crosses as length-prefixed
 //!   [`WireCodec`](crate::wire::WireCodec) bytes inside a control frame,
-//!   and the hub applies the same [`WireFaults`](crate::cluster::WireFaults)
-//!   at the socket boundary.
+//!   and the hub applies the same `rcv_simnet::FaultPlan` at the socket
+//!   boundary.
 //!
 //! ```text
 //!                Transport::send / recv / notify_done
@@ -72,10 +72,9 @@ pub enum RecvOutcome<M> {
 ///
 /// Delivery semantics are identical across implementations: the fabric
 /// applies the node-sampled base `delay` (possibly stretched, dropped,
-/// duplicated or black-holed by the cluster's
-/// [`WireFaults`](crate::cluster::WireFaults)), and messages are **not**
-/// FIFO — reordering under random delays is exactly the regime the RCV
-/// paper claims to tolerate.
+/// duplicated or black-holed by the cluster's `rcv_simnet::FaultPlan`),
+/// and messages are **not** FIFO — reordering under random delays is
+/// exactly the regime the RCV paper claims to tolerate.
 pub trait Transport<M>: Send {
     /// Queues `msg` for `to` with the node-sampled base `delay`.
     fn send(&mut self, to: NodeId, msg: M, delay: Duration) -> Result<(), TransportClosed>;

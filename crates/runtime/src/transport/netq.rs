@@ -1,9 +1,11 @@
 //! The fault-injecting delay queue shared by both fabrics.
 //!
 //! The thread tier's serving loop and the multi-process orchestrator hub
-//! schedule deliveries through the same [`FaultQueue`], so loss,
+//! schedule deliveries through the same [`FaultQueue`], which asks the
+//! simulator's own [`FaultPlan`] what to do with each message, so loss,
 //! duplication, straggler stretching and crash-window black-holing behave
-//! identically whether a message rides a crossbeam channel or a socket.
+//! identically whether a message rides a crossbeam channel, a socket or
+//! the simulated network.
 //! The payload type is generic: the thread tier queues typed protocol
 //! messages, the hub queues already-encoded frames.
 
@@ -11,7 +13,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::time::{Duration, Instant};
 
-use crate::cluster::WireFaults;
+use rcv_simnet::{FaultPlan, NodeId, SimTime};
 
 /// Heap entry ordered by due time then insertion sequence.
 struct Pending<T> {
@@ -39,13 +41,14 @@ impl<T> Ord for Pending<T> {
     }
 }
 
-/// Delay heap + wire-fault application, fabric-agnostic.
+/// Delay heap + fault-plan application, fabric-agnostic.
 pub(crate) struct FaultQueue<T> {
     heap: BinaryHeap<Reverse<Pending<T>>>,
-    faults: WireFaults,
-    /// `(node, down, up)`: deliveries due inside the window reach a dead
-    /// process and are black-holed.
-    crash_win: Option<(usize, Instant, Instant)>,
+    plan: FaultPlan,
+    /// Tick 0 of the plan's clock: a delivery due at `start + k·tick`
+    /// (rounded down to whole ticks) meets its receiver at tick `k`.
+    start: Instant,
+    tick: Duration,
     /// Messages submitted so far (the fault periods key off this).
     seen: u64,
     seq: u64,
@@ -53,16 +56,19 @@ pub(crate) struct FaultQueue<T> {
     pub(crate) lost: u64,
     /// Extra copies queued by duplication injection.
     pub(crate) duplicated: u64,
-    /// Deliveries black-holed by the crash window.
+    /// Deliveries black-holed by a crash window.
     pub(crate) crash_dropped: u64,
 }
 
 impl<T: Clone> FaultQueue<T> {
-    pub(crate) fn new(faults: WireFaults, crash_win: Option<(usize, Instant, Instant)>) -> Self {
+    /// A queue running `plan` (which must pass [`crate::serves`]) on a
+    /// clock whose tick 0 is `start` and whose ticks last `tick`.
+    pub(crate) fn new(plan: &FaultPlan, start: Instant, tick: Duration) -> Self {
         FaultQueue {
             heap: BinaryHeap::new(),
-            faults,
-            crash_win,
+            plan: plan.clone(),
+            start,
+            tick,
             seen: 0,
             seq: 0,
             lost: 0,
@@ -72,43 +78,35 @@ impl<T: Clone> FaultQueue<T> {
     }
 
     /// Submits one message to the fabric: applies straggler stretching,
-    /// then loss, then duplication (in that order), and schedules the surviving deliveries.
+    /// then loss, then duplication (in that order), and schedules the
+    /// surviving deliveries. A copy arrives after twice the delay.
     pub(crate) fn submit(&mut self, from: usize, to: usize, mut delay: Duration, payload: T) {
         self.seen += 1;
-        if let Some((node, factor)) = self.faults.straggler {
-            let node = node as usize;
-            if from == node || to == node {
-                delay *= factor;
-            }
+        let factor = self
+            .plan
+            .delay_factor(NodeId::new(from as u32), NodeId::new(to as u32));
+        if factor > 1 {
+            delay *= u32::try_from(factor).expect("serves() bounds straggler factors");
         }
-        if self
-            .faults
-            .loss_every
-            .is_some_and(|k| self.seen.is_multiple_of(k))
-        {
+        if self.plan.drops(self.seen) {
             self.lost += 1;
             return;
         }
         let now = Instant::now();
-        if self
-            .faults
-            .dup_every
-            .is_some_and(|k| self.seen.is_multiple_of(k))
-        {
+        if self.plan.duplicates(self.seen) {
             self.duplicated += 1;
-            self.seq += 1;
-            self.heap.push(Reverse(Pending {
-                due: now + delay + delay,
-                seq: self.seq,
-                from,
-                to,
-                payload: payload.clone(),
-            }));
+            self.schedule(now + delay + delay, from, to, payload.clone());
         }
+        self.schedule(now + delay, from, to, payload);
+    }
+
+    /// Queues one delivery, due at `due`.
+    fn schedule(&mut self, due: Instant, from: usize, to: usize, payload: T) {
         self.seq += 1;
+        let seq = self.seq;
         self.heap.push(Reverse(Pending {
-            due: now + delay,
-            seq: self.seq,
+            due,
+            seq,
             from,
             to,
             payload,
@@ -116,12 +114,16 @@ impl<T: Clone> FaultQueue<T> {
     }
 
     /// Pops the next due delivery, black-holing any whose receiver is
-    /// inside its crash window. `None` when nothing is due at `now`.
+    /// crashed at the tick it falls due. `None` when nothing is due at
+    /// `now`.
     pub(crate) fn pop_due(&mut self, now: Instant) -> Option<(usize, usize, T)> {
         while self.heap.peek().is_some_and(|Reverse(p)| p.due <= now) {
             let Reverse(p) = self.heap.pop().expect("peeked");
-            if let Some((node, down, up)) = self.crash_win {
-                if p.to == node && p.due >= down && p.due < up {
+            if !self.plan.restarts.is_empty() {
+                let elapsed = p.due.saturating_duration_since(self.start).as_nanos();
+                let tick = elapsed / self.tick.as_nanos().max(1);
+                let at = SimTime::from_ticks(u64::try_from(tick).unwrap_or(u64::MAX));
+                if self.plan.is_crashed(NodeId::new(p.to as u32), at) {
                     self.crash_dropped += 1;
                     continue;
                 }
@@ -149,10 +151,12 @@ impl<T: Clone> FaultQueue<T> {
 mod tests {
     use super::*;
 
+    const MS: Duration = Duration::from_millis(1);
+
     #[test]
     fn loss_and_duplication_fire_on_their_periods() {
-        let mut q: FaultQueue<u32> =
-            FaultQueue::new(WireFaults::none().with_loss(3).with_duplication(2), None);
+        let plan = FaultPlan::losing(3).with_duplication(2);
+        let mut q: FaultQueue<u32> = FaultQueue::new(&plan, Instant::now(), MS);
         for i in 0..6u32 {
             q.submit(0, 1, Duration::ZERO, i);
         }
@@ -166,18 +170,15 @@ mod tests {
 
     #[test]
     fn crash_window_blackholes_only_the_dead_node() {
-        let now = Instant::now();
-        let mut q: FaultQueue<&'static str> = FaultQueue::new(
-            WireFaults::none(),
-            Some((
-                1,
-                now - Duration::from_secs(1),
-                now + Duration::from_secs(60),
-            )),
+        let plan = FaultPlan::crash_restart(
+            NodeId::new(1),
+            SimTime::from_ticks(0),
+            SimTime::from_ticks(60_000),
         );
+        let mut q: FaultQueue<&'static str> = FaultQueue::new(&plan, Instant::now(), MS);
         q.submit(0, 1, Duration::ZERO, "to-dead");
         q.submit(0, 2, Duration::ZERO, "to-live");
-        let later = Instant::now() + Duration::from_millis(1);
+        let later = Instant::now() + MS;
         let mut delivered = Vec::new();
         while let Some((_, to, p)) = q.pop_due(later) {
             delivered.push((to, p));
@@ -187,9 +188,33 @@ mod tests {
     }
 
     #[test]
+    fn crash_window_is_half_open_on_the_tick_clock() {
+        // Down at tick 2, up at tick 5: due exactly at `start + 2·tick` is
+        // dead, due exactly at `start + 5·tick` is back.
+        let plan = FaultPlan::crash_restart(
+            NodeId::new(1),
+            SimTime::from_ticks(2),
+            SimTime::from_ticks(5),
+        );
+        let start = Instant::now() - Duration::from_secs(1);
+        let mut q: FaultQueue<&'static str> = FaultQueue::new(&plan, start, MS);
+        let ns = Duration::from_nanos(1);
+        q.schedule(start + MS * 2 - ns, 0, 1, "before");
+        q.schedule(start + MS * 2, 0, 1, "at-down");
+        q.schedule(start + MS * 5 - ns, 0, 1, "last-dead");
+        q.schedule(start + MS * 5, 0, 1, "at-up");
+        let mut delivered = Vec::new();
+        while let Some((_, _, p)) = q.pop_due(Instant::now()) {
+            delivered.push(p);
+        }
+        assert_eq!(delivered, vec!["before", "at-up"]);
+        assert_eq!(q.crash_dropped, 2);
+    }
+
+    #[test]
     fn straggler_stretches_due_times() {
-        let mut q: FaultQueue<u8> =
-            FaultQueue::new(WireFaults::none().with_straggler(0, 100), None);
+        let plan = FaultPlan::straggler(NodeId::new(0), 100);
+        let mut q: FaultQueue<u8> = FaultQueue::new(&plan, Instant::now(), MS);
         q.submit(0, 1, Duration::from_millis(10), 1); // from the straggler: 1s
         q.submit(1, 2, Duration::from_millis(10), 2); // unaffected: 10ms
         let soon = Instant::now() + Duration::from_millis(500);

@@ -40,8 +40,7 @@ pub struct RetryPolicy {
 
 impl RetryPolicy {
     /// Fixed-interval policy: retransmit every `ticks`, forever, no
-    /// jitter. Bit-identical to the historical `with_retransmit` RCV
-    /// extension.
+    /// jitter — RCV's original retransmission extension.
     pub fn fixed(ticks: u64) -> Self {
         assert!(ticks >= 1, "retry deadline must be >= 1 tick");
         RetryPolicy {

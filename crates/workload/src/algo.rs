@@ -144,8 +144,8 @@ impl Algo {
     }
 
     /// Runs this algorithm as a **real-thread cluster** (`rcv-runtime`):
-    /// one OS thread per node, asynchronous channels, optional wire-level
-    /// faults, every message round-tripped through its binary wire codec —
+    /// one OS thread per node, asynchronous channels, the spec's fault
+    /// plan, every message round-tripped through its binary wire codec —
     /// the same protocol state machines the simulator drives, under a
     /// genuine scheduler.
     ///
@@ -157,11 +157,11 @@ impl Algo {
     /// or Maekawa with reordering delivery.
     pub fn run_threaded(&self, spec: &RunSpec) -> ClusterReport {
         let spec = self.fifo_safe(spec);
-        let restartable = spec.faults.crash_restart.is_some();
+        let (restartable, retry) = (!spec.faults.restarts.is_empty(), spec.retry);
         with_protocol!(*self, |make, anomalies| {
             let (mut report, nodes) =
                 run_cluster_collecting(spec.with(Some(verifying_hook())), |id, n| {
-                    make(id, n, spec.retry)
+                    make(id, n, retry)
                 });
             report.anomalies = nodes.iter().map(|p| anomalies(p, restartable)).sum();
             report
@@ -189,11 +189,12 @@ impl Algo {
     /// under the constant-mean ([`fifo_equivalent`]) delay when the
     /// algorithm assumes ordered channels.
     pub(crate) fn fifo_safe(&self, spec: &RunSpec) -> RunSpec {
-        if self.requires_fifo() {
-            spec.delay(fifo_equivalent(spec.delay))
+        let delay = if self.requires_fifo() {
+            fifo_equivalent(spec.delay)
         } else {
-            *spec
-        }
+            spec.delay
+        };
+        spec.clone().delay(delay)
     }
 
     /// Whether the exhaustive model checker (`rcv-mc`, driven by the `mc`

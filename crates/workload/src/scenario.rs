@@ -418,9 +418,9 @@ impl ScenarioSpec {
 
     /// Whether the real tiers can express this scenario faithfully:
     /// closed-loop shapes (burst / saturation / Poisson-like think times)
-    /// map onto per-node rounds, and the fault plan must render at the
-    /// wire level (`rcv_runtime::WireFaults::try_from` — everything but a
-    /// permanent crash-stop does). Hot-spot and ramp shapes are per-node
+    /// map onto per-node rounds, and the real tiers must hold the fault
+    /// plan ([`rcv_runtime::serves`] — everything but a permanent
+    /// crash-stop does). Hot-spot and ramp shapes are per-node
     /// heterogeneous / time-varying and stay simulator-only. Size is also
     /// a boundary: the runtime is thread-per-node, so the large-N `scale-*` cells would spawn hundreds-to-thousands of
     /// OS threads and measure the host scheduler rather than the protocol
@@ -430,7 +430,7 @@ impl ScenarioSpec {
             self.shape,
             ShapeSpec::Burst | ShapeSpec::Saturation { .. } | ShapeSpec::Poisson { .. }
         );
-        shape_ok && self.n <= 64 && rcv_runtime::WireFaults::try_from(&self.faults.plan()).is_ok()
+        shape_ok && self.n <= 64 && rcv_runtime::serves(&self.faults.plan()).is_ok()
     }
 }
 
@@ -1020,36 +1020,12 @@ mod tests {
 
     #[test]
     fn every_registry_regime_renders_one_way_onto_the_real_tiers() {
-        use rcv_runtime::{NetDelay, WireFaults};
+        use rcv_runtime::NetDelay;
         use std::time::Duration;
 
-        // What each faulty cell injects on the real tiers, and what each
-        // delay regime becomes at rtmatrix's default 200 µs tick — written
-        // out by hand, so a change to either rendering shows up here.
-        let none = WireFaults::none;
-        let pinned_faults = |name: &str| -> Option<WireFaults> {
-            Some(match name {
-                "cancel-burst-n12" | "crash-holder-burst-n10" => return None,
-                "loss-burst-n12" => none().with_loss(17),
-                "loss-poisson-n12" => none().with_loss(29),
-                "dup-burst-n12" => none().with_duplication(3),
-                "dup-jitter-burst-n12" => none().with_duplication(1),
-                "straggler-burst-n12" | "straggler-jitter-burst-n12" => none().with_straggler(0, 8),
-                "straggler-poisson-n12" => none().with_straggler(1, 6),
-                "stacked-burst-n10" => none()
-                    .with_loss(23)
-                    .with_duplication(7)
-                    .with_straggler(1, 4),
-                "chaos-restart-holder-burst-n8" => none().with_crash_restart(0, 25, 120),
-                "chaos-restart-waiter-burst-n8" => none().with_crash_restart(2, 12, 100),
-                "chaos-restart-bystander-poisson-n8" => none().with_crash_restart(3, 2_000, 2_600),
-                "chaos-stacked-burst-n8" => none()
-                    .with_loss(31)
-                    .with_straggler(2, 3)
-                    .with_crash_restart(1, 30, 150),
-                _ => none(),
-            })
-        };
+        // What each delay regime becomes at rtmatrix's default 200 µs
+        // tick — written out by hand, so a change to the rendering shows
+        // up here.
         let us = Duration::from_micros;
         let pinned_delay = |delay: DelaySpec| match delay {
             DelaySpec::Constant => NetDelay::Uniform {
@@ -1074,17 +1050,12 @@ mod tests {
             assert_eq!(cfg.faults, plan, "{name}");
             assert_eq!(cfg.delay, spec.delay.model(), "{name}");
 
-            // The real tiers run their one rendering of each, or nothing.
-            let rendered = WireFaults::try_from(&plan);
+            // The real tiers run the same plan, or nothing.
+            let served = rcv_runtime::serves(&plan).is_ok();
             assert_eq!(
-                rendered.as_ref().ok(),
-                pinned_faults(name).as_ref(),
-                "{name}"
-            );
-            assert_eq!(
-                rendered.is_err(),
-                matches!(spec.faults, FaultSpec::Crash { .. }),
-                "{name}: only permanent crash-stop may fail to render"
+                served,
+                !matches!(spec.faults, FaultSpec::Crash { .. }),
+                "{name}: only permanent crash-stop may be refused"
             );
             assert_eq!(
                 NetDelay::from_model(&cfg.delay, us(200)),
@@ -1097,16 +1068,10 @@ mod tests {
             );
             assert_eq!(
                 spec.runtime_mappable(),
-                shape_ok && spec.n <= 64 && rendered.is_ok(),
+                shape_ok && spec.n <= 64 && served,
                 "{name}"
             );
         }
-
-        // What the wire layer cannot hold is refused, not truncated.
-        let two_slow = FaultPlan::straggler(NodeId::new(0), 2).with_straggler(NodeId::new(1), 2);
-        assert!(WireFaults::try_from(&two_slow).is_err());
-        let huge = FaultPlan::straggler(NodeId::new(0), u64::MAX);
-        assert!(WireFaults::try_from(&huge).is_err());
     }
 
     #[test]

@@ -16,7 +16,9 @@
 
 use rcv_baselines::SuzukiKasami;
 use rcv_core::{RcvConfig, RcvNode};
-use rcv_simnet::{BurstOnce, Engine, FaultPlan, FixedTrace, NodeId, SimConfig, SimTime};
+use rcv_simnet::{
+    BurstOnce, Engine, FaultPlan, FixedTrace, NodeId, RetryPolicy, SimConfig, SimTime,
+};
 
 #[test]
 fn duplication_is_absorbed_by_the_guards() {
@@ -147,7 +149,7 @@ fn retransmission_extension_restores_light_load_liveness_under_crash() {
         starved_without += usize::from(plain.metrics.completed() == 0);
 
         let (with_rt, nodes) = Engine::new(cfg, FixedTrace::new(lone), |id, nn| {
-            RcvNode::with_config(id, nn, RcvConfig::with_retransmit(200))
+            RcvNode::with_config(id, nn, RcvConfig::with_retry(RetryPolicy::fixed(200)))
         })
         .run_collecting();
         assert!(with_rt.is_safe(), "seed={seed}");
@@ -173,7 +175,7 @@ fn retransmission_is_harmless_without_faults() {
     for seed in 0..5 {
         let cfg = SimConfig::paper_non_fifo(10, seed);
         let (report, nodes) = Engine::new(cfg, BurstOnce, |id, nn| {
-            RcvNode::with_config(id, nn, RcvConfig::with_retransmit(5_000))
+            RcvNode::with_config(id, nn, RcvConfig::with_retry(RetryPolicy::fixed(5_000)))
         })
         .run_collecting();
         assert!(report.is_safe());
@@ -192,7 +194,7 @@ fn retransmission_under_duplication_and_jitter_stays_safe() {
         let mut cfg = SimConfig::paper_non_fifo(8, seed);
         cfg.faults = FaultPlan::duplicating(2);
         let (report, nodes) = Engine::new(cfg, BurstOnce, |id, nn| {
-            RcvNode::with_config(id, nn, RcvConfig::with_retransmit(60))
+            RcvNode::with_config(id, nn, RcvConfig::with_retry(RetryPolicy::fixed(60)))
         })
         .run_collecting();
         assert!(report.is_safe(), "seed={seed}");

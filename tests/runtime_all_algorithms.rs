@@ -1,7 +1,7 @@
 //! Real-concurrency conformance: **all 8 algorithms** on the threaded
 //! runtime (OS threads, asynchronous channels, byte-serialized messages),
-//! under clean networks, non-FIFO jitter, stragglers and wire-level
-//! faults. The simulator-side twin of this battery is the scenario
+//! under clean networks, non-FIFO jitter, stragglers and the simulator's
+//! fault plans. The simulator-side twin of this battery is the scenario
 //! matrix; the cross-backend agreement is checked by `rtmatrix`
 //! (`rcv-bench`).
 //!
@@ -11,7 +11,8 @@
 
 use std::time::Duration;
 
-use rcv::runtime::{run_with_watchdog, ClusterReport, NetDelay, RunSpec, WireFaults};
+use rcv::runtime::{run_with_watchdog, ClusterReport, NetDelay, RunSpec};
+use rcv::simnet::{FaultPlan, NodeId};
 use rcv::workload::Algo;
 
 /// Hard deadline per cluster run — far above any healthy run (< 1 s),
@@ -25,7 +26,8 @@ const FIFO_DELAY: NetDelay = NetDelay::Uniform {
     max: Duration::from_micros(500),
 };
 
-fn run(algo: Algo, spec: RunSpec) -> ClusterReport {
+fn run(algo: Algo, spec: &RunSpec) -> ClusterReport {
+    let spec = spec.clone();
     run_with_watchdog(algo.name(), WATCHDOG, move || algo.run_threaded(&spec))
 }
 
@@ -37,7 +39,7 @@ fn all_eight_algorithms_complete_with_codec_on_the_wire() {
         let spec = RunSpec::quick(5, 100 + i as u64)
             .rounds(2)
             .think(Duration::from_micros(300));
-        let r = run(algo, spec);
+        let r = run(algo, &spec);
         assert!(r.is_clean(spec.expected()), "{}: {r:?}", algo.name());
         assert_eq!(r.cs_entries, spec.expected(), "{}", algo.name());
     }
@@ -52,7 +54,7 @@ fn non_fifo_algorithms_survive_heavy_jitter() {
             min: Duration::from_micros(50),
             max: Duration::from_millis(2),
         });
-        let r = run(algo, spec);
+        let r = run(algo, &spec);
         assert!(r.is_clean(spec.expected()), "{}: {r:?}", algo.name());
     }
 }
@@ -65,8 +67,8 @@ fn all_eight_algorithms_tolerate_a_straggler_node() {
     for (i, algo) in Algo::all().into_iter().enumerate() {
         let spec = RunSpec::quick(4, 200 + i as u64)
             .delay(FIFO_DELAY)
-            .faults(WireFaults::none().with_straggler(0, 4));
-        let r = run(algo, spec);
+            .faults(FaultPlan::straggler(NodeId::new(0), 4));
+        let r = run(algo, &spec);
         assert!(r.is_clean(spec.expected()), "{}: {r:?}", algo.name());
     }
 }
@@ -79,9 +81,9 @@ fn message_loss_never_costs_safety() {
     // timeout bounds the stall.
     for algo in [Algo::Ricart, Algo::Broadcast] {
         let spec = RunSpec::quick(4, 17)
-            .faults(WireFaults::none().with_loss(7))
+            .faults(FaultPlan::losing(7))
             .timeout(Duration::from_secs(2));
-        let r = run(algo, spec);
+        let r = run(algo, &spec);
         assert_eq!(
             r.violations,
             0,
@@ -101,14 +103,13 @@ fn rcv_with_retransmission_beats_loss_and_duplication_at_once() {
     let spec = RunSpec::quick(5, 23)
         .rounds(2)
         .faults(
-            WireFaults::none()
-                .with_loss(9)
+            FaultPlan::losing(9)
                 .with_duplication(5)
-                .with_straggler(1, 4),
+                .with_straggler(NodeId::new(1), 4),
         )
         .timeout(Duration::from_secs(60))
         .retry(rcv::simnet::RetryPolicy::fixed(2_000));
-    let r = run(Algo::Rcv(rcv::core::ForwardPolicy::Random), spec);
+    let r = run(Algo::Rcv(rcv::core::ForwardPolicy::Random), &spec);
     assert!(r.is_clean(spec.expected()), "{r:?}");
     assert!(r.lost > 0, "loss regime must fire: {r:?}");
     assert!(r.duplicated > 0, "duplication regime must fire: {r:?}");
