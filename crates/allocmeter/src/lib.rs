@@ -15,9 +15,10 @@
 //! overhead is one thread-local add per allocation — small enough that the
 //! throughput bench keeps it live for its events/sec numbers too.
 //!
-//! Counters are per-thread: the deterministic engine is single-threaded,
-//! so a run's charge is exactly what the driving thread allocated, with no
-//! cross-talk from concurrently running test threads.
+//! Counters are per-thread, with no cross-talk from concurrently running
+//! test threads. A run's charge is what the driving thread allocated: the
+//! engine may run some of a window's handlers on a second thread, and
+//! what that thread allocates is not charged to the caller.
 //!
 //! The workspace has `unsafe` code in exactly two places: this crate (the
 //! `GlobalAlloc` impl cannot be written without it) and the one `ppoll`

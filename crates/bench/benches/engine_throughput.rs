@@ -140,6 +140,9 @@ fn bench_engine(algo: Algo, n: usize, windows: u32, window_secs: f64) -> EngineR
     // average would cover a host-speed-dependent seed set and drift).
     // The same run yields bytes-allocated-per-event (deterministic too,
     // modulo allocator-internal rounding — the seed fixes the schedule).
+    // The meter counts the calling thread only: when the engine runs part
+    // of a window on its second thread (large-N RCV), what that thread
+    // allocates is not in the figure.
     let t0 = Instant::now();
     rcv_allocmeter::take();
     let events_per_run = algo.run(SimConfig::paper(n, 1), BurstOnce).events;
@@ -168,6 +171,8 @@ fn bench_engine(algo: Algo, n: usize, windows: u32, window_secs: f64) -> EngineR
 /// lands in `BENCH_RESULTS.json` next to the throughput numbers. Probes
 /// cover snapshot/merge/normalize/order/metrics; the remainder (event
 /// queue, protocol handlers, delivery plumbing) is reported as `engine`.
+/// Phase times include the engine's second thread, so when it runs the
+/// phases can add up to more than the wall time and `engine` reads low.
 fn profile_sweep(quick: bool, report: &mut PerfReport) {
     let sizes: &[usize] = if quick { &[50, 200] } else { &[50, 200, 1000] };
     profile::set_enabled(true);

@@ -79,6 +79,19 @@ impl DelayModel {
         }
     }
 
+    /// Smallest delay this model promises, in ticks: the engine's
+    /// lookahead. No message sent at `t` can reach its receiver before
+    /// `t + min_ticks()`, so events at different nodes closer than that
+    /// cannot affect each other. The exponential model promises nothing
+    /// (its one-tick floor is a sampling clamp, not part of the model).
+    pub fn min_ticks(&self) -> u64 {
+        match *self {
+            DelayModel::Constant(d) => d.ticks(),
+            DelayModel::Uniform { min, .. } => min.ticks(),
+            DelayModel::Exponential { .. } => 0,
+        }
+    }
+
     /// Mean delay in ticks, used by analytic cross-checks.
     pub fn mean_ticks(&self) -> f64 {
         match *self {
@@ -178,6 +191,31 @@ mod tests {
             (4.3..5.7).contains(&mean),
             "empirical mean {mean} too far from 5.0"
         );
+    }
+
+    #[test]
+    fn min_ticks_is_the_smallest_sample() {
+        let models = [
+            DelayModel::paper_constant(),
+            DelayModel::Constant(SimDuration::from_ticks(0)),
+            DelayModel::paper_jittered(),
+            DelayModel::Uniform {
+                min: SimDuration::from_ticks(0),
+                max: SimDuration::from_ticks(3),
+            },
+            DelayModel::Exponential { mean: 5.0, cap: 20 },
+        ];
+        assert_eq!(
+            models.iter().map(DelayModel::min_ticks).collect::<Vec<_>>(),
+            [5, 0, 1, 0, 0]
+        );
+        let mut r = rng();
+        for m in &models {
+            for _ in 0..2000 {
+                assert!(m.sample(&mut r).ticks() >= m.min_ticks(), "{m:?}");
+            }
+            assert!(m.min_ticks() <= m.max_ticks(), "{m:?}");
+        }
     }
 
     #[test]

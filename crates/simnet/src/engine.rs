@@ -6,20 +6,63 @@
 //! deterministic for a given `(SimConfig, workload)` pair — delays and
 //! protocol randomness come from seeded per-purpose RNG streams, and ties in
 //! the event queue fire in insertion order.
+//!
+//! ## Windows
+//!
+//! A message takes at least [`DelayModel::min_ticks`] to arrive and a CS
+//! lasts `Tc`, so with `L = min(that, Tc)` nothing a node does at time `t`
+//! reaches another node before `t + L` (the conservative lookahead of
+//! Chandy–Misra–Bryant parallel simulation). The loop therefore takes a
+//! *window* at a time: the head event at `T` and every later event before
+//! `T + L`, ending early in front of a `CsExit`, `Crash` or `Restart` —
+//! those touch the workload or engine-wide state and run as windows of
+//! their own. Most windows run *inline*: each event is popped, handled and
+//! applied in turn, the one-event-at-a-time loop itself. A window whose
+//! kind has measured enough handler time to pay for a hand-off is *split*:
+//! each node's share of it, its *lane*, runs the node's handlers (with any
+//! timer they arm inside the window) on the calling thread or on one
+//! helper thread. The caller then *commits* the window: it walks the
+//! events in the exact `(time, seq)` order of the sequential loop and
+//! applies each handler's recorded intents — queue sequence numbers,
+//! network delay and fault draws, metrics, the safety monitor, the trace,
+//! CS grants and exits. So every report, trace and node state is
+//! bit-identical to the sequential loop, whichever thread ran a lane. With
+//! `L = 0` (exponential delay, `Tc = 0`) every window is one event.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::OnceLock;
+use std::thread::{Scope, ScopedJoinHandle};
+use std::time::Instant;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::delay::DelayModel;
-use crate::event::{EventKind, EventQueue};
+use crate::event::{Event, EventKind, EventQueue};
 use crate::faults::FaultPlan;
 use crate::ids::NodeId;
 use crate::metrics::SimMetrics;
 use crate::monitor::{SafetyMonitor, Violation};
+use crate::profile::{self, PhaseCost, PROBE_PHASES};
 use crate::protocol::{Ctx, MutexProtocol, ProtocolMessage, RestartOutcome};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{Trace, TraceEvent};
 use crate::workload::{ArrivalSink, Workload};
+
+/// Estimated handler time a window must hold before its lanes are split
+/// across two threads. A hand-off costs tens of microseconds of wake-up
+/// latency each way, so only windows several times that long pay.
+const SPLIT_NS: u64 = 200_000;
+
+/// Average handler time per event below which a window is not split
+/// whatever its size: dealing an event to the other thread and committing
+/// what it produced there costs more than a cheap handler saves.
+const MIN_SPLIT_EVENT_NS: u64 = 2_000;
+
+/// `lane_of` entry of a node without a lane in the current window.
+const NO_LANE: u32 = u32::MAX;
 
 /// Engine parameters.
 #[derive(Clone, Debug)]
@@ -106,11 +149,265 @@ impl SimReport {
     }
 }
 
+/// A node's protocol state and its private randomness.
+struct NodeState<P> {
+    proto: P,
+    rng: SmallRng,
+}
+
+/// One handler call a lane ran, as the commit replays it.
+struct Call {
+    /// The event time it ran at.
+    at: SimTime,
+    /// Messages it sent: the next entries of the lane's `outbox`.
+    sends: u32,
+    /// Timers it armed: the next entries of the lane's `timers`.
+    timers: u32,
+    /// It asked to enter the CS.
+    enter: bool,
+    /// What `on_restart` returned (`KeptState` for every other handler).
+    restart: RestartOutcome,
+}
+
+/// What a lane's handlers asked for.
+struct Intents<M> {
+    /// In-window timers armed and not run yet, in arming order.
+    due: Vec<(SimTime, u64)>,
+    /// Handler calls, and the messages and timers they produced, each in
+    /// the order they happened — reversed once the lane has run, so the
+    /// commit pops them from the back.
+    calls: Vec<Call>,
+    outbox: Vec<(NodeId, M)>,
+    timers: Vec<(SimDuration, u64)>,
+}
+
+impl<M> Default for Intents<M> {
+    fn default() -> Self {
+        Intents {
+            due: Vec::new(),
+            calls: Vec::new(),
+            outbox: Vec::new(),
+            timers: Vec::new(),
+        }
+    }
+}
+
+impl<M: ProtocolMessage> Intents<M> {
+    fn clear(&mut self) {
+        self.due.clear();
+        self.calls.clear();
+        self.outbox.clear();
+        self.timers.clear();
+    }
+
+    fn take_due(&mut self, i: usize, node: NodeId) -> Event<M> {
+        let (at, tag) = self.due.remove(i);
+        Event {
+            at,
+            kind: EventKind::Timer { node, tag },
+        }
+    }
+
+    /// Runs the handler `ev` calls for, unless the node is down (`down` is
+    /// its crash schedule) — the commit skips exactly the same events.
+    fn handle<P: MutexProtocol<Message = M>>(
+        &mut self,
+        node: &mut NodeState<P>,
+        ev: Event<M>,
+        down: &[(SimTime, SimTime)],
+        end: SimTime,
+    ) {
+        use RestartOutcome::KeptState;
+        let id = ev.kind.node();
+        let at = ev.at;
+        match ev.kind {
+            EventKind::Arrival { .. } | EventKind::Deliver { .. } | EventKind::Timer { .. }
+                if is_down(down, at) => {}
+            EventKind::Arrival { .. } => self.call(node, id, at, end, |p, ctx| {
+                p.on_request(ctx);
+                KeptState
+            }),
+            EventKind::Deliver { from, msg, .. } => self.call(node, id, at, end, |p, ctx| {
+                p.on_message(from, msg, ctx);
+                KeptState
+            }),
+            EventKind::Timer { tag, .. } => self.call(node, id, at, end, |p, ctx| {
+                p.on_timer(tag, ctx);
+                KeptState
+            }),
+            EventKind::CsExit { .. } | EventKind::Crash { .. } | EventKind::Restart { .. } => {
+                unreachable!("barriers run in windows of their own, inline")
+            }
+        }
+    }
+
+    /// Runs one handler and, if it asked to enter the CS, `on_cs_granted`
+    /// right after, as the commit's grant will. Should that ask to enter
+    /// again, the commit panics on the double grant before a third call.
+    fn call<P: MutexProtocol<Message = M>>(
+        &mut self,
+        node: &mut NodeState<P>,
+        id: NodeId,
+        at: SimTime,
+        end: SimTime,
+        f: impl FnOnce(&mut P, &mut Ctx<'_, M>) -> RestartOutcome,
+    ) {
+        if self.record(node, id, at, end, f) {
+            self.record(node, id, at, end, |p, ctx| {
+                p.on_cs_granted(ctx);
+                RestartOutcome::KeptState
+            });
+        }
+    }
+
+    /// Runs `f` on the node, records the call and returns its CS intent;
+    /// timers armed before `end` also go to `due`.
+    fn record<P: MutexProtocol<Message = M>>(
+        &mut self,
+        node: &mut NodeState<P>,
+        id: NodeId,
+        at: SimTime,
+        end: SimTime,
+        f: impl FnOnce(&mut P, &mut Ctx<'_, M>) -> RestartOutcome,
+    ) -> bool {
+        let (sends, timers) = (self.outbox.len(), self.timers.len());
+        let mut enter = false;
+        let restart = {
+            let mut ctx = Ctx::new(
+                id,
+                at,
+                &mut node.rng,
+                &mut self.outbox,
+                &mut enter,
+                &mut self.timers,
+            );
+            f(&mut node.proto, &mut ctx)
+        };
+        for &(delay, tag) in &self.timers[timers..] {
+            if at + delay < end {
+                self.due.push((at + delay, tag));
+            }
+        }
+        self.calls.push(Call {
+            at,
+            sends: (self.outbox.len() - sends) as u32,
+            timers: (self.timers.len() - timers) as u32,
+            enter,
+            restart,
+        });
+        enter
+    }
+}
+
+/// A delivery's message as the window loop applies it: the message itself
+/// in an inline window, its class label once a lane has run it.
+enum Carried<M> {
+    Here(M),
+    Ran(&'static str),
+}
+
+/// An event and its place in the window.
+type Placed<M> = (u32, Event<M>);
+
+/// A closed lane's buffers, kept for the next lane.
+type Buffers<M> = (Vec<Placed<M>>, Intents<M>);
+
+/// A node's share of a window: its state, moved to whichever thread runs
+/// the lane, its events of the window, and what its handlers asked for.
+struct Lane<P: MutexProtocol> {
+    id: NodeId,
+    node: NodeState<P>,
+    /// Its events of the window, each with its place in the window; once
+    /// the lane runs, reversed so the next one is last.
+    events: Vec<Placed<P::Message>>,
+    /// Events run so far in this window.
+    ran: u64,
+    out: Intents<P::Message>,
+}
+
+impl<P: MutexProtocol> Lane<P> {
+    /// Where the lane's next event falls in the window's `(time, seq)`
+    /// order: by time, then by place in the window. An in-window timer
+    /// comes after every queued event of its tick (it was scheduled
+    /// later), and such timers fire in arming order. `None` once the lane
+    /// is done or has run `cap` events.
+    fn next(&self, cap: u64) -> Option<(SimTime, u32)> {
+        if self.ran == cap {
+            return None;
+        }
+        let queued = self.events.last().map(|&(i, ref e)| (e.at, i));
+        let timer = first_due(self.out.due.iter().map(|d| d.0)).map(|(_, at)| (at, u32::MAX));
+        match (queued, timer) {
+            (Some(q), Some(t)) => Some(q.min(t)),
+            (q, t) => q.or(t),
+        }
+    }
+
+    /// Runs the lane's next event; `down` is the node's crash schedule.
+    fn step(&mut self, down: &[(SimTime, SimTime)], end: SimTime) {
+        let timer = first_due(self.out.due.iter().map(|d| d.0));
+        let ev = match (self.events.last(), timer) {
+            (Some((_, e)), Some((i, at))) if at < e.at => self.out.take_due(i, self.id),
+            (Some(_), _) => self.events.pop().expect("peeked").1,
+            (None, Some((i, _))) => self.out.take_due(i, self.id),
+            (None, None) => unreachable!("stepped a finished lane"),
+        };
+        self.ran += 1;
+        self.out.handle(&mut self.node, ev, down, end);
+    }
+}
+
+/// Runs one thread's lanes of a window, and the timers their handlers arm
+/// before `end`, interleaving their events in window order as the
+/// sequential loop would (so a node copies a table it shares with a
+/// message in flight as rarely as there); each lane runs at most `cap`
+/// events.
+fn run_share<P: MutexProtocol>(
+    lanes: &mut [Lane<P>],
+    crash_sched: &[Vec<(SimTime, SimTime)>],
+    end: SimTime,
+    cap: u64,
+) {
+    for lane in lanes.iter_mut() {
+        lane.events.reverse();
+        lane.ran = 0;
+    }
+    let mut heads: BinaryHeap<_> = lanes
+        .iter()
+        .enumerate()
+        .filter_map(|(i, l)| Some(Reverse((l.next(cap)?, i))))
+        .collect();
+    while let Some(Reverse((_, i))) = heads.pop() {
+        let lane = &mut lanes[i];
+        lane.step(&crash_sched[lane.id.index()], end);
+        if let Some(key) = lane.next(cap) {
+            heads.push(Reverse((key, i)));
+        }
+    }
+    for lane in lanes {
+        lane.out.calls.reverse();
+        lane.out.outbox.reverse();
+        lane.out.timers.reverse();
+    }
+}
+
+/// Index and time of the earliest of `times`, the first one on ties.
+fn first_due(times: impl Iterator<Item = SimTime>) -> Option<(usize, SimTime)> {
+    times.enumerate().min_by_key(|&(_, at)| at)
+}
+
+/// Whether a node with crash schedule `sched` is down at `now`.
+#[inline]
+fn is_down(sched: &[(SimTime, SimTime)], now: SimTime) -> bool {
+    sched.iter().any(|&(down, up)| now >= down && now < up)
+}
+
 /// The engine itself, generic over the protocol under test.
 pub struct Engine<P: MutexProtocol, W: Workload> {
     cfg: SimConfig,
-    nodes: Vec<P>,
-    node_rngs: Vec<SmallRng>,
+    /// Each node's state; out (`None`) only while a lane of the current
+    /// window holds it.
+    nodes: Vec<Option<NodeState<P>>>,
     queue: EventQueue<P::Message>,
     net_rng: SmallRng,
     wl_rng: SmallRng,
@@ -134,15 +431,36 @@ pub struct Engine<P: MutexProtocol, W: Workload> {
     crash_aborted: Vec<bool>,
     events: u64,
     trace: Trace,
-    /// Reusable dispatch scratch: a handler's outgoing messages. Drained
-    /// before `dispatch` returns (or recurses into `grant_cs`), so the
-    /// event loop allocates nothing per event in steady state.
-    outbox: Vec<(NodeId, <P as MutexProtocol>::Message)>,
-    /// Reusable dispatch scratch: a handler's armed timers.
-    timers: Vec<(SimDuration, u64)>,
+    /// The lookahead `L` in ticks: `min(delay lower bound, Tc)`.
+    lookahead: u64,
+    /// Time of the last event processed: the report's end time.
+    clock: SimTime,
+    /// A split window as the commit sees it: its queued events in order,
+    /// each message replaced by its class label (the message went to its
+    /// lane).
+    window: Vec<Event<&'static str>>,
+    /// The intents of a handler an inline window runs, applied at once.
+    scratch: Intents<P::Message>,
+    /// End of the window: a timer armed for before it fires inside it.
+    end: SimTime,
+    /// In-window timers the commit armed, in arming order.
+    due: Vec<(SimTime, NodeId, u64)>,
+    /// The window's lanes, and the index of each node's (or `NO_LANE`).
+    lanes: Vec<Lane<P>>,
+    lane_of: Vec<u32>,
+    /// Buffers of past lanes, for reuse: the loop allocates nothing per
+    /// event in steady state.
+    spare: Vec<Buffers<P::Message>>,
+    /// Scratch for dealing lanes to the two threads.
+    dealt: Vec<Lane<P>>,
+    /// Estimated handler time a window must hold to be split.
+    split_ns: u64,
+    /// Measured handler cost of windows, by the kind of their head event
+    /// (`Cost::slot`): a request can cost a hundred deliveries.
+    costs: [Cost; 3],
 }
 
-impl<P: MutexProtocol, W: Workload> Engine<P, W> {
+impl<P: MutexProtocol + Send, W: Workload> Engine<P, W> {
     /// Builds an engine; `make_node(id, n)` constructs each protocol node.
     pub fn new(cfg: SimConfig, workload: W, mut make_node: impl FnMut(NodeId, usize) -> P) -> Self {
         assert!(cfg.n >= 1, "need at least one node");
@@ -152,7 +470,15 @@ impl<P: MutexProtocol, W: Workload> Engine<P, W> {
             .collect::<Vec<_>>();
         let net_rng = SmallRng::seed_from_u64(seeder.gen());
         let wl_rng = SmallRng::seed_from_u64(seeder.gen());
-        let nodes = NodeId::all(cfg.n).map(|id| make_node(id, cfg.n)).collect();
+        let nodes = NodeId::all(cfg.n)
+            .zip(node_rngs)
+            .map(|(id, rng)| {
+                Some(NodeState {
+                    proto: make_node(id, cfg.n),
+                    rng,
+                })
+            })
+            .collect();
         // Size the calendar queue's O(1) window to the common scheduling
         // distances: message delays (≤ Tn_max) and CS exits (Tc). Timers
         // and far-future arrivals overflow to the heap, which is correct,
@@ -194,7 +520,6 @@ impl<P: MutexProtocol, W: Workload> Engine<P, W> {
             crash_sched,
             crash_aborted: vec![false; cfg.n],
             nodes,
-            node_rngs,
             queue,
             net_rng,
             wl_rng,
@@ -203,19 +528,39 @@ impl<P: MutexProtocol, W: Workload> Engine<P, W> {
             workload,
             sink: ArrivalSink::new(),
             events: 0,
+            lookahead: cfg.delay.min_ticks().min(cfg.cs_duration.ticks()),
+            clock: SimTime::ZERO,
+            window: Vec::new(),
+            scratch: Intents::default(),
+            end: SimTime::ZERO,
+            due: Vec::new(),
+            lanes: Vec::new(),
+            lane_of: vec![NO_LANE; cfg.n],
+            spare: Vec::new(),
+            dealt: Vec::new(),
+            split_ns: SPLIT_NS,
+            costs: [Cost::default(); 3],
             cfg,
-            outbox: Vec::new(),
-            timers: Vec::new(),
         }
+    }
+
+    /// Sets the measured handler time (ns) a window must hold before the
+    /// next one like it is split across two threads. `0` deals every window
+    /// but a barrier to lanes from the first one — those with two or more
+    /// lanes to both threads, even on a one-CPU host; `u64::MAX` never
+    /// splits. Results do not depend on it: this exists so tests can drive
+    /// both paths.
+    #[doc(hidden)]
+    pub fn split_threshold(mut self, ns: u64) -> Self {
+        self.split_ns = ns;
+        self
     }
 
     /// Whether `node` is inside a crash interval at `now` (precomputed
     /// schedule; O(1) for fault-free and single-crash plans).
     #[inline]
     fn node_down(&self, node: NodeId, now: SimTime) -> bool {
-        self.crash_sched[node.index()]
-            .iter()
-            .any(|&(down, up)| now >= down && now < up)
+        is_down(&self.crash_sched[node.index()], now)
     }
 
     /// Runs the simulation to completion and returns the report.
@@ -229,31 +574,13 @@ impl<P: MutexProtocol, W: Workload> Engine<P, W> {
         self.workload
             .init(self.cfg.n, &mut self.wl_rng, &mut self.sink);
         self.flush_arrivals();
-
-        let mut truncated = false;
-        while let Some(ev) = self.queue.pop() {
-            self.events += 1;
-            if self.events > self.cfg.max_events {
-                truncated = true;
-                break;
-            }
-            let now = ev.at;
-            match ev.kind {
-                EventKind::Arrival { node } => self.handle_arrival(node, now),
-                EventKind::Deliver { from, to, msg } => self.handle_deliver(from, to, msg, now),
-                EventKind::CsExit { node, epoch } => self.handle_cs_exit(node, epoch, now),
-                EventKind::Timer { node, tag } => self.handle_timer(node, tag, now),
-                EventKind::Crash { node } => self.handle_crash(node, now),
-                EventKind::Restart { node } => self.handle_restart(node, now),
-            }
-        }
+        let (truncated, _windows) = self.run_windows();
 
         let deadlocked = !truncated && self.metrics.outstanding() > 0;
-        let end_time = self.queue.now();
         // Move (not clone) the monitor's accumulated vectors into the report.
         let parts = self.monitor.into_parts();
         let report = SimReport {
-            end_time,
+            end_time: self.clock,
             events: self.events,
             deadlocked,
             truncated,
@@ -262,7 +589,297 @@ impl<P: MutexProtocol, W: Workload> Engine<P, W> {
             metrics: self.metrics,
             trace: self.trace,
         };
-        (report, self.nodes)
+        let nodes = self
+            .nodes
+            .into_iter()
+            .map(|n| n.expect("every lane returned its node").proto)
+            .collect();
+        (report, nodes)
+    }
+
+    /// The event loop, one window at a time. Returns whether `max_events`
+    /// cut the run, and how many windows it took.
+    fn run_windows(&mut self) -> (bool, u64) {
+        std::thread::scope(|scope| {
+            let mut helper = Helper::new(scope);
+            let mut windows = 0;
+            let truncated = loop {
+                let remaining = self.cfg.max_events - self.events;
+                let Some((_, head)) = self.queue.peek() else {
+                    break false;
+                };
+                if remaining == 0 {
+                    // The event past the cap is popped and counted, and
+                    // the run stops there.
+                    let ev = self.queue.pop().expect("peeked");
+                    self.count(ev.at);
+                    break true;
+                }
+                let slot = Cost::slot(head);
+                windows += 1;
+                let split = slot.is_some_and(|k| self.heavy(k))
+                    && helper.up(self.split_ns == 0, &self.crash_sched);
+                if !self.run_window(slot, split, &mut helper, remaining) {
+                    break true;
+                }
+            };
+            if let Some(costs) = helper.finish() {
+                profile::absorb(costs);
+            }
+            (truncated, windows)
+        })
+    }
+
+    /// Whether the next window, headed by an event of cost slot `slot`,
+    /// should be split: the last measured window so headed held a
+    /// hand-off's worth of handler time, at a per-event cost the transfer
+    /// does not eat. (A threshold of 0 splits every window.)
+    fn heavy(&self, slot: usize) -> bool {
+        let cost = self.costs[slot];
+        self.split_ns == 0
+            || (cost.last_ns >= self.split_ns && cost.ns_per_event >= MIN_SPLIT_EVENT_NS)
+    }
+
+    /// Pops the window's next queued event, `taken` being popped so far:
+    /// the head event at `T`, then every later one before `T + L` — cut
+    /// early in front of a barrier or after `remaining` events. `None` at
+    /// the window's end.
+    fn pop_in_window(&mut self, taken: u64, remaining: u64) -> Option<Event<P::Message>> {
+        if taken == 0 {
+            let first = self.queue.pop()?;
+            // A barrier runs alone, and arms no timer inside its window:
+            // what it schedules, the workload's arrivals included, may fire
+            // at once.
+            self.end = if is_barrier(&first.kind) {
+                first.at
+            } else {
+                SimTime::from_ticks(first.at.ticks().saturating_add(self.lookahead))
+            };
+            return Some(first);
+        }
+        let end = self.end;
+        let mut cut = None;
+        let ev = self.queue.pop_if(|at, kind| {
+            if at < end && (is_barrier(kind) || taken == remaining) {
+                cut = Some(at);
+            }
+            at < end && cut.is_none()
+        });
+        if let Some(at) = cut {
+            self.end = at;
+        }
+        ev
+    }
+
+    /// Runs the next window: `split`, dealt to lanes on both threads and
+    /// then committed; otherwise inline, each event popped and applied in
+    /// turn exactly as a one-event-at-a-time loop would (its in-window
+    /// timers join the queue and pop in order). `remaining` bounds the
+    /// window and the events one lane may run (in-window timers can re-arm
+    /// themselves). False if the run hit `max_events` inside the window.
+    fn run_window<'s>(
+        &mut self,
+        slot: Option<usize>,
+        split: bool,
+        helper: &mut Helper<'s, '_, P>,
+        remaining: u64,
+    ) -> bool
+    where
+        P: 's,
+    {
+        let mut taken = 0;
+        let (whole, ns) = if split {
+            while let Some(ev) = self.pop_in_window(taken, remaining) {
+                self.take(ev);
+                taken += 1;
+            }
+            let ns = self.run_lanes(helper, remaining);
+            let whole = self.commit();
+            self.close_window();
+            (whole, ns)
+        } else {
+            let mut t0 = None;
+            while let Some(ev) = self.pop_in_window(taken, remaining) {
+                taken += 1;
+                if taken == 2 {
+                    // Timed from the second event on, so one-event windows
+                    // read no clock; the first event's share is
+                    // extrapolated below.
+                    t0 = Some(Instant::now());
+                }
+                self.count(ev.at);
+                let kind = match ev.kind {
+                    EventKind::Deliver { from, to, msg } => EventKind::Deliver {
+                        from,
+                        to,
+                        msg: Carried::Here(msg),
+                    },
+                    kind => kind.map_msg(|_| unreachable!("only a delivery carries a message")),
+                };
+                self.fire(ev.at, kind);
+            }
+            let ns = t0.map_or(0, |t| t.elapsed().as_nanos() as u64 * taken / (taken - 1));
+            (true, ns)
+        };
+        if let (Some(slot), 2..) = (slot, taken) {
+            self.costs[slot].measured(ns, taken);
+        }
+        whole
+    }
+
+    /// Deals an event of a split window: its label to `window`, the event
+    /// itself to its node's lane. (A barrier is a window of its own, which
+    /// never splits.)
+    fn take(&mut self, ev: Event<P::Message>) {
+        debug_assert!(!is_barrier(&ev.kind), "a barrier in a split window");
+        self.window.push(Event {
+            at: ev.at,
+            kind: ev.kind.map_msg(ProtocolMessage::kind),
+        });
+        let place = self.window.len() as u32 - 1;
+        self.lane(ev.kind.node()).events.push((place, ev));
+    }
+
+    /// `node`'s lane in this window, opened on first use.
+    fn lane(&mut self, node: NodeId) -> &mut Lane<P> {
+        let i = node.index();
+        if self.lane_of[i] == NO_LANE {
+            self.lane_of[i] = self.lanes.len() as u32;
+            let (events, out) = self.spare.pop().unwrap_or_default();
+            self.lanes.push(Lane {
+                id: node,
+                node: self.nodes[i].take().expect("one lane per node"),
+                events,
+                ran: 0,
+                out,
+            });
+        }
+        &mut self.lanes[self.lane_of[i] as usize]
+    }
+
+    /// Runs a split window's lanes — on both threads if two or more — and
+    /// returns the handler time measured.
+    fn run_lanes<'s>(&mut self, helper: &mut Helper<'s, '_, P>, cap: u64) -> u64
+    where
+        P: 's,
+    {
+        let end = self.end;
+        if self.lanes.len() < 2 {
+            let t0 = Instant::now();
+            run_share(&mut self.lanes, &self.crash_sched, end, cap);
+            return t0.elapsed().as_nanos() as u64;
+        }
+        self.split(helper, end, cap)
+    }
+
+    /// Deals the lanes to the two threads — heaviest first, each to the
+    /// side with fewer events so far, ties to the caller — runs them and
+    /// returns the handler time both sides measured.
+    fn split<'s>(&mut self, helper: &mut Helper<'s, '_, P>, end: SimTime, cap: u64) -> u64
+    where
+        P: 's,
+    {
+        self.lanes.sort_by_key(|l| Reverse(l.events.len()));
+        std::mem::swap(&mut self.lanes, &mut self.dealt);
+        let mut theirs = helper.lanes();
+        let mut load = [0; 2];
+        for lane in self.dealt.drain(..) {
+            let side = usize::from(load[1] < load[0]);
+            load[side] += lane.events.len();
+            if side == 0 {
+                self.lanes.push(lane);
+            } else {
+                theirs.push(lane);
+            }
+        }
+        helper.send(Batch {
+            lanes: theirs,
+            end,
+            cap,
+            ns: 0,
+        });
+        let t0 = Instant::now();
+        run_share(&mut self.lanes, &self.crash_sched, end, cap);
+        let mine = t0.elapsed().as_nanos() as u64;
+        let mut batch = helper.recv();
+        self.lanes.append(&mut batch.lanes);
+        helper.keep(batch.lanes);
+        for (i, lane) in self.lanes.iter().enumerate() {
+            self.lane_of[lane.id.index()] = i as u32;
+        }
+        mine + batch.ns
+    }
+
+    /// Applies the window's events in `(time, seq)` order. False if the
+    /// run hit `max_events` inside it.
+    fn commit(&mut self) -> bool {
+        let mut next = 0;
+        loop {
+            // Same rule as `Lane::next`: a queued event precedes an
+            // in-window timer of its own tick.
+            let timer = first_due(self.due.iter().map(|d| d.0));
+            let ev = match (self.window.get(next), timer) {
+                (Some(e), Some((i, at))) if at < e.at => self.take_due(i),
+                (Some(e), _) => {
+                    next += 1;
+                    e.clone()
+                }
+                (None, Some((i, _))) => self.take_due(i),
+                (None, None) => break,
+            };
+            if !self.count(ev.at) {
+                return false;
+            }
+            self.fire(ev.at, ev.kind.map_msg(|&kind| Carried::Ran(kind)));
+        }
+        debug_assert!(
+            self.lanes.iter().all(|l| l.out.calls.is_empty()),
+            "a lane ran a handler the commit did not replay"
+        );
+        true
+    }
+
+    /// Counts an event about to run at `at`; false if it is the one past
+    /// `max_events` (counted, as the cut event always was, but not run).
+    fn count(&mut self, at: SimTime) -> bool {
+        self.events += 1;
+        self.clock = at;
+        self.events <= self.cfg.max_events
+    }
+
+    /// Applies one event: the bookkeeping around its handler, and the
+    /// handler's intents.
+    fn fire(&mut self, now: SimTime, kind: EventKind<Carried<P::Message>>) {
+        match kind {
+            EventKind::Arrival { node } => self.handle_arrival(node, now),
+            EventKind::Deliver { from, to, msg } => self.handle_deliver(from, to, msg, now),
+            EventKind::CsExit { node, epoch } => self.handle_cs_exit(node, epoch, now),
+            EventKind::Timer { node, tag } => self.handle_timer(node, tag, now),
+            EventKind::Crash { node } => self.handle_crash(node, now),
+            EventKind::Restart { node } => self.handle_restart(node, now),
+        }
+    }
+
+    fn take_due<X>(&mut self, i: usize) -> Event<X> {
+        let (at, node, tag) = self.due.remove(i);
+        Event {
+            at,
+            kind: EventKind::Timer { node, tag },
+        }
+    }
+
+    /// Returns every lane's node home and keeps its buffers.
+    fn close_window(&mut self) {
+        for mut lane in self.lanes.drain(..) {
+            let i = lane.id.index();
+            self.lane_of[i] = NO_LANE;
+            self.nodes[i] = Some(lane.node);
+            lane.events.clear();
+            lane.out.clear();
+            self.spare.push((lane.events, lane.out));
+        }
+        self.window.clear();
+        self.due.clear();
     }
 
     fn flush_arrivals(&mut self) {
@@ -287,10 +904,17 @@ impl<P: MutexProtocol, W: Workload> Engine<P, W> {
             "workload violated the one-outstanding-request rule for {node:?}"
         );
         self.metrics.request_issued(node, now);
-        self.dispatch(node, now, |p, ctx| p.on_request(ctx));
+        self.dispatch(node, now, |p, ctx| {
+            p.on_request(ctx);
+            RestartOutcome::KeptState
+        });
     }
 
-    fn handle_deliver(&mut self, from: NodeId, to: NodeId, msg: P::Message, now: SimTime) {
+    fn handle_deliver(&mut self, from: NodeId, to: NodeId, msg: Carried<P::Message>, now: SimTime) {
+        let kind = match &msg {
+            Carried::Here(msg) => msg.kind(),
+            Carried::Ran(kind) => kind,
+        };
         if self.node_down(to, now) {
             self.metrics.message_dropped();
             if self.trace.enabled() {
@@ -303,10 +927,16 @@ impl<P: MutexProtocol, W: Workload> Engine<P, W> {
                 at: now,
                 from,
                 to,
-                kind: msg.kind(),
+                kind,
             });
         }
-        self.dispatch(to, now, |p, ctx| p.on_message(from, msg, ctx));
+        self.dispatch(to, now, |p, ctx| {
+            let Carried::Here(msg) = msg else {
+                unreachable!("a lane ran this delivery")
+            };
+            p.on_message(from, msg, ctx);
+            RestartOutcome::KeptState
+        });
     }
 
     fn handle_cs_exit(&mut self, node: NodeId, epoch: u64, now: SimTime) {
@@ -331,7 +961,10 @@ impl<P: MutexProtocol, W: Workload> Engine<P, W> {
         self.monitor.exit(node, now);
         self.check_safety();
         self.metrics.cs_exited(node, now);
-        self.dispatch(node, now, |p, ctx| p.on_cs_released(ctx));
+        self.dispatch(node, now, |p, ctx| {
+            p.on_cs_released(ctx);
+            RestartOutcome::KeptState
+        });
         self.workload
             .on_complete(node, now, &mut self.wl_rng, &mut self.sink);
         self.flush_arrivals();
@@ -344,7 +977,10 @@ impl<P: MutexProtocol, W: Workload> Engine<P, W> {
         if self.trace.enabled() {
             self.trace.record(TraceEvent::Timer { at: now, node, tag });
         }
-        self.dispatch(node, now, |p, ctx| p.on_timer(tag, ctx));
+        self.dispatch(node, now, |p, ctx| {
+            p.on_timer(tag, ctx);
+            RestartOutcome::KeptState
+        });
     }
 
     /// Start of a crash window: the node dies *now*. If it held the CS it
@@ -375,8 +1011,7 @@ impl<P: MutexProtocol, W: Workload> Engine<P, W> {
     /// resumed the request internally (write-ahead recovery).
     fn handle_restart(&mut self, node: NodeId, now: SimTime) {
         self.metrics.node_restarted();
-        let mut outcome = RestartOutcome::KeptState;
-        self.dispatch(node, now, |p, ctx| outcome = p.on_restart(ctx));
+        let outcome = self.dispatch(node, now, |p, ctx| p.on_restart(ctx));
         if self.trace.enabled() {
             self.trace.record(TraceEvent::Restarted {
                 at: now,
@@ -403,41 +1038,47 @@ impl<P: MutexProtocol, W: Workload> Engine<P, W> {
         }
     }
 
-    /// Runs one protocol handler and materializes its intents.
-    ///
-    /// The handler's sends/timers land in the engine-owned scratch buffers
-    /// (`self.outbox`/`self.timers`), which are fully drained before this
-    /// returns — so the only recursion (`grant_cs` → `on_cs_granted`) sees
-    /// them empty and can reuse them, and steady-state dispatch performs no
-    /// allocation at all.
+    /// Materializes a handler call — run now by `f` in an inline window,
+    /// or the next call `node`'s lane ran in a split one: its timers, then
+    /// its messages, then its CS entry. Returns what `on_restart` said, if
+    /// that was the handler.
     fn dispatch(
         &mut self,
         node: NodeId,
         now: SimTime,
-        f: impl FnOnce(&mut P, &mut Ctx<'_, P::Message>),
-    ) {
-        debug_assert!(
-            self.outbox.is_empty() && self.timers.is_empty(),
-            "dispatch re-entered with undrained scratch buffers"
-        );
-        let mut enter = false;
-        {
-            let idx = node.index();
-            let mut ctx = Ctx::new(
-                node,
-                now,
-                &mut self.node_rngs[idx],
-                &mut self.outbox,
-                &mut enter,
-                &mut self.timers,
-            );
-            f(&mut self.nodes[idx], &mut ctx);
+        f: impl FnOnce(&mut P, &mut Ctx<'_, P::Message>) -> RestartOutcome,
+    ) -> RestartOutcome {
+        let lane = self.lane_of[node.index()];
+        let out = match lane {
+            NO_LANE => {
+                let state = self.nodes[node.index()]
+                    .as_mut()
+                    .expect("a node without a lane is home");
+                // `end = now`: an inline window's timers all join the queue.
+                self.scratch.record(state, node, now, now, f);
+                self.scratch.outbox.reverse();
+                self.scratch.timers.reverse();
+                &mut self.scratch
+            }
+            _ => &mut self.lanes[lane as usize].out,
+        };
+        let call = out
+            .calls
+            .pop()
+            .expect("the lane ran every handler the commit replays");
+        debug_assert_eq!(call.at, now, "{node:?} replays a call out of order");
+        for _ in 0..call.timers {
+            let (delay, tag) = out.timers.pop().expect("recorded timer");
+            let at = now + delay;
+            if lane != NO_LANE && at < self.end {
+                // It fires inside this split window; its lane ran it.
+                self.due.push((at, node, tag));
+            } else {
+                self.queue.schedule(at, EventKind::Timer { node, tag });
+            }
         }
-        for (delay, tag) in self.timers.drain(..) {
-            self.queue
-                .schedule(now + delay, EventKind::Timer { node, tag });
-        }
-        for (to, msg) in self.outbox.drain(..) {
+        for _ in 0..call.sends {
+            let (to, msg) = out.outbox.pop().expect("recorded message");
             assert!(
                 to.index() < self.cfg.n,
                 "{node:?} sent to unknown node {to:?}"
@@ -472,12 +1113,13 @@ impl<P: MutexProtocol, W: Workload> Engine<P, W> {
             }
             // Straggler endpoints stretch the sampled delay by a constant
             // factor (1 = inert), preserving per-channel FIFO under the
-            // constant model.
+            // constant model — and never below the lookahead.
             let factor = self.cfg.faults.delay_factor(node, to);
             let stretch = |d: SimDuration| SimDuration::from_ticks(d.ticks() * factor);
             let d = stretch(self.cfg.delay.sample(&mut self.net_rng));
             if self.cfg.faults.duplicates(self.metrics.messages_sent()) {
                 let d2 = stretch(self.cfg.delay.sample(&mut self.net_rng));
+                debug_assert!(now + d2 >= self.end, "a copy landed inside its window");
                 self.queue.schedule(
                     now + d2,
                     EventKind::Deliver {
@@ -487,6 +1129,7 @@ impl<P: MutexProtocol, W: Workload> Engine<P, W> {
                     },
                 );
             }
+            debug_assert!(now + d >= self.end, "a message landed inside its window");
             self.queue.schedule(
                 now + d,
                 EventKind::Deliver {
@@ -496,9 +1139,10 @@ impl<P: MutexProtocol, W: Workload> Engine<P, W> {
                 },
             );
         }
-        if enter {
+        if call.enter {
             self.grant_cs(node, now);
         }
+        call.restart
     }
 
     fn grant_cs(&mut self, node: NodeId, now: SimTime) {
@@ -518,7 +1162,10 @@ impl<P: MutexProtocol, W: Workload> Engine<P, W> {
         let epoch = self.cs_epoch[node.index()];
         self.queue
             .schedule(exit_at, EventKind::CsExit { node, epoch });
-        self.dispatch(node, now, |p, ctx| p.on_cs_granted(ctx));
+        self.dispatch(node, now, |p, ctx| {
+            p.on_cs_granted(ctx);
+            RestartOutcome::KeptState
+        });
     }
 
     /// With `panic_on_violation`, panics at the first violation the
@@ -534,6 +1181,178 @@ impl<P: MutexProtocol, W: Workload> Engine<P, W> {
     /// Read-only access to a node, for white-box assertions in tests.
     pub fn node(&self, id: NodeId) -> &P {
         &self.nodes[id.index()]
+            .as_ref()
+            .expect("nodes are home between windows")
+            .proto
+    }
+}
+
+/// Measured handler cost of the windows headed by one kind of event.
+#[derive(Clone, Copy, Debug, Default)]
+struct Cost {
+    /// Exponential average of handler time per queued event (0 until the
+    /// first measured window).
+    ns_per_event: u64,
+    /// Handler time of the last measured window.
+    last_ns: u64,
+}
+
+impl Cost {
+    /// The cost slot of windows headed by `kind`; barriers run inline and
+    /// have none.
+    fn slot<M>(kind: &EventKind<M>) -> Option<usize> {
+        match kind {
+            EventKind::Arrival { .. } => Some(0),
+            EventKind::Deliver { .. } => Some(1),
+            EventKind::Timer { .. } => Some(2),
+            EventKind::CsExit { .. } | EventKind::Crash { .. } | EventKind::Restart { .. } => None,
+        }
+    }
+
+    /// Folds in a window of `events` queued events that took `ns`. A
+    /// sample counts for at most twice the estimate, so one window the
+    /// host preempted cannot start the helper for a cheap protocol.
+    fn measured(&mut self, ns: u64, events: u64) {
+        let sample = match self.ns_per_event {
+            0 => ns / events,
+            est => (ns / events).min(2 * est),
+        };
+        self.last_ns = sample * events;
+        // Exponential average, weight 1/4.
+        self.ns_per_event = match self.ns_per_event {
+            0 => sample,
+            est => est - est / 4 + sample / 4,
+        };
+    }
+}
+
+/// Whether an event runs as a window of its own.
+fn is_barrier<M>(kind: &EventKind<M>) -> bool {
+    matches!(
+        kind,
+        EventKind::CsExit { .. } | EventKind::Crash { .. } | EventKind::Restart { .. }
+    )
+}
+
+/// Lanes for the helper thread, and on the way back its handler time.
+struct Batch<P: MutexProtocol> {
+    lanes: Vec<Lane<P>>,
+    end: SimTime,
+    cap: u64,
+    ns: u64,
+}
+
+/// The second thread. Spawned the first time a window pays for a
+/// hand-off; blocks on its job channel between windows; returns its
+/// profile accumulators when the channel closes.
+struct Helper<'scope, 'env, P: MutexProtocol> {
+    scope: &'scope Scope<'scope, 'env>,
+    link: Link<'scope, P>,
+    /// The lane vector of the last batch, for reuse.
+    spare: Vec<Lane<P>>,
+}
+
+enum Link<'scope, P: MutexProtocol> {
+    /// No window has paid for a hand-off yet.
+    Unasked,
+    /// The host has one CPU.
+    Absent,
+    Up {
+        jobs: Sender<Batch<P>>,
+        done: Receiver<Batch<P>>,
+        thread: ScopedJoinHandle<'scope, [PhaseCost; PROBE_PHASES]>,
+    },
+}
+
+impl<'scope, 'env, P: MutexProtocol + Send + 'scope> Helper<'scope, 'env, P> {
+    fn new(scope: &'scope Scope<'scope, 'env>) -> Self {
+        Helper {
+            scope,
+            link: Link::Unasked,
+            spare: Vec::new(),
+        }
+    }
+
+    /// Whether the helper runs, spawning it on first use if the host has
+    /// a second CPU (`forced`: regardless).
+    fn up(&mut self, forced: bool, crash_sched: &[Vec<(SimTime, SimTime)>]) -> bool {
+        if let Link::Unasked = self.link {
+            // Asked once per process: the answer reads cgroup files.
+            static CPUS: OnceLock<usize> = OnceLock::new();
+            let cpus =
+                *CPUS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+            self.link = if forced || cpus >= 2 {
+                self.spawn(crash_sched.to_vec())
+            } else {
+                Link::Absent
+            };
+        }
+        matches!(self.link, Link::Up { .. })
+    }
+
+    fn spawn(&self, crash_sched: Vec<Vec<(SimTime, SimTime)>>) -> Link<'scope, P> {
+        let (jobs, inbox) = channel::<Batch<P>>();
+        let (outbox, done) = channel();
+        let thread = self.scope.spawn(move || {
+            for mut batch in inbox {
+                let t0 = Instant::now();
+                run_share(&mut batch.lanes, &crash_sched, batch.end, batch.cap);
+                batch.ns = t0.elapsed().as_nanos() as u64;
+                if outbox.send(batch).is_err() {
+                    break;
+                }
+            }
+            profile::take()
+        });
+        Link::Up { jobs, done, thread }
+    }
+
+    /// An empty lane vector for the next batch.
+    fn lanes(&mut self) -> Vec<Lane<P>> {
+        std::mem::take(&mut self.spare)
+    }
+
+    fn keep(&mut self, lanes: Vec<Lane<P>>) {
+        self.spare = lanes;
+    }
+
+    fn send(&mut self, batch: Batch<P>) {
+        let Link::Up { jobs, .. } = &self.link else {
+            unreachable!("send needs the helper up")
+        };
+        // A closed channel means the helper died; `recv` re-raises why.
+        let _ = jobs.send(batch);
+    }
+
+    /// The batch back from the helper; re-raises its panic if a handler
+    /// panicked there.
+    fn recv(&mut self) -> Batch<P> {
+        let Link::Up { done, .. } = &self.link else {
+            unreachable!("recv needs the helper up")
+        };
+        if let Ok(batch) = done.recv() {
+            return batch;
+        }
+        let Link::Up { thread, .. } = std::mem::replace(&mut self.link, Link::Absent) else {
+            unreachable!()
+        };
+        match thread.join() {
+            Err(panic) => std::panic::resume_unwind(panic),
+            Ok(_) => unreachable!("the helper stops only when its job channel closes"),
+        }
+    }
+
+    /// Stops the helper, if it ran, and returns its profile accumulators.
+    fn finish(self) -> Option<[PhaseCost; PROBE_PHASES]> {
+        let Link::Up { jobs, thread, .. } = self.link else {
+            return None;
+        };
+        drop(jobs);
+        Some(
+            thread
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+        )
     }
 }
 
@@ -846,6 +1665,123 @@ mod tests {
         let text = r.trace.render();
         assert!(text.contains("N0 CRASHES while holding the CS"), "{text}");
         assert!(text.contains("N0 RESTARTS with pre-crash state"), "{text}");
+    }
+
+    /// Test protocol with no coordination at all: a request enters the CS
+    /// at once and sends one note to the next node, which ignores it. Runs
+    /// with `panic_on_violation` off; it exists to push messages through
+    /// the network under faults no real algorithm here tolerates.
+    #[derive(Debug)]
+    struct Chatter {
+        me: NodeId,
+        n: usize,
+        heard: u64,
+    }
+
+    impl MutexProtocol for Chatter {
+        type Message = CMsg;
+
+        fn name(&self) -> &'static str {
+            "chatter-test"
+        }
+
+        fn on_request(&mut self, ctx: &mut Ctx<'_, CMsg>) {
+            let next = NodeId::new(((self.me.index() + 1) % self.n) as u32);
+            ctx.send(next, CMsg::Ask);
+            ctx.enter_cs();
+        }
+
+        fn on_message(&mut self, _from: NodeId, _msg: CMsg, _ctx: &mut Ctx<'_, CMsg>) {
+            self.heard += 1;
+        }
+
+        fn on_cs_released(&mut self, _ctx: &mut Ctx<'_, CMsg>) {}
+    }
+
+    /// Every node of an `n`-node system requests every 20 ticks, nodes a
+    /// tick apart, for `rounds` rounds.
+    fn staggered(n: usize, rounds: u64) -> FixedTrace {
+        FixedTrace::new(
+            (0..rounds)
+                .flat_map(|k| {
+                    (0..n).map(move |i| {
+                        (
+                            SimTime::from_ticks(20 * k + i as u64),
+                            NodeId::new(i as u32),
+                        )
+                    })
+                })
+                .collect(),
+        )
+    }
+
+    #[test]
+    fn lookahead_is_the_delay_bound_capped_by_tc() {
+        let lookahead = |delay: DelayModel, tc: u64| {
+            let mut cfg = SimConfig::paper(3, 1);
+            cfg.delay = delay;
+            cfg.cs_duration = SimDuration::from_ticks(tc);
+            Engine::new(cfg, BurstOnce, |id, _| Central::new(id)).lookahead
+        };
+        assert_eq!(lookahead(DelayModel::paper_constant(), 10), 5);
+        assert_eq!(lookahead(DelayModel::paper_jittered(), 10), 1);
+        assert_eq!(
+            lookahead(DelayModel::Exponential { mean: 5.0, cap: 20 }, 10),
+            0
+        );
+        assert_eq!(lookahead(DelayModel::paper_constant(), 3), 3);
+        assert_eq!(lookahead(DelayModel::paper_constant(), 0), 0);
+    }
+
+    #[test]
+    fn no_lookahead_means_one_event_windows() {
+        let windows = |delay: DelayModel, tc: u64| {
+            let mut cfg = SimConfig::paper(8, 3);
+            cfg.delay = delay;
+            cfg.cs_duration = SimDuration::from_ticks(tc);
+            let mut e = Engine::new(cfg, BurstOnce, |id, _| Central::new(id));
+            e.workload.init(e.cfg.n, &mut e.wl_rng, &mut e.sink);
+            e.flush_arrivals();
+            let (truncated, windows) = e.run_windows();
+            assert!(!truncated && e.metrics.outstanding() == 0);
+            (windows, e.events)
+        };
+        let (w, events) = windows(DelayModel::Exponential { mean: 5.0, cap: 20 }, 10);
+        assert_eq!(w, events, "exponential delay");
+        let (w, events) = windows(DelayModel::paper_constant(), 0);
+        assert_eq!(w, events, "Tc = 0");
+        // The paper's model does batch: the opening burst is one window.
+        let (w, events) = windows(DelayModel::paper_constant(), 10);
+        assert!(w < events, "{w} windows for {events} events");
+    }
+
+    #[test]
+    fn stretched_and_copied_messages_land_past_their_window() {
+        // The commit asserts (in debug builds) that every message, copy or
+        // not, lands at or after the end of the window it was sent from;
+        // stragglers and duplicates must not break it, split or inline.
+        for delay in [DelayModel::paper_constant(), DelayModel::paper_jittered()] {
+            let run = |split_ns: u64| {
+                let mut cfg = SimConfig::paper(9, 4);
+                cfg.delay = delay.clone();
+                cfg.panic_on_violation = false;
+                cfg.trace_capacity = 1 << 12;
+                cfg.faults = FaultPlan::none()
+                    .with_duplication(2)
+                    .with_straggler(NodeId::new(1), 3)
+                    .with_straggler(NodeId::new(6), 7);
+                let (r, nodes) = Engine::new(cfg, staggered(9, 6), |id, n| Chatter {
+                    me: id,
+                    n,
+                    heard: 0,
+                })
+                .split_threshold(split_ns)
+                .run_collecting();
+                assert!(r.metrics.messages_sent() > 0 && !r.truncated);
+                format!("{r:?} {nodes:?}")
+            };
+            assert_eq!(run(0), run(u64::MAX), "{delay:?}");
+        }
     }
 
     #[test]

@@ -62,6 +62,36 @@ pub enum EventKind<M> {
     },
 }
 
+impl<M> EventKind<M> {
+    /// The node the event fires at (the receiver, for a delivery).
+    pub fn node(&self) -> NodeId {
+        match *self {
+            EventKind::Deliver { to, .. } => to,
+            EventKind::Arrival { node }
+            | EventKind::CsExit { node, .. }
+            | EventKind::Timer { node, .. }
+            | EventKind::Crash { node }
+            | EventKind::Restart { node } => node,
+        }
+    }
+
+    /// The same event with its message, if any, replaced by `f(&msg)`.
+    pub fn map_msg<N>(&self, f: impl FnOnce(&M) -> N) -> EventKind<N> {
+        match *self {
+            EventKind::Deliver { from, to, ref msg } => EventKind::Deliver {
+                from,
+                to,
+                msg: f(msg),
+            },
+            EventKind::Arrival { node } => EventKind::Arrival { node },
+            EventKind::CsExit { node, epoch } => EventKind::CsExit { node, epoch },
+            EventKind::Timer { node, tag } => EventKind::Timer { node, tag },
+            EventKind::Crash { node } => EventKind::Crash { node },
+            EventKind::Restart { node } => EventKind::Restart { node },
+        }
+    }
+}
+
 /// An event scheduled at a virtual time.
 #[derive(Clone, Debug)]
 pub struct Event<M> {
@@ -96,6 +126,15 @@ impl<M> Ord for Scheduled<M> {
         // BinaryHeap is a max-heap; invert so the earliest event pops first.
         (other.at, other.seq).cmp(&(self.at, self.seq))
     }
+}
+
+/// Where the queue's earliest event is stored.
+#[derive(Clone, Copy)]
+enum Head {
+    /// Front of the bucket of this tick.
+    Ring(u64),
+    /// Top of the overflow heap.
+    Overflow,
 }
 
 /// Default near-future coverage when no horizon is given: enough for the
@@ -250,11 +289,10 @@ impl<M> EventQueue<M> {
             .find(|&t| !self.buckets[(t & self.mask) as usize].is_empty())
     }
 
-    /// Pops the earliest event and advances the clock to its timestamp.
-    pub fn pop(&mut self) -> Option<Event<M>> {
-        // The candidates: the FIFO front of the earliest non-empty bucket
-        // (minimal seq for its tick, since seq grows with insertion) and
-        // the overflow top. The smaller `(time, seq)` wins.
+    /// Where the earliest event sits: the FIFO front of the earliest
+    /// non-empty bucket (minimal seq for its tick, since seq grows with
+    /// insertion) or the overflow top — the smaller `(time, seq)` wins.
+    fn head(&mut self) -> Option<Head> {
         let ring_tick = self.next_ring_tick();
         if let Some(t) = ring_tick {
             // Cache the scan result: `t` is the earliest occupied ring
@@ -263,31 +301,70 @@ impl<M> EventQueue<M> {
             // event don't re-walk the same empty buckets.
             self.scan_from = t;
         }
-        let from_overflow = match (ring_tick, self.overflow.peek()) {
-            (None, None) => return None,
-            (None, Some(_)) => true,
-            (Some(_), None) => false,
+        match (ring_tick, self.overflow.peek()) {
+            (None, None) => None,
+            (None, Some(_)) => Some(Head::Overflow),
+            (Some(t), None) => Some(Head::Ring(t)),
             (Some(t), Some(o)) => {
                 let front = self.buckets[(t & self.mask) as usize]
                     .front()
                     .expect("scanned non-empty");
-                (o.at.ticks(), o.seq) < (t, front.seq)
+                Some(if (o.at.ticks(), o.seq) < (t, front.seq) {
+                    Head::Overflow
+                } else {
+                    Head::Ring(t)
+                })
             }
+        }
+    }
+
+    /// Pops the earliest event and advances the clock to its timestamp.
+    pub fn pop(&mut self) -> Option<Event<M>> {
+        self.pop_if(|_, _| true)
+    }
+
+    /// Pops the earliest event if `keep(time, kind)` accepts it (one head
+    /// search, where [`EventQueue::peek`] then [`EventQueue::pop`] take two).
+    pub fn pop_if(
+        &mut self,
+        keep: impl FnOnce(SimTime, &EventKind<M>) -> bool,
+    ) -> Option<Event<M>> {
+        let head = self.head()?;
+        let s = match head {
+            Head::Overflow => self.overflow.peek().expect("peeked above"),
+            Head::Ring(t) => self.buckets[(t & self.mask) as usize]
+                .front()
+                .expect("scanned non-empty"),
         };
-        let s = if from_overflow {
-            self.overflow.pop().expect("peeked above")
-        } else {
-            let t = ring_tick.expect("ring candidate chosen");
-            self.ring_len -= 1;
-            self.buckets[(t & self.mask) as usize]
-                .pop_front()
-                .expect("scanned non-empty")
+        if !keep(s.at, &s.kind) {
+            return None;
+        }
+        let s = match head {
+            Head::Overflow => self.overflow.pop().expect("peeked above"),
+            Head::Ring(t) => {
+                self.ring_len -= 1;
+                self.buckets[(t & self.mask) as usize]
+                    .pop_front()
+                    .expect("scanned non-empty")
+            }
         };
         self.now = s.at;
         Some(Event {
             at: s.at,
             kind: s.kind,
         })
+    }
+
+    /// The event [`EventQueue::pop`] would return next, without popping
+    /// it. Takes `&mut self` only to cache the bucket scan for that pop.
+    pub fn peek(&mut self) -> Option<(SimTime, &EventKind<M>)> {
+        let s = match self.head()? {
+            Head::Overflow => self.overflow.peek().expect("peeked above"),
+            Head::Ring(t) => self.buckets[(t & self.mask) as usize]
+                .front()
+                .expect("scanned non-empty"),
+        };
+        Some((s.at, &s.kind))
     }
 
     /// Timestamp of the next event without popping it.
@@ -308,6 +385,32 @@ mod tests {
 
     fn t(x: u64) -> SimTime {
         SimTime::from_ticks(x)
+    }
+
+    #[test]
+    fn peek_and_pop_if_see_what_pop_returns() {
+        // A small ring so the mix exercises both the buckets and the
+        // overflow heap, ties included.
+        let mut q: EventQueue<u32> = EventQueue::with_horizon(SimDuration::from_ticks(3));
+        for (i, at) in [5u64, 1, 9, 1, 3, 40, 9, 2].into_iter().enumerate() {
+            q.schedule(
+                t(at),
+                EventKind::Deliver {
+                    from: NodeId::new(0),
+                    to: NodeId::new(1),
+                    msg: i as u32,
+                },
+            );
+        }
+        while let Some((at, kind)) = q.peek() {
+            let seen = (at, kind.clone());
+            assert!(q.pop_if(|_, _| false).is_none(), "refused, not popped");
+            let ev = q
+                .pop_if(|t, k| (t, k) == (seen.0, &seen.1))
+                .expect("peeked");
+            assert_eq!(seen, (ev.at, ev.kind));
+        }
+        assert!(q.pop().is_none());
     }
 
     #[test]

@@ -8,9 +8,10 @@
 //!
 //! Zero overhead when dark: every probe site starts with one relaxed
 //! atomic load; timing and accumulation only happen after
-//! [`set_enabled`]`(true)`. Accumulators are thread-local (the engine is
-//! single-threaded per run; parallel harnesses each profile their own
-//! thread) and are drained by [`take`].
+//! [`set_enabled`]`(true)`. Accumulators are thread-local and are drained
+//! by [`take`]. The engine may run a window's handlers on a second thread;
+//! it folds that thread's accumulators into the calling thread's before
+//! the run returns, so a run's totals are whole on the thread that ran it.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -105,12 +106,28 @@ pub fn take() -> [PhaseCost; PROBE_PHASES] {
     })
 }
 
+/// Adds `costs` (another thread's [`take`]) to this thread's
+/// accumulators.
+pub(crate) fn absorb(costs: [PhaseCost; PROBE_PHASES]) {
+    ACC.with(|acc| {
+        for (slot, c) in acc.borrow_mut().iter_mut().zip(costs) {
+            slot.0 += c.nanos;
+            slot.1 += c.count;
+        }
+    });
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The probe switch is process-wide, so the tests that flip it take
+    /// turns.
+    static SWITCH: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     #[test]
     fn dark_probes_accumulate_nothing() {
+        let _turn = SWITCH.lock().unwrap_or_else(|e| e.into_inner());
         set_enabled(false);
         let _ = take();
         {
@@ -121,6 +138,7 @@ mod tests {
 
     #[test]
     fn live_probes_count_and_reset() {
+        let _turn = SWITCH.lock().unwrap_or_else(|e| e.into_inner());
         set_enabled(true);
         let _ = take();
         {
