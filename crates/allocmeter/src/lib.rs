@@ -18,7 +18,9 @@
 //! Counters are per-thread, with no cross-talk from concurrently running
 //! test threads. A run's charge is what the driving thread allocated: the
 //! engine may run some of a window's handlers on a second thread, and
-//! what that thread allocates is not charged to the caller.
+//! what that thread allocates is not charged to the caller. A binary that
+//! runs one thing at a time can meter every thread instead, between
+//! [`meter_process`]`(true)` and [`take_process`].
 //!
 //! The workspace has `unsafe` code in exactly two places: this crate (the
 //! `GlobalAlloc` impl cannot be written without it) and the one `ppoll`
@@ -30,6 +32,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 
 thread_local! {
     /// (bytes requested, allocation calls) charged on this thread.
@@ -38,8 +41,19 @@ thread_local! {
     static CHARGED: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
 }
 
+/// Whether every thread's allocations are also charged to [`PROCESS`].
+static METER_PROCESS: AtomicBool = AtomicBool::new(false);
+
+/// (bytes requested, allocation calls) charged on any thread while
+/// [`METER_PROCESS`] was on.
+static PROCESS: [AtomicU64; 2] = [AtomicU64::new(0), AtomicU64::new(0)];
+
 #[inline]
 fn charge(bytes: usize) {
+    if METER_PROCESS.load(Relaxed) {
+        PROCESS[0].fetch_add(bytes as u64, Relaxed);
+        PROCESS[1].fetch_add(1, Relaxed);
+    }
     // `try_with`: allocations during thread teardown (after TLS
     // destruction) must not panic — they just go unmetered.
     let _ = CHARGED.try_with(|c| {
@@ -68,6 +82,22 @@ pub fn take() -> AllocStats {
             AllocStats { bytes, count }
         })
         .unwrap_or_default()
+}
+
+/// Starts (`true`) or stops charging every thread's allocations to one
+/// process-wide total as well, read by [`take_process`]. Off by default;
+/// while on, each allocation also pays two shared atomic adds.
+pub fn meter_process(on: bool) {
+    METER_PROCESS.store(on, Relaxed);
+}
+
+/// Returns what every thread allocated while [`meter_process`] was on,
+/// since the last `take_process`, and resets it to zero.
+pub fn take_process() -> AllocStats {
+    AllocStats {
+        bytes: PROCESS[0].swap(0, Relaxed),
+        count: PROCESS[1].swap(0, Relaxed),
+    }
 }
 
 /// A [`System`]-backed allocator that meters per-thread allocation volume.
@@ -125,5 +155,21 @@ mod tests {
             }
         );
         assert_eq!(take(), AllocStats::default());
+    }
+
+    #[test]
+    fn process_meter_counts_other_threads_only_while_on() {
+        meter_process(true);
+        take_process();
+        std::thread::spawn(|| charge(64))
+            .join()
+            .expect("charging thread");
+        charge(36);
+        meter_process(false);
+        charge(1000);
+        // Other tests of this binary may charge while it is on: at least.
+        let got = take_process();
+        assert!(got.bytes >= 100 && got.count >= 2, "{got:?}");
+        assert_eq!(take_process(), AllocStats::default());
     }
 }

@@ -140,13 +140,14 @@ fn bench_engine(algo: Algo, n: usize, windows: u32, window_secs: f64) -> EngineR
     // average would cover a host-speed-dependent seed set and drift).
     // The same run yields bytes-allocated-per-event (deterministic too,
     // modulo allocator-internal rounding — the seed fixes the schedule).
-    // The meter counts the calling thread only: when the engine runs part
-    // of a window on its second thread (large-N RCV), what that thread
-    // allocates is not in the figure.
+    // The meter counts every thread, so what the engine's second thread
+    // allocates (large-N RCV) is in the figure too.
     let t0 = Instant::now();
-    rcv_allocmeter::take();
+    rcv_allocmeter::meter_process(true);
+    rcv_allocmeter::take_process();
     let events_per_run = algo.run(SimConfig::paper(n, 1), BurstOnce).events;
-    let alloc = rcv_allocmeter::take();
+    let alloc = rcv_allocmeter::take_process();
+    rcv_allocmeter::meter_process(false);
     let single_run_rate = events_per_run as f64 / t0.elapsed().as_secs_f64();
     let events_per_sec = if n >= SINGLE_RUN_N {
         single_run_rate

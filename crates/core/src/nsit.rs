@@ -19,8 +19,15 @@
 //! Equality gets an `Arc::ptr_eq` fast path; `Hash`/`Debug`/`PartialEq`
 //! see only logical content, so fingerprints, model-checker state merging
 //! and wire-size accounting are unaffected by sharing structure.
+//!
+//! Row vectors are recycled through one process-wide pool of at most
+//! [`POOL_CAP`] buffers: a dropped table's buffer backs the next copy or
+//! fresh table, whichever thread makes it. The simulator runs a window's
+//! handlers on two threads, and glibc's malloc keeps a heap per thread, so
+//! without the pool the buffers one thread frees (tens of KB each at
+//! N = 200) sit idle in its heap while the other thread grows its own.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use rcv_simnet::NodeId;
 
@@ -46,7 +53,56 @@ pub struct NsitRow {
 /// before contents (`NsitRow: Eq`), so equal snapshots compare in O(1).
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct Nsit {
-    rows: Arc<Vec<NsitRow>>,
+    rows: Arc<Rows>,
+}
+
+/// Spare row buffers kept for reuse; more than this are freed.
+const POOL_CAP: usize = 32;
+
+static POOL: Mutex<Vec<Vec<NsitRow>>> = Mutex::new(Vec::new());
+
+/// A table's row vector, its buffer drawn from and returned to [`POOL`].
+/// Equality, hashing and `Debug` are the vector's.
+#[derive(PartialEq, Eq, Hash)]
+struct Rows(Vec<NsitRow>);
+
+impl Rows {
+    fn from_pool(rows: impl Iterator<Item = NsitRow>) -> Self {
+        let spare = POOL.lock().unwrap_or_else(|e| e.into_inner()).pop();
+        let mut buf = spare.unwrap_or_default();
+        buf.extend(rows);
+        Rows(buf)
+    }
+}
+
+impl Clone for Rows {
+    fn clone(&self) -> Self {
+        Rows::from_pool(self.0.iter().cloned())
+    }
+}
+
+impl Drop for Rows {
+    fn drop(&mut self) {
+        let mut buf = std::mem::take(&mut self.0);
+        buf.clear();
+        let mut pool = POOL.lock().unwrap_or_else(|e| e.into_inner());
+        if pool.len() < POOL_CAP {
+            pool.push(buf);
+        }
+    }
+}
+
+impl std::ops::Deref for Rows {
+    type Target = [NsitRow];
+    fn deref(&self) -> &[NsitRow] {
+        &self.0
+    }
+}
+
+impl std::fmt::Debug for Rows {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.0.fmt(f)
+    }
 }
 
 impl Nsit {
@@ -54,14 +110,10 @@ impl Nsit {
     /// Rows are owner-tagged so their [`Mnl`] owner-tuple caches are live.
     pub fn new(n: usize) -> Self {
         Nsit {
-            rows: Arc::new(
-                (0..n)
-                    .map(|i| NsitRow {
-                        ts: 0,
-                        mnl: Mnl::for_owner(NodeId::new(i as u32)),
-                    })
-                    .collect(),
-            ),
+            rows: Arc::new(Rows::from_pool((0..n).map(|i| NsitRow {
+                ts: 0,
+                mnl: Mnl::for_owner(NodeId::new(i as u32)),
+            }))),
         }
     }
 
@@ -78,7 +130,7 @@ impl Nsit {
     /// Mutable row access. The first call after a share (snapshot)
     /// re-materializes the row vector.
     pub fn row_mut(&mut self, node: NodeId) -> &mut NsitRow {
-        &mut Arc::make_mut(&mut self.rows)[node.index()]
+        &mut Arc::make_mut(&mut self.rows).0[node.index()]
     }
 
     /// Iterates `(owner, row)` pairs.
@@ -93,7 +145,7 @@ impl Nsit {
     /// up front, so callers that may change nothing prescan with
     /// [`Nsit::iter`] first.
     pub fn rows_mut(&mut self) -> impl Iterator<Item = &mut NsitRow> {
-        Arc::make_mut(&mut self.rows).iter_mut()
+        Arc::make_mut(&mut self.rows).0.iter_mut()
     }
 
     /// Largest version across all rows (MPM line 36 uses `max(...)+1`).

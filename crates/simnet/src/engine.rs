@@ -19,18 +19,26 @@
 //! their own. Most windows run *inline*: each event is popped, handled and
 //! applied in turn, the one-event-at-a-time loop itself. A window whose
 //! kind has measured enough handler time to pay for a hand-off is *split*:
-//! each node's share of it, its *lane*, runs the node's handlers (with any
-//! timer they arm inside the window) on the calling thread or on one
-//! helper thread. The caller then *commits* the window: it walks the
-//! events in the exact `(time, seq)` order of the sequential loop and
-//! applies each handler's recorded intents — queue sequence numbers,
-//! network delay and fault draws, metrics, the safety monitor, the trace,
-//! CS grants and exits. So every report, trace and node state is
-//! bit-identical to the sequential loop, whichever thread ran a lane. With
-//! `L = 0` (exponential delay, `Tc = 0`) every window is one event.
+//! each node's share of it, its *lane*, runs the node's handlers on the
+//! calling thread or on one helper thread. The caller then *commits* the
+//! window: it walks the events in the exact `(time, seq)` order of the
+//! sequential loop and applies each handler's recorded intents — queue
+//! sequence numbers, network delay and fault draws, metrics, the safety
+//! monitor, the trace, CS grants and exits. So every report, trace and
+//! node state is bit-identical to the sequential loop, whichever thread
+//! ran a lane. With `L = 0` (exponential delay, `Tc = 0`) every window is
+//! one event.
+//!
+//! A timer can fire inside the window that arms it, so `L` also drops to
+//! the shortest timer delay armed so far. A lane stops at a handler that
+//! arms a shorter one, and the commit runs that timer and the node's later
+//! events itself. The first such timer is the one case where a
+//! `max_events` cut inside the window could fall before an event another
+//! lane already ran.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::OnceLock;
 use std::thread::{Scope, ScopedJoinHandle};
@@ -171,41 +179,33 @@ struct Call {
 
 /// What a lane's handlers asked for.
 struct Intents<M> {
-    /// In-window timers armed and not run yet, in arming order.
-    due: Vec<(SimTime, u64)>,
     /// Handler calls, and the messages and timers they produced, each in
     /// the order they happened — reversed once the lane has run, so the
     /// commit pops them from the back.
     calls: Vec<Call>,
     outbox: Vec<(NodeId, M)>,
     timers: Vec<(SimDuration, u64)>,
+    /// A handler armed a timer that fires inside the window.
+    inside: bool,
 }
 
 impl<M> Default for Intents<M> {
     fn default() -> Self {
         Intents {
-            due: Vec::new(),
             calls: Vec::new(),
             outbox: Vec::new(),
             timers: Vec::new(),
+            inside: false,
         }
     }
 }
 
 impl<M: ProtocolMessage> Intents<M> {
     fn clear(&mut self) {
-        self.due.clear();
         self.calls.clear();
         self.outbox.clear();
         self.timers.clear();
-    }
-
-    fn take_due(&mut self, i: usize, node: NodeId) -> Event<M> {
-        let (at, tag) = self.due.remove(i);
-        Event {
-            at,
-            kind: EventKind::Timer { node, tag },
-        }
+        self.inside = false;
     }
 
     /// Runs the handler `ev` calls for, unless the node is down (`down` is
@@ -261,7 +261,7 @@ impl<M: ProtocolMessage> Intents<M> {
     }
 
     /// Runs `f` on the node, records the call and returns its CS intent;
-    /// timers armed before `end` also go to `due`.
+    /// notes a timer armed to fire before `end`.
     fn record<P: MutexProtocol<Message = M>>(
         &mut self,
         node: &mut NodeState<P>,
@@ -283,11 +283,9 @@ impl<M: ProtocolMessage> Intents<M> {
             );
             f(&mut node.proto, &mut ctx)
         };
-        for &(delay, tag) in &self.timers[timers..] {
-            if at + delay < end {
-                self.due.push((at + delay, tag));
-            }
-        }
+        self.inside |= self.timers[timers..]
+            .iter()
+            .any(|&(delay, _)| at + delay < end);
         self.calls.push(Call {
             at,
             sends: (self.outbox.len() - sends) as u32,
@@ -306,6 +304,18 @@ enum Carried<M> {
     Ran(&'static str),
 }
 
+/// `kind`, its message (if any) carried to the handler.
+fn carried<M>(kind: EventKind<M>) -> EventKind<Carried<M>> {
+    match kind {
+        EventKind::Deliver { from, to, msg } => EventKind::Deliver {
+            from,
+            to,
+            msg: Carried::Here(msg),
+        },
+        kind => kind.map_msg(|_| unreachable!("only a delivery carries a message")),
+    }
+}
+
 /// An event and its place in the window.
 type Placed<M> = (u32, Event<M>);
 
@@ -314,73 +324,59 @@ type Buffers<M> = (Vec<Placed<M>>, Intents<M>);
 
 /// A node's share of a window: its state, moved to whichever thread runs
 /// the lane, its events of the window, and what its handlers asked for.
+/// A lane stops after a handler arms a timer that fires inside the window:
+/// the commit runs the timer and the node's later events itself, in order.
 struct Lane<P: MutexProtocol> {
     id: NodeId,
     node: NodeState<P>,
     /// Its events of the window, each with its place in the window; once
     /// the lane runs, reversed so the next one is last.
     events: Vec<Placed<P::Message>>,
-    /// Events run so far in this window.
-    ran: u64,
+    /// Events the lane ran, and events the commit has reached so far.
+    ran: u32,
+    seen: u32,
     out: Intents<P::Message>,
 }
 
 impl<P: MutexProtocol> Lane<P> {
     /// Where the lane's next event falls in the window's `(time, seq)`
-    /// order: by time, then by place in the window. An in-window timer
-    /// comes after every queued event of its tick (it was scheduled
-    /// later), and such timers fire in arming order. `None` once the lane
-    /// is done or has run `cap` events.
-    fn next(&self, cap: u64) -> Option<(SimTime, u32)> {
-        if self.ran == cap {
-            return None;
-        }
-        let queued = self.events.last().map(|&(i, ref e)| (e.at, i));
-        let timer = first_due(self.out.due.iter().map(|d| d.0)).map(|(_, at)| (at, u32::MAX));
-        match (queued, timer) {
-            (Some(q), Some(t)) => Some(q.min(t)),
-            (q, t) => q.or(t),
+    /// order: by time, then by place in the window. `None` once the lane
+    /// is done or stopped.
+    fn next(&self) -> Option<(SimTime, u32)> {
+        match self.events.last() {
+            Some(&(i, ref e)) if !self.out.inside => Some((e.at, i)),
+            _ => None,
         }
     }
 
     /// Runs the lane's next event; `down` is the node's crash schedule.
     fn step(&mut self, down: &[(SimTime, SimTime)], end: SimTime) {
-        let timer = first_due(self.out.due.iter().map(|d| d.0));
-        let ev = match (self.events.last(), timer) {
-            (Some((_, e)), Some((i, at))) if at < e.at => self.out.take_due(i, self.id),
-            (Some(_), _) => self.events.pop().expect("peeked").1,
-            (None, Some((i, _))) => self.out.take_due(i, self.id),
-            (None, None) => unreachable!("stepped a finished lane"),
-        };
+        let (_, ev) = self.events.pop().expect("stepped a finished lane");
         self.ran += 1;
         self.out.handle(&mut self.node, ev, down, end);
     }
 }
 
-/// Runs one thread's lanes of a window, and the timers their handlers arm
-/// before `end`, interleaving their events in window order as the
-/// sequential loop would (so a node copies a table it shares with a
-/// message in flight as rarely as there); each lane runs at most `cap`
-/// events.
+/// Runs one thread's lanes of a window, interleaving their events in
+/// window order as the sequential loop would (so a node copies a table it
+/// shares with a message in flight as rarely as there).
 fn run_share<P: MutexProtocol>(
     lanes: &mut [Lane<P>],
     crash_sched: &[Vec<(SimTime, SimTime)>],
     end: SimTime,
-    cap: u64,
 ) {
     for lane in lanes.iter_mut() {
         lane.events.reverse();
-        lane.ran = 0;
     }
     let mut heads: BinaryHeap<_> = lanes
         .iter()
         .enumerate()
-        .filter_map(|(i, l)| Some(Reverse((l.next(cap)?, i))))
+        .filter_map(|(i, l)| Some(Reverse((l.next()?, i))))
         .collect();
     while let Some(Reverse((_, i))) = heads.pop() {
         let lane = &mut lanes[i];
         lane.step(&crash_sched[lane.id.index()], end);
-        if let Some(key) = lane.next(cap) {
+        if let Some(key) = lane.next() {
             heads.push(Reverse((key, i)));
         }
     }
@@ -431,7 +427,8 @@ pub struct Engine<P: MutexProtocol, W: Workload> {
     crash_aborted: Vec<bool>,
     events: u64,
     trace: Trace,
-    /// The lookahead `L` in ticks: `min(delay lower bound, Tc)`.
+    /// The lookahead `L` in ticks: `min(delay lower bound, Tc)`, lowered
+    /// to the shortest timer delay any handler has armed so far.
     lookahead: u64,
     /// Time of the last event processed: the report's end time.
     clock: SimTime,
@@ -443,7 +440,7 @@ pub struct Engine<P: MutexProtocol, W: Workload> {
     scratch: Intents<P::Message>,
     /// End of the window: a timer armed for before it fires inside it.
     end: SimTime,
-    /// In-window timers the commit armed, in arming order.
+    /// In-window timers of the split window, in arming order.
     due: Vec<(SimTime, NodeId, u64)>,
     /// The window's lanes, and the index of each node's (or `NO_LANE`).
     lanes: Vec<Lane<P>>,
@@ -600,6 +597,7 @@ impl<P: MutexProtocol + Send, W: Workload> Engine<P, W> {
     /// The event loop, one window at a time. Returns whether `max_events`
     /// cut the run, and how many windows it took.
     fn run_windows(&mut self) -> (bool, u64) {
+        let _busy = Busy::enter();
         std::thread::scope(|scope| {
             let mut helper = Helper::new(scope);
             let mut windows = 0;
@@ -674,9 +672,9 @@ impl<P: MutexProtocol + Send, W: Workload> Engine<P, W> {
     /// Runs the next window: `split`, dealt to lanes on both threads and
     /// then committed; otherwise inline, each event popped and applied in
     /// turn exactly as a one-event-at-a-time loop would (its in-window
-    /// timers join the queue and pop in order). `remaining` bounds the
-    /// window and the events one lane may run (in-window timers can re-arm
-    /// themselves). False if the run hit `max_events` inside the window.
+    /// timers join the queue and pop in order). The window holds at most
+    /// `remaining` queued events. False if the run hit `max_events` inside
+    /// the window.
     fn run_window<'s>(
         &mut self,
         slot: Option<usize>,
@@ -693,7 +691,7 @@ impl<P: MutexProtocol + Send, W: Workload> Engine<P, W> {
                 self.take(ev);
                 taken += 1;
             }
-            let ns = self.run_lanes(helper, remaining);
+            let ns = self.run_lanes(helper);
             let whole = self.commit();
             self.close_window();
             (whole, ns)
@@ -708,15 +706,7 @@ impl<P: MutexProtocol + Send, W: Workload> Engine<P, W> {
                     t0 = Some(Instant::now());
                 }
                 self.count(ev.at);
-                let kind = match ev.kind {
-                    EventKind::Deliver { from, to, msg } => EventKind::Deliver {
-                        from,
-                        to,
-                        msg: Carried::Here(msg),
-                    },
-                    kind => kind.map_msg(|_| unreachable!("only a delivery carries a message")),
-                };
-                self.fire(ev.at, kind);
+                self.fire(ev.at, carried(ev.kind));
             }
             let ns = t0.map_or(0, |t| t.elapsed().as_nanos() as u64 * taken / (taken - 1));
             (true, ns)
@@ -751,6 +741,7 @@ impl<P: MutexProtocol + Send, W: Workload> Engine<P, W> {
                 node: self.nodes[i].take().expect("one lane per node"),
                 events,
                 ran: 0,
+                seen: 0,
                 out,
             });
         }
@@ -759,23 +750,23 @@ impl<P: MutexProtocol + Send, W: Workload> Engine<P, W> {
 
     /// Runs a split window's lanes — on both threads if two or more — and
     /// returns the handler time measured.
-    fn run_lanes<'s>(&mut self, helper: &mut Helper<'s, '_, P>, cap: u64) -> u64
+    fn run_lanes<'s>(&mut self, helper: &mut Helper<'s, '_, P>) -> u64
     where
         P: 's,
     {
         let end = self.end;
         if self.lanes.len() < 2 {
             let t0 = Instant::now();
-            run_share(&mut self.lanes, &self.crash_sched, end, cap);
+            run_share(&mut self.lanes, &self.crash_sched, end);
             return t0.elapsed().as_nanos() as u64;
         }
-        self.split(helper, end, cap)
+        self.split(helper, end)
     }
 
     /// Deals the lanes to the two threads — heaviest first, each to the
     /// side with fewer events so far, ties to the caller — runs them and
     /// returns the handler time both sides measured.
-    fn split<'s>(&mut self, helper: &mut Helper<'s, '_, P>, end: SimTime, cap: u64) -> u64
+    fn split<'s>(&mut self, helper: &mut Helper<'s, '_, P>, end: SimTime) -> u64
     where
         P: 's,
     {
@@ -795,11 +786,10 @@ impl<P: MutexProtocol + Send, W: Workload> Engine<P, W> {
         helper.send(Batch {
             lanes: theirs,
             end,
-            cap,
             ns: 0,
         });
         let t0 = Instant::now();
-        run_share(&mut self.lanes, &self.crash_sched, end, cap);
+        run_share(&mut self.lanes, &self.crash_sched, end);
         let mine = t0.elapsed().as_nanos() as u64;
         let mut batch = helper.recv();
         self.lanes.append(&mut batch.lanes);
@@ -810,27 +800,43 @@ impl<P: MutexProtocol + Send, W: Workload> Engine<P, W> {
         mine + batch.ns
     }
 
-    /// Applies the window's events in `(time, seq)` order. False if the
-    /// run hit `max_events` inside it.
+    /// Applies the window's events in `(time, seq)` order: a queued event
+    /// precedes an in-window timer of its own tick (the timer was scheduled
+    /// later), and such timers fire in arming order. An event its lane ran
+    /// is replayed; one it did not (the lane stopped) runs here. False if
+    /// the run hit `max_events` inside the window.
     fn commit(&mut self) -> bool {
         let mut next = 0;
         loop {
-            // Same rule as `Lane::next`: a queued event precedes an
-            // in-window timer of its own tick.
             let timer = first_due(self.due.iter().map(|d| d.0));
             let ev = match (self.window.get(next), timer) {
                 (Some(e), Some((i, at))) if at < e.at => self.take_due(i),
                 (Some(e), _) => {
                     next += 1;
-                    e.clone()
+                    let lane = &mut self.lanes[self.lane_of[e.kind.node().index()] as usize];
+                    lane.seen += 1;
+                    let kind = if lane.seen > lane.ran {
+                        let (_, ev) = lane
+                            .events
+                            .pop()
+                            .expect("the lane kept what it did not run");
+                        carried(ev.kind)
+                    } else {
+                        e.kind.map_msg(|&kind| Carried::Ran(kind))
+                    };
+                    Event { at: e.at, kind }
                 }
                 (None, Some((i, _))) => self.take_due(i),
                 (None, None) => break,
             };
             if !self.count(ev.at) {
+                debug_assert!(
+                    self.lanes.iter().all(|l| l.seen >= l.ran),
+                    "a lane ran an event past the max_events cut"
+                );
                 return false;
             }
-            self.fire(ev.at, ev.kind.map_msg(|&kind| Carried::Ran(kind)));
+            self.fire(ev.at, ev.kind);
         }
         debug_assert!(
             self.lanes.iter().all(|l| l.out.calls.is_empty()),
@@ -860,7 +866,7 @@ impl<P: MutexProtocol + Send, W: Workload> Engine<P, W> {
         }
     }
 
-    fn take_due<X>(&mut self, i: usize) -> Event<X> {
+    fn take_due<M>(&mut self, i: usize) -> Event<M> {
         let (at, node, tag) = self.due.remove(i);
         Event {
             at,
@@ -1060,7 +1066,18 @@ impl<P: MutexProtocol + Send, W: Workload> Engine<P, W> {
                 self.scratch.timers.reverse();
                 &mut self.scratch
             }
-            _ => &mut self.lanes[lane as usize].out,
+            _ => {
+                let Lane {
+                    node: state, out, ..
+                } = &mut self.lanes[lane as usize];
+                if out.calls.is_empty() {
+                    // The lane stopped before this call: it runs here.
+                    out.record(state, node, now, self.end, f);
+                    out.outbox.reverse();
+                    out.timers.reverse();
+                }
+                out
+            }
         };
         let call = out
             .calls
@@ -1069,9 +1086,12 @@ impl<P: MutexProtocol + Send, W: Workload> Engine<P, W> {
         debug_assert_eq!(call.at, now, "{node:?} replays a call out of order");
         for _ in 0..call.timers {
             let (delay, tag) = out.timers.pop().expect("recorded timer");
+            // Later windows end before a timer this short can fire in
+            // them, so their lanes never stop for one.
+            self.lookahead = self.lookahead.min(delay.ticks());
             let at = now + delay;
             if lane != NO_LANE && at < self.end {
-                // It fires inside this split window; its lane ran it.
+                // It fires inside this split window; the commit runs it.
                 self.due.push((at, node, tag));
             } else {
                 self.queue.schedule(at, EventKind::Timer { node, tag });
@@ -1234,11 +1254,42 @@ fn is_barrier<M>(kind: &EventKind<M>) -> bool {
     )
 }
 
+/// Threads of this process running engine work: every running engine's
+/// caller and every helper. A helper starts only while fewer are busy than
+/// there are CPUs, so a sweep that already runs an engine per CPU gets no
+/// helpers to crowd it.
+static BUSY: AtomicUsize = AtomicUsize::new(0);
+
+/// One busy thread, counted in [`BUSY`] until dropped.
+struct Busy;
+
+impl Busy {
+    fn enter() -> Busy {
+        BUSY.fetch_add(1, Ordering::Relaxed);
+        Busy
+    }
+
+    /// A slot for one more thread, if a CPU is free (`forced`: regardless).
+    fn spare(forced: bool) -> Option<Busy> {
+        // Asked once per process: the answer reads cgroup files.
+        static CPUS: OnceLock<usize> = OnceLock::new();
+        let cpus =
+            *CPUS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+        let slot = Busy::enter();
+        (forced || BUSY.load(Ordering::Relaxed) <= cpus).then_some(slot)
+    }
+}
+
+impl Drop for Busy {
+    fn drop(&mut self) {
+        BUSY.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
 /// Lanes for the helper thread, and on the way back its handler time.
 struct Batch<P: MutexProtocol> {
     lanes: Vec<Lane<P>>,
     end: SimTime,
-    cap: u64,
     ns: u64,
 }
 
@@ -1255,7 +1306,7 @@ struct Helper<'scope, 'env, P: MutexProtocol> {
 enum Link<'scope, P: MutexProtocol> {
     /// No window has paid for a hand-off yet.
     Unasked,
-    /// The host has one CPU.
+    /// No CPU was free when one did.
     Absent,
     Up {
         jobs: Sender<Batch<P>>,
@@ -1273,30 +1324,26 @@ impl<'scope, 'env, P: MutexProtocol + Send + 'scope> Helper<'scope, 'env, P> {
         }
     }
 
-    /// Whether the helper runs, spawning it on first use if the host has
-    /// a second CPU (`forced`: regardless).
+    /// Whether the helper runs, spawning it on first use if a CPU is free
+    /// (`forced`: regardless).
     fn up(&mut self, forced: bool, crash_sched: &[Vec<(SimTime, SimTime)>]) -> bool {
         if let Link::Unasked = self.link {
-            // Asked once per process: the answer reads cgroup files.
-            static CPUS: OnceLock<usize> = OnceLock::new();
-            let cpus =
-                *CPUS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
-            self.link = if forced || cpus >= 2 {
-                self.spawn(crash_sched.to_vec())
-            } else {
-                Link::Absent
+            self.link = match Busy::spare(forced) {
+                Some(slot) => self.spawn(crash_sched.to_vec(), slot),
+                None => Link::Absent,
             };
         }
         matches!(self.link, Link::Up { .. })
     }
 
-    fn spawn(&self, crash_sched: Vec<Vec<(SimTime, SimTime)>>) -> Link<'scope, P> {
+    fn spawn(&self, crash_sched: Vec<Vec<(SimTime, SimTime)>>, slot: Busy) -> Link<'scope, P> {
         let (jobs, inbox) = channel::<Batch<P>>();
         let (outbox, done) = channel();
         let thread = self.scope.spawn(move || {
+            let _slot = slot;
             for mut batch in inbox {
                 let t0 = Instant::now();
-                run_share(&mut batch.lanes, &crash_sched, batch.end, batch.cap);
+                run_share(&mut batch.lanes, &crash_sched, batch.end);
                 batch.ns = t0.elapsed().as_nanos() as u64;
                 if outbox.send(batch).is_err() {
                     break;

@@ -12,8 +12,9 @@
 //!   crash window, or loss with retransmission, run once with every
 //!   multi-node window split onto the helper thread and once inline, gives
 //!   the same report and the same final node states;
-//! * a `max_events` cut inside a window, which must stop where the inline
-//!   loop stops, node states included;
+//! * a `max_events` cut inside a window, also among timers that fire in
+//!   the window that armed them, which must stop where the inline loop
+//!   stops, node states included;
 //! * whole per-layer profile counts when the helper ran handlers.
 //!
 //! Runs in a few seconds in release mode (`cargo test --release --test
@@ -148,6 +149,38 @@ fn a_cut_inside_a_window_stops_where_the_inline_loop_stops() {
     assert_eq!(rcv_digest(&inline_nodes), 0xaf0d_e896_e13b_b9b2);
     assert_eq!(debug_digest(&split), debug_digest(&inline));
     assert_eq!(rcv_digest(&split_nodes), rcv_digest(&inline_nodes));
+}
+
+/// RCV retransmitting on a 1-tick deadline arms timers that fire inside
+/// the 5-tick window that armed them. Wherever `max_events` cuts such a
+/// run, the split run must stop where the inline loop stops, with the
+/// same node states: no lane may have run an event past the cut.
+#[test]
+fn a_cut_among_in_window_timers_stops_where_the_inline_loop_stops() {
+    for seed in 0..2 {
+        for max_events in 1..=120 {
+            let run = |split_ns: u64| {
+                let mut cfg = SimConfig::paper(12, seed);
+                cfg.max_events = max_events;
+                let retry = Some(RetryPolicy::fixed(1));
+                let (r, nodes) = Engine::new(cfg, BurstOnce, |id, n| {
+                    RcvNode::with_config(
+                        id,
+                        n,
+                        RcvConfig {
+                            retry,
+                            ..RcvConfig::paper()
+                        },
+                    )
+                })
+                .split_threshold(split_ns)
+                .run_collecting();
+                (debug_digest(&r), rcv_digest(&nodes), r.events)
+            };
+            let inline = run(u64::MAX);
+            assert_eq!(run(0), inline, "seed {seed}, max_events {max_events}");
+        }
+    }
 }
 
 #[test]
