@@ -172,8 +172,10 @@ fn bench_engine(algo: Algo, n: usize, windows: u32, window_secs: f64) -> EngineR
 /// lands in `BENCH_RESULTS.json` next to the throughput numbers. Probes
 /// cover snapshot/merge/normalize/order/metrics; the remainder (event
 /// queue, protocol handlers, delivery plumbing) is reported as `engine`.
-/// Phase times include the engine's second thread, so when it runs the
-/// phases can add up to more than the wall time and `engine` reads low.
+/// `wait` and `commit` are the caller's serial layers of split windows,
+/// part of `engine`, not taken from it. Phase times include the engine's
+/// second thread, so when it runs the phases can add up to more than the
+/// wall time and `engine` reads low.
 fn profile_sweep(quick: bool, report: &mut PerfReport) {
     let sizes: &[usize] = if quick { &[50, 200] } else { &[50, 200, 1000] };
     profile::set_enabled(true);
@@ -185,7 +187,11 @@ fn profile_sweep(quick: bool, report: &mut PerfReport) {
             .events;
         let wall = t0.elapsed().as_nanos() as u64;
         let costs = profile::take();
-        let probed: u64 = costs.iter().map(|c| c.nanos).sum();
+        // The engine's own layers are the phases from `Wait` on.
+        let probed: u64 = costs[..profile::ProbePhase::Wait as usize]
+            .iter()
+            .map(|c| c.nanos)
+            .sum();
         println!("profile/RCV N={n} ({events} events)");
         for (name, c) in profile::PROBE_NAMES.iter().zip(costs.iter()) {
             let ns_per_event = c.nanos as f64 / events as f64;

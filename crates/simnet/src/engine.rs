@@ -18,16 +18,20 @@
 //! those touch the workload or engine-wide state and run as windows of
 //! their own. Most windows run *inline*: each event is popped, handled and
 //! applied in turn, the one-event-at-a-time loop itself. A window whose
-//! kind has measured enough handler time to pay for a hand-off is *split*:
-//! each node's share of it, its *lane*, runs the node's handlers on the
-//! calling thread or on one helper thread. The caller then *commits* the
-//! window: it walks the events in the exact `(time, seq)` order of the
-//! sequential loop and applies each handler's recorded intents — queue
-//! sequence numbers, network delay and fault draws, metrics, the safety
-//! monitor, the trace, CS grants and exits. So every report, trace and
-//! node state is bit-identical to the sequential loop, whichever thread
-//! ran a lane. With `L = 0` (exponential delay, `Tc = 0`) every window is
-//! one event.
+//! kind has measured enough handler time to pay for a second thread is
+//! *split* into *lanes*, one per node holding events in it. The caller and
+//! one helper thread take events from one shared scheduler: each pops the
+//! lane whose next event comes first in window order, runs that one
+//! handler with the lock released and puts the lane back. Events therefore
+//! run in near-global window order whichever thread is free, and the
+//! caller waits only for the helper's last event in flight. The caller
+//! then *commits* the window: it walks the events in the exact
+//! `(time, seq)` order of the sequential loop and applies each handler's
+//! recorded intents — queue sequence numbers, network delay and fault
+//! draws, metrics, the safety monitor, the trace, CS grants and exits. So
+//! every report, trace and node state is bit-identical to the sequential
+//! loop, whichever thread ran an event. With `L = 0` (exponential delay,
+//! `Tc = 0`) every window is one event.
 //!
 //! A timer can fire inside the window that arms it, so `L` also drops to
 //! the shortest timer delay armed so far. A lane stops at a handler that
@@ -36,11 +40,12 @@
 //! `max_events` cut inside the window could fall before an event another
 //! lane already ran.
 
+use std::any::Any;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::OnceLock;
+use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::{Scope, ScopedJoinHandle};
 use std::time::Instant;
 
@@ -53,20 +58,22 @@ use crate::faults::FaultPlan;
 use crate::ids::NodeId;
 use crate::metrics::SimMetrics;
 use crate::monitor::{SafetyMonitor, Violation};
-use crate::profile::{self, PhaseCost, PROBE_PHASES};
+use crate::profile::{self, PhaseCost, ProbePhase, PROBE_PHASES};
 use crate::protocol::{Ctx, MutexProtocol, ProtocolMessage, RestartOutcome};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{Trace, TraceEvent};
 use crate::workload::{ArrivalSink, Workload};
 
 /// Estimated handler time a window must hold before its lanes are split
-/// across two threads. A hand-off costs tens of microseconds of wake-up
-/// latency each way, so only windows several times that long pay.
+/// across two threads. The helper joins a posted window tens of
+/// microseconds late, every event takes the scheduler's lock twice, and
+/// the caller may wait at the window's tail for the helper's last event:
+/// only windows several times that long pay.
 const SPLIT_NS: u64 = 200_000;
 
 /// Average handler time per event below which a window is not split
-/// whatever its size: dealing an event to the other thread and committing
-/// what it produced there costs more than a cheap handler saves.
+/// whatever its size: scheduling an event on the shared queue and
+/// committing what it produced costs more than a cheap handler saves.
 const MIN_SPLIT_EVENT_NS: u64 = 2_000;
 
 /// `lane_of` entry of a node without a lane in the current window.
@@ -184,6 +191,8 @@ struct Intents<M> {
     /// commit pops them from the back.
     calls: Vec<Call>,
     outbox: Vec<(NodeId, M)>,
+    /// Each message's `wire_size`, measured where it was sent.
+    sizes: Vec<usize>,
     timers: Vec<(SimDuration, u64)>,
     /// A handler armed a timer that fires inside the window.
     inside: bool,
@@ -194,6 +203,7 @@ impl<M> Default for Intents<M> {
         Intents {
             calls: Vec::new(),
             outbox: Vec::new(),
+            sizes: Vec::new(),
             timers: Vec::new(),
             inside: false,
         }
@@ -204,8 +214,17 @@ impl<M: ProtocolMessage> Intents<M> {
     fn clear(&mut self) {
         self.calls.clear();
         self.outbox.clear();
+        self.sizes.clear();
         self.timers.clear();
         self.inside = false;
+    }
+
+    /// Reverses what the handlers recorded, for the commit to pop.
+    fn ready(&mut self) {
+        self.calls.reverse();
+        self.outbox.reverse();
+        self.sizes.reverse();
+        self.timers.reverse();
     }
 
     /// Runs the handler `ev` calls for, unless the node is down (`down` is
@@ -260,8 +279,9 @@ impl<M: ProtocolMessage> Intents<M> {
         }
     }
 
-    /// Runs `f` on the node, records the call and returns its CS intent;
-    /// notes a timer armed to fire before `end`.
+    /// Runs `f` on the node, records the call and the size of each
+    /// message it sent, and returns its CS intent; notes a timer armed to
+    /// fire before `end`.
     fn record<P: MutexProtocol<Message = M>>(
         &mut self,
         node: &mut NodeState<P>,
@@ -283,6 +303,11 @@ impl<M: ProtocolMessage> Intents<M> {
             );
             f(&mut node.proto, &mut ctx)
         };
+        // Measured here, on the thread whose cache holds the message.
+        for (_, msg) in &self.outbox[sends..] {
+            let _p = profile::probe(ProbePhase::Metrics);
+            self.sizes.push(msg.wire_size());
+        }
         self.inside |= self.timers[timers..]
             .iter()
             .any(|&(delay, _)| at + delay < end);
@@ -357,39 +382,11 @@ impl<P: MutexProtocol> Lane<P> {
     }
 }
 
-/// Runs one thread's lanes of a window, interleaving their events in
-/// window order as the sequential loop would (so a node copies a table it
-/// shares with a message in flight as rarely as there).
-fn run_share<P: MutexProtocol>(
-    lanes: &mut [Lane<P>],
-    crash_sched: &[Vec<(SimTime, SimTime)>],
-    end: SimTime,
-) {
-    for lane in lanes.iter_mut() {
-        lane.events.reverse();
-    }
-    let mut heads: BinaryHeap<_> = lanes
-        .iter()
-        .enumerate()
-        .filter_map(|(i, l)| Some(Reverse((l.next()?, i))))
-        .collect();
-    while let Some(Reverse((_, i))) = heads.pop() {
-        let lane = &mut lanes[i];
-        lane.step(&crash_sched[lane.id.index()], end);
-        if let Some(key) = lane.next() {
-            heads.push(Reverse((key, i)));
-        }
-    }
-    for lane in lanes {
-        lane.out.calls.reverse();
-        lane.out.outbox.reverse();
-        lane.out.timers.reverse();
-    }
-}
-
-/// Index and time of the earliest of `times`, the first one on ties.
-fn first_due(times: impl Iterator<Item = SimTime>) -> Option<(usize, SimTime)> {
-    times.enumerate().min_by_key(|&(_, at)| at)
+/// Lane `i` of a window whose lanes are home.
+fn home<P: MutexProtocol>(lanes: &mut [Option<Lane<P>>], i: u32) -> &mut Lane<P> {
+    lanes[i as usize]
+        .as_mut()
+        .expect("lanes are home outside the scheduler")
 }
 
 /// Whether a node with crash schedule `sched` is down at `now`.
@@ -442,14 +439,13 @@ pub struct Engine<P: MutexProtocol, W: Workload> {
     end: SimTime,
     /// In-window timers of the split window, in arming order.
     due: Vec<(SimTime, NodeId, u64)>,
-    /// The window's lanes, and the index of each node's (or `NO_LANE`).
-    lanes: Vec<Lane<P>>,
+    /// The window's lanes, each home (`Some`) but while the scheduler
+    /// holds them, and the index of each node's (or `NO_LANE`).
+    lanes: Vec<Option<Lane<P>>>,
     lane_of: Vec<u32>,
     /// Buffers of past lanes, for reuse: the loop allocates nothing per
     /// event in steady state.
     spare: Vec<Buffers<P::Message>>,
-    /// Scratch for dealing lanes to the two threads.
-    dealt: Vec<Lane<P>>,
     /// Estimated handler time a window must hold to be split.
     split_ns: u64,
     /// Measured handler cost of windows, by the kind of their head event
@@ -534,7 +530,6 @@ impl<P: MutexProtocol + Send, W: Workload> Engine<P, W> {
             lanes: Vec::new(),
             lane_of: vec![NO_LANE; cfg.n],
             spare: Vec::new(),
-            dealt: Vec::new(),
             split_ns: SPLIT_NS,
             costs: [Cost::default(); 3],
             cfg,
@@ -542,11 +537,11 @@ impl<P: MutexProtocol + Send, W: Workload> Engine<P, W> {
     }
 
     /// Sets the measured handler time (ns) a window must hold before the
-    /// next one like it is split across two threads. `0` deals every window
-    /// but a barrier to lanes from the first one — those with two or more
-    /// lanes to both threads, even on a one-CPU host; `u64::MAX` never
-    /// splits. Results do not depend on it: this exists so tests can drive
-    /// both paths.
+    /// next one like it is split across two threads. `0` splits every
+    /// window but a barrier into lanes from the first one — those with two
+    /// or more lanes run on both threads, even on a one-CPU host;
+    /// `u64::MAX` never splits. Results do not depend on it: this exists so
+    /// tests can drive both paths.
     #[doc(hidden)]
     pub fn split_threshold(mut self, ns: u64) -> Self {
         self.split_ns = ns;
@@ -598,8 +593,13 @@ impl<P: MutexProtocol + Send, W: Workload> Engine<P, W> {
     /// cut the run, and how many windows it took.
     fn run_windows(&mut self) -> (bool, u64) {
         let _busy = Busy::enter();
+        let shared = Shared::new();
         std::thread::scope(|scope| {
-            let mut helper = Helper::new(scope);
+            let mut helper = Helper {
+                scope,
+                shared: &shared,
+                link: Link::Unasked,
+            };
             let mut windows = 0;
             let truncated = loop {
                 let remaining = self.cfg.max_events - self.events;
@@ -615,23 +615,22 @@ impl<P: MutexProtocol + Send, W: Workload> Engine<P, W> {
                 }
                 let slot = Cost::slot(head);
                 windows += 1;
-                let split = slot.is_some_and(|k| self.heavy(k))
-                    && helper.up(self.split_ns == 0, &self.crash_sched);
-                if !self.run_window(slot, split, &mut helper, remaining) {
+                let split = (slot.is_some_and(|k| self.heavy(k))
+                    && helper.up(self.split_ns == 0, &self.crash_sched))
+                .then_some(&shared);
+                if !self.run_window(slot, split, remaining) {
                     break true;
                 }
             };
-            if let Some(costs) = helper.finish() {
-                profile::absorb(costs);
-            }
+            helper.finish();
             (truncated, windows)
         })
     }
 
     /// Whether the next window, headed by an event of cost slot `slot`,
-    /// should be split: the last measured window so headed held a
-    /// hand-off's worth of handler time, at a per-event cost the transfer
-    /// does not eat. (A threshold of 0 splits every window.)
+    /// should be split: the last measured window so headed held enough
+    /// handler time to pay for a second thread, at a per-event cost the
+    /// shared queue does not eat. (A threshold of 0 splits every window.)
     fn heavy(&self, slot: usize) -> bool {
         let cost = self.costs[slot];
         self.split_ns == 0
@@ -669,30 +668,29 @@ impl<P: MutexProtocol + Send, W: Workload> Engine<P, W> {
         ev
     }
 
-    /// Runs the next window: `split`, dealt to lanes on both threads and
-    /// then committed; otherwise inline, each event popped and applied in
-    /// turn exactly as a one-event-at-a-time loop would (its in-window
-    /// timers join the queue and pop in order). The window holds at most
-    /// `remaining` queued events. False if the run hit `max_events` inside
-    /// the window.
-    fn run_window<'s>(
+    /// Runs the next window: `split`, its lanes run from that scheduler
+    /// on both threads and then committed; otherwise inline, each event
+    /// popped and applied in turn exactly as a one-event-at-a-time loop
+    /// would (its in-window timers join the queue and pop in order). The
+    /// window holds at most `remaining` queued events. False if the run hit
+    /// `max_events` inside the window.
+    fn run_window(
         &mut self,
         slot: Option<usize>,
-        split: bool,
-        helper: &mut Helper<'s, '_, P>,
+        split: Option<&Shared<P>>,
         remaining: u64,
-    ) -> bool
-    where
-        P: 's,
-    {
+    ) -> bool {
         let mut taken = 0;
-        let (whole, ns) = if split {
+        let (whole, ns) = if let Some(shared) = split {
             while let Some(ev) = self.pop_in_window(taken, remaining) {
                 self.take(ev);
                 taken += 1;
             }
-            let ns = self.run_lanes(helper);
-            let whole = self.commit();
+            let ns = self.run_lanes(shared);
+            let whole = {
+                let _p = profile::probe(ProbePhase::Commit);
+                self.commit()
+            };
             self.close_window();
             (whole, ns)
         } else {
@@ -717,7 +715,7 @@ impl<P: MutexProtocol + Send, W: Workload> Engine<P, W> {
         whole
     }
 
-    /// Deals an event of a split window: its label to `window`, the event
+    /// Takes an event of a split window: its label to `window`, the event
     /// itself to its node's lane. (A barrier is a window of its own, which
     /// never splits.)
     fn take(&mut self, ev: Event<P::Message>) {
@@ -736,68 +734,48 @@ impl<P: MutexProtocol + Send, W: Workload> Engine<P, W> {
         if self.lane_of[i] == NO_LANE {
             self.lane_of[i] = self.lanes.len() as u32;
             let (events, out) = self.spare.pop().unwrap_or_default();
-            self.lanes.push(Lane {
+            self.lanes.push(Some(Lane {
                 id: node,
                 node: self.nodes[i].take().expect("one lane per node"),
                 events,
                 ran: 0,
                 seen: 0,
                 out,
-            });
+            }));
         }
-        &mut self.lanes[self.lane_of[i] as usize]
+        home(&mut self.lanes, self.lane_of[i])
     }
 
-    /// Runs a split window's lanes — on both threads if two or more — and
-    /// returns the handler time measured.
-    fn run_lanes<'s>(&mut self, helper: &mut Helper<'s, '_, P>) -> u64
-    where
-        P: 's,
-    {
-        let end = self.end;
-        if self.lanes.len() < 2 {
-            let t0 = Instant::now();
-            run_share(&mut self.lanes, &self.crash_sched, end);
-            return t0.elapsed().as_nanos() as u64;
+    /// Runs a split window's lanes from `shared`, on the caller and — if
+    /// there are two or more — the helper, and returns the handler time
+    /// measured. Re-raises a handler's panic.
+    fn run_lanes(&mut self, shared: &Shared<P>) -> u64 {
+        let mut sched = shared.lock();
+        for (i, lane) in self.lanes.iter_mut().enumerate() {
+            let lane = lane.as_mut().expect("lanes are home until posted");
+            lane.events.reverse();
+            let head = lane.next().expect("a lane holds an event");
+            sched.heads.push(Reverse((head, i)));
         }
-        self.split(helper, end)
-    }
-
-    /// Deals the lanes to the two threads — heaviest first, each to the
-    /// side with fewer events so far, ties to the caller — runs them and
-    /// returns the handler time both sides measured.
-    fn split<'s>(&mut self, helper: &mut Helper<'s, '_, P>, end: SimTime) -> u64
-    where
-        P: 's,
-    {
-        self.lanes.sort_by_key(|l| Reverse(l.events.len()));
-        std::mem::swap(&mut self.lanes, &mut self.dealt);
-        let mut theirs = helper.lanes();
-        let mut load = [0; 2];
-        for lane in self.dealt.drain(..) {
-            let side = usize::from(load[1] < load[0]);
-            load[side] += lane.events.len();
-            if side == 0 {
-                self.lanes.push(lane);
-            } else {
-                theirs.push(lane);
-            }
+        std::mem::swap(&mut sched.lanes, &mut self.lanes);
+        sched.end = self.end;
+        sched.ns = 0;
+        if sched.heads.len() > 1 && sched.helper_idle {
+            sched.helper_idle = false;
+            shared.wake.notify_one();
         }
-        helper.send(Batch {
-            lanes: theirs,
-            end,
-            ns: 0,
-        });
-        let t0 = Instant::now();
-        run_share(&mut self.lanes, &self.crash_sched, end);
-        let mine = t0.elapsed().as_nanos() as u64;
-        let mut batch = helper.recv();
-        self.lanes.append(&mut batch.lanes);
-        helper.keep(batch.lanes);
-        for (i, lane) in self.lanes.iter().enumerate() {
-            self.lane_of[lane.id.index()] = i as u32;
+        sched = shared.work(sched, &self.crash_sched);
+        let _idle = (sched.running > 0).then(|| profile::probe(ProbePhase::Wait));
+        while sched.running > 0 {
+            sched.caller_waits = true;
+            sched = shared.wait(sched);
         }
-        mine + batch.ns
+        if let Some(payload) = sched.panic.take() {
+            drop(sched);
+            panic::resume_unwind(payload);
+        }
+        std::mem::swap(&mut sched.lanes, &mut self.lanes);
+        sched.ns
     }
 
     /// Applies the window's events in `(time, seq)` order: a queued event
@@ -808,12 +786,18 @@ impl<P: MutexProtocol + Send, W: Workload> Engine<P, W> {
     fn commit(&mut self) -> bool {
         let mut next = 0;
         loop {
-            let timer = first_due(self.due.iter().map(|d| d.0));
+            // The earliest in-window timer, the first armed on ties.
+            let timer = self
+                .due
+                .iter()
+                .map(|d| d.0)
+                .enumerate()
+                .min_by_key(|&(_, at)| at);
             let ev = match (self.window.get(next), timer) {
                 (Some(e), Some((i, at))) if at < e.at => self.take_due(i),
                 (Some(e), _) => {
                     next += 1;
-                    let lane = &mut self.lanes[self.lane_of[e.kind.node().index()] as usize];
+                    let lane = home(&mut self.lanes, self.lane_of[e.kind.node().index()]);
                     lane.seen += 1;
                     let kind = if lane.seen > lane.ran {
                         let (_, ev) = lane
@@ -831,7 +815,7 @@ impl<P: MutexProtocol + Send, W: Workload> Engine<P, W> {
             };
             if !self.count(ev.at) {
                 debug_assert!(
-                    self.lanes.iter().all(|l| l.seen >= l.ran),
+                    self.lanes.iter().flatten().all(|l| l.seen >= l.ran),
                     "a lane ran an event past the max_events cut"
                 );
                 return false;
@@ -839,7 +823,7 @@ impl<P: MutexProtocol + Send, W: Workload> Engine<P, W> {
             self.fire(ev.at, ev.kind);
         }
         debug_assert!(
-            self.lanes.iter().all(|l| l.out.calls.is_empty()),
+            self.lanes.iter().flatten().all(|l| l.out.calls.is_empty()),
             "a lane ran a handler the commit did not replay"
         );
         true
@@ -876,7 +860,8 @@ impl<P: MutexProtocol + Send, W: Workload> Engine<P, W> {
 
     /// Returns every lane's node home and keeps its buffers.
     fn close_window(&mut self) {
-        for mut lane in self.lanes.drain(..) {
+        for lane in self.lanes.drain(..) {
+            let mut lane = lane.expect("lanes are home for the close");
             let i = lane.id.index();
             self.lane_of[i] = NO_LANE;
             self.nodes[i] = Some(lane.node);
@@ -902,9 +887,7 @@ impl<P: MutexProtocol + Send, W: Workload> Engine<P, W> {
         if self.node_down(node, now) {
             return; // a crashed node issues nothing
         }
-        if self.trace.enabled() {
-            self.trace.record(TraceEvent::Arrival { at: now, node });
-        }
+        self.trace.record(TraceEvent::Arrival { at: now, node });
         assert!(
             !self.metrics.has_outstanding(node),
             "workload violated the one-outstanding-request rule for {node:?}"
@@ -923,19 +906,15 @@ impl<P: MutexProtocol + Send, W: Workload> Engine<P, W> {
         };
         if self.node_down(to, now) {
             self.metrics.message_dropped();
-            if self.trace.enabled() {
-                self.trace.record(TraceEvent::Dropped { at: now, to });
-            }
+            self.trace.record(TraceEvent::Dropped { at: now, to });
             return;
         }
-        if self.trace.enabled() {
-            self.trace.record(TraceEvent::Deliver {
-                at: now,
-                from,
-                to,
-                kind,
-            });
-        }
+        self.trace.record(TraceEvent::Deliver {
+            at: now,
+            from,
+            to,
+            kind,
+        });
         self.dispatch(to, now, |p, ctx| {
             let Carried::Here(msg) = msg else {
                 unreachable!("a lane ran this delivery")
@@ -960,9 +939,7 @@ impl<P: MutexProtocol + Send, W: Workload> Engine<P, W> {
             return;
         }
         debug_assert!(self.in_cs[node.index()], "CsExit for a node not in the CS");
-        if self.trace.enabled() {
-            self.trace.record(TraceEvent::CsExit { at: now, node });
-        }
+        self.trace.record(TraceEvent::CsExit { at: now, node });
         self.in_cs[node.index()] = false;
         self.monitor.exit(node, now);
         self.check_safety();
@@ -980,9 +957,7 @@ impl<P: MutexProtocol + Send, W: Workload> Engine<P, W> {
         if self.node_down(node, now) {
             return;
         }
-        if self.trace.enabled() {
-            self.trace.record(TraceEvent::Timer { at: now, node, tag });
-        }
+        self.trace.record(TraceEvent::Timer { at: now, node, tag });
         self.dispatch(node, now, |p, ctx| {
             p.on_timer(tag, ctx);
             RestartOutcome::KeptState
@@ -1002,13 +977,11 @@ impl<P: MutexProtocol + Send, W: Workload> Engine<P, W> {
             self.monitor.evict(node);
         }
         self.crash_aborted[node.index()] = self.metrics.request_aborted(node);
-        if self.trace.enabled() {
-            self.trace.record(TraceEvent::Crashed {
-                at: now,
-                node,
-                held_cs: held,
-            });
-        }
+        self.trace.record(TraceEvent::Crashed {
+            at: now,
+            node,
+            held_cs: held,
+        });
     }
 
     /// End of a crash window: run the protocol's restart hook and act on
@@ -1018,13 +991,11 @@ impl<P: MutexProtocol + Send, W: Workload> Engine<P, W> {
     fn handle_restart(&mut self, node: NodeId, now: SimTime) {
         self.metrics.node_restarted();
         let outcome = self.dispatch(node, now, |p, ctx| p.on_restart(ctx));
-        if self.trace.enabled() {
-            self.trace.record(TraceEvent::Restarted {
-                at: now,
-                node,
-                recovered: outcome.recovered(),
-            });
-        }
+        self.trace.record(TraceEvent::Restarted {
+            at: now,
+            node,
+            recovered: outcome.recovered(),
+        });
         let interrupted = std::mem::take(&mut self.crash_aborted[node.index()]);
         match outcome {
             RestartOutcome::KeptState => {}
@@ -1062,19 +1033,17 @@ impl<P: MutexProtocol + Send, W: Workload> Engine<P, W> {
                     .expect("a node without a lane is home");
                 // `end = now`: an inline window's timers all join the queue.
                 self.scratch.record(state, node, now, now, f);
-                self.scratch.outbox.reverse();
-                self.scratch.timers.reverse();
+                self.scratch.ready();
                 &mut self.scratch
             }
             _ => {
                 let Lane {
                     node: state, out, ..
-                } = &mut self.lanes[lane as usize];
+                } = home(&mut self.lanes, lane);
                 if out.calls.is_empty() {
                     // The lane stopped before this call: it runs here.
                     out.record(state, node, now, self.end, f);
-                    out.outbox.reverse();
-                    out.timers.reverse();
+                    out.ready();
                 }
                 out
             }
@@ -1099,6 +1068,7 @@ impl<P: MutexProtocol + Send, W: Workload> Engine<P, W> {
         }
         for _ in 0..call.sends {
             let (to, msg) = out.outbox.pop().expect("recorded message");
+            let size = out.sizes.pop().expect("measured message");
             assert!(
                 to.index() < self.cfg.n,
                 "{node:?} sent to unknown node {to:?}"
@@ -1112,23 +1082,18 @@ impl<P: MutexProtocol + Send, W: Workload> Engine<P, W> {
                     detail: format!("{msg:?}"),
                 });
             }
-            {
-                let _p = crate::profile::probe(crate::profile::ProbePhase::Metrics);
-                self.metrics.message_sent(msg.kind(), msg.wire_size());
-            }
+            self.metrics.message_sent(msg.kind(), size);
             // Loss first, before any delay is sampled: a lost message (and
             // its would-be duplicate) consumes no network randomness, so a
             // lossless plan leaves the RNG streams bit-identical to the
             // pre-loss engine.
             if self.cfg.faults.drops(self.metrics.messages_sent()) {
                 self.metrics.message_lost();
-                if self.trace.enabled() {
-                    self.trace.record(TraceEvent::Lost {
-                        at: now,
-                        from: node,
-                        to,
-                    });
-                }
+                self.trace.record(TraceEvent::Lost {
+                    at: now,
+                    from: node,
+                    to,
+                });
                 continue;
             }
             // Straggler endpoints stretch the sampled delay by a constant
@@ -1172,9 +1137,7 @@ impl<P: MutexProtocol + Send, W: Workload> Engine<P, W> {
         );
         self.monitor.enter(node, now);
         self.check_safety();
-        if self.trace.enabled() {
-            self.trace.record(TraceEvent::CsEnter { at: now, node });
-        }
+        self.trace.record(TraceEvent::CsEnter { at: now, node });
         self.in_cs[node.index()] = true;
         self.metrics.cs_entered(node, now);
         let exit_at = now + self.cfg.cs_duration;
@@ -1286,120 +1249,176 @@ impl Drop for Busy {
     }
 }
 
-/// Lanes for the helper thread, and on the way back its handler time.
-struct Batch<P: MutexProtocol> {
-    lanes: Vec<Lane<P>>,
+/// A split window's lanes as both threads take them.
+struct Shared<P: MutexProtocol> {
+    sched: Mutex<Sched<P>>,
+    /// Wakes the idle helper when a window is posted or the run ends, and
+    /// the waiting caller when the helper's last event in flight is back.
+    wake: Condvar,
+}
+
+struct Sched<P: MutexProtocol> {
+    /// The posted window's lanes; out (`None`) while a thread runs one.
+    lanes: Vec<Option<Lane<P>>>,
+    /// The next event of every lane that is in and not done, keyed by its
+    /// place in the window's `(time, seq)` order.
+    heads: BinaryHeap<Reverse<((SimTime, u32), usize)>>,
     end: SimTime,
+    /// Events running with the lock released.
+    running: u32,
+    /// Handler time the window has measured so far.
     ns: u64,
+    /// The first handler panic, re-raised on the caller.
+    panic: Option<Box<dyn Any + Send>>,
+    /// The helper is blocked waiting for a window.
+    helper_idle: bool,
+    /// The caller is blocked waiting for the last event in flight.
+    caller_waits: bool,
+    /// The run is over (or unwinding): the helper returns.
+    quit: bool,
 }
 
-/// The second thread. Spawned the first time a window pays for a
-/// hand-off; blocks on its job channel between windows; returns its
-/// profile accumulators when the channel closes.
-struct Helper<'scope, 'env, P: MutexProtocol> {
-    scope: &'scope Scope<'scope, 'env>,
-    link: Link<'scope, P>,
-    /// The lane vector of the last batch, for reuse.
-    spare: Vec<Lane<P>>,
-}
-
-enum Link<'scope, P: MutexProtocol> {
-    /// No window has paid for a hand-off yet.
-    Unasked,
-    /// No CPU was free when one did.
-    Absent,
-    Up {
-        jobs: Sender<Batch<P>>,
-        done: Receiver<Batch<P>>,
-        thread: ScopedJoinHandle<'scope, [PhaseCost; PROBE_PHASES]>,
-    },
-}
-
-impl<'scope, 'env, P: MutexProtocol + Send + 'scope> Helper<'scope, 'env, P> {
-    fn new(scope: &'scope Scope<'scope, 'env>) -> Self {
-        Helper {
-            scope,
-            link: Link::Unasked,
-            spare: Vec::new(),
+impl<P: MutexProtocol> Shared<P> {
+    fn new() -> Self {
+        Shared {
+            sched: Mutex::new(Sched {
+                lanes: Vec::new(),
+                heads: BinaryHeap::new(),
+                end: SimTime::ZERO,
+                running: 0,
+                ns: 0,
+                panic: None,
+                helper_idle: false,
+                caller_waits: false,
+                quit: false,
+            }),
+            wake: Condvar::new(),
         }
     }
 
+    fn lock(&self) -> MutexGuard<'_, Sched<P>> {
+        // Handler panics are caught outside the lock; an unwinding caller
+        // must still reach the helper to stop it.
+        self.sched.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Tells the helper to return once it is between events.
+    fn quit(&self) {
+        self.lock().quit = true;
+        self.wake.notify_one();
+    }
+
+    fn wait<'a>(&self, sched: MutexGuard<'a, Sched<P>>) -> MutexGuard<'a, Sched<P>> {
+        self.wake
+            .wait(sched)
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The loop both threads run: take the lane whose next event comes
+    /// first, run that event with the lock released (so a node copies a
+    /// table it shares with a message in flight as rarely as the
+    /// sequential loop does), put the lane back — until no lane is left to
+    /// take. `crash_sched` is every node's crash schedule.
+    fn work<'a>(
+        &'a self,
+        mut sched: MutexGuard<'a, Sched<P>>,
+        crash_sched: &[Vec<(SimTime, SimTime)>],
+    ) -> MutexGuard<'a, Sched<P>> {
+        while let Some(Reverse((_, i))) = sched.heads.pop() {
+            let mut lane = sched.lanes[i].take().expect("a lane with a head is in");
+            let end = sched.end;
+            sched.running += 1;
+            drop(sched);
+            let t0 = Instant::now();
+            let ran = panic::catch_unwind(AssertUnwindSafe(|| {
+                lane.step(&crash_sched[lane.id.index()], end)
+            }));
+            let ns = t0.elapsed().as_nanos() as u64;
+            sched = self.lock();
+            sched.running -= 1;
+            sched.ns += ns;
+            match ran {
+                Err(payload) => {
+                    sched.heads.clear();
+                    sched.panic.get_or_insert(payload);
+                }
+                Ok(()) => match lane.next() {
+                    Some(head) => sched.heads.push(Reverse((head, i))),
+                    None => lane.out.ready(),
+                },
+            }
+            sched.lanes[i] = Some(lane);
+        }
+        if sched.running == 0 && sched.caller_waits {
+            sched.caller_waits = false;
+            self.wake.notify_one();
+        }
+        sched
+    }
+}
+
+/// The second thread. Spawned the first time a window pays for it; runs
+/// the scheduler's loop whenever it is awake, blocks between windows, and
+/// returns its profile accumulators when told to quit.
+struct Helper<'scope, 'env, P: MutexProtocol> {
+    scope: &'scope Scope<'scope, 'env>,
+    shared: &'scope Shared<P>,
+    link: Link<'scope>,
+}
+
+enum Link<'scope> {
+    /// No window has paid for a second thread yet.
+    Unasked,
+    /// No CPU was free when one did.
+    Absent,
+    Up(ScopedJoinHandle<'scope, [PhaseCost; PROBE_PHASES]>),
+}
+
+impl<'scope, 'env, P: MutexProtocol + Send + 'scope> Helper<'scope, 'env, P> {
     /// Whether the helper runs, spawning it on first use if a CPU is free
     /// (`forced`: regardless).
     fn up(&mut self, forced: bool, crash_sched: &[Vec<(SimTime, SimTime)>]) -> bool {
         if let Link::Unasked = self.link {
-            self.link = match Busy::spare(forced) {
-                Some(slot) => self.spawn(crash_sched.to_vec(), slot),
-                None => Link::Absent,
+            let Some(slot) = Busy::spare(forced) else {
+                self.link = Link::Absent;
+                return false;
             };
-        }
-        matches!(self.link, Link::Up { .. })
-    }
-
-    fn spawn(&self, crash_sched: Vec<Vec<(SimTime, SimTime)>>, slot: Busy) -> Link<'scope, P> {
-        let (jobs, inbox) = channel::<Batch<P>>();
-        let (outbox, done) = channel();
-        let thread = self.scope.spawn(move || {
-            let _slot = slot;
-            for mut batch in inbox {
-                let t0 = Instant::now();
-                run_share(&mut batch.lanes, &crash_sched, batch.end);
-                batch.ns = t0.elapsed().as_nanos() as u64;
-                if outbox.send(batch).is_err() {
-                    break;
+            let (shared, crash_sched) = (self.shared, crash_sched.to_vec());
+            self.link = Link::Up(self.scope.spawn(move || {
+                let _slot = slot;
+                let mut sched = shared.lock();
+                loop {
+                    sched = shared.work(sched, &crash_sched);
+                    if sched.quit {
+                        break;
+                    }
+                    sched.helper_idle = true;
+                    sched = shared.wait(sched);
                 }
-            }
-            profile::take()
-        });
-        Link::Up { jobs, done, thread }
-    }
-
-    /// An empty lane vector for the next batch.
-    fn lanes(&mut self) -> Vec<Lane<P>> {
-        std::mem::take(&mut self.spare)
-    }
-
-    fn keep(&mut self, lanes: Vec<Lane<P>>) {
-        self.spare = lanes;
-    }
-
-    fn send(&mut self, batch: Batch<P>) {
-        let Link::Up { jobs, .. } = &self.link else {
-            unreachable!("send needs the helper up")
-        };
-        // A closed channel means the helper died; `recv` re-raises why.
-        let _ = jobs.send(batch);
-    }
-
-    /// The batch back from the helper; re-raises its panic if a handler
-    /// panicked there.
-    fn recv(&mut self) -> Batch<P> {
-        let Link::Up { done, .. } = &self.link else {
-            unreachable!("recv needs the helper up")
-        };
-        if let Ok(batch) = done.recv() {
-            return batch;
+                drop(sched);
+                profile::take()
+            }));
         }
-        let Link::Up { thread, .. } = std::mem::replace(&mut self.link, Link::Absent) else {
-            unreachable!()
-        };
-        match thread.join() {
-            Err(panic) => std::panic::resume_unwind(panic),
-            Ok(_) => unreachable!("the helper stops only when its job channel closes"),
+        matches!(self.link, Link::Up(_))
+    }
+
+    /// Stops the helper, if it ran, and adds its profile accumulators to
+    /// the caller's.
+    fn finish(mut self) {
+        if let Link::Up(thread) = std::mem::replace(&mut self.link, Link::Absent) {
+            self.shared.quit();
+            profile::absorb(thread.join().unwrap_or_else(|p| panic::resume_unwind(p)));
         }
     }
+}
 
-    /// Stops the helper, if it ran, and returns its profile accumulators.
-    fn finish(self) -> Option<[PhaseCost; PROBE_PHASES]> {
-        let Link::Up { jobs, thread, .. } = self.link else {
-            return None;
-        };
-        drop(jobs);
-        Some(
-            thread
-                .join()
-                .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
-        )
+impl<P: MutexProtocol> Drop for Helper<'_, '_, P> {
+    /// A caller unwinding past a live helper stops it, or the scope's join
+    /// would wait for it forever.
+    fn drop(&mut self) {
+        if let Link::Up(_) = self.link {
+            self.shared.quit();
+        }
     }
 }
 

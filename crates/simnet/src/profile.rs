@@ -2,9 +2,10 @@
 //!
 //! The large-N optimization work needs the per-event cost *split* —
 //! snapshot-take / merge / normalize / order / metrics, with the engine as
-//! the residual — so the next bottleneck is measured, not guessed. The
-//! probes live here (the lowest crate in the workspace graph) so both
-//! `rcv-core` and the engine can stamp phases into one accumulator.
+//! the residual, and the engine's serial layers of a split window (wait,
+//! commit) named inside it — so the next bottleneck is measured, not
+//! guessed. The probes live here (the lowest crate in the workspace graph)
+//! so both `rcv-core` and the engine can stamp phases into one accumulator.
 //!
 //! Zero overhead when dark: every probe site starts with one relaxed
 //! atomic load; timing and accumulation only happen after
@@ -29,16 +30,30 @@ pub enum ProbePhase {
     Normalize,
     /// The Order procedure (Relative Consensus Voting).
     Order,
-    /// Metrics bookkeeping in the engine's send/delivery path.
+    /// Measuring each sent message's wire size, where the handler that
+    /// sent it ran.
     Metrics,
+    /// The engine's caller idle at the tail of a split window, waiting for
+    /// the helper thread's last event in flight.
+    Wait,
+    /// The engine's commit of a split window: every event's recorded
+    /// intents applied in `(time, seq)` order on the caller.
+    Commit,
 }
 
 /// Number of phases (array size for accumulators).
-pub const PROBE_PHASES: usize = 5;
+pub const PROBE_PHASES: usize = 7;
 
 /// Display names, indexed by `ProbePhase as usize`.
-pub const PROBE_NAMES: [&str; PROBE_PHASES] =
-    ["snapshot", "merge", "normalize", "order", "metrics"];
+pub const PROBE_NAMES: [&str; PROBE_PHASES] = [
+    "snapshot",
+    "merge",
+    "normalize",
+    "order",
+    "metrics",
+    "wait",
+    "commit",
+];
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 

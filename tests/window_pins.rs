@@ -1,9 +1,10 @@
 //! Pins for the engine's window loop.
 //!
-//! The engine runs each node's share of a conservative window (events
-//! closer than the delay lower bound) on one of two threads and commits
-//! the side effects in `(time, seq)` order. That claims bit-identical
-//! results whichever thread ran what. This file holds the claim to:
+//! The engine splits a conservative window (events closer than the delay
+//! lower bound) into one lane per node, lets two threads take the lanes'
+//! events from one shared queue and commits the side effects in
+//! `(time, seq)` order. That claims bit-identical results whichever
+//! thread ran what. This file holds the claim to:
 //!
 //! * N = 200 RCV burst fingerprints — events, messages, end time, exact
 //!   response-time mean and an FNV-1a hash of every node's
@@ -15,13 +16,19 @@
 //! * a `max_events` cut inside a window, also among timers that fire in
 //!   the window that armed them, which must stop where the inline loop
 //!   stops, node states included;
-//! * whole per-layer profile counts when the helper ran handlers.
+//! * whole per-layer profile counts when the helper ran handlers;
+//! * panics that reach the caller instead of hanging the run: a handler's
+//!   on the helper thread, and the commit's own on the caller.
 //!
 //! Runs in a few seconds in release mode (`cargo test --release --test
 //! window_pins`).
 
 use std::fmt::{self, Debug, Write as _};
 use std::hash::Hasher;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::thread::{self, ThreadId};
+use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 use rcv::baselines::{
@@ -30,8 +37,8 @@ use rcv::baselines::{
 use rcv::core::{RcvConfig, RcvNode};
 use rcv::simnet::profile::{self, ProbePhase};
 use rcv::simnet::{
-    BurstOnce, DelayModel, Engine, FaultPlan, MutexProtocol, NodeId, RetryPolicy, SimConfig,
-    SimDuration, SimTime, Workload,
+    BurstOnce, Ctx, DelayModel, Engine, FaultPlan, MutexProtocol, NodeId, ProtocolMessage,
+    RetryPolicy, SimConfig, SimDuration, SimTime, Workload,
 };
 use rcv::workload::{Algo, SaturationWorkload};
 
@@ -192,12 +199,107 @@ fn profile_counts_are_whole_with_the_helper() {
         let costs = profile::take();
         profile::set_enabled(false);
         assert!(r.all_completed());
-        [ProbePhase::Merge, ProbePhase::Normalize, ProbePhase::Order]
-            .map(|p| costs[p as usize].count)
+        let count = |p: ProbePhase| costs[p as usize].count;
+        // One wire-size measurement per message, whichever thread sent it.
+        assert_eq!(count(ProbePhase::Metrics), r.metrics.messages_sent());
+        // The caller's serial layers exist only in split windows.
+        let commits = count(ProbePhase::Commit);
+        assert_eq!(commits > 0, split_ns == 0, "{commits} commits");
+        assert!(count(ProbePhase::Wait) <= commits);
+        [
+            ProbePhase::Merge,
+            ProbePhase::Normalize,
+            ProbePhase::Order,
+            ProbePhase::Metrics,
+        ]
+        .map(count)
     };
     let inline = counts(u64::MAX);
     assert!(inline.iter().all(|&c| c > 0), "{inline:?}");
     assert_eq!(counts(0), inline);
+}
+
+/// A message nobody sends.
+#[derive(Clone, Debug)]
+struct Never;
+
+impl ProtocolMessage for Never {
+    fn kind(&self) -> &'static str {
+        "NEVER"
+    }
+}
+
+/// A request handler that panics on any thread but the one that built the
+/// node — the engine's helper — and on that one waits until the helper
+/// has taken a request, so that it does.
+struct PanicsOnHelper {
+    home: ThreadId,
+    helper_ran: Arc<AtomicBool>,
+}
+
+impl MutexProtocol for PanicsOnHelper {
+    type Message = Never;
+
+    fn name(&self) -> &'static str {
+        "panics-on-helper"
+    }
+
+    fn on_request(&mut self, _ctx: &mut Ctx<'_, Never>) {
+        if thread::current().id() != self.home {
+            self.helper_ran.store(true, Ordering::SeqCst);
+            panic!("handler panicked on the helper");
+        }
+        let t0 = Instant::now();
+        while !self.helper_ran.load(Ordering::SeqCst) && t0.elapsed() < Duration::from_secs(3) {
+            thread::yield_now();
+        }
+    }
+
+    fn on_message(&mut self, _: NodeId, _: Never, _: &mut Ctx<'_, Never>) {}
+
+    fn on_cs_released(&mut self, _: &mut Ctx<'_, Never>) {}
+}
+
+#[test]
+#[should_panic(expected = "handler panicked on the helper")]
+fn a_handler_panic_on_the_helper_reaches_the_caller() {
+    let helper_ran = Arc::new(AtomicBool::new(false));
+    let home = thread::current().id();
+    Engine::new(SimConfig::paper(4, 0), BurstOnce, |_, _| PanicsOnHelper {
+        home,
+        helper_ran: helper_ran.clone(),
+    })
+    .split_threshold(0)
+    .run();
+}
+
+/// Enters the CS the moment it asks: the commit's safety check panics.
+struct Greedy;
+
+impl MutexProtocol for Greedy {
+    type Message = Never;
+
+    fn name(&self) -> &'static str {
+        "greedy"
+    }
+
+    fn on_request(&mut self, ctx: &mut Ctx<'_, Never>) {
+        ctx.enter_cs();
+    }
+
+    fn on_message(&mut self, _: NodeId, _: Never, _: &mut Ctx<'_, Never>) {}
+
+    fn on_cs_released(&mut self, _: &mut Ctx<'_, Never>) {}
+}
+
+/// The commit runs on the caller while the helper waits for the next
+/// window; a panic there must stop the helper, or the run never returns.
+#[test]
+#[should_panic(expected = "MUTUAL EXCLUSION VIOLATED")]
+fn a_commit_panic_on_the_caller_stops_the_helper() {
+    Engine::new(SimConfig::paper(8, 0), BurstOnce, |_, _| Greedy)
+        .split_threshold(0)
+        .run();
 }
 
 /// Runs `cfg` under `workload` inline and with every multi-node window
