@@ -22,8 +22,8 @@
 //! With `--baseline <file>`, the run **fails** (exit 1) if events/sec on
 //! the N=30 RCV burst — or, when measured, the N=1,000 one — drops more
 //! than 30% below the checked-in baseline. `--profile` adds the per-event
-//! phase split (snapshot/merge/normalize/order/metrics/engine) at
-//! N ∈ {50, 200, 1000} to stdout and the JSON. `--append-history` appends
+//! phase split (snapshot/merge/normalize/order/metrics/wait/commit/engine)
+//! at N ∈ {50, 200, 1000} to stdout and the JSON. `--append-history` appends
 //! a one-line summary to the running `BENCH_HISTORY.jsonl` trajectory.
 //! Methodology: every cell reports its best measurement window (the
 //! statistic least distorted by background load — external noise only ever

@@ -3,7 +3,7 @@
 //! [`MutexProtocol`] interface so it runs identically under the
 //! discrete-event simulator and the real-thread runtime.
 
-use rcv_simnet::{Ctx, MutexProtocol, NodeId, RestartOutcome};
+use rcv_simnet::{Ctx, MutexProtocol, NodeId, RestartOutcome, RetryPolicy, SimDuration};
 
 use crate::config::RcvConfig;
 use crate::exchange::exchange;
@@ -358,6 +358,10 @@ impl MutexProtocol for RcvNode {
 
     fn name(&self) -> &'static str {
         "rcv"
+    }
+
+    fn min_timer_delay(&self) -> Option<SimDuration> {
+        self.config.retry.as_ref().map(RetryPolicy::min_delay)
     }
 
     fn on_request(&mut self, ctx: &mut Ctx<'_, RcvMessage>) {

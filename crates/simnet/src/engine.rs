@@ -9,14 +9,16 @@
 //!
 //! ## Windows
 //!
-//! A message takes at least [`DelayModel::min_ticks`] to arrive and a CS
-//! lasts `Tc`, so with `L = min(that, Tc)` nothing a node does at time `t`
-//! reaches another node before `t + L` (the conservative lookahead of
-//! Chandy–Misra–Bryant parallel simulation). The loop therefore takes a
-//! *window* at a time: the head event at `T` and every later event before
-//! `T + L`, ending early in front of a `CsExit`, `Crash` or `Restart` —
-//! those touch the workload or engine-wide state and run as windows of
-//! their own. Most windows run *inline*: each event is popped, handled and
+//! A message takes at least [`DelayModel::min_ticks`] to arrive, a CS
+//! lasts `Tc` and no timer is shorter than the shortest
+//! [`MutexProtocol::min_timer_delay`] any node declares, so with `L` the
+//! least of the three — fixed when the engine is built — nothing a node
+//! does at time `t` takes effect before `t + L` (the conservative
+//! lookahead of Chandy–Misra–Bryant parallel simulation). The loop
+//! therefore takes a *window* at a time: the head event at `T` and every
+//! later event before `T + L`, ending early in front of a `CsExit`,
+//! `Crash` or `Restart` — those touch the workload or engine-wide state
+//! and run as windows of their own. Most windows run *inline*: each event is popped, handled and
 //! applied in turn, the one-event-at-a-time loop itself. A window whose
 //! kind has measured enough handler time to pay for a second thread is
 //! *split* into *lanes*, one per node holding events in it. The caller and
@@ -33,12 +35,11 @@
 //! loop, whichever thread ran an event. With `L = 0` (exponential delay,
 //! `Tc = 0`) every window is one event.
 //!
-//! A timer can fire inside the window that arms it, so `L` also drops to
-//! the shortest timer delay armed so far. A lane stops at a handler that
-//! arms a shorter one, and the commit runs that timer and the node's later
-//! events itself. The first such timer is the one case where a
-//! `max_events` cut inside the window could fall before an event another
-//! lane already ran.
+//! No message, CS exit or timer lands inside the window that produced it,
+//! so a lane runs all of its node's events and the commit only replays
+//! them; a window holds at most the events left before `max_events`, so
+//! the cut always falls between windows. A timer shorter than its node
+//! declared would break that, and panics where the engine schedules it.
 
 use std::any::Any;
 use std::cmp::Reverse;
@@ -194,8 +195,6 @@ struct Intents<M> {
     /// Each message's `wire_size`, measured where it was sent.
     sizes: Vec<usize>,
     timers: Vec<(SimDuration, u64)>,
-    /// A handler armed a timer that fires inside the window.
-    inside: bool,
 }
 
 impl<M> Default for Intents<M> {
@@ -205,7 +204,6 @@ impl<M> Default for Intents<M> {
             outbox: Vec::new(),
             sizes: Vec::new(),
             timers: Vec::new(),
-            inside: false,
         }
     }
 }
@@ -216,7 +214,6 @@ impl<M: ProtocolMessage> Intents<M> {
         self.outbox.clear();
         self.sizes.clear();
         self.timers.clear();
-        self.inside = false;
     }
 
     /// Reverses what the handlers recorded, for the commit to pop.
@@ -234,7 +231,6 @@ impl<M: ProtocolMessage> Intents<M> {
         node: &mut NodeState<P>,
         ev: Event<M>,
         down: &[(SimTime, SimTime)],
-        end: SimTime,
     ) {
         use RestartOutcome::KeptState;
         let id = ev.kind.node();
@@ -242,15 +238,15 @@ impl<M: ProtocolMessage> Intents<M> {
         match ev.kind {
             EventKind::Arrival { .. } | EventKind::Deliver { .. } | EventKind::Timer { .. }
                 if is_down(down, at) => {}
-            EventKind::Arrival { .. } => self.call(node, id, at, end, |p, ctx| {
+            EventKind::Arrival { .. } => self.call(node, id, at, |p, ctx| {
                 p.on_request(ctx);
                 KeptState
             }),
-            EventKind::Deliver { from, msg, .. } => self.call(node, id, at, end, |p, ctx| {
+            EventKind::Deliver { from, msg, .. } => self.call(node, id, at, |p, ctx| {
                 p.on_message(from, msg, ctx);
                 KeptState
             }),
-            EventKind::Timer { tag, .. } => self.call(node, id, at, end, |p, ctx| {
+            EventKind::Timer { tag, .. } => self.call(node, id, at, |p, ctx| {
                 p.on_timer(tag, ctx);
                 KeptState
             }),
@@ -268,11 +264,10 @@ impl<M: ProtocolMessage> Intents<M> {
         node: &mut NodeState<P>,
         id: NodeId,
         at: SimTime,
-        end: SimTime,
         f: impl FnOnce(&mut P, &mut Ctx<'_, M>) -> RestartOutcome,
     ) {
-        if self.record(node, id, at, end, f) {
-            self.record(node, id, at, end, |p, ctx| {
+        if self.record(node, id, at, f) {
+            self.record(node, id, at, |p, ctx| {
                 p.on_cs_granted(ctx);
                 RestartOutcome::KeptState
             });
@@ -280,14 +275,12 @@ impl<M: ProtocolMessage> Intents<M> {
     }
 
     /// Runs `f` on the node, records the call and the size of each
-    /// message it sent, and returns its CS intent; notes a timer armed to
-    /// fire before `end`.
+    /// message it sent, and returns its CS intent.
     fn record<P: MutexProtocol<Message = M>>(
         &mut self,
         node: &mut NodeState<P>,
         id: NodeId,
         at: SimTime,
-        end: SimTime,
         f: impl FnOnce(&mut P, &mut Ctx<'_, M>) -> RestartOutcome,
     ) -> bool {
         let (sends, timers) = (self.outbox.len(), self.timers.len());
@@ -308,9 +301,6 @@ impl<M: ProtocolMessage> Intents<M> {
             let _p = profile::probe(ProbePhase::Metrics);
             self.sizes.push(msg.wire_size());
         }
-        self.inside |= self.timers[timers..]
-            .iter()
-            .any(|&(delay, _)| at + delay < end);
         self.calls.push(Call {
             at,
             sends: (self.outbox.len() - sends) as u32,
@@ -349,36 +339,27 @@ type Buffers<M> = (Vec<Placed<M>>, Intents<M>);
 
 /// A node's share of a window: its state, moved to whichever thread runs
 /// the lane, its events of the window, and what its handlers asked for.
-/// A lane stops after a handler arms a timer that fires inside the window:
-/// the commit runs the timer and the node's later events itself, in order.
 struct Lane<P: MutexProtocol> {
     id: NodeId,
     node: NodeState<P>,
     /// Its events of the window, each with its place in the window; once
     /// the lane runs, reversed so the next one is last.
     events: Vec<Placed<P::Message>>,
-    /// Events the lane ran, and events the commit has reached so far.
-    ran: u32,
-    seen: u32,
     out: Intents<P::Message>,
 }
 
 impl<P: MutexProtocol> Lane<P> {
     /// Where the lane's next event falls in the window's `(time, seq)`
     /// order: by time, then by place in the window. `None` once the lane
-    /// is done or stopped.
+    /// is done.
     fn next(&self) -> Option<(SimTime, u32)> {
-        match self.events.last() {
-            Some(&(i, ref e)) if !self.out.inside => Some((e.at, i)),
-            _ => None,
-        }
+        self.events.last().map(|&(i, ref e)| (e.at, i))
     }
 
     /// Runs the lane's next event; `down` is the node's crash schedule.
-    fn step(&mut self, down: &[(SimTime, SimTime)], end: SimTime) {
+    fn step(&mut self, down: &[(SimTime, SimTime)]) {
         let (_, ev) = self.events.pop().expect("stepped a finished lane");
-        self.ran += 1;
-        self.out.handle(&mut self.node, ev, down, end);
+        self.out.handle(&mut self.node, ev, down);
     }
 }
 
@@ -424,8 +405,8 @@ pub struct Engine<P: MutexProtocol, W: Workload> {
     crash_aborted: Vec<bool>,
     events: u64,
     trace: Trace,
-    /// The lookahead `L` in ticks: `min(delay lower bound, Tc)`, lowered
-    /// to the shortest timer delay any handler has armed so far.
+    /// The lookahead `L` in ticks: the least of the delay lower bound,
+    /// `Tc` and every node's [`MutexProtocol::min_timer_delay`].
     lookahead: u64,
     /// Time of the last event processed: the report's end time.
     clock: SimTime,
@@ -435,10 +416,8 @@ pub struct Engine<P: MutexProtocol, W: Workload> {
     window: Vec<Event<&'static str>>,
     /// The intents of a handler an inline window runs, applied at once.
     scratch: Intents<P::Message>,
-    /// End of the window: a timer armed for before it fires inside it.
+    /// End of the window: nothing its events produce lands before it.
     end: SimTime,
-    /// In-window timers of the split window, in arming order.
-    due: Vec<(SimTime, NodeId, u64)>,
     /// The window's lanes, each home (`Some`) but while the scheduler
     /// holds them, and the index of each node's (or `NO_LANE`).
     lanes: Vec<Option<Lane<P>>>,
@@ -471,7 +450,13 @@ impl<P: MutexProtocol + Send, W: Workload> Engine<P, W> {
                     rng,
                 })
             })
-            .collect();
+            .collect::<Vec<_>>();
+        let shortest_timer = nodes
+            .iter()
+            .filter_map(|n| n.as_ref()?.proto.min_timer_delay())
+            .map(SimDuration::ticks)
+            .min()
+            .unwrap_or(u64::MAX);
         // Size the calendar queue's O(1) window to the common scheduling
         // distances: message delays (≤ Tn_max) and CS exits (Tc). Timers
         // and far-future arrivals overflow to the heap, which is correct,
@@ -521,12 +506,15 @@ impl<P: MutexProtocol + Send, W: Workload> Engine<P, W> {
             workload,
             sink: ArrivalSink::new(),
             events: 0,
-            lookahead: cfg.delay.min_ticks().min(cfg.cs_duration.ticks()),
+            lookahead: cfg
+                .delay
+                .min_ticks()
+                .min(cfg.cs_duration.ticks())
+                .min(shortest_timer),
             clock: SimTime::ZERO,
             window: Vec::new(),
             scratch: Intents::default(),
             end: SimTime::ZERO,
-            due: Vec::new(),
             lanes: Vec::new(),
             lane_of: vec![NO_LANE; cfg.n],
             spare: Vec::new(),
@@ -618,9 +606,7 @@ impl<P: MutexProtocol + Send, W: Workload> Engine<P, W> {
                 let split = (slot.is_some_and(|k| self.heavy(k))
                     && helper.up(self.split_ns == 0, &self.crash_sched))
                 .then_some(&shared);
-                if !self.run_window(slot, split, remaining) {
-                    break true;
-                }
+                self.run_window(slot, split, remaining);
             };
             helper.finish();
             (truncated, windows)
@@ -644,9 +630,8 @@ impl<P: MutexProtocol + Send, W: Workload> Engine<P, W> {
     fn pop_in_window(&mut self, taken: u64, remaining: u64) -> Option<Event<P::Message>> {
         if taken == 0 {
             let first = self.queue.pop()?;
-            // A barrier runs alone, and arms no timer inside its window:
-            // what it schedules, the workload's arrivals included, may fire
-            // at once.
+            // A barrier runs alone: what it schedules, the workload's
+            // arrivals included, may fire at once.
             self.end = if is_barrier(&first.kind) {
                 first.at
             } else {
@@ -668,31 +653,24 @@ impl<P: MutexProtocol + Send, W: Workload> Engine<P, W> {
         ev
     }
 
-    /// Runs the next window: `split`, its lanes run from that scheduler
-    /// on both threads and then committed; otherwise inline, each event
-    /// popped and applied in turn exactly as a one-event-at-a-time loop
-    /// would (its in-window timers join the queue and pop in order). The
-    /// window holds at most `remaining` queued events. False if the run hit
-    /// `max_events` inside the window.
-    fn run_window(
-        &mut self,
-        slot: Option<usize>,
-        split: Option<&Shared<P>>,
-        remaining: u64,
-    ) -> bool {
+    /// Runs the next window, which holds at most `remaining` events:
+    /// `split`, its lanes run from that scheduler on both threads and then
+    /// committed; otherwise inline, each event popped and applied in turn
+    /// exactly as a one-event-at-a-time loop would.
+    fn run_window(&mut self, slot: Option<usize>, split: Option<&Shared<P>>, remaining: u64) {
         let mut taken = 0;
-        let (whole, ns) = if let Some(shared) = split {
+        let ns = if let Some(shared) = split {
             while let Some(ev) = self.pop_in_window(taken, remaining) {
                 self.take(ev);
                 taken += 1;
             }
             let ns = self.run_lanes(shared);
-            let whole = {
+            {
                 let _p = profile::probe(ProbePhase::Commit);
-                self.commit()
-            };
+                self.commit();
+            }
             self.close_window();
-            (whole, ns)
+            ns
         } else {
             let mut t0 = None;
             while let Some(ev) = self.pop_in_window(taken, remaining) {
@@ -706,13 +684,11 @@ impl<P: MutexProtocol + Send, W: Workload> Engine<P, W> {
                 self.count(ev.at);
                 self.fire(ev.at, carried(ev.kind));
             }
-            let ns = t0.map_or(0, |t| t.elapsed().as_nanos() as u64 * taken / (taken - 1));
-            (true, ns)
+            t0.map_or(0, |t| t.elapsed().as_nanos() as u64 * taken / (taken - 1))
         };
         if let (Some(slot), 2..) = (slot, taken) {
             self.costs[slot].measured(ns, taken);
         }
-        whole
     }
 
     /// Takes an event of a split window: its label to `window`, the event
@@ -738,8 +714,6 @@ impl<P: MutexProtocol + Send, W: Workload> Engine<P, W> {
                 id: node,
                 node: self.nodes[i].take().expect("one lane per node"),
                 events,
-                ran: 0,
-                seen: 0,
                 out,
             }));
         }
@@ -758,7 +732,6 @@ impl<P: MutexProtocol + Send, W: Workload> Engine<P, W> {
             sched.heads.push(Reverse((head, i)));
         }
         std::mem::swap(&mut sched.lanes, &mut self.lanes);
-        sched.end = self.end;
         sched.ns = 0;
         if sched.heads.len() > 1 && sched.helper_idle {
             sched.helper_idle = false;
@@ -778,63 +751,30 @@ impl<P: MutexProtocol + Send, W: Workload> Engine<P, W> {
         sched.ns
     }
 
-    /// Applies the window's events in `(time, seq)` order: a queued event
-    /// precedes an in-window timer of its own tick (the timer was scheduled
-    /// later), and such timers fire in arming order. An event its lane ran
-    /// is replayed; one it did not (the lane stopped) runs here. False if
-    /// the run hit `max_events` inside the window.
-    fn commit(&mut self) -> bool {
-        let mut next = 0;
-        loop {
-            // The earliest in-window timer, the first armed on ties.
-            let timer = self
-                .due
-                .iter()
-                .map(|d| d.0)
-                .enumerate()
-                .min_by_key(|&(_, at)| at);
-            let ev = match (self.window.get(next), timer) {
-                (Some(e), Some((i, at))) if at < e.at => self.take_due(i),
-                (Some(e), _) => {
-                    next += 1;
-                    let lane = home(&mut self.lanes, self.lane_of[e.kind.node().index()]);
-                    lane.seen += 1;
-                    let kind = if lane.seen > lane.ran {
-                        let (_, ev) = lane
-                            .events
-                            .pop()
-                            .expect("the lane kept what it did not run");
-                        carried(ev.kind)
-                    } else {
-                        e.kind.map_msg(|&kind| Carried::Ran(kind))
-                    };
-                    Event { at: e.at, kind }
-                }
-                (None, Some((i, _))) => self.take_due(i),
-                (None, None) => break,
-            };
-            if !self.count(ev.at) {
-                debug_assert!(
-                    self.lanes.iter().flatten().all(|l| l.seen >= l.ran),
-                    "a lane ran an event past the max_events cut"
-                );
-                return false;
-            }
-            self.fire(ev.at, ev.kind);
+    /// Applies the window's events in `(time, seq)` order, each replaying
+    /// the handler call its lane ran.
+    fn commit(&mut self) {
+        let window = std::mem::take(&mut self.window);
+        for e in &window {
+            self.count(e.at);
+            self.fire(e.at, e.kind.map_msg(|&kind| Carried::Ran(kind)));
         }
+        self.window = window;
+        debug_assert!(
+            self.events <= self.cfg.max_events,
+            "a window ran past max_events"
+        );
         debug_assert!(
             self.lanes.iter().flatten().all(|l| l.out.calls.is_empty()),
             "a lane ran a handler the commit did not replay"
         );
-        true
     }
 
-    /// Counts an event about to run at `at`; false if it is the one past
-    /// `max_events` (counted, as the cut event always was, but not run).
-    fn count(&mut self, at: SimTime) -> bool {
+    /// Counts an event about to run at `at` — or, past `max_events`, the
+    /// one the run stops at (counted, as the cut event always was).
+    fn count(&mut self, at: SimTime) {
         self.events += 1;
         self.clock = at;
-        self.events <= self.cfg.max_events
     }
 
     /// Applies one event: the bookkeeping around its handler, and the
@@ -850,14 +790,6 @@ impl<P: MutexProtocol + Send, W: Workload> Engine<P, W> {
         }
     }
 
-    fn take_due<M>(&mut self, i: usize) -> Event<M> {
-        let (at, node, tag) = self.due.remove(i);
-        Event {
-            at,
-            kind: EventKind::Timer { node, tag },
-        }
-    }
-
     /// Returns every lane's node home and keeps its buffers.
     fn close_window(&mut self) {
         for lane in self.lanes.drain(..) {
@@ -870,7 +802,6 @@ impl<P: MutexProtocol + Send, W: Workload> Engine<P, W> {
             self.spare.push((lane.events, lane.out));
         }
         self.window.clear();
-        self.due.clear();
     }
 
     fn flush_arrivals(&mut self) {
@@ -1031,22 +962,11 @@ impl<P: MutexProtocol + Send, W: Workload> Engine<P, W> {
                 let state = self.nodes[node.index()]
                     .as_mut()
                     .expect("a node without a lane is home");
-                // `end = now`: an inline window's timers all join the queue.
-                self.scratch.record(state, node, now, now, f);
+                self.scratch.record(state, node, now, f);
                 self.scratch.ready();
                 &mut self.scratch
             }
-            _ => {
-                let Lane {
-                    node: state, out, ..
-                } = home(&mut self.lanes, lane);
-                if out.calls.is_empty() {
-                    // The lane stopped before this call: it runs here.
-                    out.record(state, node, now, self.end, f);
-                    out.ready();
-                }
-                out
-            }
+            _ => &mut home(&mut self.lanes, lane).out,
         };
         let call = out
             .calls
@@ -1055,16 +975,15 @@ impl<P: MutexProtocol + Send, W: Workload> Engine<P, W> {
         debug_assert_eq!(call.at, now, "{node:?} replays a call out of order");
         for _ in 0..call.timers {
             let (delay, tag) = out.timers.pop().expect("recorded timer");
-            // Later windows end before a timer this short can fire in
-            // them, so their lanes never stop for one.
-            self.lookahead = self.lookahead.min(delay.ticks());
-            let at = now + delay;
-            if lane != NO_LANE && at < self.end {
-                // It fires inside this split window; the commit runs it.
-                self.due.push((at, node, tag));
-            } else {
-                self.queue.schedule(at, EventKind::Timer { node, tag });
-            }
+            // Inline or split alike: a shorter timer could fire inside the
+            // window that armed it, before events a lane already ran.
+            assert!(
+                delay.ticks() >= self.lookahead,
+                "{node:?} armed a {}-tick timer, shorter than its min_timer_delay",
+                delay.ticks()
+            );
+            self.queue
+                .schedule(now + delay, EventKind::Timer { node, tag });
         }
         for _ in 0..call.sends {
             let (to, msg) = out.outbox.pop().expect("recorded message");
@@ -1263,7 +1182,6 @@ struct Sched<P: MutexProtocol> {
     /// The next event of every lane that is in and not done, keyed by its
     /// place in the window's `(time, seq)` order.
     heads: BinaryHeap<Reverse<((SimTime, u32), usize)>>,
-    end: SimTime,
     /// Events running with the lock released.
     running: u32,
     /// Handler time the window has measured so far.
@@ -1284,7 +1202,6 @@ impl<P: MutexProtocol> Shared<P> {
             sched: Mutex::new(Sched {
                 lanes: Vec::new(),
                 heads: BinaryHeap::new(),
-                end: SimTime::ZERO,
                 running: 0,
                 ns: 0,
                 panic: None,
@@ -1326,12 +1243,11 @@ impl<P: MutexProtocol> Shared<P> {
     ) -> MutexGuard<'a, Sched<P>> {
         while let Some(Reverse((_, i))) = sched.heads.pop() {
             let mut lane = sched.lanes[i].take().expect("a lane with a head is in");
-            let end = sched.end;
             sched.running += 1;
             drop(sched);
             let t0 = Instant::now();
             let ran = panic::catch_unwind(AssertUnwindSafe(|| {
-                lane.step(&crash_sched[lane.id.index()], end)
+                lane.step(&crash_sched[lane.id.index()])
             }));
             let ns = t0.elapsed().as_nanos() as u64;
             sched = self.lock();
@@ -1781,22 +1697,75 @@ mod tests {
         )
     }
 
+    /// Arms an `armed`-tick timer at every request and declares `declared`
+    /// as its shortest; never enters the CS.
+    struct Timed {
+        declared: Option<u64>,
+        armed: u64,
+    }
+
+    impl MutexProtocol for Timed {
+        type Message = CMsg;
+
+        fn name(&self) -> &'static str {
+            "timed-test"
+        }
+
+        fn on_request(&mut self, ctx: &mut Ctx<'_, CMsg>) {
+            ctx.set_timer(SimDuration::from_ticks(self.armed), 0);
+        }
+
+        fn on_message(&mut self, _from: NodeId, _msg: CMsg, _ctx: &mut Ctx<'_, CMsg>) {}
+
+        fn on_cs_released(&mut self, _ctx: &mut Ctx<'_, CMsg>) {}
+
+        fn min_timer_delay(&self) -> Option<SimDuration> {
+            self.declared.map(SimDuration::from_ticks)
+        }
+    }
+
     #[test]
     fn lookahead_is_the_delay_bound_capped_by_tc() {
-        let lookahead = |delay: DelayModel, tc: u64| {
+        let lookahead = |delay: DelayModel, tc: u64, declared: Option<u64>| {
             let mut cfg = SimConfig::paper(3, 1);
             cfg.delay = delay;
             cfg.cs_duration = SimDuration::from_ticks(tc);
-            Engine::new(cfg, BurstOnce, |id, _| Central::new(id)).lookahead
+            Engine::new(cfg, BurstOnce, |_, _| Timed { declared, armed: 9 }).lookahead
         };
-        assert_eq!(lookahead(DelayModel::paper_constant(), 10), 5);
-        assert_eq!(lookahead(DelayModel::paper_jittered(), 10), 1);
+        assert_eq!(lookahead(DelayModel::paper_constant(), 10, None), 5);
+        assert_eq!(lookahead(DelayModel::paper_jittered(), 10, None), 1);
         assert_eq!(
-            lookahead(DelayModel::Exponential { mean: 5.0, cap: 20 }, 10),
+            lookahead(DelayModel::Exponential { mean: 5.0, cap: 20 }, 10, None),
             0
         );
-        assert_eq!(lookahead(DelayModel::paper_constant(), 3), 3);
-        assert_eq!(lookahead(DelayModel::paper_constant(), 0), 0);
+        assert_eq!(lookahead(DelayModel::paper_constant(), 3, None), 3);
+        assert_eq!(lookahead(DelayModel::paper_constant(), 0, None), 0);
+        // A declared timer bound caps it too, and only when shorter.
+        assert_eq!(lookahead(DelayModel::paper_constant(), 10, Some(2)), 2);
+        assert_eq!(lookahead(DelayModel::paper_constant(), 10, Some(7)), 5);
+    }
+
+    /// Declares 3-tick timers, arms 1-tick ones: fails where the timer is
+    /// scheduled, whichever way the window runs.
+    fn arm_under_the_declared_bound(split_ns: u64) {
+        Engine::new(SimConfig::paper(4, 0), BurstOnce, |_, _| Timed {
+            declared: Some(3),
+            armed: 1,
+        })
+        .split_threshold(split_ns)
+        .run();
+    }
+
+    #[test]
+    #[should_panic(expected = "armed a 1-tick timer, shorter than its min_timer_delay")]
+    fn an_undeclared_short_timer_panics_split() {
+        arm_under_the_declared_bound(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "armed a 1-tick timer, shorter than its min_timer_delay")]
+    fn an_undeclared_short_timer_panics_inline() {
+        arm_under_the_declared_bound(u64::MAX);
     }
 
     #[test]

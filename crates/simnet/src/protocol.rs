@@ -166,6 +166,15 @@ pub trait MutexProtocol {
         let _ = (tag, ctx);
     }
 
+    /// The shortest delay this node ever passes to [`Ctx::set_timer`];
+    /// the default `None` means it arms no timers. The simulator's
+    /// lookahead is capped by it, so that no timer fires inside the window
+    /// that armed it, and the simulator panics at a timer armed shorter
+    /// than the lookahead, split window or not.
+    fn min_timer_delay(&self) -> Option<SimDuration> {
+        None
+    }
+
     /// The node's process restarted after a bounded crash
     /// ([`crate::FaultPlan::with_crash_restart`]). Everything delivered
     /// during the outage was dropped; any request outstanding at the crash

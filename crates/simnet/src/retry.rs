@@ -100,6 +100,12 @@ impl RetryPolicy {
         Some(SimDuration::from_ticks(ticks))
     }
 
+    /// The shortest delay [`Self::backoff_delay`] ever returns: the first
+    /// attempt's, unjittered, capped.
+    pub fn min_delay(&self) -> SimDuration {
+        SimDuration::from_ticks(self.deadline.min(self.max_deadline))
+    }
+
     /// Whether this policy ever gives up (has a finite budget).
     pub fn is_bounded(&self) -> bool {
         self.budget.is_some()
@@ -185,6 +191,37 @@ mod tests {
             schedule(43),
             "different seeds must actually jitter differently"
         );
+    }
+
+    #[test]
+    fn min_delay_bounds_every_attempt() {
+        let policies = [
+            RetryPolicy::fixed(3),
+            RetryPolicy::backoff(2, 40),
+            RetryPolicy::backoff(5, 5).with_jitter(4),
+            RetryPolicy::backoff(1, 64).with_budget(6),
+            // A struct literal may set the cap below the first deadline.
+            RetryPolicy {
+                deadline: 9,
+                max_deadline: 4,
+                jitter: 2,
+                budget: None,
+            },
+        ];
+        for p in policies {
+            let mut r = rng(5);
+            for attempt in 0..70 {
+                if let Some(d) = p.backoff_delay(attempt, &mut r) {
+                    assert!(p.min_delay() <= d, "{p:?} attempt {attempt}: {d:?}");
+                }
+            }
+        }
+        assert_eq!(RetryPolicy::fixed(3).min_delay().ticks(), 3);
+        let capped = RetryPolicy {
+            max_deadline: 4,
+            ..RetryPolicy::fixed(9)
+        };
+        assert_eq!(capped.min_delay().ticks(), 4);
     }
 
     #[test]

@@ -13,9 +13,9 @@
 //!   crash window, or loss with retransmission, run once with every
 //!   multi-node window split onto the helper thread and once inline, gives
 //!   the same report and the same final node states;
-//! * a `max_events` cut inside a window, also among timers that fire in
-//!   the window that armed them, which must stop where the inline loop
-//!   stops, node states included;
+//! * a `max_events` cut inside a window, also with 1-tick retry timers
+//!   (declared, so the lookahead shrinks to one tick), which must stop
+//!   where the inline loop stops, node states included;
 //! * whole per-layer profile counts when the helper ran handlers;
 //! * panics that reach the caller instead of hanging the run: a handler's
 //!   on the helper thread, and the commit's own on the caller.
@@ -158,10 +158,11 @@ fn a_cut_inside_a_window_stops_where_the_inline_loop_stops() {
     assert_eq!(rcv_digest(&split_nodes), rcv_digest(&inline_nodes));
 }
 
-/// RCV retransmitting on a 1-tick deadline arms timers that fire inside
-/// the 5-tick window that armed them. Wherever `max_events` cuts such a
-/// run, the split run must stop where the inline loop stops, with the
-/// same node states: no lane may have run an event past the cut.
+/// RCV retransmitting on a 1-tick deadline declares it, so the lookahead
+/// drops from 5 ticks to 1 and no timer fires inside the window that
+/// armed it. Wherever `max_events` cuts such a run, the split run must
+/// stop where the inline loop stops, with the same node states: no lane
+/// may have run an event past the cut.
 #[test]
 fn a_cut_among_in_window_timers_stops_where_the_inline_loop_stops() {
     for seed in 0..2 {
@@ -330,8 +331,8 @@ enum Regime {
     Clean,
     /// A crash window on one node, early in the run.
     CrashWindow,
-    /// Every `k`-th message lost; RCV retransmits on a short deadline, so
-    /// its timers fire inside windows.
+    /// Every `k`-th message lost; RCV retransmits on a short declared
+    /// deadline, which shrinks the lookahead below the delay bound.
     LossRetry,
 }
 
