@@ -23,7 +23,8 @@
 //!   milliseconds after start; the run then *must* report that node as
 //!   crashed (proves the hub returns crash verdicts instead of hanging).
 //! * `--json PATH` — also write per-run rows as a JSON report (verdict,
-//!   counters, and the hub's `HubStats`: wakeups, frames routed, bytes).
+//!   counters, and the hub's `HubStats`: wakeups, frames routed, bytes,
+//!   how late deliveries left past their due time).
 //!
 //! Exit codes: 0 every run clean (or the armed kill drill verdicted as
 //! expected), 1 a run failed, 2 usage/setup error.
@@ -182,7 +183,8 @@ fn run() -> Result<ExitCode, String> {
                  \"expected\": {}, \"messages\": {}, \"violations\": {}, \"anomalies\": {}, \
                  \"crashed\": [{}], \"wire_faults\": {}, \"hub\": {{\"wakeups_readable\": {}, \
                  \"wakeups_timer\": {}, \"frames_routed\": {}, \"bytes_in\": {}, \
-                 \"bytes_out\": {}, \"max_outbuf\": {}}}, \"millis\": {}}}",
+                 \"bytes_out\": {}, \"max_outbuf\": {}, \"late_count\": {}, \
+                 \"late_mean_us\": {:.1}, \"late_max_us\": {:.1}}}, \"millis\": {}}}",
                 json_str(r.algo),
                 json_str(r.tag),
                 json_str(&r.verdict),
@@ -199,6 +201,9 @@ fn run() -> Result<ExitCode, String> {
                 hub.bytes_in,
                 hub.bytes_out,
                 hub.max_outbuf,
+                hub.late.count,
+                hub.late.mean().as_secs_f64() * 1e6,
+                hub.late.max.as_secs_f64() * 1e6,
                 r.millis,
             );
             s.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });

@@ -38,7 +38,8 @@ use crate::node::{NodeDriver, NodeParams};
 use crate::spec::{ticks, Spec};
 use crate::transport::chan::{ChanTransport, Packet, Submitted};
 use crate::transport::frame::WorkerReport;
-use crate::transport::netq::FaultQueue;
+use crate::transport::netq::{FaultQueue, Lateness};
+use crate::transport::readiness::ExactTimers;
 use crate::watchdog::StatusCell;
 
 /// Per-message network impairment.
@@ -187,6 +188,10 @@ pub struct ClusterReport {
     /// Node restarts performed (one per served crash window in the
     /// plan's [`FaultPlan::restarts`]).
     pub restarts: u64,
+    /// How late the hub handed each delivery to its receiver, past the
+    /// due time the injected delay set. Counts every delivery the hub
+    /// made; crash-window black-holes are not deliveries.
+    pub late: Lateness,
     /// True if the run hit the timeout before all rounds completed.
     pub timed_out: bool,
 }
@@ -199,7 +204,7 @@ impl ClusterReport {
 
     /// Folds a finished run into its report: the nodes' own counters, the
     /// safety monitor's `(entries, violations)`, the delay queue's fault
-    /// counters and whether the deadline cut the run short.
+    /// and lateness counters and whether the deadline cut the run short.
     pub(crate) fn fold<'a, T>(
         nodes: impl Iterator<Item = &'a WorkerReport>,
         (cs_entries, violations): (u64, u64),
@@ -215,6 +220,7 @@ impl ClusterReport {
             // inbox drain at the crash instant adds the already-delivered
             // ones.
             crash_dropped: q.crash_dropped,
+            late: q.late,
             timed_out,
             ..ClusterReport::default()
         };
@@ -291,7 +297,10 @@ where
     drop(net_tx);
 
     // Serve: deliver what is due, then wait on the one inbound channel
-    // until the next delivery falls due or the deadline passes.
+    // until the next delivery falls due or the deadline passes. Only this
+    // thread's waits end on injected delays, so only it runs with exact
+    // timers; the node threads, spawned above, keep the default slack.
+    let exact = ExactTimers::new();
     let status = StatusCell::register("rcv-net");
     let mut q: FaultQueue<P::Message> = FaultQueue::new(&spec.faults, start, spec.tick);
     let deadline = Instant::now() + spec.timeout;
@@ -341,6 +350,7 @@ where
             Err(RecvTimeoutError::Disconnected) => break false,
         }
     };
+    drop(exact);
 
     // Tear down. Node panics (protocol bugs, codec failures) must surface,
     // not be swallowed into a mystery timeout.
@@ -431,6 +441,25 @@ mod tests {
             elapsed >= timeout && elapsed < Duration::from_secs(10),
             "{elapsed:?}"
         );
+    }
+
+    /// Every delivery is measured for lateness. Ricart–Agrawala's last
+    /// exit sends nothing, so in a clean run every message is delivered
+    /// before the last `Done`; the hub's previous timer slack is back once
+    /// it returns.
+    #[test]
+    fn a_clean_run_measures_the_lateness_of_every_delivery() {
+        let slack = crate::transport::readiness::timer_slack_ns();
+        let (r, _) =
+            run_cluster_collecting(ClusterSpec::quick(3, 5).rounds(2), RicartAgrawala::new);
+        assert_eq!(crate::transport::readiness::timer_slack_ns(), slack);
+        assert!(r.is_clean(6), "{r:?}");
+        assert_eq!(
+            r.late.count,
+            r.messages - r.lost + r.duplicated - r.crash_dropped,
+            "{r:?}"
+        );
+        assert!(r.late.count > 0 && r.late.max >= r.late.mean(), "{r:?}");
     }
 
     #[test]

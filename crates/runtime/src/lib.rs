@@ -38,8 +38,9 @@
 //! The [`watchdog`] module guards threaded tests with a hard wall-clock
 //! deadline plus a thread dump, so a deadlocked cluster fails loudly.
 
-// `deny`, not `forbid`: `transport::readiness` (the hub's one `ppoll`
-// call) carries the crate's single `#[allow(unsafe_code)]`.
+// `deny`, not `forbid`: `transport::readiness`, the one FFI module (two
+// calls: `ppoll` and the hubs' `prctl` timer-slack guard), carries the
+// crate's single `#[allow(unsafe_code)]`.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -56,5 +57,6 @@ pub mod wire;
 
 pub use cluster::{run_cluster_collecting, serves, ClusterReport, ClusterSpec, NetDelay, WireHook};
 pub use spec::{RunSpec, Spec};
+pub use transport::netq::Lateness;
 pub use transport::{RecvOutcome, SocketNet, Transport, TransportClosed};
 pub use watchdog::run_with_watchdog;

@@ -17,7 +17,8 @@
 //!    `ppoll(2)` readiness wait (`transport::readiness`) on every live
 //!    socket — readable always, writable only while that worker has
 //!    queued output — with a timeout of whichever comes first: the next
-//!    queued delivery falling due, the kill drill, the watchdog deadline.
+//!    queued delivery falling due, the kill drill, the watchdog deadline;
+//!    the loop runs at 1 ns timer slack, so those timeouts end on time.
 //!    It then reads only the sockets reported ready and flushes only the
 //!    slots with queued output, so an idle cluster costs no CPU and a
 //!    `Send` is read the moment it arrives. `Send` frames are routed
@@ -59,7 +60,8 @@ use crate::transport::frame::{
     encode_frame, encode_frame_into, validate_hello, CtrlFrame, FrameBuf, WorkerConfig,
     WorkerReport, MAX_FRAME,
 };
-use crate::transport::readiness::{self, PollFd};
+use crate::transport::netq::Lateness;
+use crate::transport::readiness::{self, ExactTimers, PollFd};
 use crate::transport::socket::{is_timeout, SocketStream};
 use crate::transport::{SocketNet, SocketTransport};
 use crate::watchdog::StatusCell;
@@ -123,11 +125,11 @@ pub struct ProcessReport {
     pub hub: HubStats,
 }
 
-/// Counters of the hub's serve loop: how often it woke and why, and how
-/// much it moved. Plain counts kept on the hub thread (no clock reads);
-/// `wakeups_readable + wakeups_timer` is the number of passes the loop
-/// made, which for an event-driven hub is bounded by the traffic, not by
-/// the run's length.
+/// Counters of the hub's serve loop: how often it woke and why, how much
+/// it moved and how late. Plain counts kept on the hub thread (no clock
+/// reads of their own); `wakeups_readable + wakeups_timer` is the number
+/// of passes the loop made, which for an event-driven hub is bounded by
+/// the traffic, not by the run's length.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct HubStats {
     /// Readiness waits that ended because a socket became ready (almost
@@ -144,6 +146,10 @@ pub struct HubStats {
     pub bytes_out: u64,
     /// Most bytes ever queued toward one worker (at most [`OUTBUF_CAP`]).
     pub max_outbuf: u64,
+    /// How late the loop routed deliveries past their due time (the same
+    /// counter as [`ClusterReport::late`], kept here with the loop's other
+    /// counters).
+    pub late: Lateness,
 }
 
 /// Most bytes the hub queues toward one worker. A worker that lets this
@@ -543,6 +549,9 @@ pub fn run_process_cluster(
     // that is due, then blocks until a socket is ready or the next piece
     // of timed work (delivery, kill drill, watchdog) comes up. ---
     status.set("serving");
+    // The serve loop's waits end on injected delays: run them with exact
+    // timers. The workers are spawned already and keep the default slack.
+    let exact = ExactTimers::new();
     let t0 = Instant::now();
     let deadline = t0 + spec.timeout;
     let mut q: FaultQueueBytes =
@@ -669,6 +678,8 @@ pub fn run_process_cluster(
             slot.process_frames(i, n, &mut q, &mut faults);
         }
     }
+    drop(exact);
+    hub.late = q.late;
     for (i, slot) in slots.iter().enumerate() {
         hub.bytes_in += slot.bytes_in;
         hub.bytes_out += slot.bytes_out;
@@ -796,19 +807,27 @@ mod tests {
     /// process tier except `fork`/`exec` itself. `addr_prefix` is what
     /// the hub's advertised address must start with.
     fn run_with_thread_workers(spec: &ProcessSpec, addr_prefix: &str) -> ProcessReport {
+        run_with(spec, addr_prefix, Lamport::new)
+    }
+
+    /// [`run_with_thread_workers`] for any protocol; `spec`'s tag names it.
+    fn run_with<P>(
+        spec: &ProcessSpec,
+        addr_prefix: &str,
+        make: fn(NodeId, usize) -> P,
+    ) -> ProcessReport
+    where
+        P: MutexProtocol + 'static,
+        P::Message: WireCodec + Send,
+    {
         let mut workers = Vec::new();
         let report = run_process_cluster(spec, |addr| {
             assert!(addr.starts_with(addr_prefix), "{addr}");
             for i in 0..spec.n as u32 {
                 let addr = addr.to_string();
+                let tag = spec.ext.protocol.clone();
                 workers.push(std::thread::spawn(move || {
-                    run_worker(
-                        &addr,
-                        i,
-                        "lamport",
-                        |me, n, _cfg| Lamport::new(me, n),
-                        |_, _| 0,
-                    )
+                    run_worker(&addr, i, &tag, |me, n, _cfg| make(me, n), |_, _| 0)
                 }));
             }
             Ok(Vec::new())
@@ -833,6 +852,28 @@ mod tests {
         let hub = report.hub;
         assert!(hub.frames_routed > 0 && hub.frames_routed <= report.report.messages);
         assert!(hub.bytes_in > 0 && hub.bytes_out > 0 && hub.max_outbuf > 0);
+    }
+
+    /// Every delivery the hub routes is measured for lateness, and none
+    /// it black-holes. Ricart–Agrawala's last exit sends nothing, so in a
+    /// clean run every message is delivered before the last `Done`.
+    #[test]
+    fn the_hub_measures_the_lateness_of_every_delivery() {
+        let spec = ProcessSpec::quick(3, 9, "ricart")
+            .rounds(2)
+            .timeout(Duration::from_secs(20));
+        let slack = readiness::timer_slack_ns();
+        let pr = run_with(&spec, "uds:", rcv_baselines::RicartAgrawala::new);
+        assert_eq!(readiness::timer_slack_ns(), slack, "hub slack restored");
+        let r = &pr.report;
+        assert!(pr.is_clean(6), "{pr:?}");
+        assert_eq!(
+            r.late.count,
+            r.messages - r.lost + r.duplicated - r.crash_dropped,
+            "{r:?}"
+        );
+        assert_eq!((pr.hub.late, pr.hub.frames_routed), (r.late, r.late.count));
+        assert!(r.late.max >= r.late.mean(), "{r:?}");
     }
 
     /// A mostly idle cluster (50 ms of thinking per round) must cost the

@@ -41,6 +41,34 @@ impl<T> Ord for Pending<T> {
     }
 }
 
+/// How late a fabric handed deliveries over: `now − due` at the moment
+/// its hub popped each one, over every delivery it popped (crash-window
+/// black-holes are not deliveries). The hub's own wake-up precision, in
+/// the same units as the delays it injects.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Lateness {
+    /// Deliveries measured.
+    pub count: u64,
+    /// Their lateness, summed.
+    pub total: Duration,
+    /// The latest one.
+    pub max: Duration,
+}
+
+impl Lateness {
+    /// Mean lateness per delivery (zero when none was measured).
+    pub fn mean(&self) -> Duration {
+        let nanos = self.total.as_nanos() / u128::from(self.count.max(1));
+        Duration::from_nanos(u64::try_from(nanos).unwrap_or(u64::MAX))
+    }
+
+    fn record(&mut self, late: Duration) {
+        self.count += 1;
+        self.total += late;
+        self.max = self.max.max(late);
+    }
+}
+
 /// Delay heap + fault-plan application, fabric-agnostic.
 pub(crate) struct FaultQueue<T> {
     heap: BinaryHeap<Reverse<Pending<T>>>,
@@ -58,6 +86,8 @@ pub(crate) struct FaultQueue<T> {
     pub(crate) duplicated: u64,
     /// Deliveries black-holed by a crash window.
     pub(crate) crash_dropped: u64,
+    /// How late [`FaultQueue::pop_due`] returned what it returned.
+    pub(crate) late: Lateness,
 }
 
 impl<T: Clone> FaultQueue<T> {
@@ -74,6 +104,7 @@ impl<T: Clone> FaultQueue<T> {
             lost: 0,
             duplicated: 0,
             crash_dropped: 0,
+            late: Lateness::default(),
         }
     }
 
@@ -114,8 +145,8 @@ impl<T: Clone> FaultQueue<T> {
     }
 
     /// Pops the next due delivery, black-holing any whose receiver is
-    /// crashed at the tick it falls due. `None` when nothing is due at
-    /// `now`.
+    /// crashed at the tick it falls due, and records how far past its due
+    /// time `now` is. `None` when nothing is due at `now`.
     pub(crate) fn pop_due(&mut self, now: Instant) -> Option<(usize, usize, T)> {
         while self.heap.peek().is_some_and(|Reverse(p)| p.due <= now) {
             let Reverse(p) = self.heap.pop().expect("peeked");
@@ -128,6 +159,7 @@ impl<T: Clone> FaultQueue<T> {
                     continue;
                 }
             }
+            self.late.record(now - p.due);
             return Some((p.from, p.to, p.payload));
         }
         None
@@ -225,5 +257,37 @@ mod tests {
         assert_eq!(got, vec![2], "only the unstretched message is due");
         assert!(q.next_due().is_some());
         assert_eq!(q.in_flight(), 1);
+    }
+
+    #[test]
+    fn pop_due_records_how_late_each_delivery_left() {
+        let plan = FaultPlan::crash_restart(
+            NodeId::new(1),
+            SimTime::from_ticks(0),
+            SimTime::from_ticks(60_000),
+        );
+        let start = Instant::now();
+        let mut q: FaultQueue<&'static str> = FaultQueue::new(&plan, start, MS);
+        let us = Duration::from_micros;
+        q.schedule(start + us(100), 0, 2, "a");
+        q.schedule(start + us(105), 0, 2, "b");
+        q.schedule(start + us(100), 0, 1, "to-dead");
+        assert_eq!(q.pop_due(start + us(107)).map(|d| d.2), Some("a"));
+        assert_eq!(q.late.count, 1);
+        assert_eq!((q.late.total, q.late.max), (us(7), us(7)));
+        // The black-holed delivery is skipped, not measured.
+        assert_eq!(q.pop_due(start + us(107)).map(|d| d.2), Some("b"));
+        assert_eq!(q.crash_dropped, 1);
+        assert_eq!(q.pop_due(start + us(107)), None);
+        assert_eq!(
+            q.late,
+            Lateness {
+                count: 2,
+                total: us(9),
+                max: us(7),
+            }
+        );
+        assert_eq!(q.late.mean(), Duration::from_nanos(4_500));
+        assert_eq!(Lateness::default().mean(), Duration::ZERO);
     }
 }

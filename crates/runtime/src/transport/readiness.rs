@@ -1,17 +1,27 @@
-//! Socket readiness, the one way this crate waits on a socket: one
+//! The crate's one FFI module, two foreign calls: socket readiness and
+//! timer precision.
+//!
+//! **Readiness** is the one way this crate waits on a socket: one
 //! `ppoll(2)` call over a set of descriptors with a sub-millisecond
 //! timeout. The hub waits on all its workers' sockets, a worker on its one.
-//!
 //! std has no readiness API, and `poll`/`epoll_wait` take their timeout in
 //! whole milliseconds — they would round the 20–200 µs delays the hub
 //! injects up to 1 ms; a socket read timeout is rounded up to the scheduler
 //! tick (4 ms at `CONFIG_HZ=250`) and treats zero as "forever". `ppoll`
 //! takes a `timespec` on the high-resolution clock, so the hub can sleep
 //! exactly until the next queued delivery is due, a node exactly until its
-//! next request or timer, and a zero timeout is a poll. This is the only
-//! module of `rcv-runtime` allowed to contain `unsafe`: the one foreign
-//! call.
+//! next request or timer, and a zero timeout is a poll.
+//!
+//! **Timer precision**: a timed wait on Linux may end up to the thread's
+//! timer slack after its deadline (50 µs by default), so the kernel can
+//! batch wake-ups. The hubs' deadlines *are* the injected delays, so each
+//! hub holds an [`ExactTimers`] guard (`prctl(PR_SET_TIMERSLACK)`, 1 ns)
+//! for its serve loop; node threads wait for messages, not deadlines, and
+//! keep the default.
+//!
+//! This is the only module of `rcv-runtime` allowed to contain `unsafe`.
 
+use std::marker::PhantomData;
 use std::os::raw::{c_int, c_long, c_ulong, c_void};
 use std::os::unix::io::RawFd;
 use std::time::Duration;
@@ -27,6 +37,8 @@ const POLLOUT: i16 = 0x004;
 const POLLERR: i16 = 0x008;
 const POLLHUP: i16 = 0x010;
 const POLLNVAL: i16 = 0x020;
+const PR_SET_TIMERSLACK: c_int = 29;
+const PR_GET_TIMERSLACK: c_int = 30;
 
 /// `struct pollfd`: one descriptor, what to wait for, what happened.
 #[repr(C)]
@@ -76,6 +88,7 @@ extern "C" {
         timeout: *const Timespec,
         sigmask: *const c_void,
     ) -> c_int;
+    fn prctl(option: c_int, ...) -> c_int;
 }
 
 /// Blocks until a descriptor in `fds` is ready or `timeout` elapses, and
@@ -109,6 +122,54 @@ pub(crate) fn wait(fds: &mut [PollFd], timeout: Duration) -> std::io::Result<usi
     match std::io::Error::last_os_error() {
         e if e.kind() == std::io::ErrorKind::Interrupted => Ok(0),
         e => Err(e),
+    }
+}
+
+/// The calling thread's timer slack in nanoseconds, `None` if `prctl`
+/// refuses.
+pub(crate) fn timer_slack_ns() -> Option<c_ulong> {
+    // SAFETY: `PR_GET_TIMERSLACK` takes no further argument and touches no
+    // memory of this process; it returns the slack or −1.
+    let slack = unsafe { prctl(PR_GET_TIMERSLACK) };
+    c_ulong::try_from(slack).ok()
+}
+
+/// Sets the calling thread's timer slack; `false` if `prctl` refuses.
+fn set_timer_slack_ns(ns: c_ulong) -> bool {
+    // SAFETY: `PR_SET_TIMERSLACK` reads one integer argument, passed as
+    // the `unsigned long` the kernel takes it as, and touches no memory of
+    // this process.
+    unsafe { prctl(PR_SET_TIMERSLACK, ns) == 0 }
+}
+
+/// Holds the calling thread's timer slack at 1 ns, so its timed waits end
+/// at their deadline rather than up to the default 50 µs after it; drop
+/// (also on unwind) puts the previous slack back. If `prctl` refuses, the
+/// guard does nothing.
+///
+/// Slack is per thread and inherited at spawn: take the guard *after*
+/// spawning the threads that should keep the default. The guard is not
+/// `Send`, so it is dropped on the thread whose slack it set.
+pub(crate) struct ExactTimers {
+    previous: Option<c_ulong>,
+    _this_thread: PhantomData<*const ()>,
+}
+
+impl ExactTimers {
+    /// Sets the calling thread's slack to 1 ns until the guard drops.
+    pub(crate) fn new() -> Self {
+        ExactTimers {
+            previous: timer_slack_ns().filter(|_| set_timer_slack_ns(1)),
+            _this_thread: PhantomData,
+        }
+    }
+}
+
+impl Drop for ExactTimers {
+    fn drop(&mut self) {
+        if let Some(previous) = self.previous {
+            set_timer_slack_ns(previous);
+        }
     }
 }
 
@@ -193,5 +254,27 @@ mod tests {
             "returned early: {best:?}"
         );
         assert!(best < Duration::from_millis(5), "timeout rounded: {best:?}");
+    }
+
+    #[test]
+    fn exact_timers_hold_one_nanosecond_and_restore_the_previous_slack() {
+        // A non-default starting value, so "restored" cannot be mistaken
+        // for "reset to the default".
+        let start = timer_slack_ns().expect("PR_GET_TIMERSLACK");
+        assert!(set_timer_slack_ns(77_000));
+        {
+            let _exact = ExactTimers::new();
+            assert_eq!(timer_slack_ns(), Some(1));
+        }
+        assert_eq!(timer_slack_ns(), Some(77_000));
+
+        let unwound = std::panic::catch_unwind(|| {
+            let _exact = ExactTimers::new();
+            assert_eq!(timer_slack_ns(), Some(1));
+            panic!("unwind through the guard");
+        });
+        assert!(unwound.is_err());
+        assert_eq!(timer_slack_ns(), Some(77_000), "restored on unwind");
+        assert!(set_timer_slack_ns(start));
     }
 }
