@@ -1,34 +1,38 @@
 //! The thread-per-node cluster: runs any [`MutexProtocol`] over real OS
-//! threads and crossbeam channels, with an impairment layer that injects
-//! random per-message delays (and therefore reordering — the channels stop
+//! threads sharing one delay queue, with an impairment layer that injects
+//! random per-message delays (and therefore reordering — delivery stops
 //! being FIFO, exactly the property the RCV algorithm claims not to need)
 //! and, optionally, the simulator's own `FaultPlan` — message loss,
 //! duplicated delivery, per-endpoint straggler slowdowns and crash
-//! windows — applied by the calling thread as it routes.
+//! windows — applied by the sending thread as it queues.
 //!
 //! Topology:
 //!
 //! ```text
-//! node thread 0 ─┐                        ┌─▶ node inbox 0
-//! node thread 1 ─┼─▶ calling thread ──────┼─▶ node inbox 1
-//!      ...       │   (delay heap,         └─▶ ...
-//! node thread N ─┘    loss/dup/straggler)
+//!                 ┌──────────── Switchboard (one Mutex) ────────────┐
+//! node thread 0 ──┼─ send ─▶ FaultQueue: plan, counters, lateness,  │
+//!      ...        │          one (due, seq) heap per receiver       │
+//! node thread N ◀─┼─ recv ── pops its own due deliveries ───────────┤
+//!                 │  one Condvar per node; one for the caller,      │
+//!                 │  which waits for Done × N, then shuts down      │
+//!                 └─────────────────────────────────────────────────┘
 //! ```
 //!
 //! Each node thread owns its protocol state machine, issues its workload's
 //! requests, executes the CS by *sleeping* for `cs_duration` (registering
 //! entry/exit with the one shared [`SafetyMonitor`]), and keeps serving
 //! protocol messages between and after its own requests until the whole
-//! cluster is done. The caller of [`run_cluster_collecting`] serves the delay queue
-//! itself — a run creates exactly `n` threads. Every cluster thread, the
-//! caller included, registers a [`crate::watchdog::StatusCell`], so a
-//! deadlocked run can be post-mortemed with
-//! [`crate::watchdog::thread_dump`].
+//! cluster is done. It serves its own deliveries: it sleeps until the next
+//! one is due (or its own next request, timer or crash instant), and a
+//! sender wakes it only when the new delivery is due before that. No
+//! thread routes — a run creates exactly `n` threads, and the caller of
+//! [`run_cluster_collecting`] just waits for the end. Every node thread
+//! registers a [`crate::watchdog::StatusCell`], so a deadlocked run can be
+//! post-mortemed with [`crate::watchdog::thread_dump`].
 
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, RecvTimeoutError};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use rcv_simnet::{DelayModel, FaultPlan, MutexProtocol, NodeId, SafetyMonitor, SimDuration};
@@ -36,7 +40,7 @@ use rcv_simnet::{DelayModel, FaultPlan, MutexProtocol, NodeId, SafetyMonitor, Si
 use crate::checker::{lock, tally};
 use crate::node::{NodeDriver, NodeParams};
 use crate::spec::{ticks, Spec};
-use crate::transport::chan::{ChanTransport, Packet, Submitted};
+use crate::transport::chan::Switchboard;
 use crate::transport::frame::WorkerReport;
 use crate::transport::netq::{FaultQueue, Lateness};
 use crate::transport::readiness::ExactTimers;
@@ -188,9 +192,13 @@ pub struct ClusterReport {
     /// Node restarts performed (one per served crash window in the
     /// plan's [`FaultPlan::restarts`]).
     pub restarts: u64,
-    /// How late the hub handed each delivery to its receiver, past the
-    /// due time the injected delay set. Counts every delivery the hub
-    /// made; crash-window black-holes are not deliveries.
+    /// How late each delivery was taken from the delay queue, past the
+    /// due time the injected delay set; crash-window black-holes are not
+    /// deliveries. On the socket tier the hub takes them: its wake-up
+    /// precision. On the thread tier the receiving node thread does, so
+    /// the figure also holds the time the receiver was busy (handling
+    /// another message, or in its CS) when the delivery fell due — it is
+    /// not comparable with the socket tier's.
     pub late: Lateness,
     /// True if the run hit the timeout before all rounds completed.
     pub timed_out: bool,
@@ -217,8 +225,8 @@ impl ClusterReport {
             lost: q.lost,
             duplicated: q.duplicated,
             // The queue black-holes in-window deliveries; the node-side
-            // inbox drain at the crash instant adds the already-delivered
-            // ones.
+            // drain at the crash instant adds the ones that fell due
+            // before it and were not yet handled.
             crash_dropped: q.crash_dropped,
             late: q.late,
             timed_out,
@@ -241,10 +249,12 @@ impl ClusterReport {
 /// `Engine::run_collecting`, used e.g. to read RCV's internal anomaly
 /// counters after a real-thread run.
 ///
-/// The calling thread is the fabric: it routes every message through the
-/// `FaultQueue` until each node has announced `Done`, then shuts the
-/// nodes down — the life cycle of [`crate::orchestrator`]'s hub, over
-/// channels.
+/// The node threads are the fabric: each queues what it sends in the
+/// receiver's heap of one shared `Switchboard` and serves its own
+/// deliveries. The calling thread only waits until each node has
+/// announced `Done` (or one is gone, or the deadline passes), then shuts
+/// the nodes down — the life cycle of [`crate::orchestrator`]'s hub,
+/// without the routing.
 pub fn run_cluster_collecting<P>(
     spec: ClusterSpec<P::Message>,
     mut make_node: impl FnMut(NodeId, usize) -> P,
@@ -257,20 +267,17 @@ where
     let n = spec.n;
     let monitor = Arc::new(Mutex::new(SafetyMonitor::new()));
     let start = Instant::now();
+    let net = Switchboard::new(n, &spec.faults, start, spec.tick, spec.ext.clone());
 
-    // Node threads: each runs the transport-generic driver over the
-    // channel fabric.
-    let (net_tx, net_rx) = unbounded::<Submitted<P::Message>>();
-    let mut inboxes = Vec::with_capacity(n);
+    // Node threads: each runs the transport-generic driver over its
+    // connection to the switchboard.
     let mut handles = Vec::with_capacity(n);
     for (idx, seed) in spec.node_seeds().into_iter().enumerate() {
         let me = NodeId::new(idx as u32);
-        let (tx, rx) = unbounded::<Packet<P::Message>>();
-        inboxes.push(tx);
         let driver = NodeDriver::new(
             me,
             make_node(me, n),
-            ChanTransport::new(me, net_tx.clone(), rx),
+            net.transport(me),
             Arc::clone(&monitor),
             SmallRng::seed_from_u64(seed),
             NodeParams::new(
@@ -288,76 +295,20 @@ where
             std::thread::Builder::new()
                 .name(format!("rcv-node-{idx}"))
                 .spawn(move || {
+                    // A node thread sleeps until its next delivery is due:
+                    // its waits end on injected delays, so it runs with
+                    // exact timers.
+                    let _exact = ExactTimers::new();
                     let (proto, _transport, report) = driver.run();
                     (proto, report)
                 })
                 .expect("spawn node thread"),
         );
     }
-    drop(net_tx);
+    let timed_out = net.run_until_done(Instant::now() + spec.timeout);
 
-    // Serve: deliver what is due, then wait on the one inbound channel
-    // until the next delivery falls due or the deadline passes. Only this
-    // thread's waits end on injected delays, so only it runs with exact
-    // timers; the node threads, spawned above, keep the default slack.
-    let exact = ExactTimers::new();
-    let status = StatusCell::register("rcv-net");
-    let mut q: FaultQueue<P::Message> = FaultQueue::new(&spec.faults, start, spec.tick);
-    let deadline = Instant::now() + spec.timeout;
-    let mut done = 0usize;
-    let timed_out = loop {
-        let now = Instant::now();
-        while let Some((from, to, msg)) = q.pop_due(now) {
-            let msg = match &spec.ext {
-                Some(hook) => hook(msg),
-                None => msg,
-            };
-            status.bump();
-            // A closed inbox just means that node's thread is gone.
-            let _ = inboxes[to].send(Packet::Msg {
-                from: NodeId::new(from as u32),
-                msg,
-            });
-        }
-        if done == n {
-            break false;
-        }
-        if now >= deadline {
-            break true;
-        }
-        let wake = q.next_due().map_or(deadline, |due| due.min(deadline));
-        match net_rx.recv_timeout(wake.saturating_duration_since(Instant::now())) {
-            Ok(Submitted::Msg {
-                from,
-                to,
-                msg,
-                delay,
-            }) => {
-                status.bump();
-                q.submit(from.index(), to.index(), delay, msg);
-                // Periodic status only: formatting per message would put
-                // an allocation in the cluster's single serialization
-                // point (StatusCell's own contract: transitions, not
-                // events — progress is visible through bump()).
-                if q.seen() % 1024 == 1 {
-                    status.set(format!("in-flight {} (seen {})", q.in_flight(), q.seen()));
-                }
-            }
-            Ok(Submitted::Done) => done += 1,
-            Err(RecvTimeoutError::Timeout) => {}
-            // Every node thread is gone without being told to: they
-            // panicked, and the joins below say how.
-            Err(RecvTimeoutError::Disconnected) => break false,
-        }
-    };
-    drop(exact);
-
-    // Tear down. Node panics (protocol bugs, codec failures) must surface,
-    // not be swallowed into a mystery timeout.
-    status.set("shutting down");
-    for tx in &inboxes {
-        let _ = tx.send(Packet::Shutdown);
-    }
+    // Node panics (protocol bugs, codec failures) must surface, not be
+    // swallowed into a mystery timeout.
     let mut nodes = Vec::with_capacity(n);
     let mut reports = Vec::with_capacity(n);
     for h in handles {
@@ -369,7 +320,8 @@ where
             Err(panic) => std::panic::resume_unwind(panic),
         }
     }
-    let report = ClusterReport::fold(reports.iter(), tally(&lock(&monitor)), &q, timed_out);
+    let tally = tally(&lock(&monitor));
+    let report = ClusterReport::fold(reports.iter(), tally, &net.lock().q, timed_out);
     (report, nodes)
 }
 
@@ -445,8 +397,8 @@ mod tests {
 
     /// Every delivery is measured for lateness. Ricart–Agrawala's last
     /// exit sends nothing, so in a clean run every message is delivered
-    /// before the last `Done`; the hub's previous timer slack is back once
-    /// it returns.
+    /// before the last `Done`; the caller's timer slack is left as it was
+    /// (only node threads run with exact timers).
     #[test]
     fn a_clean_run_measures_the_lateness_of_every_delivery() {
         let slack = crate::transport::readiness::timer_slack_ns();
@@ -472,5 +424,58 @@ mod tests {
         assert!(report.is_clean(0), "{report:?}");
         assert_eq!((report.messages, nodes.len()), (0, 3));
         assert!(started.elapsed() < timeout / 10, "{:?}", started.elapsed());
+    }
+
+    /// The wire hook runs once per delivery, on the receiving node thread,
+    /// which holds exact timers: with every second message doubled, it
+    /// still runs exactly as often as a delivery is measured.
+    #[test]
+    fn the_wire_hook_runs_once_per_measured_delivery() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        let calls = Arc::new(AtomicU64::new(0));
+        let inexact = Arc::new(AtomicU64::new(0));
+        let (counter, slack) = (Arc::clone(&calls), Arc::clone(&inexact));
+        let spec = ClusterSpec::quick(3, 9)
+            .rounds(3)
+            .faults(FaultPlan::duplicating(2))
+            .wire_hook(Arc::new(move |m| {
+                counter.fetch_add(1, Ordering::Relaxed);
+                if crate::transport::readiness::timer_slack_ns() != Some(1) {
+                    slack.fetch_add(1, Ordering::Relaxed);
+                }
+                m
+            }));
+        let (r, _) = run_cluster_collecting(spec, RicartAgrawala::new);
+        assert!(r.is_clean(9) && r.duplicated > 0, "{r:?}");
+        assert_eq!(calls.load(Ordering::Relaxed), r.late.count, "{r:?}");
+        assert_eq!(inexact.load(Ordering::Relaxed), 0);
+    }
+
+    /// A node thread that panics ends the run at once — the others, left
+    /// waiting for it, would otherwise hold the caller to the deadline —
+    /// and the panic comes back out of the caller.
+    #[test]
+    fn a_panicking_node_ends_the_run_and_its_panic_resurfaces() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let timeout = Duration::from_secs(60);
+        let armed = Arc::new(AtomicBool::new(true));
+        let spec = ClusterSpec::quick(3, 2)
+            .rounds(2)
+            .timeout(timeout)
+            .wire_hook(Arc::new(move |m| {
+                assert!(!armed.swap(false, Ordering::Relaxed), "tampered frame");
+                m
+            }));
+        let started = Instant::now();
+        let panic = crate::run_with_watchdog("thread-panic", Duration::from_secs(30), move || {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                run_cluster_collecting(spec, RicartAgrawala::new)
+            }))
+            .err()
+            .map(|p| p.downcast_ref::<&str>().map(|s| s.to_string()))
+        });
+        let elapsed = started.elapsed();
+        assert_eq!(panic, Some(Some("tampered frame".to_string())));
+        assert!(elapsed < timeout / 6, "{elapsed:?}");
     }
 }

@@ -4,10 +4,11 @@
 //! this crate validates them under *real* concurrency, on two tiers that
 //! drive the same node loop over the [`Transport`] trait:
 //!
-//! * **threads** ([`run_cluster_collecting`]): every node is an OS thread with a
-//!   channel inbox; the calling thread injects per-message random
-//!   delays (making channels non-FIFO, the condition the RCV paper claims
-//!   to tolerate) and the simulator's fault plan;
+//! * **threads** ([`run_cluster_collecting`]): every node is an OS thread
+//!   that queues its sends in one shared delay queue, with per-message
+//!   random delays (making delivery non-FIFO, the condition the RCV paper
+//!   claims to tolerate) and the simulator's fault plan, and serves its
+//!   own deliveries;
 //! * **processes** ([`orchestrator`]): every node is a worker process
 //!   connected to a hub over Unix-domain or TCP loopback sockets.
 //!
@@ -39,8 +40,8 @@
 //! deadline plus a thread dump, so a deadlocked cluster fails loudly.
 
 // `deny`, not `forbid`: `transport::readiness`, the one FFI module (two
-// calls: `ppoll` and the hubs' `prctl` timer-slack guard), carries the
-// crate's single `#[allow(unsafe_code)]`.
+// calls: `ppoll` and the `prctl` timer-slack guard), carries the crate's
+// single `#[allow(unsafe_code)]`.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

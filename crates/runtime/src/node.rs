@@ -6,7 +6,8 @@
 //! with node-sampled delays, one-shot timers, CS entry), executes the CS
 //! by sleeping while registered with a [`CsProbe`], and serves this
 //! node's crash window (freeze, drain, restart) — identically whether the
-//! fabric is a crossbeam channel or a socket to the orchestrator.
+//! fabric is the thread tier's shared delay queue or a socket to the
+//! orchestrator.
 
 use std::time::{Duration, Instant};
 
@@ -218,7 +219,7 @@ where
         self.crash_done = true;
         self.timers.clear();
         self.status.set("crashed (down)");
-        // Already-delivered but unprocessed packets died with the process.
+        // Deliveries already due but not yet handled died with the process.
         loop {
             match self.transport.recv(Duration::ZERO) {
                 RecvOutcome::Msg { .. } => self.out.crash_dropped += 1,

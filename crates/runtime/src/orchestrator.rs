@@ -22,8 +22,8 @@
 //!    It then reads only the sockets reported ready and flushes only the
 //!    slots with queued output, so an idle cluster costs no CPU and a
 //!    `Send` is read the moment it arrives. `Send` frames are routed
-//!    through the same `FaultQueue` (in `transport::netq`) the thread tier
-//!    serves, so loss/duplication/straggler/crash-window semantics are
+//!    through the same `FaultQueue` (in `transport::netq`) the thread
+//!    tier's node threads share, so loss/duplication/straggler/crash-window semantics are
 //!    identical across backends. Output toward a worker is bounded by
 //!    [`OUTBUF_CAP`]: a worker that stops reading is written off (and
 //!    named in `faults`, see [`OVER_CAP_FAULT`]) instead of growing the
@@ -350,7 +350,13 @@ impl Slot {
                     payload,
                 })) => {
                     if (to as usize) < n {
-                        q.submit(i, to as usize, Duration::from_micros(delay_us), payload);
+                        q.submit(
+                            i,
+                            to as usize,
+                            Duration::from_micros(delay_us),
+                            payload,
+                            Instant::now(),
+                        );
                     } else {
                         faults.push((i as u32, format!("hub: Send addressed to node {to} of {n}")));
                     }

@@ -39,7 +39,7 @@ pub struct Spec<X> {
     /// Per-message network delay model.
     pub delay: NetDelay,
     /// The simulator's fault plan, in ticks of [`Spec::tick`], applied at
-    /// the fabric boundary (the thread tier's caller or the hub); it must
+    /// the fabric boundary (the sending node thread or the hub); it must
     /// pass [`crate::serves`].
     pub faults: FaultPlan,
     /// Wall-clock length of one simulator tick: protocol timers armed via

@@ -7,9 +7,11 @@
 //! announcement. The node driver in `crate::node` is written against this
 //! trait alone, so the same protocol-driving code runs on both fabrics:
 //!
-//! * [`ChanTransport`] — the in-process fabric: crossbeam channels into
-//!   the thread that called `run_cluster_collecting`, which serves the
-//!   delay heap and fault injection.
+//! * [`ChanTransport`] — the in-process fabric: the node threads share
+//!   one `FaultQueue` behind a mutex, with a delay heap per receiver. A
+//!   send applies the fault plan and queues the delivery in the
+//!   receiver's heap; each node thread pops its own due deliveries and
+//!   sleeps on its condvar until the next one, so no thread routes.
 //! * [`SocketTransport`] — a real socket (Unix-domain or TCP loopback) to
 //!   the orchestrator hub; every message crosses as length-prefixed
 //!   [`WireCodec`](crate::wire::WireCodec) bytes inside a control frame,
@@ -21,8 +23,9 @@
 //!                      │                      │
 //!            ChanTransport              SocketTransport
 //!                      │                      │
-//!          calling thread (threads)    orchestrator hub (processes)
-//!              FaultQueue ─────────────── FaultQueue
+//!       Switchboard (threads):         orchestrator hub (processes):
+//!       FaultQueue, one heap per       FaultQueue, one heap,
+//!       receiver, popped by it         popped by the hub
 //! ```
 
 pub(crate) mod chan;

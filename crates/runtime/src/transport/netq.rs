@@ -1,13 +1,20 @@
 //! The fault-injecting delay queue shared by both fabrics.
 //!
-//! The thread tier's serving loop and the multi-process orchestrator hub
+//! The thread tier's node threads and the multi-process orchestrator hub
 //! schedule deliveries through the same [`FaultQueue`], which asks the
 //! simulator's own [`FaultPlan`] what to do with each message, so loss,
 //! duplication, straggler stretching and crash-window black-holing behave
-//! identically whether a message rides a crossbeam channel, a socket or
-//! the simulated network.
-//! The payload type is generic: the thread tier queues typed protocol
-//! messages, the hub queues already-encoded frames.
+//! identically whether a message crosses threads, a socket or the
+//! simulated network.
+//!
+//! Only the heap layout differs. The socket hub pops every delivery
+//! itself, from one heap in `(due, seq)` order ([`FaultQueue::new`],
+//! [`FaultQueue::pop_due`]). On the thread tier each receiver pops its
+//! own, so the queue keeps one heap per receiver, each in `(due, seq)`
+//! order ([`FaultQueue::per_receiver`], [`FaultQueue::pop_due_for`]);
+//! `seq` is global either way. The payload type is generic: the thread
+//! tier queues typed protocol messages, the hub queues already-encoded
+//! frames.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -41,10 +48,12 @@ impl<T> Ord for Pending<T> {
     }
 }
 
-/// How late a fabric handed deliveries over: `now − due` at the moment
-/// its hub popped each one, over every delivery it popped (crash-window
-/// black-holes are not deliveries). The hub's own wake-up precision, in
-/// the same units as the delays it injects.
+/// How late deliveries left the queue: `now − due` at the moment each was
+/// popped, over every delivery popped (crash-window black-holes are not
+/// deliveries). Popped by the socket hub, it is the hub's own wake-up
+/// precision. Popped by a thread-tier receiver, it also holds the time
+/// that receiver was busy (handling, or in its CS) when the delivery fell
+/// due, so the two tiers' figures are not comparable.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Lateness {
     /// Deliveries measured.
@@ -69,9 +78,10 @@ impl Lateness {
     }
 }
 
-/// Delay heap + fault-plan application, fabric-agnostic.
+/// Delay heaps + fault-plan application, fabric-agnostic.
 pub(crate) struct FaultQueue<T> {
-    heap: BinaryHeap<Reverse<Pending<T>>>,
+    /// One heap for every delivery, or one per receiver.
+    heaps: Vec<BinaryHeap<Reverse<Pending<T>>>>,
     plan: FaultPlan,
     /// Tick 0 of the plan's clock: a delivery due at `start + k·tick`
     /// (rounded down to whole ticks) meets its receiver at tick `k`.
@@ -86,16 +96,23 @@ pub(crate) struct FaultQueue<T> {
     pub(crate) duplicated: u64,
     /// Deliveries black-holed by a crash window.
     pub(crate) crash_dropped: u64,
-    /// How late [`FaultQueue::pop_due`] returned what it returned.
+    /// How late the pops returned what they returned.
     pub(crate) late: Lateness,
 }
 
 impl<T: Clone> FaultQueue<T> {
     /// A queue running `plan` (which must pass [`crate::serves`]) on a
-    /// clock whose tick 0 is `start` and whose ticks last `tick`.
+    /// clock whose tick 0 is `start` and whose ticks last `tick`, popped
+    /// as a whole by [`FaultQueue::pop_due`].
     pub(crate) fn new(plan: &FaultPlan, start: Instant, tick: Duration) -> Self {
+        Self::per_receiver(plan, start, tick, 1)
+    }
+
+    /// [`FaultQueue::new`] for `n` receivers that each pop their own
+    /// deliveries ([`FaultQueue::pop_due_for`]).
+    pub(crate) fn per_receiver(plan: &FaultPlan, start: Instant, tick: Duration, n: usize) -> Self {
         FaultQueue {
-            heap: BinaryHeap::new(),
+            heaps: (0..n.max(1)).map(|_| BinaryHeap::new()).collect(),
             plan: plan.clone(),
             start,
             tick,
@@ -108,10 +125,18 @@ impl<T: Clone> FaultQueue<T> {
         }
     }
 
-    /// Submits one message to the fabric: applies straggler stretching,
-    /// then loss, then duplication (in that order), and schedules the
-    /// surviving deliveries. A copy arrives after twice the delay.
-    pub(crate) fn submit(&mut self, from: usize, to: usize, mut delay: Duration, payload: T) {
+    /// Submits one message, sent at `sent`, to the fabric: applies
+    /// straggler stretching, then loss, then duplication (in that order),
+    /// and schedules the surviving deliveries `delay` after `sent`. A copy
+    /// arrives after twice the delay.
+    pub(crate) fn submit(
+        &mut self,
+        from: usize,
+        to: usize,
+        mut delay: Duration,
+        payload: T,
+        sent: Instant,
+    ) {
         self.seen += 1;
         let factor = self
             .plan
@@ -123,19 +148,28 @@ impl<T: Clone> FaultQueue<T> {
             self.lost += 1;
             return;
         }
-        let now = Instant::now();
         if self.plan.duplicates(self.seen) {
             self.duplicated += 1;
-            self.schedule(now + delay + delay, from, to, payload.clone());
+            self.schedule(sent + delay + delay, from, to, payload.clone());
         }
-        self.schedule(now + delay, from, to, payload);
+        self.schedule(sent + delay, from, to, payload);
+    }
+
+    /// The heap `to`'s deliveries wait in.
+    fn heap(&self, to: usize) -> usize {
+        if self.heaps.len() == 1 {
+            0
+        } else {
+            to
+        }
     }
 
     /// Queues one delivery, due at `due`.
     fn schedule(&mut self, due: Instant, from: usize, to: usize, payload: T) {
         self.seq += 1;
         let seq = self.seq;
-        self.heap.push(Reverse(Pending {
+        let heap = self.heap(to);
+        self.heaps[heap].push(Reverse(Pending {
             due,
             seq,
             from,
@@ -144,12 +178,30 @@ impl<T: Clone> FaultQueue<T> {
         }));
     }
 
-    /// Pops the next due delivery, black-holing any whose receiver is
-    /// crashed at the tick it falls due, and records how far past its due
-    /// time `now` is. `None` when nothing is due at `now`.
+    /// Pops the next due delivery to anyone, black-holing any whose
+    /// receiver is crashed at the tick it falls due, and records how far
+    /// past its due time `now` is. `None` when nothing is due at `now`.
+    /// Only for a queue made by [`FaultQueue::new`].
     pub(crate) fn pop_due(&mut self, now: Instant) -> Option<(usize, usize, T)> {
-        while self.heap.peek().is_some_and(|Reverse(p)| p.due <= now) {
-            let Reverse(p) = self.heap.pop().expect("peeked");
+        debug_assert_eq!(
+            self.heaps.len(),
+            1,
+            "a per-receiver queue pops per receiver"
+        );
+        self.pop(0, now)
+    }
+
+    /// [`FaultQueue::pop_due`] for `to`'s deliveries only.
+    pub(crate) fn pop_due_for(&mut self, to: usize, now: Instant) -> Option<(usize, T)> {
+        let heap = self.heap(to);
+        self.pop(heap, now)
+            .map(|(from, _, payload)| (from, payload))
+    }
+
+    fn pop(&mut self, heap: usize, now: Instant) -> Option<(usize, usize, T)> {
+        let heap = &mut self.heaps[heap];
+        while heap.peek().is_some_and(|Reverse(p)| p.due <= now) {
+            let Reverse(p) = heap.pop().expect("peeked");
             if !self.plan.restarts.is_empty() {
                 let elapsed = p.due.saturating_duration_since(self.start).as_nanos();
                 let tick = elapsed / self.tick.as_nanos().max(1);
@@ -165,17 +217,19 @@ impl<T: Clone> FaultQueue<T> {
         None
     }
 
-    /// When the earliest queued delivery is due.
+    /// When the earliest queued delivery is due (a [`FaultQueue::new`]
+    /// queue).
     pub(crate) fn next_due(&self) -> Option<Instant> {
-        self.heap.peek().map(|Reverse(p)| p.due)
+        self.next_due_for(0)
+    }
+
+    /// When the earliest queued delivery to `to` is due.
+    pub(crate) fn next_due_for(&self, to: usize) -> Option<Instant> {
+        self.heaps[self.heap(to)].peek().map(|Reverse(p)| p.due)
     }
 
     pub(crate) fn in_flight(&self) -> usize {
-        self.heap.len()
-    }
-
-    pub(crate) fn seen(&self) -> u64 {
-        self.seen
+        self.heaps.iter().map(BinaryHeap::len).sum()
     }
 }
 
@@ -190,14 +244,14 @@ mod tests {
         let plan = FaultPlan::losing(3).with_duplication(2);
         let mut q: FaultQueue<u32> = FaultQueue::new(&plan, Instant::now(), MS);
         for i in 0..6u32 {
-            q.submit(0, 1, Duration::ZERO, i);
+            q.submit(0, 1, Duration::ZERO, i, Instant::now());
         }
         // seen 1..6: loss at 3 and 6 (2 lost); dup at 2 and 4 (6 is lost
         // before the dup check).
         assert_eq!(q.lost, 2);
         assert_eq!(q.duplicated, 2);
         assert_eq!(q.in_flight(), 6, "4 survivors + 2 duplicates");
-        assert_eq!(q.seen(), 6);
+        assert_eq!(q.seen, 6);
     }
 
     #[test]
@@ -208,8 +262,8 @@ mod tests {
             SimTime::from_ticks(60_000),
         );
         let mut q: FaultQueue<&'static str> = FaultQueue::new(&plan, Instant::now(), MS);
-        q.submit(0, 1, Duration::ZERO, "to-dead");
-        q.submit(0, 2, Duration::ZERO, "to-live");
+        q.submit(0, 1, Duration::ZERO, "to-dead", Instant::now());
+        q.submit(0, 2, Duration::ZERO, "to-live", Instant::now());
         let later = Instant::now() + MS;
         let mut delivered = Vec::new();
         while let Some((_, to, p)) = q.pop_due(later) {
@@ -247,8 +301,9 @@ mod tests {
     fn straggler_stretches_due_times() {
         let plan = FaultPlan::straggler(NodeId::new(0), 100);
         let mut q: FaultQueue<u8> = FaultQueue::new(&plan, Instant::now(), MS);
-        q.submit(0, 1, Duration::from_millis(10), 1); // from the straggler: 1s
-        q.submit(1, 2, Duration::from_millis(10), 2); // unaffected: 10ms
+        let now = Instant::now();
+        q.submit(0, 1, Duration::from_millis(10), 1, now); // from the straggler: 1s
+        q.submit(1, 2, Duration::from_millis(10), 2, now); // unaffected: 10ms
         let soon = Instant::now() + Duration::from_millis(500);
         let mut got = Vec::new();
         while let Some((_, _, p)) = q.pop_due(soon) {
@@ -289,5 +344,95 @@ mod tests {
         );
         assert_eq!(q.late.mean(), Duration::from_nanos(4_500));
         assert_eq!(Lateness::default().mean(), Duration::ZERO);
+    }
+
+    /// Deliveries scheduled out of order, two with equal due times, to
+    /// receivers 1 and 2: `(due, seq)` order, as a hub pops them.
+    fn interleaved(q: &mut FaultQueue<&'static str>, start: Instant) {
+        let us = Duration::from_micros;
+        q.schedule(start + us(30), 0, 1, "1@30");
+        q.schedule(start + us(10), 0, 2, "2@10");
+        q.schedule(start + us(20), 0, 1, "1@20a");
+        q.schedule(start + us(20), 2, 1, "1@20b");
+        q.schedule(start + us(20), 0, 2, "2@20");
+        q.schedule(start + us(5), 1, 2, "2@5");
+    }
+
+    #[test]
+    fn the_global_pop_keeps_due_then_seq_order_across_receivers() {
+        let start = Instant::now();
+        let mut q: FaultQueue<&'static str> = FaultQueue::new(&FaultPlan::none(), start, MS);
+        interleaved(&mut q, start);
+        let mut got = Vec::new();
+        while let Some((_, to, p)) = q.pop_due(start + MS) {
+            got.push((to, p));
+        }
+        assert_eq!(
+            got,
+            [
+                (2, "2@5"),
+                (2, "2@10"),
+                (1, "1@20a"),
+                (1, "1@20b"),
+                (2, "2@20"),
+                (1, "1@30"),
+            ]
+        );
+        assert_eq!(q.late.count, 6);
+    }
+
+    #[test]
+    fn each_receiver_pops_its_own_deliveries_in_due_then_seq_order() {
+        let start = Instant::now();
+        let mut q: FaultQueue<&'static str> =
+            FaultQueue::per_receiver(&FaultPlan::none(), start, MS, 3);
+        interleaved(&mut q, start);
+        let us = Duration::from_micros;
+        assert_eq!(q.next_due_for(0), None);
+        assert_eq!(q.next_due_for(1), Some(start + us(20)));
+        assert_eq!(q.next_due_for(2), Some(start + us(5)));
+        // Only what is due at `now`, and only the asker's.
+        assert_eq!(q.pop_due_for(1, start + us(19)), None);
+        let drain = |q: &mut FaultQueue<&'static str>, to| {
+            let mut got = Vec::new();
+            while let Some((from, p)) = q.pop_due_for(to, start + MS) {
+                got.push((from, p));
+            }
+            got
+        };
+        assert_eq!(drain(&mut q, 1), [(0, "1@20a"), (2, "1@20b"), (0, "1@30")]);
+        assert_eq!(q.in_flight(), 3);
+        assert_eq!(drain(&mut q, 2), [(1, "2@5"), (0, "2@10"), (0, "2@20")]);
+        assert_eq!((q.in_flight(), q.late.count), (0, 6));
+    }
+
+    #[test]
+    fn black_holes_and_lateness_are_per_receiver() {
+        let plan = FaultPlan::crash_restart(
+            NodeId::new(1),
+            SimTime::from_ticks(0),
+            SimTime::from_ticks(60_000),
+        );
+        let start = Instant::now();
+        let mut q: FaultQueue<&'static str> = FaultQueue::per_receiver(&plan, start, MS, 3);
+        let us = Duration::from_micros;
+        q.submit(0, 1, us(100), "to-dead", start);
+        q.submit(0, 2, us(100), "to-live", start);
+        q.submit(1, 2, us(200), "from-dead", start);
+        // The dead receiver's pop black-holes its delivery; the live
+        // one's heap and lateness are untouched by it.
+        assert_eq!(q.pop_due_for(1, start + us(150)), None);
+        assert_eq!((q.crash_dropped, q.late.count), (1, 0));
+        assert_eq!(q.pop_due_for(2, start + us(103)), Some((0, "to-live")));
+        assert_eq!(q.pop_due_for(2, start + us(207)), Some((1, "from-dead")));
+        assert_eq!(
+            q.late,
+            Lateness {
+                count: 2,
+                total: us(10),
+                max: us(7),
+            }
+        );
+        assert_eq!(q.crash_dropped, 1);
     }
 }

@@ -14,10 +14,12 @@
 //!
 //! **Timer precision**: a timed wait on Linux may end up to the thread's
 //! timer slack after its deadline (50 µs by default), so the kernel can
-//! batch wake-ups. The hubs' deadlines *are* the injected delays, so each
-//! hub holds an [`ExactTimers`] guard (`prctl(PR_SET_TIMERSLACK)`, 1 ns)
-//! for its serve loop; node threads wait for messages, not deadlines, and
-//! keep the default.
+//! batch wake-ups. Exact timers belong to every thread whose waits end on
+//! injected delays: the socket hub holds an [`ExactTimers`] guard
+//! (`prctl(PR_SET_TIMERSLACK)`, 1 ns) for its serve loop, and each
+//! thread-tier node thread for its whole life, since it sleeps until its
+//! next delivery is due. Socket workers wait for frames the hub already
+//! timed, so they, and the shared node driver, keep the default.
 //!
 //! This is the only module of `rcv-runtime` allowed to contain `unsafe`.
 
