@@ -23,8 +23,9 @@
 //!   milliseconds after start; the run then *must* report that node as
 //!   crashed (proves the hub returns crash verdicts instead of hanging).
 //! * `--json PATH` — also write per-run rows as a JSON report (verdict,
-//!   counters, and the hub's `HubStats`: wakeups, frames routed, bytes,
-//!   how late deliveries left past their due time).
+//!   counters, and under `hub` the hub's `HubStats` — wakeups, frames
+//!   routed, bytes — plus how late deliveries left past their due time,
+//!   from `ClusterReport::late`).
 //!
 //! Exit codes: 0 every run clean (or the armed kill drill verdicted as
 //! expected), 1 a run failed, 2 usage/setup error.
@@ -201,9 +202,9 @@ fn run() -> Result<ExitCode, String> {
                 hub.bytes_in,
                 hub.bytes_out,
                 hub.max_outbuf,
-                hub.late.count,
-                hub.late.mean().as_secs_f64() * 1e6,
-                hub.late.max.as_secs_f64() * 1e6,
+                report.late.count,
+                report.late.mean().as_secs_f64() * 1e6,
+                report.late.max.as_secs_f64() * 1e6,
                 r.millis,
             );
             s.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });

@@ -32,7 +32,8 @@ use std::fmt::Write as _;
 use std::time::Duration;
 
 use rcv_runtime::{run_with_watchdog, ClusterReport, NetDelay, RunSpec};
-use rcv_workload::scenario::{cell_seed, cells, registry, run_cell, Cell, FaultSpec, ShapeSpec};
+use rcv_simnet::FaultPlan;
+use rcv_workload::scenario::{cell_seed, cells, registry, run_cell, Cell, ShapeSpec};
 use rcv_workload::sweep::parmap;
 use rcv_workload::{Algo, ClusterBackend};
 
@@ -195,17 +196,18 @@ pub fn run_spec(cell: &Cell, opts: &DiffOptions, attempt: u32) -> RunSpec {
         ShapeSpec::Poisson { mean, .. } => (2, mean.round().max(0.0) as u64),
         _ => unreachable!("runtime_mappable filtered shapes"),
     };
-    let sim = spec.sim_config(0);
+    // The scenario's CS duration is the one its simulator runs use.
+    let cs_ticks = spec.sim_config(0).cs_duration.ticks();
     // A seed stream disjoint from the simulator's (idx 0 and 1).
     let seed = cell_seed(&spec.name, cell.algo.name(), 1_000 + attempt);
     let run = RunSpec::quick(spec.n, seed).tick(opts.tick);
-    let (think, cs_duration) = (run.ticks(think_ticks), run.ticks(sim.cs_duration.ticks()));
+    let (think, cs_duration) = (run.ticks(think_ticks), run.ticks(cs_ticks));
     let run = run
         .rounds(rounds)
         .think(think)
         .cs_duration(cs_duration)
-        .delay(NetDelay::from_model(&sim.delay, opts.tick))
-        .faults(sim.faults)
+        .delay(NetDelay::from_model(&spec.delay, opts.tick))
+        .faults(spec.faults.clone())
         .timeout(if spec.expect_live() {
             opts.timeout
         } else {
@@ -294,7 +296,7 @@ pub fn run_diff_cell_on(cell: &Cell, opts: &DiffOptions, backend: &ClusterBacken
             expected,
             retries + 1
         ))
-    } else if matches!(spec.faults, FaultSpec::None) && expect_live {
+    } else if spec.faults == FaultPlan::none() && expect_live {
         // Fault-free cells: both sides completed everything; their per-CS
         // message costs must be the same order of magnitude.
         let hi = sim_per_cs * ENVELOPE_FACTOR + ENVELOPE_SLACK;
@@ -453,7 +455,7 @@ mod tests {
         for c in &grid {
             assert!(c.scenario.runtime_mappable(), "{}", c.scenario.name);
             assert!(
-                !matches!(c.scenario.faults, FaultSpec::Crash { .. }),
+                c.scenario.faults.crashes.is_empty(),
                 "crash cell {} leaked into the runtime grid",
                 c.scenario.name
             );
@@ -476,9 +478,7 @@ mod tests {
         let scenarios: std::collections::BTreeSet<_> =
             grid.iter().map(|c| c.scenario.name.clone()).collect();
         assert!(scenarios.len() >= 8, "only {} scenarios", scenarios.len());
-        assert!(grid
-            .iter()
-            .any(|c| !matches!(c.scenario.faults, FaultSpec::None)));
+        assert!(grid.iter().any(|c| c.scenario.faults != FaultPlan::none()));
     }
 
     #[test]
@@ -487,12 +487,14 @@ mod tests {
         let grid = runtime_grid(0);
         let stacked = grid
             .iter()
-            .find(|c| matches!(c.scenario.faults, FaultSpec::Stacked { .. }))
+            .find(|c| {
+                let f = &c.scenario.faults;
+                f.drop_every.is_some() && f.duplicate_every.is_some() && !f.stragglers.is_empty()
+            })
             .expect("stacked cell");
         let ts = run_spec(stacked, &opts, 0);
         assert_eq!(
-            ts.faults,
-            stacked.scenario.faults.plan(),
+            ts.faults, stacked.scenario.faults,
             "the simulator's own plan"
         );
         assert_eq!(ts.n, stacked.scenario.n);
@@ -524,7 +526,7 @@ mod tests {
             .expect("chaos cell");
         let ts = run_spec(chaos, &opts, 0);
         assert_eq!(ts.retry, chaos.scenario.retry);
-        use rcv_simnet::{FaultPlan, NodeId, SimTime};
+        use rcv_simnet::{NodeId, SimTime};
         let at = SimTime::from_ticks;
         let window = FaultPlan::crash_restart(NodeId::new(0), at(25), at(120));
         assert_eq!(ts.faults, window);

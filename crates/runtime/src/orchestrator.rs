@@ -60,7 +60,6 @@ use crate::transport::frame::{
     encode_frame, encode_frame_into, validate_hello, CtrlFrame, FrameBuf, WorkerConfig,
     WorkerReport, MAX_FRAME,
 };
-use crate::transport::netq::Lateness;
 use crate::transport::readiness::{self, ExactTimers, PollFd};
 use crate::transport::socket::{is_timeout, SocketStream};
 use crate::transport::{SocketNet, SocketTransport};
@@ -125,11 +124,12 @@ pub struct ProcessReport {
     pub hub: HubStats,
 }
 
-/// Counters of the hub's serve loop: how often it woke and why, how much
-/// it moved and how late. Plain counts kept on the hub thread (no clock
-/// reads of their own); `wakeups_readable + wakeups_timer` is the number
-/// of passes the loop made, which for an event-driven hub is bounded by
-/// the traffic, not by the run's length.
+/// Counters of the hub's serve loop: how often it woke and why, and how
+/// much it moved (how late it moved it is [`ClusterReport::late`]). Plain
+/// counts kept on the hub thread (no clock reads of their own);
+/// `wakeups_readable + wakeups_timer` is the number of passes the loop
+/// made, which for an event-driven hub is bounded by the traffic, not by
+/// the run's length.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct HubStats {
     /// Readiness waits that ended because a socket became ready (almost
@@ -146,10 +146,6 @@ pub struct HubStats {
     pub bytes_out: u64,
     /// Most bytes ever queued toward one worker (at most [`OUTBUF_CAP`]).
     pub max_outbuf: u64,
-    /// How late the loop routed deliveries past their due time (the same
-    /// counter as [`ClusterReport::late`], kept here with the loop's other
-    /// counters).
-    pub late: Lateness,
 }
 
 /// Most bytes the hub queues toward one worker. A worker that lets this
@@ -561,7 +557,7 @@ pub fn run_process_cluster(
     let t0 = Instant::now();
     let deadline = t0 + spec.timeout;
     let mut q: FaultQueueBytes =
-        crate::transport::netq::FaultQueue::new(&spec.faults, t0, spec.tick);
+        crate::transport::netq::FaultQueue::new(&spec.faults, t0, spec.tick, n);
     let mut faults: Vec<(u32, String)> = Vec::new();
     let mut hub = HubStats::default();
     let mut shutdown_sent = false;
@@ -590,26 +586,31 @@ pub fn run_process_cluster(
             }
         }
 
-        // Deliver everything due (the payload bytes are routed without
-        // protocol knowledge, encoded straight into the output buffer).
-        while let Some((from, to, payload)) = q.pop_due(now) {
-            status.bump();
-            hub.frames_routed += 1;
-            // Periodic status only: formatting per frame would put an
-            // allocation on the routing hot path.
-            if hub.frames_routed % 1024 == 1 {
-                status.set(format!(
-                    "serving: in-flight {} (routed {}, wakeups {} io / {} timer)",
-                    q.in_flight(),
-                    hub.frames_routed,
-                    hub.wakeups_readable,
-                    hub.wakeups_timer,
-                ));
+        // Deliver everything due, one receiver at a time (the payload
+        // bytes are routed without protocol knowledge, encoded straight
+        // into the output buffer). Each worker's deliveries leave its own
+        // heap in `(due, seq)` order, and nothing is flushed before the
+        // pass ends, so the order across workers is not observable.
+        for (to, slot) in slots.iter_mut().enumerate() {
+            while let Some((from, payload)) = q.pop_due(to, now) {
+                status.bump();
+                hub.frames_routed += 1;
+                // Periodic status only: formatting per frame would put an
+                // allocation on the routing hot path.
+                if hub.frames_routed % 1024 == 1 {
+                    status.set(format!(
+                        "serving: in-flight {} (routed {}, wakeups {} io / {} timer)",
+                        q.in_flight(),
+                        hub.frames_routed,
+                        hub.wakeups_readable,
+                        hub.wakeups_timer,
+                    ));
+                }
+                slot.queue(&CtrlFrame::Deliver {
+                    from: from as u32,
+                    payload,
+                });
             }
-            slots[to].queue(&CtrlFrame::Deliver {
-                from: from as u32,
-                payload,
-            });
         }
 
         if !shutdown_sent && slots.iter().all(|s| s.done || s.eof) {
@@ -637,10 +638,9 @@ pub fn run_process_cluster(
             });
         }
 
-        let mut wake = deadline;
-        if let Some(due) = q.next_due() {
-            wake = wake.min(due);
-        }
+        let mut wake = (0..n)
+            .filter_map(|to| q.next_due(to))
+            .fold(deadline, Instant::min);
         if let Some((_, at)) = kill_at {
             wake = wake.min(at);
         }
@@ -685,7 +685,6 @@ pub fn run_process_cluster(
         }
     }
     drop(exact);
-    hub.late = q.late;
     for (i, slot) in slots.iter().enumerate() {
         hub.bytes_in += slot.bytes_in;
         hub.bytes_out += slot.bytes_out;
@@ -878,7 +877,7 @@ mod tests {
             r.messages - r.lost + r.duplicated - r.crash_dropped,
             "{r:?}"
         );
-        assert_eq!((pr.hub.late, pr.hub.frames_routed), (r.late, r.late.count));
+        assert_eq!(pr.hub.frames_routed, r.late.count);
         assert!(r.late.max >= r.late.mean(), "{r:?}");
     }
 

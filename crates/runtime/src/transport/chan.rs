@@ -57,7 +57,7 @@ impl<M: Clone> Switchboard<M> {
     ) -> Arc<Self> {
         Arc::new(Switchboard {
             state: Mutex::new(Board {
-                q: FaultQueue::per_receiver(plan, start, tick, n),
+                q: FaultQueue::new(plan, start, tick, n),
                 asleep: vec![None; n],
                 done: 0,
                 dropped: 0,
@@ -130,7 +130,7 @@ impl<M: Clone + Send> Transport<M> for ChanTransport<M> {
                 return Err(TransportClosed);
             }
             b.q.submit(self.me.index(), to, delay, msg, sent);
-            match (b.asleep[to], b.q.next_due_for(to)) {
+            match (b.asleep[to], b.q.next_due(to)) {
                 (Some(until), Some(due)) if due < until => {
                     b.asleep[to] = Some(due);
                     true
@@ -153,13 +153,13 @@ impl<M: Clone + Send> Transport<M> for ChanTransport<M> {
             if b.shutdown {
                 return RecvOutcome::Shutdown;
             }
-            if let Some(delivery) = b.q.pop_due_for(me, now) {
+            if let Some(delivery) = b.q.pop_due(me, now) {
                 break delivery;
             }
             if now >= deadline {
                 return RecvOutcome::Timeout;
             }
-            let next = b.q.next_due_for(me);
+            let next = b.q.next_due(me);
             let until = next.map_or(deadline, |due| due.min(deadline));
             b.asleep[me] = Some(until);
             b = self.net.nodes[me]

@@ -24,8 +24,8 @@
 //!            ChanTransport              SocketTransport
 //!                      │                      │
 //!       Switchboard (threads):         orchestrator hub (processes):
-//!       FaultQueue, one heap per       FaultQueue, one heap,
-//!       receiver, popped by it         popped by the hub
+//!       FaultQueue, one heap per       the same FaultQueue, each
+//!       receiver, popped by it         receiver's popped by the hub
 //! ```
 
 pub(crate) mod chan;

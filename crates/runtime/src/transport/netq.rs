@@ -7,14 +7,13 @@
 //! identically whether a message crosses threads, a socket or the
 //! simulated network.
 //!
-//! Only the heap layout differs. The socket hub pops every delivery
-//! itself, from one heap in `(due, seq)` order ([`FaultQueue::new`],
-//! [`FaultQueue::pop_due`]). On the thread tier each receiver pops its
-//! own, so the queue keeps one heap per receiver, each in `(due, seq)`
-//! order ([`FaultQueue::per_receiver`], [`FaultQueue::pop_due_for`]);
-//! `seq` is global either way. The payload type is generic: the thread
-//! tier queues typed protocol messages, the hub queues already-encoded
-//! frames.
+//! The queue keeps one heap per receiver, each in `(due, seq)` order
+//! (`seq` is global), and is popped one receiver at a time
+//! ([`FaultQueue::pop_due`]): on the thread tier each receiver pops its
+//! own, and the socket hub pops every receiver's in turn. Each receiver's
+//! `(due, seq)` order is all a node can observe. The payload type is
+//! generic: the thread tier queues typed protocol messages, the hub
+//! queues already-encoded frames.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -27,7 +26,6 @@ struct Pending<T> {
     due: Instant,
     seq: u64,
     from: usize,
-    to: usize,
     payload: T,
 }
 
@@ -80,7 +78,7 @@ impl Lateness {
 
 /// Delay heaps + fault-plan application, fabric-agnostic.
 pub(crate) struct FaultQueue<T> {
-    /// One heap for every delivery, or one per receiver.
+    /// One heap per receiver.
     heaps: Vec<BinaryHeap<Reverse<Pending<T>>>>,
     plan: FaultPlan,
     /// Tick 0 of the plan's clock: a delivery due at `start + k·tick`
@@ -101,18 +99,12 @@ pub(crate) struct FaultQueue<T> {
 }
 
 impl<T: Clone> FaultQueue<T> {
-    /// A queue running `plan` (which must pass [`crate::serves`]) on a
-    /// clock whose tick 0 is `start` and whose ticks last `tick`, popped
-    /// as a whole by [`FaultQueue::pop_due`].
-    pub(crate) fn new(plan: &FaultPlan, start: Instant, tick: Duration) -> Self {
-        Self::per_receiver(plan, start, tick, 1)
-    }
-
-    /// [`FaultQueue::new`] for `n` receivers that each pop their own
-    /// deliveries ([`FaultQueue::pop_due_for`]).
-    pub(crate) fn per_receiver(plan: &FaultPlan, start: Instant, tick: Duration, n: usize) -> Self {
+    /// A queue for `n` receivers running `plan` (which must pass
+    /// [`crate::serves`]) on a clock whose tick 0 is `start` and whose
+    /// ticks last `tick`.
+    pub(crate) fn new(plan: &FaultPlan, start: Instant, tick: Duration, n: usize) -> Self {
         FaultQueue {
-            heaps: (0..n.max(1)).map(|_| BinaryHeap::new()).collect(),
+            heaps: (0..n).map(|_| BinaryHeap::new()).collect(),
             plan: plan.clone(),
             start,
             tick,
@@ -155,77 +147,43 @@ impl<T: Clone> FaultQueue<T> {
         self.schedule(sent + delay, from, to, payload);
     }
 
-    /// The heap `to`'s deliveries wait in.
-    fn heap(&self, to: usize) -> usize {
-        if self.heaps.len() == 1 {
-            0
-        } else {
-            to
-        }
-    }
-
     /// Queues one delivery, due at `due`.
     fn schedule(&mut self, due: Instant, from: usize, to: usize, payload: T) {
         self.seq += 1;
         let seq = self.seq;
-        let heap = self.heap(to);
-        self.heaps[heap].push(Reverse(Pending {
+        self.heaps[to].push(Reverse(Pending {
             due,
             seq,
             from,
-            to,
             payload,
         }));
     }
 
-    /// Pops the next due delivery to anyone, black-holing any whose
-    /// receiver is crashed at the tick it falls due, and records how far
-    /// past its due time `now` is. `None` when nothing is due at `now`.
-    /// Only for a queue made by [`FaultQueue::new`].
-    pub(crate) fn pop_due(&mut self, now: Instant) -> Option<(usize, usize, T)> {
-        debug_assert_eq!(
-            self.heaps.len(),
-            1,
-            "a per-receiver queue pops per receiver"
-        );
-        self.pop(0, now)
-    }
-
-    /// [`FaultQueue::pop_due`] for `to`'s deliveries only.
-    pub(crate) fn pop_due_for(&mut self, to: usize, now: Instant) -> Option<(usize, T)> {
-        let heap = self.heap(to);
-        self.pop(heap, now)
-            .map(|(from, _, payload)| (from, payload))
-    }
-
-    fn pop(&mut self, heap: usize, now: Instant) -> Option<(usize, usize, T)> {
-        let heap = &mut self.heaps[heap];
+    /// Pops `to`'s next due delivery as `(from, payload)`, black-holing
+    /// any that falls due while `to` is crashed, and records how far past
+    /// its due time `now` is. `None` when nothing to `to` is due at `now`.
+    pub(crate) fn pop_due(&mut self, to: usize, now: Instant) -> Option<(usize, T)> {
+        let heap = &mut self.heaps[to];
         while heap.peek().is_some_and(|Reverse(p)| p.due <= now) {
             let Reverse(p) = heap.pop().expect("peeked");
             if !self.plan.restarts.is_empty() {
                 let elapsed = p.due.saturating_duration_since(self.start).as_nanos();
                 let tick = elapsed / self.tick.as_nanos().max(1);
                 let at = SimTime::from_ticks(u64::try_from(tick).unwrap_or(u64::MAX));
-                if self.plan.is_crashed(NodeId::new(p.to as u32), at) {
+                if self.plan.is_crashed(NodeId::new(to as u32), at) {
                     self.crash_dropped += 1;
                     continue;
                 }
             }
             self.late.record(now - p.due);
-            return Some((p.from, p.to, p.payload));
+            return Some((p.from, p.payload));
         }
         None
     }
 
-    /// When the earliest queued delivery is due (a [`FaultQueue::new`]
-    /// queue).
-    pub(crate) fn next_due(&self) -> Option<Instant> {
-        self.next_due_for(0)
-    }
-
     /// When the earliest queued delivery to `to` is due.
-    pub(crate) fn next_due_for(&self, to: usize) -> Option<Instant> {
-        self.heaps[self.heap(to)].peek().map(|Reverse(p)| p.due)
+    pub(crate) fn next_due(&self, to: usize) -> Option<Instant> {
+        self.heaps[to].peek().map(|Reverse(p)| p.due)
     }
 
     pub(crate) fn in_flight(&self) -> usize {
@@ -242,7 +200,7 @@ mod tests {
     #[test]
     fn loss_and_duplication_fire_on_their_periods() {
         let plan = FaultPlan::losing(3).with_duplication(2);
-        let mut q: FaultQueue<u32> = FaultQueue::new(&plan, Instant::now(), MS);
+        let mut q: FaultQueue<u32> = FaultQueue::new(&plan, Instant::now(), MS, 2);
         for i in 0..6u32 {
             q.submit(0, 1, Duration::ZERO, i, Instant::now());
         }
@@ -261,13 +219,15 @@ mod tests {
             SimTime::from_ticks(0),
             SimTime::from_ticks(60_000),
         );
-        let mut q: FaultQueue<&'static str> = FaultQueue::new(&plan, Instant::now(), MS);
+        let mut q: FaultQueue<&'static str> = FaultQueue::new(&plan, Instant::now(), MS, 3);
         q.submit(0, 1, Duration::ZERO, "to-dead", Instant::now());
         q.submit(0, 2, Duration::ZERO, "to-live", Instant::now());
         let later = Instant::now() + MS;
         let mut delivered = Vec::new();
-        while let Some((_, to, p)) = q.pop_due(later) {
-            delivered.push((to, p));
+        for to in 0..3 {
+            while let Some((_, p)) = q.pop_due(to, later) {
+                delivered.push((to, p));
+            }
         }
         assert_eq!(delivered, vec![(2, "to-live")]);
         assert_eq!(q.crash_dropped, 1);
@@ -283,14 +243,14 @@ mod tests {
             SimTime::from_ticks(5),
         );
         let start = Instant::now() - Duration::from_secs(1);
-        let mut q: FaultQueue<&'static str> = FaultQueue::new(&plan, start, MS);
+        let mut q: FaultQueue<&'static str> = FaultQueue::new(&plan, start, MS, 2);
         let ns = Duration::from_nanos(1);
         q.schedule(start + MS * 2 - ns, 0, 1, "before");
         q.schedule(start + MS * 2, 0, 1, "at-down");
         q.schedule(start + MS * 5 - ns, 0, 1, "last-dead");
         q.schedule(start + MS * 5, 0, 1, "at-up");
         let mut delivered = Vec::new();
-        while let Some((_, _, p)) = q.pop_due(Instant::now()) {
+        while let Some((_, p)) = q.pop_due(1, Instant::now()) {
             delivered.push(p);
         }
         assert_eq!(delivered, vec!["before", "at-up"]);
@@ -300,17 +260,20 @@ mod tests {
     #[test]
     fn straggler_stretches_due_times() {
         let plan = FaultPlan::straggler(NodeId::new(0), 100);
-        let mut q: FaultQueue<u8> = FaultQueue::new(&plan, Instant::now(), MS);
+        let mut q: FaultQueue<u8> = FaultQueue::new(&plan, Instant::now(), MS, 3);
         let now = Instant::now();
         q.submit(0, 1, Duration::from_millis(10), 1, now); // from the straggler: 1s
         q.submit(1, 2, Duration::from_millis(10), 2, now); // unaffected: 10ms
         let soon = Instant::now() + Duration::from_millis(500);
         let mut got = Vec::new();
-        while let Some((_, _, p)) = q.pop_due(soon) {
-            got.push(p);
+        for to in 0..3 {
+            while let Some((_, p)) = q.pop_due(to, soon) {
+                got.push(p);
+            }
         }
         assert_eq!(got, vec![2], "only the unstretched message is due");
-        assert!(q.next_due().is_some());
+        assert_eq!(q.next_due(1), Some(now + Duration::from_secs(1)));
+        assert_eq!(q.next_due(2), None);
         assert_eq!(q.in_flight(), 1);
     }
 
@@ -322,18 +285,19 @@ mod tests {
             SimTime::from_ticks(60_000),
         );
         let start = Instant::now();
-        let mut q: FaultQueue<&'static str> = FaultQueue::new(&plan, start, MS);
+        let mut q: FaultQueue<&'static str> = FaultQueue::new(&plan, start, MS, 3);
         let us = Duration::from_micros;
         q.schedule(start + us(100), 0, 2, "a");
         q.schedule(start + us(105), 0, 2, "b");
         q.schedule(start + us(100), 0, 1, "to-dead");
-        assert_eq!(q.pop_due(start + us(107)).map(|d| d.2), Some("a"));
+        assert_eq!(q.pop_due(2, start + us(107)), Some((0, "a")));
         assert_eq!(q.late.count, 1);
         assert_eq!((q.late.total, q.late.max), (us(7), us(7)));
         // The black-holed delivery is skipped, not measured.
-        assert_eq!(q.pop_due(start + us(107)).map(|d| d.2), Some("b"));
+        assert_eq!(q.pop_due(1, start + us(107)), None);
         assert_eq!(q.crash_dropped, 1);
-        assert_eq!(q.pop_due(start + us(107)), None);
+        assert_eq!(q.pop_due(2, start + us(107)), Some((0, "b")));
+        assert_eq!(q.pop_due(2, start + us(107)), None);
         assert_eq!(
             q.late,
             Lateness {
@@ -346,9 +310,12 @@ mod tests {
         assert_eq!(Lateness::default().mean(), Duration::ZERO);
     }
 
-    /// Deliveries scheduled out of order, two with equal due times, to
-    /// receivers 1 and 2: `(due, seq)` order, as a hub pops them.
-    fn interleaved(q: &mut FaultQueue<&'static str>, start: Instant) {
+    #[test]
+    fn each_receiver_pops_its_own_deliveries_in_due_then_seq_order() {
+        let start = Instant::now();
+        let mut q: FaultQueue<&'static str> = FaultQueue::new(&FaultPlan::none(), start, MS, 3);
+        // Scheduled out of order, two with equal due times, to receivers
+        // 1 and 2.
         let us = Duration::from_micros;
         q.schedule(start + us(30), 0, 1, "1@30");
         q.schedule(start + us(10), 0, 2, "2@10");
@@ -356,46 +323,14 @@ mod tests {
         q.schedule(start + us(20), 2, 1, "1@20b");
         q.schedule(start + us(20), 0, 2, "2@20");
         q.schedule(start + us(5), 1, 2, "2@5");
-    }
-
-    #[test]
-    fn the_global_pop_keeps_due_then_seq_order_across_receivers() {
-        let start = Instant::now();
-        let mut q: FaultQueue<&'static str> = FaultQueue::new(&FaultPlan::none(), start, MS);
-        interleaved(&mut q, start);
-        let mut got = Vec::new();
-        while let Some((_, to, p)) = q.pop_due(start + MS) {
-            got.push((to, p));
-        }
-        assert_eq!(
-            got,
-            [
-                (2, "2@5"),
-                (2, "2@10"),
-                (1, "1@20a"),
-                (1, "1@20b"),
-                (2, "2@20"),
-                (1, "1@30"),
-            ]
-        );
-        assert_eq!(q.late.count, 6);
-    }
-
-    #[test]
-    fn each_receiver_pops_its_own_deliveries_in_due_then_seq_order() {
-        let start = Instant::now();
-        let mut q: FaultQueue<&'static str> =
-            FaultQueue::per_receiver(&FaultPlan::none(), start, MS, 3);
-        interleaved(&mut q, start);
-        let us = Duration::from_micros;
-        assert_eq!(q.next_due_for(0), None);
-        assert_eq!(q.next_due_for(1), Some(start + us(20)));
-        assert_eq!(q.next_due_for(2), Some(start + us(5)));
+        assert_eq!(q.next_due(0), None);
+        assert_eq!(q.next_due(1), Some(start + us(20)));
+        assert_eq!(q.next_due(2), Some(start + us(5)));
         // Only what is due at `now`, and only the asker's.
-        assert_eq!(q.pop_due_for(1, start + us(19)), None);
+        assert_eq!(q.pop_due(1, start + us(19)), None);
         let drain = |q: &mut FaultQueue<&'static str>, to| {
             let mut got = Vec::new();
-            while let Some((from, p)) = q.pop_due_for(to, start + MS) {
+            while let Some((from, p)) = q.pop_due(to, start + MS) {
                 got.push((from, p));
             }
             got
@@ -407,24 +342,24 @@ mod tests {
     }
 
     #[test]
-    fn black_holes_and_lateness_are_per_receiver() {
+    fn black_holes_and_lateness_stay_with_their_receiver() {
         let plan = FaultPlan::crash_restart(
             NodeId::new(1),
             SimTime::from_ticks(0),
             SimTime::from_ticks(60_000),
         );
         let start = Instant::now();
-        let mut q: FaultQueue<&'static str> = FaultQueue::per_receiver(&plan, start, MS, 3);
+        let mut q: FaultQueue<&'static str> = FaultQueue::new(&plan, start, MS, 3);
         let us = Duration::from_micros;
         q.submit(0, 1, us(100), "to-dead", start);
         q.submit(0, 2, us(100), "to-live", start);
         q.submit(1, 2, us(200), "from-dead", start);
         // The dead receiver's pop black-holes its delivery; the live
         // one's heap and lateness are untouched by it.
-        assert_eq!(q.pop_due_for(1, start + us(150)), None);
+        assert_eq!(q.pop_due(1, start + us(150)), None);
         assert_eq!((q.crash_dropped, q.late.count), (1, 0));
-        assert_eq!(q.pop_due_for(2, start + us(103)), Some((0, "to-live")));
-        assert_eq!(q.pop_due_for(2, start + us(207)), Some((1, "from-dead")));
+        assert_eq!(q.pop_due(2, start + us(103)), Some((0, "to-live")));
+        assert_eq!(q.pop_due(2, start + us(207)), Some((1, "from-dead")));
         assert_eq!(
             q.late,
             Lateness {

@@ -18,10 +18,8 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, Weak};
 use std::time::{Duration, Instant};
-
-use parking_lot::Mutex;
 
 struct CellInner {
     label: String,
@@ -31,6 +29,13 @@ struct CellInner {
 }
 
 static ROSTER: Mutex<Vec<Weak<CellInner>>> = Mutex::new(Vec::new());
+
+/// Locks `m`, recovering from poisoning: the roster and the status lines
+/// stay readable after a thread panicked while holding one, and a dump
+/// after a panic is exactly when they are wanted.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// A cluster thread's live status slot. The owning thread updates it as it
 /// makes progress; [`thread_dump`] reads every live slot. Dropping the
@@ -47,7 +52,7 @@ impl StatusCell {
             events: AtomicU64::new(0),
             born: Instant::now(),
         });
-        let mut roster = ROSTER.lock();
+        let mut roster = lock(&ROSTER);
         // Opportunistically drop slots whose threads are gone.
         roster.retain(|w| w.strong_count() > 0);
         roster.push(Arc::downgrade(&inner));
@@ -56,7 +61,7 @@ impl StatusCell {
 
     /// Replaces the status line (call on state transitions, not per event).
     pub fn set(&self, status: impl Into<String>) {
-        *self.0.status.lock() = status.into();
+        *lock(&self.0.status) = status.into();
     }
 
     /// Cheap per-event heartbeat; the count appears in the dump.
@@ -68,7 +73,7 @@ impl StatusCell {
 
 /// Renders the last reported status of every live registered thread.
 pub fn thread_dump() -> String {
-    let roster = ROSTER.lock();
+    let roster = lock(&ROSTER);
     let mut out = String::new();
     let mut live = 0;
     for cell in roster.iter().filter_map(Weak::upgrade) {
@@ -78,7 +83,7 @@ pub fn thread_dump() -> String {
             cell.label,
             cell.born.elapsed(),
             cell.events.load(Ordering::Relaxed),
-            cell.status.lock(),
+            lock(&cell.status),
         ));
     }
     if live == 0 {

@@ -9,11 +9,16 @@
 //! delay models.
 //!
 //! A **scenario** ([`ScenarioSpec`]) is pure data; a **cell** is one
-//! scenario × one algorithm. [`run_cell`] executes a cell over its
-//! deterministic per-seed RNG streams, checks the safety/liveness
-//! invariants the cell is entitled to, and condenses the runs into a
-//! [`CellResult`] whose fingerprint (completions, messages, NME, RT,
-//! end-time) is bit-stable across hosts — so the committed
+//! scenario × one algorithm. Its fault regime is the simulator's own
+//! [`FaultPlan`] and its delay regime the simulator's own [`DelayModel`],
+//! built by their constructors in [`registry`]: what a scenario states is
+//! what the simulator runs, and both real tiers run that plan and render
+//! that model ([`rcv_runtime::NetDelay::from_model`]), with no
+//! registry-side vocabulary between them. [`run_cell`] executes a cell
+//! over its deterministic per-seed RNG streams, checks the
+//! safety/liveness invariants the cell is entitled to, and condenses the
+//! runs into a [`CellResult`] whose fingerprint (completions, messages,
+//! NME, RT, end-time) is bit-stable across hosts — so the committed
 //! `MATRIX_RESULTS.json` makes behavioral drift diffable across PRs.
 //!
 //! ## Invariant policy
@@ -22,14 +27,18 @@
 //!   exclusion violation, whatever the fault regime.
 //! * **Liveness is conditional**: message loss and crash-stop faults break
 //!   the reliable-channel assumption every algorithm's liveness argument
-//!   rests on ([`rcv_simnet::FaultPlan::threatens_liveness`]), so such
-//!   cells demand clean termination and safety only — the stall pattern is
-//!   still pinned by the fingerprint. All other cells (including
+//!   rests on ([`FaultPlan::threatens_liveness`]), and so do crash
+//!   windows, so such cells demand clean termination and safety only — the
+//!   stall pattern is still pinned by the fingerprint — unless a
+//!   retransmission policy restores delivery (loss and windows only,
+//!   [`ScenarioSpec::expect_live`]). All other cells (including
 //!   duplication, stragglers, jitter) must complete every request.
 //! * **Applicability**: algorithms that assume FIFO channels
-//!   ([`crate::Algo::requires_fifo`]) are excluded from jittered cells;
-//!   duplication regimes run only on algorithms with idempotent delivery
-//!   guards (RCV — the fault battery proves them).
+//!   ([`crate::Algo::requires_fifo`]) are excluded from cells whose delay
+//!   model can reorder ([`DelayModel::can_reorder`]); duplication regimes
+//!   run only on algorithms with idempotent delivery guards, and crash
+//!   windows only on algorithms with a recovery story (RCV for both — the
+//!   fault battery proves them).
 
 use rcv_simnet::{
     DelayModel, FaultPlan, NodeId, RetryPolicy, SimConfig, SimDuration, SimReport, SimTime,
@@ -197,161 +206,6 @@ impl rcv_simnet::Workload for ScenarioWorkload {
     }
 }
 
-/// Fault regime of a scenario.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum FaultSpec {
-    /// The paper's reliable model.
-    None,
-    /// Every `every`-th message delivered twice.
-    Duplication {
-        /// Duplication period.
-        every: u64,
-    },
-    /// Every `every`-th message lost in the network.
-    Loss {
-        /// Loss period.
-        every: u64,
-    },
-    /// A node crash-stops at `at`. The scenario name carries the intent:
-    /// `cancel-*` cells time the crash mid-wait, so the in-flight request
-    /// is silently abandoned (churn-adjacent cancellation — the closest
-    /// observable to a client cancelling a request this protocol family
-    /// admits); `crash-holder-*` cells time it inside a CS window.
-    Crash {
-        /// The crashing node.
-        node: u32,
-        /// Crash instant in ticks.
-        at: u64,
-    },
-    /// A bounded outage with recovery: the node is down during `[down,
-    /// up)` ticks, deliveries into the window vanish, and at `up` the
-    /// engine invokes the protocol's restart hook
-    /// ([`rcv_simnet::MutexProtocol::on_restart`]). Only algorithms with a
-    /// recovery story run these cells ([`ScenarioSpec::algorithms`]
-    /// filters to RCV; the baselines keep pre-crash state and are
-    /// documented non-recoverable).
-    CrashRestart {
-        /// The node that goes down and comes back.
-        node: u32,
-        /// First down tick (inclusive).
-        down: u64,
-        /// Restart tick.
-        up: u64,
-    },
-    /// The chaos regime: a crash window stacked with message loss and a
-    /// straggler — the registry's harshest liveness demand.
-    Chaos {
-        /// Crash window `(node, down, up)`.
-        crash: (u32, u64, u64),
-        /// Loss period.
-        loss_every: u64,
-        /// Straggler `(node, factor)`.
-        straggler: (u32, u64),
-    },
-    /// A slow node: messages to/from it take `factor ×` the sampled delay.
-    Straggler {
-        /// The slow node.
-        node: u32,
-        /// Delay multiplier.
-        factor: u64,
-    },
-    /// The stacked regime: loss + duplication + straggler at once.
-    Stacked {
-        /// Loss period.
-        loss_every: u64,
-        /// Duplication period.
-        dup_every: u64,
-        /// Straggler `(node, factor)`.
-        straggler: (u32, u64),
-    },
-}
-
-impl FaultSpec {
-    /// Builds the concrete [`FaultPlan`].
-    pub fn plan(&self) -> FaultPlan {
-        match *self {
-            FaultSpec::None => FaultPlan::none(),
-            FaultSpec::Duplication { every } => FaultPlan::duplicating(every),
-            FaultSpec::Loss { every } => FaultPlan::losing(every),
-            FaultSpec::Crash { node, at } => {
-                FaultPlan::crash(NodeId::new(node), SimTime::from_ticks(at))
-            }
-            FaultSpec::CrashRestart { node, down, up } => FaultPlan::crash_restart(
-                NodeId::new(node),
-                SimTime::from_ticks(down),
-                SimTime::from_ticks(up),
-            ),
-            FaultSpec::Chaos {
-                crash: (node, down, up),
-                loss_every,
-                straggler: (slow, factor),
-            } => FaultPlan::losing(loss_every)
-                .with_straggler(NodeId::new(slow), factor)
-                .with_crash_restart(
-                    NodeId::new(node),
-                    SimTime::from_ticks(down),
-                    SimTime::from_ticks(up),
-                ),
-            FaultSpec::Straggler { node, factor } => {
-                FaultPlan::straggler(NodeId::new(node), factor)
-            }
-            FaultSpec::Stacked {
-                loss_every,
-                dup_every,
-                straggler: (node, factor),
-            } => FaultPlan::losing(loss_every)
-                .with_duplication(dup_every)
-                .with_straggler(NodeId::new(node), factor),
-        }
-    }
-
-    /// Whether delivery may be duplicated — such cells only run algorithms
-    /// with proven idempotence guards.
-    pub fn duplicates(&self) -> bool {
-        matches!(
-            self,
-            FaultSpec::Duplication { .. } | FaultSpec::Stacked { .. }
-        )
-    }
-
-    /// Whether a node restarts mid-run — such cells only run algorithms
-    /// with a crash-recovery story (RCV's restart/rejoin protocol).
-    pub fn restarts(&self) -> bool {
-        matches!(
-            self,
-            FaultSpec::CrashRestart { .. } | FaultSpec::Chaos { .. }
-        )
-    }
-}
-
-/// Delay regime of a scenario.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DelaySpec {
-    /// The paper's constant `Tn = 5` (FIFO by construction).
-    Constant,
-    /// Uniform jitter in `[1, 9]` — genuinely non-FIFO channels.
-    Jitter,
-    /// Exponential mean 5 capped at 40 — heavy-tailed, aggressive
-    /// reordering.
-    HeavyTail,
-}
-
-impl DelaySpec {
-    /// Builds the concrete [`DelayModel`].
-    pub fn model(&self) -> DelayModel {
-        match self {
-            DelaySpec::Constant => DelayModel::paper_constant(),
-            DelaySpec::Jitter => DelayModel::paper_jittered(),
-            DelaySpec::HeavyTail => DelayModel::Exponential { mean: 5.0, cap: 40 },
-        }
-    }
-
-    /// Whether channels stay FIFO under this regime.
-    pub fn is_fifo(&self) -> bool {
-        matches!(self, DelaySpec::Constant)
-    }
-}
-
 /// One named scenario: pure data, no behaviour.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ScenarioSpec {
@@ -359,10 +213,12 @@ pub struct ScenarioSpec {
     pub name: String,
     /// Workload shape.
     pub shape: ShapeSpec,
-    /// Fault regime.
-    pub faults: FaultSpec,
-    /// Delay regime.
-    pub delay: DelaySpec,
+    /// Fault regime: the simulator's own plan, which both real tiers run
+    /// as it stands.
+    pub faults: FaultPlan,
+    /// Delay regime: the simulator's own model, which the real tiers
+    /// render per tick ([`rcv_runtime::NetDelay::from_model`]).
+    pub delay: DelayModel,
     /// System size `N`.
     pub n: usize,
     /// Independent seeded runs per cell.
@@ -376,41 +232,38 @@ pub struct ScenarioSpec {
 
 impl ScenarioSpec {
     /// Algorithms this scenario runs: all eight, minus FIFO-dependent ones
-    /// under non-FIFO delivery, minus guard-less ones under duplication.
+    /// under a delay model that can reorder, minus guard-less ones under
+    /// duplication, minus the ones without a recovery story (all but RCV;
+    /// the baselines keep pre-crash state) under crash windows.
     pub fn algorithms(&self) -> Vec<Algo> {
+        let rcv_only = self.faults.duplicate_every.is_some() || !self.faults.restarts.is_empty();
         Algo::all()
             .into_iter()
-            .filter(|a| self.delay.is_fifo() || !a.requires_fifo())
-            .filter(|a| !self.faults.duplicates() || matches!(a, Algo::Rcv(_)))
-            .filter(|a| !self.faults.restarts() || matches!(a, Algo::Rcv(_)))
+            .filter(|a| !self.delay.can_reorder() || !a.requires_fifo())
+            .filter(|a| !rcv_only || matches!(a, Algo::Rcv(_)))
             .collect()
     }
 
     /// Whether every request in this scenario must complete.
     ///
     /// Permanent crash-stops void liveness unconditionally — the dead
-    /// node's request dies with it. Message loss and bounded outage
-    /// windows starve requests *unless* the scenario carries a
-    /// retransmission policy: retry restores the reliable-delivery
-    /// assumption, and restart cells additionally run only on algorithms
-    /// with a recovery story ([`ScenarioSpec::algorithms`]), so liveness
-    /// is demanded again — the chaos cells exist to prove exactly that.
+    /// node's request dies with it. Message loss
+    /// ([`FaultPlan::threatens_liveness`]) and bounded outage windows
+    /// starve requests *unless* the scenario carries a retransmission
+    /// policy: retry restores the reliable-delivery assumption, and
+    /// restart cells additionally run only on algorithms with a recovery
+    /// story ([`ScenarioSpec::algorithms`]), so liveness is demanded
+    /// again — the chaos cells exist to prove exactly that.
     pub fn expect_live(&self) -> bool {
-        let plan = self.faults.plan();
-        if !plan.crashes.is_empty() {
-            return false;
-        }
-        if plan.drop_every.is_some() || !plan.restarts.is_empty() {
-            return self.retry.is_some();
-        }
-        true
+        let starves = self.faults.threatens_liveness() || !self.faults.restarts.is_empty();
+        self.faults.crashes.is_empty() && (!starves || self.retry.is_some())
     }
 
     /// The simulator configuration of one seeded run of this scenario.
     pub fn sim_config(&self, seed: u64) -> SimConfig {
         let mut cfg = SimConfig::paper(self.n, seed);
-        cfg.delay = self.delay.model();
-        cfg.faults = self.faults.plan();
+        cfg.delay = self.delay.clone();
+        cfg.faults = self.faults.clone();
         // A violation must become a failed verdict, not a panic.
         cfg.panic_on_violation = false;
         cfg
@@ -422,15 +275,16 @@ impl ScenarioSpec {
     /// plan ([`rcv_runtime::serves`] — everything but a permanent
     /// crash-stop does). Hot-spot and ramp shapes are per-node
     /// heterogeneous / time-varying and stay simulator-only. Size is also
-    /// a boundary: the runtime is thread-per-node, so the large-N `scale-*` cells would spawn hundreds-to-thousands of
-    /// OS threads and measure the host scheduler rather than the protocol
-    /// — they stay simulator-only.
+    /// a boundary: the runtime is thread-per-node, so the large-N
+    /// `scale-*` cells would spawn hundreds-to-thousands of OS threads and
+    /// measure the host scheduler rather than the protocol — they stay
+    /// simulator-only.
     pub fn runtime_mappable(&self) -> bool {
         let shape_ok = matches!(
             self.shape,
             ShapeSpec::Burst | ShapeSpec::Saturation { .. } | ShapeSpec::Poisson { .. }
         );
-        shape_ok && self.n <= 64 && rcv_runtime::serves(&self.faults.plan()).is_ok()
+        shape_ok && self.n <= 64 && rcv_runtime::serves(&self.faults).is_ok()
     }
 }
 
@@ -594,7 +448,7 @@ pub fn run_cell(cell: &Cell) -> CellResult {
 pub fn registry() -> Vec<ScenarioSpec> {
     let mut specs: Vec<ScenarioSpec> = Vec::new();
     let mut push =
-        |name: String, shape: ShapeSpec, faults: FaultSpec, delay: DelaySpec, n: usize| {
+        |name: String, shape: ShapeSpec, faults: FaultPlan, delay: DelayModel, n: usize| {
             specs.push(ScenarioSpec {
                 name,
                 shape,
@@ -605,14 +459,16 @@ pub fn registry() -> Vec<ScenarioSpec> {
                 retry: None,
             });
         };
+    let node = NodeId::new;
+    let tick = SimTime::from_ticks;
 
     // Fault-free bursts across sizes — the paper's Figure 4/5 regime.
     for n in [8usize, 12, 16, 24] {
         push(
             format!("burst-n{n}"),
             ShapeSpec::Burst,
-            FaultSpec::None,
-            DelaySpec::Constant,
+            FaultPlan::none(),
+            DelayModel::paper_constant(),
             n,
         );
     }
@@ -621,16 +477,17 @@ pub fn registry() -> Vec<ScenarioSpec> {
         push(
             format!("burst-jitter-n{n}"),
             ShapeSpec::Burst,
-            FaultSpec::None,
-            DelaySpec::Jitter,
+            FaultPlan::none(),
+            DelayModel::paper_jittered(),
             n,
         );
     }
+    // Exponential mean 5 capped at 40: heavy-tailed, aggressive reordering.
     push(
         "burst-heavytail-n12".into(),
         ShapeSpec::Burst,
-        FaultSpec::None,
-        DelaySpec::HeavyTail,
+        FaultPlan::none(),
+        DelayModel::Exponential { mean: 5.0, cap: 40 },
         12,
     );
 
@@ -642,8 +499,8 @@ pub fn registry() -> Vec<ScenarioSpec> {
                 mean,
                 horizon: 20_000,
             },
-            FaultSpec::None,
-            DelaySpec::Constant,
+            FaultPlan::none(),
+            DelayModel::paper_constant(),
             12,
         );
     }
@@ -653,8 +510,8 @@ pub fn registry() -> Vec<ScenarioSpec> {
             mean: 60.0,
             horizon: 20_000,
         },
-        FaultSpec::None,
-        DelaySpec::Jitter,
+        FaultPlan::none(),
+        DelayModel::paper_jittered(),
         12,
     );
 
@@ -663,8 +520,8 @@ pub fn registry() -> Vec<ScenarioSpec> {
         push(
             format!("saturation-n{n}-r3"),
             ShapeSpec::Saturation { rounds: 3 },
-            FaultSpec::None,
-            DelaySpec::Constant,
+            FaultPlan::none(),
+            DelayModel::paper_constant(),
             n,
         );
     }
@@ -679,15 +536,15 @@ pub fn registry() -> Vec<ScenarioSpec> {
     push(
         "hotspot-n16".into(),
         hotspot.clone(),
-        FaultSpec::None,
-        DelaySpec::Constant,
+        FaultPlan::none(),
+        DelayModel::paper_constant(),
         16,
     );
     push(
         "hotspot-jitter-n16".into(),
         hotspot,
-        FaultSpec::None,
-        DelaySpec::Jitter,
+        FaultPlan::none(),
+        DelayModel::paper_jittered(),
         16,
     );
 
@@ -701,15 +558,15 @@ pub fn registry() -> Vec<ScenarioSpec> {
     push(
         "ramp-n12".into(),
         ramp.clone(),
-        FaultSpec::None,
-        DelaySpec::Constant,
+        FaultPlan::none(),
+        DelayModel::paper_constant(),
         12,
     );
     push(
         "ramp-jitter-n12".into(),
         ramp,
-        FaultSpec::None,
-        DelaySpec::Jitter,
+        FaultPlan::none(),
+        DelayModel::paper_jittered(),
         12,
     );
 
@@ -717,8 +574,8 @@ pub fn registry() -> Vec<ScenarioSpec> {
     push(
         "loss-burst-n12".into(),
         ShapeSpec::Burst,
-        FaultSpec::Loss { every: 17 },
-        DelaySpec::Constant,
+        FaultPlan::losing(17),
+        DelayModel::paper_constant(),
         12,
     );
     push(
@@ -727,8 +584,8 @@ pub fn registry() -> Vec<ScenarioSpec> {
             mean: 80.0,
             horizon: 10_000,
         },
-        FaultSpec::Loss { every: 29 },
-        DelaySpec::Constant,
+        FaultPlan::losing(29),
+        DelayModel::paper_constant(),
         12,
     );
 
@@ -736,15 +593,15 @@ pub fn registry() -> Vec<ScenarioSpec> {
     push(
         "dup-burst-n12".into(),
         ShapeSpec::Burst,
-        FaultSpec::Duplication { every: 3 },
-        DelaySpec::Constant,
+        FaultPlan::duplicating(3),
+        DelayModel::paper_constant(),
         12,
     );
     push(
         "dup-jitter-burst-n12".into(),
         ShapeSpec::Burst,
-        FaultSpec::Duplication { every: 1 },
-        DelaySpec::Jitter,
+        FaultPlan::duplicating(1),
+        DelayModel::paper_jittered(),
         12,
     );
 
@@ -752,8 +609,8 @@ pub fn registry() -> Vec<ScenarioSpec> {
     push(
         "straggler-burst-n12".into(),
         ShapeSpec::Burst,
-        FaultSpec::Straggler { node: 0, factor: 8 },
-        DelaySpec::Constant,
+        FaultPlan::straggler(node(0), 8),
+        DelayModel::paper_constant(),
         12,
     );
     push(
@@ -762,26 +619,28 @@ pub fn registry() -> Vec<ScenarioSpec> {
             mean: 120.0,
             horizon: 10_000,
         },
-        FaultSpec::Straggler { node: 1, factor: 6 },
-        DelaySpec::Constant,
+        FaultPlan::straggler(node(1), 6),
+        DelayModel::paper_constant(),
         12,
     );
     push(
         "straggler-jitter-burst-n12".into(),
         ShapeSpec::Burst,
-        FaultSpec::Straggler { node: 0, factor: 8 },
-        DelaySpec::Jitter,
+        FaultPlan::straggler(node(0), 8),
+        DelayModel::paper_jittered(),
         12,
     );
 
     // Churn-adjacent cancellation: node 2 issues at t=0 (burst) and
     // crash-stops at t=12 — mid-wait for these parameters — abandoning its
-    // request. Safety-only; the fingerprint pins who else still completes.
+    // request (the closest observable to a client cancelling a request
+    // this protocol family admits). Safety-only; the fingerprint pins who
+    // else still completes.
     push(
         "cancel-burst-n12".into(),
         ShapeSpec::Burst,
-        FaultSpec::Crash { node: 2, at: 12 },
-        DelaySpec::Constant,
+        FaultPlan::crash(node(2), tick(12)),
+        DelayModel::paper_constant(),
         12,
     );
 
@@ -790,8 +649,8 @@ pub fn registry() -> Vec<ScenarioSpec> {
     push(
         "crash-holder-burst-n10".into(),
         ShapeSpec::Burst,
-        FaultSpec::Crash { node: 0, at: 25 },
-        DelaySpec::Constant,
+        FaultPlan::crash(node(0), tick(25)),
+        DelayModel::paper_constant(),
         10,
     );
 
@@ -799,12 +658,10 @@ pub fn registry() -> Vec<ScenarioSpec> {
     push(
         "stacked-burst-n10".into(),
         ShapeSpec::Burst,
-        FaultSpec::Stacked {
-            loss_every: 23,
-            dup_every: 7,
-            straggler: (1, 4),
-        },
-        DelaySpec::Jitter,
+        FaultPlan::losing(23)
+            .with_duplication(7)
+            .with_straggler(node(1), 4),
+        DelayModel::paper_jittered(),
         10,
     );
 
@@ -819,16 +676,17 @@ pub fn registry() -> Vec<ScenarioSpec> {
         specs.push(ScenarioSpec {
             name: format!("scale-burst-n{n}"),
             shape: ShapeSpec::Burst,
-            faults: FaultSpec::None,
-            delay: DelaySpec::Constant,
+            faults: FaultPlan::none(),
+            delay: DelayModel::paper_constant(),
             n,
             seeds: 1,
             retry: None,
         });
     }
 
-    // Chaos regime: crash **windows** — the node comes back and must
-    // rejoin via its protocol's restart hook. RCV-only (the baselines have
+    // Chaos regime: crash **windows** — the node is down during `[down,
+    // up)`, deliveries into the window vanish, and at `up` it must rejoin
+    // via its protocol's restart hook. RCV-only (the baselines have
     // no recovery story) and, because every cell carries a retransmission
     // policy, liveness is DEMANDED despite the outage: a crashed holder is
     // evicted and its resumed request must re-enter; waiters starved by
@@ -840,7 +698,7 @@ pub fn registry() -> Vec<ScenarioSpec> {
     // typically idle (bystander crash).
     let chaos_retry = Some(RetryPolicy::backoff(400, 3_200));
     let mut chaos =
-        |name: &str, shape: ShapeSpec, faults: FaultSpec, delay: DelaySpec, n: usize| {
+        |name: &str, shape: ShapeSpec, faults: FaultPlan, delay: DelayModel, n: usize| {
             specs.push(ScenarioSpec {
                 name: name.into(),
                 shape,
@@ -851,26 +709,20 @@ pub fn registry() -> Vec<ScenarioSpec> {
                 retry: chaos_retry,
             });
         };
+    let window =
+        |n: u32, down: u64, up: u64| FaultPlan::crash_restart(node(n), tick(down), tick(up));
     chaos(
         "chaos-restart-holder-burst-n8",
         ShapeSpec::Burst,
-        FaultSpec::CrashRestart {
-            node: 0,
-            down: 25,
-            up: 120,
-        },
-        DelaySpec::Constant,
+        window(0, 25, 120),
+        DelayModel::paper_constant(),
         8,
     );
     chaos(
         "chaos-restart-waiter-burst-n8",
         ShapeSpec::Burst,
-        FaultSpec::CrashRestart {
-            node: 2,
-            down: 12,
-            up: 100,
-        },
-        DelaySpec::Constant,
+        window(2, 12, 100),
+        DelayModel::paper_constant(),
         8,
     );
     chaos(
@@ -879,23 +731,19 @@ pub fn registry() -> Vec<ScenarioSpec> {
             mean: 150.0,
             horizon: 6_000,
         },
-        FaultSpec::CrashRestart {
-            node: 3,
-            down: 2_000,
-            up: 2_600,
-        },
-        DelaySpec::Constant,
+        window(3, 2_000, 2_600),
+        DelayModel::paper_constant(),
         8,
     );
+    // The harshest liveness demand: a crash window stacked with message
+    // loss and a straggler.
     chaos(
         "chaos-stacked-burst-n8",
         ShapeSpec::Burst,
-        FaultSpec::Chaos {
-            crash: (1, 30, 150),
-            loss_every: 31,
-            straggler: (2, 3),
-        },
-        DelaySpec::Jitter,
+        FaultPlan::losing(31)
+            .with_straggler(node(2), 3)
+            .with_crash_restart(node(1), tick(30), tick(150)),
+        DelayModel::paper_jittered(),
         8,
     );
 
@@ -959,23 +807,23 @@ mod tests {
                 "family {family} missing"
             );
         }
-        assert!(specs
-            .iter()
-            .any(|s| matches!(s.faults, FaultSpec::Loss { .. })));
-        assert!(specs
-            .iter()
-            .any(|s| matches!(s.faults, FaultSpec::Straggler { .. })));
+        assert!(specs.iter().any(|s| s.faults.drop_every.is_some()));
+        assert!(specs.iter().any(|s| !s.faults.stragglers.is_empty()));
         assert!(specs.iter().any(|s| s.name.starts_with("cancel")));
+        // Stacked: loss, duplication and a straggler in one plan.
+        assert!(specs.iter().any(|s| {
+            let f = &s.faults;
+            f.drop_every.is_some() && f.duplicate_every.is_some() && !f.stragglers.is_empty()
+        }));
         assert!(specs
             .iter()
-            .any(|s| matches!(s.faults, FaultSpec::Stacked { .. })));
-        assert!(specs.iter().any(|s| s.delay == DelaySpec::HeavyTail));
+            .any(|s| matches!(s.delay, DelayModel::Exponential { .. })));
     }
 
     #[test]
     fn fifo_algorithms_never_meet_jitter() {
         for spec in registry() {
-            if !spec.delay.is_fifo() {
+            if spec.delay.can_reorder() {
                 for algo in spec.algorithms() {
                     assert!(!algo.requires_fifo(), "{} runs {}", spec.name, algo.name());
                 }
@@ -986,7 +834,7 @@ mod tests {
     #[test]
     fn duplication_cells_are_rcv_only() {
         for spec in registry() {
-            if spec.faults.duplicates() {
+            if spec.faults.duplicate_every.is_some() {
                 for algo in spec.algorithms() {
                     assert!(
                         matches!(algo, Algo::Rcv(_)),
@@ -1027,39 +875,51 @@ mod tests {
         // tick — written out by hand, so a change to the rendering shows
         // up here.
         let us = Duration::from_micros;
-        let pinned_delay = |delay: DelaySpec| match delay {
-            DelaySpec::Constant => NetDelay::Uniform {
-                min: us(1_000),
-                max: us(1_000),
-            },
-            DelaySpec::Jitter => NetDelay::Uniform {
-                min: us(200),
-                max: us(1_800),
-            },
-            DelaySpec::HeavyTail => NetDelay::Exponential {
-                mean: us(1_000),
-                cap: us(8_000),
-            },
+        let pinned = [
+            (
+                DelayModel::paper_constant(),
+                NetDelay::Uniform {
+                    min: us(1_000),
+                    max: us(1_000),
+                },
+            ),
+            (
+                DelayModel::paper_jittered(),
+                NetDelay::Uniform {
+                    min: us(200),
+                    max: us(1_800),
+                },
+            ),
+            (
+                DelayModel::Exponential { mean: 5.0, cap: 40 },
+                NetDelay::Exponential {
+                    mean: us(1_000),
+                    cap: us(8_000),
+                },
+            ),
+        ];
+        let pinned_delay = |delay: &DelayModel| {
+            let pin = pinned.iter().find(|(model, _)| model == delay);
+            pin.expect("every registry delay model is pinned").1
         };
 
         for spec in registry() {
             let name = &spec.name;
             // The simulator runs exactly the plan and the model.
             let cfg = spec.sim_config(7);
-            let plan = spec.faults.plan();
-            assert_eq!(cfg.faults, plan, "{name}");
-            assert_eq!(cfg.delay, spec.delay.model(), "{name}");
+            assert_eq!(cfg.faults, spec.faults, "{name}");
+            assert_eq!(cfg.delay, spec.delay, "{name}");
 
             // The real tiers run the same plan, or nothing.
-            let served = rcv_runtime::serves(&plan).is_ok();
+            let served = rcv_runtime::serves(&spec.faults).is_ok();
             assert_eq!(
                 served,
-                !matches!(spec.faults, FaultSpec::Crash { .. }),
+                spec.faults.crashes.is_empty(),
                 "{name}: only permanent crash-stop may be refused"
             );
             assert_eq!(
                 NetDelay::from_model(&cfg.delay, us(200)),
-                pinned_delay(spec.delay),
+                pinned_delay(&spec.delay),
                 "{name}"
             );
             let shape_ok = matches!(
@@ -1091,8 +951,8 @@ mod tests {
         let spec = ScenarioSpec {
             name: "burst-n8".into(),
             shape: ShapeSpec::Burst,
-            faults: FaultSpec::None,
-            delay: DelaySpec::Constant,
+            faults: FaultPlan::none(),
+            delay: DelayModel::paper_constant(),
             n: 8,
             seeds: 2,
             retry: None,
@@ -1113,8 +973,8 @@ mod tests {
         let spec = ScenarioSpec {
             name: "loss-burst-n12".into(),
             shape: ShapeSpec::Burst,
-            faults: FaultSpec::Loss { every: 17 },
-            delay: DelaySpec::Constant,
+            faults: FaultPlan::losing(17),
+            delay: DelayModel::paper_constant(),
             n: 12,
             seeds: 2,
             retry: None,
@@ -1139,8 +999,8 @@ mod tests {
                 cold_mean: 600.0,
                 horizon: 5_000,
             },
-            faults: FaultSpec::None,
-            delay: DelaySpec::Jitter,
+            faults: FaultPlan::none(),
+            delay: DelayModel::paper_jittered(),
             n: 16,
             seeds: 2,
             retry: None,

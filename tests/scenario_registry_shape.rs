@@ -91,21 +91,21 @@ fn exclusion_rules_pin_every_scenario_and_the_187_cell_total() {
             algos.iter().map(|a| a.name()).collect::<Vec<_>>()
         );
         // Rule 1: non-FIFO delivery never meets a FIFO-requiring algorithm.
-        if !spec.delay.is_fifo() {
+        if spec.delay.can_reorder() {
             assert!(
                 algos.iter().all(|a| !a.requires_fifo()),
                 "{name}: FIFO-requiring algorithm under non-FIFO delivery"
             );
         }
         // Rule 2: duplication cells are RCV-only.
-        if spec.faults.duplicates() {
+        if spec.faults.duplicate_every.is_some() {
             assert!(
                 algos.iter().all(|a| matches!(a, Algo::Rcv(_))),
                 "{name}: non-RCV algorithm under duplication"
             );
         }
         // Rule 3: restart cells run only recovery-capable algorithms.
-        if spec.faults.restarts() {
+        if !spec.faults.restarts.is_empty() {
             assert!(
                 algos.iter().all(|a| matches!(a, Algo::Rcv(_))),
                 "{name}: non-recoverable algorithm under crash-restart"
@@ -114,9 +114,9 @@ fn exclusion_rules_pin_every_scenario_and_the_187_cell_total() {
         // No fourth rule: whatever the three rules allow must be present.
         let allowed = Algo::all()
             .into_iter()
-            .filter(|a| spec.delay.is_fifo() || !a.requires_fifo())
-            .filter(|a| !spec.faults.duplicates() || matches!(a, Algo::Rcv(_)))
-            .filter(|a| !spec.faults.restarts() || matches!(a, Algo::Rcv(_)))
+            .filter(|a| !spec.delay.can_reorder() || !a.requires_fifo())
+            .filter(|a| spec.faults.duplicate_every.is_none() || matches!(a, Algo::Rcv(_)))
+            .filter(|a| spec.faults.restarts.is_empty() || matches!(a, Algo::Rcv(_)))
             .count();
         assert_eq!(
             algos.len(),
