@@ -183,7 +183,7 @@ fn run() -> Result<ExitCode, String> {
                 "    {{\"algo\": {}, \"tag\": {}, \"verdict\": {}, \"completed\": {}, \
                  \"expected\": {}, \"messages\": {}, \"violations\": {}, \"anomalies\": {}, \
                  \"crashed\": [{}], \"wire_faults\": {}, \"hub\": {{\"wakeups_readable\": {}, \
-                 \"wakeups_timer\": {}, \"frames_routed\": {}, \"bytes_in\": {}, \
+                 \"wakeups_timer\": {}, \"bytes_in\": {}, \
                  \"bytes_out\": {}, \"max_outbuf\": {}, \"late_count\": {}, \
                  \"late_mean_us\": {:.1}, \"late_max_us\": {:.1}}}, \"millis\": {}}}",
                 json_str(r.algo),
@@ -198,7 +198,6 @@ fn run() -> Result<ExitCode, String> {
                 r.report.faults.len(),
                 hub.wakeups_readable,
                 hub.wakeups_timer,
-                hub.frames_routed,
                 hub.bytes_in,
                 hub.bytes_out,
                 hub.max_outbuf,

@@ -192,8 +192,15 @@ pub fn run_spec(cell: &Cell, opts: &DiffOptions, attempt: u32) -> RunSpec {
         ShapeSpec::Burst => (1, 0u64),
         ShapeSpec::Saturation { rounds } => (1 + rounds, 0),
         // The runtime has no open-loop arrival process; a Poisson cell
-        // becomes closed-loop re-requests with the mean as think time.
-        ShapeSpec::Poisson { mean, .. } => (2, mean.round().max(0.0) as u64),
+        // becomes closed-loop re-requests with the mean as think time, for
+        // enough rounds to outlast its last crash window (else the run
+        // ends before the window opens).
+        ShapeSpec::Poisson { mean, .. } => {
+            let think = mean.round().max(0.0) as u64;
+            let last_up = spec.faults.restarts.iter().map(|w| w.up_at.ticks());
+            let rounds = last_up.max().unwrap_or(0) / think.max(1) + 2;
+            (u32::try_from(rounds).expect("rounds fit u32"), think)
+        }
         _ => unreachable!("runtime_mappable filtered shapes"),
     };
     // The scenario's CS duration is the one its simulator runs use.
@@ -295,6 +302,13 @@ pub fn run_diff_cell_on(cell: &Cell, opts: &DiffOptions, backend: &ClusterBacken
             run.completed,
             expected,
             retries + 1
+        ))
+    } else if run.completed == expected && run.restarts < spec.faults.restarts.len() as u64 {
+        // A run that ended before a window opened proved no recovery.
+        Some(format!(
+            "rt-vacuous({}/{} crash windows served)",
+            run.restarts,
+            spec.faults.restarts.len()
         ))
     } else if spec.faults == FaultPlan::none() && expect_live {
         // Fault-free cells: both sides completed everything; their per-CS
@@ -531,6 +545,20 @@ mod tests {
         let window = FaultPlan::crash_restart(NodeId::new(0), at(25), at(120));
         assert_eq!(ts.faults, window);
         assert_eq!(ts.timeout, opts.timeout, "retry restores liveness");
+
+        // A Poisson cell's rounds of thinking outlast its crash window.
+        let bystander = grid
+            .iter()
+            .find(|c| c.scenario.name == "chaos-restart-bystander-poisson-n8")
+            .expect("Poisson chaos cell");
+        let ts = run_spec(bystander, &opts, 0);
+        let up = bystander.scenario.faults.restarts[0].up_at.ticks();
+        assert!(
+            ts.think * ts.rounds > ts.ticks(up),
+            "{} rounds of {:?} end before the window closes at tick {up}",
+            ts.rounds,
+            ts.think
+        );
 
         // Rerun seeds differ (fresh schedule per attempt).
         assert_ne!(run_spec(sat, &opts, 0).seed, run_spec(sat, &opts, 1).seed);

@@ -2,9 +2,9 @@
 //! threads sharing one delay queue, with an impairment layer that injects
 //! random per-message delays (and therefore reordering — delivery stops
 //! being FIFO, exactly the property the RCV algorithm claims not to need)
-//! and, optionally, the simulator's own `FaultPlan` — message loss,
-//! duplicated delivery, per-endpoint straggler slowdowns and crash
-//! windows — applied by the sending thread as it queues.
+//! and, optionally, the simulator's own `FaultPlan` — loss, duplication
+//! and straggler slowdowns applied by the sending thread as it queues,
+//! crash windows served by the crashed node's own thread.
 //!
 //! Topology:
 //!
@@ -106,16 +106,20 @@ impl NetDelay {
     }
 }
 
-/// Whether the real tiers can run `plan` as the simulator would: `Ok`, or
-/// why not. A plan they cannot hold is refused, never truncated:
+/// Whether the real tiers can run `plan` on `n` nodes as the simulator
+/// would: `Ok`, or why not. A plan they cannot hold is refused whole:
 ///
+/// * every node the plan names is one of the `n` (`FaultPlan::unknown_node`);
 /// * a **permanent** crash-stop needs a node to vanish forever, which
 ///   neither joinable threads nor watched worker processes can express —
 ///   only bounded crash *windows* run;
 /// * a node's driver serves one crash window, so a node may have at most
 ///   one;
 /// * a straggler stretches a `Duration`, which scales by `u32`.
-pub fn serves(plan: &FaultPlan) -> Result<(), String> {
+pub fn serves(plan: &FaultPlan, n: usize) -> Result<(), String> {
+    if let Some(node) = plan.unknown_node(n) {
+        return Err(format!("{node} is not one of the {n} nodes"));
+    }
     if let Some(&(node, at)) = plan.crashes.first() {
         return Err(format!(
             "permanent crash-stop ({node} at t={}) has no real-tier rendering",
@@ -185,16 +189,15 @@ pub struct ClusterReport {
     /// Extra copies delivered by the plan's duplication
     /// (`FaultPlan::duplicates`).
     pub duplicated: u64,
-    /// Deliveries black-holed because the receiver was inside its crash
-    /// window (counted separately from `lost`: loss is a network fault,
-    /// this is a dead process).
+    /// Deliveries a node discarded inside its crash window (not `lost`:
+    /// loss is a network fault, this is a dead process).
     pub crash_dropped: u64,
     /// Node restarts performed (one per served crash window in the
     /// plan's [`FaultPlan::restarts`]).
     pub restarts: u64,
     /// How late each delivery was taken from the delay queue, past the
-    /// due time the injected delay set; crash-window black-holes are not
-    /// deliveries. On the socket tier the hub takes them: its wake-up
+    /// due time the injected delay set; a delivery to a crashed node
+    /// counts too. On the socket tier the hub takes them: its wake-up
     /// precision. On the thread tier the receiving node thread does, so
     /// the figure also holds the time the receiver was busy (handling
     /// another message, or in its CS) when the delivery fell due — it is
@@ -224,10 +227,6 @@ impl ClusterReport {
             violations,
             lost: q.lost,
             duplicated: q.duplicated,
-            // The queue black-holes in-window deliveries; the node-side
-            // drain at the crash instant adds the ones that fell due
-            // before it and were not yet handled.
-            crash_dropped: q.crash_dropped,
             late: q.late,
             timed_out,
             ..ClusterReport::default()
@@ -263,11 +262,11 @@ where
     P: MutexProtocol + Send + 'static,
 {
     assert!(spec.n >= 1);
-    serves(&spec.faults).expect("the thread tier runs this fault plan");
     let n = spec.n;
+    serves(&spec.faults, n).expect("the thread tier runs this fault plan");
     let monitor = Arc::new(Mutex::new(SafetyMonitor::new()));
     let start = Instant::now();
-    let net = Switchboard::new(n, &spec.faults, start, spec.tick, spec.ext.clone());
+    let net = Switchboard::new(n, &spec.faults, spec.ext.clone());
 
     // Node threads: each runs the transport-generic driver over its
     // connection to the switchboard.
@@ -357,17 +356,26 @@ mod tests {
         let at = SimTime::from_ticks;
         let (a, b) = (NodeId::new(0), NodeId::new(1));
         let two_slow = FaultPlan::straggler(a, 2).with_straggler(b, 3);
-        assert_eq!(serves(&two_slow), Ok(()));
+        assert_eq!(serves(&two_slow, 2), Ok(()));
         let two_windows =
             FaultPlan::crash_restart(a, at(5), at(10)).with_crash_restart(b, at(5), at(10));
-        assert_eq!(serves(&two_windows), Ok(()));
+        assert_eq!(serves(&two_windows, 2), Ok(()));
 
-        assert!(serves(&FaultPlan::crash(a, at(5))).is_err());
+        assert!(serves(&FaultPlan::crash(a, at(5)), 2).is_err());
         let twice =
             FaultPlan::crash_restart(a, at(5), at(10)).with_crash_restart(a, at(20), at(30));
-        assert!(serves(&twice).is_err());
-        assert!(serves(&FaultPlan::straggler(a, u64::MAX)).is_err());
-        assert!(serves(&FaultPlan::straggler(a, u32::MAX as u64)).is_ok());
+        assert!(serves(&twice, 2).is_err());
+        assert!(serves(&FaultPlan::straggler(a, u64::MAX), 2).is_err());
+        assert!(serves(&FaultPlan::straggler(a, u32::MAX as u64), 2).is_ok());
+
+        // A node outside the cluster is refused, whatever names it.
+        let (n5, n9) = (NodeId::new(5), NodeId::new(9));
+        let outside = FaultPlan::crash_restart(n5, at(100), at(200)).with_straggler(n9, 50);
+        let err = serves(&outside, 3).expect_err("N5 and N9 are not in a 3-node cluster");
+        assert!(err.contains("N5 is not one of the 3"), "{err}");
+        assert!(serves(&FaultPlan::straggler(n9, 50), 3).is_err());
+        assert!(serves(&FaultPlan::crash_restart(b, at(1), at(2)), 1).is_err());
+        assert_eq!(serves(&outside, 10), Ok(()));
     }
 
     #[test]
@@ -406,11 +414,7 @@ mod tests {
             run_cluster_collecting(ClusterSpec::quick(3, 5).rounds(2), RicartAgrawala::new);
         assert_eq!(crate::transport::readiness::timer_slack_ns(), slack);
         assert!(r.is_clean(6), "{r:?}");
-        assert_eq!(
-            r.late.count,
-            r.messages - r.lost + r.duplicated - r.crash_dropped,
-            "{r:?}"
-        );
+        assert_eq!(r.late.count, r.messages - r.lost + r.duplicated, "{r:?}");
         assert!(r.late.count > 0 && r.late.max >= r.late.mean(), "{r:?}");
     }
 

@@ -5,9 +5,10 @@
 //! think between them), materializes protocol intents (outbound messages
 //! with node-sampled delays, one-shot timers, CS entry), executes the CS
 //! by sleeping while registered with a [`CsProbe`], and serves this
-//! node's crash window (freeze, drain, restart) — identically whether the
+//! node's crash window (freeze, discard, restart) — identically whether the
 //! fabric is the thread tier's shared delay queue or a socket to the
-//! orchestrator.
+//! orchestrator. The fabric delivers to a crashed node as to any other;
+//! the driver discards those deliveries, on both real tiers.
 
 use std::time::{Duration, Instant};
 
@@ -204,11 +205,13 @@ where
         true
     }
 
-    /// Serves the crash window once its instant has passed: discards the
-    /// dead process's inbox and timers, freezes until the window ends,
-    /// then re-runs the protocol's restart hook and reconciles the round
-    /// bookkeeping with its [`RestartOutcome`]. Returns `true` if a
-    /// shutdown arrived while down (the run loop must exit).
+    /// Serves the crash window once its instant has passed: drops the
+    /// dead process's timers and discards every delivery that reaches it
+    /// until the window ends — the one place a real tier drops a message
+    /// sent to a crashed node — then re-runs the protocol's restart hook
+    /// and reconciles the round bookkeeping with its [`RestartOutcome`].
+    /// Returns `true` if a shutdown arrived while down (the run loop must
+    /// exit).
     fn serve_crash_window(
         &mut self,
         waiting_grant: &mut bool,
@@ -219,24 +222,16 @@ where
         self.crash_done = true;
         self.timers.clear();
         self.status.set("crashed (down)");
-        // Deliveries already due but not yet handled died with the process.
+        // Down: what reaches the process until the window ends dies with
+        // it, the deliveries already due but not yet handled included. A
+        // `recv` times out only once its timeout has passed, so `Timeout`
+        // means the window is over (or was when it was served).
         loop {
-            match self.transport.recv(Duration::ZERO) {
+            let left = up.saturating_duration_since(Instant::now());
+            match self.transport.recv(left) {
                 RecvOutcome::Msg { .. } => self.out.crash_dropped += 1,
                 RecvOutcome::Shutdown => return true,
                 RecvOutcome::Timeout => break,
-            }
-        }
-        // Down: swallow anything that trickles in until the window ends.
-        loop {
-            let now = Instant::now();
-            if now >= up {
-                break;
-            }
-            match self.transport.recv(up - now) {
-                RecvOutcome::Msg { .. } => self.out.crash_dropped += 1,
-                RecvOutcome::Shutdown => return true,
-                RecvOutcome::Timeout => {}
             }
         }
         // Restart. The hook may enter the CS synchronously (single-node

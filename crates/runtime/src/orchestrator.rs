@@ -23,11 +23,12 @@
 //!    slots with queued output, so an idle cluster costs no CPU and a
 //!    `Send` is read the moment it arrives. `Send` frames are routed
 //!    through the same `FaultQueue` (in `transport::netq`) the thread
-//!    tier's node threads share, so loss/duplication/straggler/crash-window semantics are
-//!    identical across backends. Output toward a worker is bounded by
-//!    [`OUTBUF_CAP`]: a worker that stops reading is written off (and
-//!    named in `faults`, see [`OVER_CAP_FAULT`]) instead of growing the
-//!    hub. Mutual exclusion is checked *post hoc* by replaying the shared
+//!    tier's node threads share, so loss, duplication and stragglers act
+//!    identically across backends; a worker inside its crash window
+//!    discards what reaches it, as a thread-tier node does. Output toward
+//!    a worker is bounded by [`OUTBUF_CAP`]: a worker that stops reading
+//!    is written off (and named in `faults`, see [`OVER_CAP_FAULT`])
+//!    instead of growing the hub. Mutual exclusion is checked *post hoc* by replaying the shared
 //!    append-only CS log into an [`rcv_simnet::SafetyMonitor`] — workers
 //!    write entry/exit records from inside the CS, and the kernel's
 //!    `O_APPEND` serialization makes interleaved records a faithful
@@ -125,11 +126,11 @@ pub struct ProcessReport {
 }
 
 /// Counters of the hub's serve loop: how often it woke and why, and how
-/// much it moved (how late it moved it is [`ClusterReport::late`]). Plain
-/// counts kept on the hub thread (no clock reads of their own);
-/// `wakeups_readable + wakeups_timer` is the number of passes the loop
-/// made, which for an event-driven hub is bounded by the traffic, not by
-/// the run's length.
+/// many bytes it moved (how many deliveries it routed, and how late, is
+/// [`ClusterReport::late`]). Plain counts kept on the hub thread (no clock
+/// reads of their own); `wakeups_readable + wakeups_timer` is the number
+/// of passes the loop made, which for an event-driven hub is bounded by
+/// the traffic, not by the run's length.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct HubStats {
     /// Readiness waits that ended because a socket became ready (almost
@@ -138,8 +139,6 @@ pub struct HubStats {
     /// Readiness waits that ended on their timeout (a delivery fell due,
     /// the kill drill, the deadline) or a signal.
     pub wakeups_timer: u64,
-    /// `Deliver` frames queued toward workers.
-    pub frames_routed: u64,
     /// Bytes read from worker sockets.
     pub bytes_in: u64,
     /// Bytes written to worker sockets.
@@ -434,8 +433,8 @@ pub fn run_process_cluster(
     spawn: impl FnOnce(&str) -> std::io::Result<Vec<Child>>,
 ) -> Result<ProcessReport, String> {
     assert!(spec.n >= 1);
-    crate::serves(&spec.faults)?;
     let n = spec.n;
+    crate::serves(&spec.faults, n)?;
     let tag = HUB_SEQ.fetch_add(1, Ordering::Relaxed);
     let net = spec.ext.net;
     let (listener, addr) =
@@ -556,8 +555,7 @@ pub fn run_process_cluster(
     let exact = ExactTimers::new();
     let t0 = Instant::now();
     let deadline = t0 + spec.timeout;
-    let mut q: FaultQueueBytes =
-        crate::transport::netq::FaultQueue::new(&spec.faults, t0, spec.tick, n);
+    let mut q: FaultQueueBytes = crate::transport::netq::FaultQueue::new(&spec.faults, n);
     let mut faults: Vec<(u32, String)> = Vec::new();
     let mut hub = HubStats::default();
     let mut shutdown_sent = false;
@@ -594,14 +592,13 @@ pub fn run_process_cluster(
         for (to, slot) in slots.iter_mut().enumerate() {
             while let Some((from, payload)) = q.pop_due(to, now) {
                 status.bump();
-                hub.frames_routed += 1;
                 // Periodic status only: formatting per frame would put an
                 // allocation on the routing hot path.
-                if hub.frames_routed % 1024 == 1 {
+                if q.late.count % 1024 == 1 {
                     status.set(format!(
                         "serving: in-flight {} (routed {}, wakeups {} io / {} timer)",
                         q.in_flight(),
-                        hub.frames_routed,
+                        q.late.count,
                         hub.wakeups_readable,
                         hub.wakeups_timer,
                     ));
@@ -854,14 +851,14 @@ mod tests {
         assert_eq!(report.report.completed, 6);
         assert!(report.report.messages > 0);
         // Late releases may still be queued when the last report lands.
-        let hub = report.hub;
-        assert!(hub.frames_routed > 0 && hub.frames_routed <= report.report.messages);
+        let (hub, routed) = (report.hub, report.report.late.count);
+        assert!(routed > 0 && routed <= report.report.messages);
         assert!(hub.bytes_in > 0 && hub.bytes_out > 0 && hub.max_outbuf > 0);
     }
 
-    /// Every delivery the hub routes is measured for lateness, and none
-    /// it black-holes. Ricart–Agrawala's last exit sends nothing, so in a
-    /// clean run every message is delivered before the last `Done`.
+    /// Every delivery the hub routes is measured for lateness.
+    /// Ricart–Agrawala's last exit sends nothing, so in a clean run every
+    /// message is delivered before the last `Done`.
     #[test]
     fn the_hub_measures_the_lateness_of_every_delivery() {
         let spec = ProcessSpec::quick(3, 9, "ricart")
@@ -872,12 +869,7 @@ mod tests {
         assert_eq!(readiness::timer_slack_ns(), slack, "hub slack restored");
         let r = &pr.report;
         assert!(pr.is_clean(6), "{pr:?}");
-        assert_eq!(
-            r.late.count,
-            r.messages - r.lost + r.duplicated - r.crash_dropped,
-            "{r:?}"
-        );
-        assert_eq!(pr.hub.frames_routed, r.late.count);
+        assert_eq!(r.late.count, r.messages - r.lost + r.duplicated, "{r:?}");
         assert!(r.late.max >= r.late.mean(), "{r:?}");
     }
 
@@ -895,10 +887,51 @@ mod tests {
             .timeout(Duration::from_secs(20));
         let report = run_with_thread_workers(&spec, "uds:");
         assert!(report.is_clean(6), "{report:?}");
-        let hub = report.hub;
-        assert!(hub.frames_routed > 0, "{hub:?}");
+        let (hub, routed) = (report.hub, report.report.late.count);
+        assert!(routed > 0, "{hub:?}");
         let passes = hub.wakeups_readable + hub.wakeups_timer;
-        assert!(passes <= 2 * hub.frames_routed + 8 * 2, "{hub:?}");
+        assert!(passes <= 2 * routed + 8 * 2, "{hub:?} routed {routed}");
+    }
+
+    /// RCV with the chaos cells' retransmission policy.
+    fn rcv_retrying(me: NodeId, n: usize) -> rcv_core::RcvNode {
+        let policy = rcv_simnet::RetryPolicy::backoff(400, 3_200);
+        rcv_core::RcvNode::with_config(me, n, rcv_core::RcvConfig::with_retry(policy))
+    }
+
+    /// A socket-tier crash window: node 0 dies inside the opening burst
+    /// (ticks 25..120 at 200 µs) and recovers through retransmission. The
+    /// hub hands the dead worker its deliveries like any other, and the
+    /// worker discards them: each discarded message went through the
+    /// queue, so `crash_dropped` is part of `late.count`.
+    #[test]
+    fn a_crashed_worker_discards_what_the_hub_delivers_and_recovers() {
+        use rcv_simnet::SimTime;
+        let at = SimTime::from_ticks;
+        let spec = ProcessSpec::quick(8, 10, "rcv")
+            .tick(Duration::from_micros(200))
+            .cs_duration(Duration::from_millis(2))
+            .think(Duration::ZERO)
+            .delay(NetDelay::Uniform {
+                min: Duration::from_millis(1),
+                max: Duration::from_millis(1),
+            })
+            .faults(rcv_simnet::FaultPlan::crash_restart(
+                NodeId::new(0),
+                at(25),
+                at(120),
+            ))
+            .retry(rcv_simnet::RetryPolicy::backoff(400, 3_200))
+            .timeout(Duration::from_secs(60));
+        let pr = run_with(&spec, "uds:", rcv_retrying);
+        let r = &pr.report;
+        assert!(pr.is_clean(8), "{pr:?}");
+        assert_eq!(r.restarts, 1, "the crash window must actually fire");
+        assert!(
+            r.crash_dropped > 0,
+            "deliveries reach the dead worker: {r:?}"
+        );
+        assert!(r.crash_dropped <= r.late.count, "{r:?}");
     }
 
     #[test]

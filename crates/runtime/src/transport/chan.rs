@@ -46,18 +46,11 @@ pub(crate) struct Board<M> {
 }
 
 impl<M: Clone> Switchboard<M> {
-    /// A switchboard for `n` nodes running `plan` on the tick clock
-    /// anchored at `start`.
-    pub(crate) fn new(
-        n: usize,
-        plan: &FaultPlan,
-        start: Instant,
-        tick: Duration,
-        hook: Option<WireHook<M>>,
-    ) -> Arc<Self> {
+    /// A switchboard for `n` nodes running `plan`.
+    pub(crate) fn new(n: usize, plan: &FaultPlan, hook: Option<WireHook<M>>) -> Arc<Self> {
         Arc::new(Switchboard {
             state: Mutex::new(Board {
-                q: FaultQueue::new(plan, start, tick, n),
+                q: FaultQueue::new(plan, n),
                 asleep: vec![None; n],
                 done: 0,
                 dropped: 0,
@@ -203,13 +196,7 @@ mod tests {
     use super::*;
 
     fn board(n: usize) -> Arc<Switchboard<u32>> {
-        Switchboard::new(
-            n,
-            &FaultPlan::none(),
-            Instant::now(),
-            Duration::from_micros(1),
-            None,
-        )
+        Switchboard::new(n, &FaultPlan::none(), None)
     }
 
     /// Returns once node `i` sleeps inside `recv`.

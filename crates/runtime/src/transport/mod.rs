@@ -74,16 +74,18 @@ pub enum RecvOutcome<M> {
 /// One node's connection to the cluster fabric.
 ///
 /// Delivery semantics are identical across implementations: the fabric
-/// applies the node-sampled base `delay` (possibly stretched, dropped,
-/// duplicated or black-holed by the cluster's `rcv_simnet::FaultPlan`),
-/// and messages are **not** FIFO — reordering under random delays is
-/// exactly the regime the RCV paper claims to tolerate.
+/// applies the node-sampled base `delay` (possibly stretched, dropped or
+/// duplicated by the cluster's `rcv_simnet::FaultPlan`) and delivers to a
+/// crashed node as to any other — the node's driver discards what reaches
+/// it while down. Messages are **not** FIFO: reordering under random
+/// delays is exactly the regime the RCV paper claims to tolerate.
 pub trait Transport<M>: Send {
     /// Queues `msg` for `to` with the node-sampled base `delay`.
     fn send(&mut self, to: NodeId, msg: M, delay: Duration) -> Result<(), TransportClosed>;
 
     /// Waits up to `timeout` for the next inbound event. A zero `timeout`
     /// polls: what has already arrived, or `Timeout`, without blocking.
+    /// `Timeout` comes only once `timeout` has passed.
     fn recv(&mut self, timeout: Duration) -> RecvOutcome<M>;
 
     /// Announces that this node has completed all its CS rounds (it keeps

@@ -3,9 +3,12 @@
 //! The thread tier's node threads and the multi-process orchestrator hub
 //! schedule deliveries through the same [`FaultQueue`], which asks the
 //! simulator's own [`FaultPlan`] what to do with each message, so loss,
-//! duplication, straggler stretching and crash-window black-holing behave
-//! identically whether a message crosses threads, a socket or the
-//! simulated network.
+//! duplication and straggler stretching behave identically whether a
+//! message crosses threads, a socket or the simulated network. The queue
+//! only delays: a delivery to a node inside its crash window is handed
+//! out like any other, and the node's driver discards it
+//! (`NodeDriver::serve_crash_window`), as the simulator discards a
+//! delivery that finds its node down.
 //!
 //! The queue keeps one heap per receiver, each in `(due, seq)` order
 //! (`seq` is global), and is popped one receiver at a time
@@ -16,10 +19,11 @@
 //! queues already-encoded frames.
 
 use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
 use std::time::{Duration, Instant};
 
-use rcv_simnet::{FaultPlan, NodeId, SimTime};
+use rcv_simnet::{FaultPlan, NodeId};
 
 /// Heap entry ordered by due time then insertion sequence.
 struct Pending<T> {
@@ -47,11 +51,10 @@ impl<T> Ord for Pending<T> {
 }
 
 /// How late deliveries left the queue: `now − due` at the moment each was
-/// popped, over every delivery popped (crash-window black-holes are not
-/// deliveries). Popped by the socket hub, it is the hub's own wake-up
-/// precision. Popped by a thread-tier receiver, it also holds the time
-/// that receiver was busy (handling, or in its CS) when the delivery fell
-/// due, so the two tiers' figures are not comparable.
+/// popped, over every delivery popped. Popped by the socket hub, it is the
+/// hub's own wake-up precision. Popped by a thread-tier receiver, it also
+/// holds the time that receiver was busy (handling, or in its CS) when the
+/// delivery fell due, so the two tiers' figures are not comparable.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Lateness {
     /// Deliveries measured.
@@ -81,10 +84,6 @@ pub(crate) struct FaultQueue<T> {
     /// One heap per receiver.
     heaps: Vec<BinaryHeap<Reverse<Pending<T>>>>,
     plan: FaultPlan,
-    /// Tick 0 of the plan's clock: a delivery due at `start + k·tick`
-    /// (rounded down to whole ticks) meets its receiver at tick `k`.
-    start: Instant,
-    tick: Duration,
     /// Messages submitted so far (the fault periods key off this).
     seen: u64,
     seq: u64,
@@ -92,27 +91,21 @@ pub(crate) struct FaultQueue<T> {
     pub(crate) lost: u64,
     /// Extra copies queued by duplication injection.
     pub(crate) duplicated: u64,
-    /// Deliveries black-holed by a crash window.
-    pub(crate) crash_dropped: u64,
     /// How late the pops returned what they returned.
     pub(crate) late: Lateness,
 }
 
 impl<T: Clone> FaultQueue<T> {
     /// A queue for `n` receivers running `plan` (which must pass
-    /// [`crate::serves`]) on a clock whose tick 0 is `start` and whose
-    /// ticks last `tick`.
-    pub(crate) fn new(plan: &FaultPlan, start: Instant, tick: Duration, n: usize) -> Self {
+    /// [`crate::serves`]).
+    pub(crate) fn new(plan: &FaultPlan, n: usize) -> Self {
         FaultQueue {
             heaps: (0..n).map(|_| BinaryHeap::new()).collect(),
             plan: plan.clone(),
-            start,
-            tick,
             seen: 0,
             seq: 0,
             lost: 0,
             duplicated: 0,
-            crash_dropped: 0,
             late: Lateness::default(),
         }
     }
@@ -159,26 +152,14 @@ impl<T: Clone> FaultQueue<T> {
         }));
     }
 
-    /// Pops `to`'s next due delivery as `(from, payload)`, black-holing
-    /// any that falls due while `to` is crashed, and records how far past
-    /// its due time `now` is. `None` when nothing to `to` is due at `now`.
+    /// Pops `to`'s next due delivery as `(from, payload)` and records how
+    /// far past its due time `now` is. `None` when nothing to `to` is due
+    /// at `now`.
     pub(crate) fn pop_due(&mut self, to: usize, now: Instant) -> Option<(usize, T)> {
-        let heap = &mut self.heaps[to];
-        while heap.peek().is_some_and(|Reverse(p)| p.due <= now) {
-            let Reverse(p) = heap.pop().expect("peeked");
-            if !self.plan.restarts.is_empty() {
-                let elapsed = p.due.saturating_duration_since(self.start).as_nanos();
-                let tick = elapsed / self.tick.as_nanos().max(1);
-                let at = SimTime::from_ticks(u64::try_from(tick).unwrap_or(u64::MAX));
-                if self.plan.is_crashed(NodeId::new(to as u32), at) {
-                    self.crash_dropped += 1;
-                    continue;
-                }
-            }
-            self.late.record(now - p.due);
-            return Some((p.from, p.payload));
-        }
-        None
+        let due = self.heaps[to].peek_mut().filter(|next| next.0.due <= now)?;
+        let Reverse(p) = PeekMut::pop(due);
+        self.late.record(now - p.due);
+        Some((p.from, p.payload))
     }
 
     /// When the earliest queued delivery to `to` is due.
@@ -194,13 +175,14 @@ impl<T: Clone> FaultQueue<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rcv_simnet::SimTime;
 
     const MS: Duration = Duration::from_millis(1);
 
     #[test]
     fn loss_and_duplication_fire_on_their_periods() {
         let plan = FaultPlan::losing(3).with_duplication(2);
-        let mut q: FaultQueue<u32> = FaultQueue::new(&plan, Instant::now(), MS, 2);
+        let mut q: FaultQueue<u32> = FaultQueue::new(&plan, 2);
         for i in 0..6u32 {
             q.submit(0, 1, Duration::ZERO, i, Instant::now());
         }
@@ -213,54 +195,9 @@ mod tests {
     }
 
     #[test]
-    fn crash_window_blackholes_only_the_dead_node() {
-        let plan = FaultPlan::crash_restart(
-            NodeId::new(1),
-            SimTime::from_ticks(0),
-            SimTime::from_ticks(60_000),
-        );
-        let mut q: FaultQueue<&'static str> = FaultQueue::new(&plan, Instant::now(), MS, 3);
-        q.submit(0, 1, Duration::ZERO, "to-dead", Instant::now());
-        q.submit(0, 2, Duration::ZERO, "to-live", Instant::now());
-        let later = Instant::now() + MS;
-        let mut delivered = Vec::new();
-        for to in 0..3 {
-            while let Some((_, p)) = q.pop_due(to, later) {
-                delivered.push((to, p));
-            }
-        }
-        assert_eq!(delivered, vec![(2, "to-live")]);
-        assert_eq!(q.crash_dropped, 1);
-    }
-
-    #[test]
-    fn crash_window_is_half_open_on_the_tick_clock() {
-        // Down at tick 2, up at tick 5: due exactly at `start + 2·tick` is
-        // dead, due exactly at `start + 5·tick` is back.
-        let plan = FaultPlan::crash_restart(
-            NodeId::new(1),
-            SimTime::from_ticks(2),
-            SimTime::from_ticks(5),
-        );
-        let start = Instant::now() - Duration::from_secs(1);
-        let mut q: FaultQueue<&'static str> = FaultQueue::new(&plan, start, MS, 2);
-        let ns = Duration::from_nanos(1);
-        q.schedule(start + MS * 2 - ns, 0, 1, "before");
-        q.schedule(start + MS * 2, 0, 1, "at-down");
-        q.schedule(start + MS * 5 - ns, 0, 1, "last-dead");
-        q.schedule(start + MS * 5, 0, 1, "at-up");
-        let mut delivered = Vec::new();
-        while let Some((_, p)) = q.pop_due(1, Instant::now()) {
-            delivered.push(p);
-        }
-        assert_eq!(delivered, vec!["before", "at-up"]);
-        assert_eq!(q.crash_dropped, 2);
-    }
-
-    #[test]
     fn straggler_stretches_due_times() {
         let plan = FaultPlan::straggler(NodeId::new(0), 100);
-        let mut q: FaultQueue<u8> = FaultQueue::new(&plan, Instant::now(), MS, 3);
+        let mut q: FaultQueue<u8> = FaultQueue::new(&plan, 3);
         let now = Instant::now();
         q.submit(0, 1, Duration::from_millis(10), 1, now); // from the straggler: 1s
         q.submit(1, 2, Duration::from_millis(10), 2, now); // unaffected: 10ms
@@ -279,23 +216,15 @@ mod tests {
 
     #[test]
     fn pop_due_records_how_late_each_delivery_left() {
-        let plan = FaultPlan::crash_restart(
-            NodeId::new(1),
-            SimTime::from_ticks(0),
-            SimTime::from_ticks(60_000),
-        );
         let start = Instant::now();
-        let mut q: FaultQueue<&'static str> = FaultQueue::new(&plan, start, MS, 3);
+        let mut q: FaultQueue<&'static str> = FaultQueue::new(&FaultPlan::none(), 3);
         let us = Duration::from_micros;
         q.schedule(start + us(100), 0, 2, "a");
         q.schedule(start + us(105), 0, 2, "b");
-        q.schedule(start + us(100), 0, 1, "to-dead");
+        assert_eq!(q.pop_due(2, start + us(99)), None, "not due yet");
         assert_eq!(q.pop_due(2, start + us(107)), Some((0, "a")));
         assert_eq!(q.late.count, 1);
         assert_eq!((q.late.total, q.late.max), (us(7), us(7)));
-        // The black-holed delivery is skipped, not measured.
-        assert_eq!(q.pop_due(1, start + us(107)), None);
-        assert_eq!(q.crash_dropped, 1);
         assert_eq!(q.pop_due(2, start + us(107)), Some((0, "b")));
         assert_eq!(q.pop_due(2, start + us(107)), None);
         assert_eq!(
@@ -313,7 +242,7 @@ mod tests {
     #[test]
     fn each_receiver_pops_its_own_deliveries_in_due_then_seq_order() {
         let start = Instant::now();
-        let mut q: FaultQueue<&'static str> = FaultQueue::new(&FaultPlan::none(), start, MS, 3);
+        let mut q: FaultQueue<&'static str> = FaultQueue::new(&FaultPlan::none(), 3);
         // Scheduled out of order, two with equal due times, to receivers
         // 1 and 2.
         let us = Duration::from_micros;
@@ -342,32 +271,68 @@ mod tests {
     }
 
     #[test]
+    fn crash_window_blackholes_only_the_dead_node() {
+        // Node 1 is down for the whole run. The queue's part of the black
+        // hole is to hand the dead node's deliveries to the dead node
+        // alone, as it would with no window (its driver discards them);
+        // the live nodes' traffic and the fault counters are untouched.
+        let crash = FaultPlan::crash_restart(
+            NodeId::new(1),
+            SimTime::from_ticks(0),
+            SimTime::from_ticks(60_000),
+        );
+        let start = Instant::now();
+        let run = |plan: &FaultPlan| {
+            let mut q: FaultQueue<&'static str> = FaultQueue::new(plan, 3);
+            q.submit(0, 1, Duration::ZERO, "to-dead", start);
+            q.submit(0, 2, Duration::ZERO, "to-live", start);
+            q.submit(1, 0, Duration::ZERO, "from-dead", start);
+            let mut delivered = Vec::new();
+            for to in 0..3 {
+                while let Some((_, p)) = q.pop_due(to, start + MS) {
+                    delivered.push((to, p));
+                }
+            }
+            (delivered, q.lost, q.duplicated, q.late.count, q.in_flight())
+        };
+        let got = run(&crash);
+        assert_eq!(
+            got.0,
+            [(0, "from-dead"), (1, "to-dead"), (2, "to-live")],
+            "each delivery reaches its own receiver only"
+        );
+        assert_eq!(got, run(&FaultPlan::none()));
+    }
+
+    #[test]
     fn black_holes_and_lateness_stay_with_their_receiver() {
+        // Node 1 is down for the whole run. The queue only delays: the
+        // node's driver, not the queue, discards what reaches it, so the
+        // dead receiver's delivery is handed out and measured as its own.
         let plan = FaultPlan::crash_restart(
             NodeId::new(1),
             SimTime::from_ticks(0),
             SimTime::from_ticks(60_000),
         );
         let start = Instant::now();
-        let mut q: FaultQueue<&'static str> = FaultQueue::new(&plan, start, MS, 3);
+        let mut q: FaultQueue<&'static str> = FaultQueue::new(&plan, 3);
         let us = Duration::from_micros;
         q.submit(0, 1, us(100), "to-dead", start);
         q.submit(0, 2, us(100), "to-live", start);
         q.submit(1, 2, us(200), "from-dead", start);
-        // The dead receiver's pop black-holes its delivery; the live
-        // one's heap and lateness are untouched by it.
-        assert_eq!(q.pop_due(1, start + us(150)), None);
-        assert_eq!((q.crash_dropped, q.late.count), (1, 0));
+        assert_eq!(q.pop_due(1, start + us(150)), Some((0, "to-dead")));
+        assert_eq!((q.late.count, q.late.max), (1, us(50)));
+        // Each receiver's pops are measured against its own due times.
         assert_eq!(q.pop_due(2, start + us(103)), Some((0, "to-live")));
         assert_eq!(q.pop_due(2, start + us(207)), Some((1, "from-dead")));
         assert_eq!(
             q.late,
             Lateness {
-                count: 2,
-                total: us(10),
-                max: us(7),
+                count: 3,
+                total: us(60),
+                max: us(50),
             }
         );
-        assert_eq!(q.crash_dropped, 1);
+        assert_eq!((q.lost, q.in_flight()), (0, 0));
     }
 }

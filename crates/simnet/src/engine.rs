@@ -224,20 +224,20 @@ impl<M: ProtocolMessage> Intents<M> {
         self.timers.reverse();
     }
 
-    /// Runs the handler `ev` calls for, unless the node is down (`down` is
-    /// its crash schedule) — the commit skips exactly the same events.
+    /// Runs the handler `ev` calls for, unless `faults` has the node down
+    /// — the commit skips exactly the same events.
     fn handle<P: MutexProtocol<Message = M>>(
         &mut self,
         node: &mut NodeState<P>,
         ev: Event<M>,
-        down: &[(SimTime, SimTime)],
+        faults: &FaultPlan,
     ) {
         use RestartOutcome::KeptState;
         let id = ev.kind.node();
         let at = ev.at;
         match ev.kind {
             EventKind::Arrival { .. } | EventKind::Deliver { .. } | EventKind::Timer { .. }
-                if is_down(down, at) => {}
+                if faults.is_crashed(id, at) => {}
             EventKind::Arrival { .. } => self.call(node, id, at, |p, ctx| {
                 p.on_request(ctx);
                 KeptState
@@ -356,10 +356,10 @@ impl<P: MutexProtocol> Lane<P> {
         self.events.last().map(|&(i, ref e)| (e.at, i))
     }
 
-    /// Runs the lane's next event; `down` is the node's crash schedule.
-    fn step(&mut self, down: &[(SimTime, SimTime)]) {
+    /// Runs the lane's next event under `faults`.
+    fn step(&mut self, faults: &FaultPlan) {
         let (_, ev) = self.events.pop().expect("stepped a finished lane");
-        self.out.handle(&mut self.node, ev, down);
+        self.out.handle(&mut self.node, ev, faults);
     }
 }
 
@@ -368,12 +368,6 @@ fn home<P: MutexProtocol>(lanes: &mut [Option<Lane<P>>], i: u32) -> &mut Lane<P>
     lanes[i as usize]
         .as_mut()
         .expect("lanes are home outside the scheduler")
-}
-
-/// Whether a node with crash schedule `sched` is down at `now`.
-#[inline]
-fn is_down(sched: &[(SimTime, SimTime)], now: SimTime) -> bool {
-    sched.iter().any(|&(down, up)| now >= down && now < up)
 }
 
 /// The engine itself, generic over the protocol under test.
@@ -394,12 +388,6 @@ pub struct Engine<P: MutexProtocol, W: Workload> {
     /// eviction; lets stale `CsExit` events (from a hold the crash killed)
     /// be recognized and dropped.
     cs_epoch: Vec<u64>,
-    /// Per-node crash schedule, precomputed from the fault plan at
-    /// construction: sorted `(down, up)` intervals (`up = u64::MAX` ticks
-    /// encodes crash-stop). Fault-free and single-crash runs pay an O(1)
-    /// emptiness/first-interval check on the hot paths instead of the
-    /// fault plan's linear scan per event.
-    crash_sched: Vec<Vec<(SimTime, SimTime)>>,
     /// Per-node flag: a request was outstanding when the node crashed and
     /// was abandoned; re-issued at restart if the protocol recovers.
     crash_aborted: Vec<bool>,
@@ -462,25 +450,8 @@ impl<P: MutexProtocol + Send, W: Workload> Engine<P, W> {
         // and far-future arrivals overflow to the heap, which is correct,
         // just not O(1).
         let horizon = cfg.delay.max_ticks().max(cfg.cs_duration.ticks());
-        // Precompute the per-node crash schedule so the per-event down
-        // check is O(intervals of that node) — O(1) for the typical zero-
-        // or one-crash plans — instead of a scan over the whole fault list.
-        let forever = SimTime::from_ticks(u64::MAX);
-        let mut crash_sched: Vec<Vec<(SimTime, SimTime)>> = vec![Vec::new(); cfg.n];
-        for &(node, at) in &cfg.faults.crashes {
-            assert!(node.index() < cfg.n, "crash plan names unknown {node:?}");
-            crash_sched[node.index()].push((at, forever));
-        }
-        for w in &cfg.faults.restarts {
-            assert!(
-                w.node.index() < cfg.n,
-                "crash window names unknown {:?}",
-                w.node
-            );
-            crash_sched[w.node.index()].push((w.down_at, w.up_at));
-        }
-        for sched in &mut crash_sched {
-            sched.sort_unstable();
+        if let Some(node) = cfg.faults.unknown_node(cfg.n) {
+            panic!("fault plan names unknown {node:?}");
         }
         let mut queue = EventQueue::with_horizon(SimDuration::from_ticks(horizon));
         // Crash windows are driven by explicit events (eviction, restart
@@ -495,7 +466,6 @@ impl<P: MutexProtocol + Send, W: Workload> Engine<P, W> {
             trace: Trace::with_capacity(cfg.trace_capacity),
             in_cs: vec![false; cfg.n],
             cs_epoch: vec![0; cfg.n],
-            crash_sched,
             crash_aborted: vec![false; cfg.n],
             nodes,
             queue,
@@ -536,13 +506,6 @@ impl<P: MutexProtocol + Send, W: Workload> Engine<P, W> {
         self
     }
 
-    /// Whether `node` is inside a crash interval at `now` (precomputed
-    /// schedule; O(1) for fault-free and single-crash plans).
-    #[inline]
-    fn node_down(&self, node: NodeId, now: SimTime) -> bool {
-        is_down(&self.crash_sched[node.index()], now)
-    }
-
     /// Runs the simulation to completion and returns the report.
     pub fn run(self) -> SimReport {
         self.run_collecting().0
@@ -581,7 +544,7 @@ impl<P: MutexProtocol + Send, W: Workload> Engine<P, W> {
     /// cut the run, and how many windows it took.
     fn run_windows(&mut self) -> (bool, u64) {
         let _busy = Busy::enter();
-        let shared = Shared::new();
+        let shared = Shared::new(self.cfg.faults.clone());
         std::thread::scope(|scope| {
             let mut helper = Helper {
                 scope,
@@ -603,9 +566,8 @@ impl<P: MutexProtocol + Send, W: Workload> Engine<P, W> {
                 }
                 let slot = Cost::slot(head);
                 windows += 1;
-                let split = (slot.is_some_and(|k| self.heavy(k))
-                    && helper.up(self.split_ns == 0, &self.crash_sched))
-                .then_some(&shared);
+                let split = (slot.is_some_and(|k| self.heavy(k)) && helper.up(self.split_ns == 0))
+                    .then_some(&shared);
                 self.run_window(slot, split, remaining);
             };
             helper.finish();
@@ -737,7 +699,7 @@ impl<P: MutexProtocol + Send, W: Workload> Engine<P, W> {
             sched.helper_idle = false;
             shared.wake.notify_one();
         }
-        sched = shared.work(sched, &self.crash_sched);
+        sched = shared.work(sched);
         let _idle = (sched.running > 0).then(|| profile::probe(ProbePhase::Wait));
         while sched.running > 0 {
             sched.caller_waits = true;
@@ -815,7 +777,7 @@ impl<P: MutexProtocol + Send, W: Workload> Engine<P, W> {
     }
 
     fn handle_arrival(&mut self, node: NodeId, now: SimTime) {
-        if self.node_down(node, now) {
+        if self.cfg.faults.is_crashed(node, now) {
             return; // a crashed node issues nothing
         }
         self.trace.record(TraceEvent::Arrival { at: now, node });
@@ -835,7 +797,7 @@ impl<P: MutexProtocol + Send, W: Workload> Engine<P, W> {
             Carried::Here(msg) => msg.kind(),
             Carried::Ran(kind) => kind,
         };
-        if self.node_down(to, now) {
+        if self.cfg.faults.is_crashed(to, now) {
             self.metrics.message_dropped();
             self.trace.record(TraceEvent::Dropped { at: now, to });
             return;
@@ -856,7 +818,7 @@ impl<P: MutexProtocol + Send, W: Workload> Engine<P, W> {
     }
 
     fn handle_cs_exit(&mut self, node: NodeId, epoch: u64, now: SimTime) {
-        if self.node_down(node, now) {
+        if self.cfg.faults.is_crashed(node, now) {
             // Crashed while holding the CS (crash-stop): the node never
             // releases; the monitor keeps it as occupant and successors
             // starve — the honest consequence, surfaced via `deadlocked`.
@@ -885,7 +847,7 @@ impl<P: MutexProtocol + Send, W: Workload> Engine<P, W> {
     }
 
     fn handle_timer(&mut self, node: NodeId, tag: u64, now: SimTime) {
-        if self.node_down(node, now) {
+        if self.cfg.faults.is_crashed(node, now) {
             return;
         }
         self.trace.record(TraceEvent::Timer { at: now, node, tag });
@@ -1174,6 +1136,8 @@ struct Shared<P: MutexProtocol> {
     /// Wakes the idle helper when a window is posted or the run ends, and
     /// the waiting caller when the helper's last event in flight is back.
     wake: Condvar,
+    /// The run's fault plan, which says when a lane's node is down.
+    faults: FaultPlan,
 }
 
 struct Sched<P: MutexProtocol> {
@@ -1197,7 +1161,7 @@ struct Sched<P: MutexProtocol> {
 }
 
 impl<P: MutexProtocol> Shared<P> {
-    fn new() -> Self {
+    fn new(faults: FaultPlan) -> Self {
         Shared {
             sched: Mutex::new(Sched {
                 lanes: Vec::new(),
@@ -1210,6 +1174,7 @@ impl<P: MutexProtocol> Shared<P> {
                 quit: false,
             }),
             wake: Condvar::new(),
+            faults,
         }
     }
 
@@ -1235,20 +1200,14 @@ impl<P: MutexProtocol> Shared<P> {
     /// first, run that event with the lock released (so a node copies a
     /// table it shares with a message in flight as rarely as the
     /// sequential loop does), put the lane back — until no lane is left to
-    /// take. `crash_sched` is every node's crash schedule.
-    fn work<'a>(
-        &'a self,
-        mut sched: MutexGuard<'a, Sched<P>>,
-        crash_sched: &[Vec<(SimTime, SimTime)>],
-    ) -> MutexGuard<'a, Sched<P>> {
+    /// take.
+    fn work<'a>(&'a self, mut sched: MutexGuard<'a, Sched<P>>) -> MutexGuard<'a, Sched<P>> {
         while let Some(Reverse((_, i))) = sched.heads.pop() {
             let mut lane = sched.lanes[i].take().expect("a lane with a head is in");
             sched.running += 1;
             drop(sched);
             let t0 = Instant::now();
-            let ran = panic::catch_unwind(AssertUnwindSafe(|| {
-                lane.step(&crash_sched[lane.id.index()])
-            }));
+            let ran = panic::catch_unwind(AssertUnwindSafe(|| lane.step(&self.faults)));
             let ns = t0.elapsed().as_nanos() as u64;
             sched = self.lock();
             sched.running -= 1;
@@ -1293,18 +1252,18 @@ enum Link<'scope> {
 impl<'scope, 'env, P: MutexProtocol + Send + 'scope> Helper<'scope, 'env, P> {
     /// Whether the helper runs, spawning it on first use if a CPU is free
     /// (`forced`: regardless).
-    fn up(&mut self, forced: bool, crash_sched: &[Vec<(SimTime, SimTime)>]) -> bool {
+    fn up(&mut self, forced: bool) -> bool {
         if let Link::Unasked = self.link {
             let Some(slot) = Busy::spare(forced) else {
                 self.link = Link::Absent;
                 return false;
             };
-            let (shared, crash_sched) = (self.shared, crash_sched.to_vec());
+            let shared = self.shared;
             self.link = Link::Up(self.scope.spawn(move || {
                 let _slot = slot;
                 let mut sched = shared.lock();
                 loop {
-                    sched = shared.work(sched, &crash_sched);
+                    sched = shared.work(sched);
                     if sched.quit {
                         break;
                     }

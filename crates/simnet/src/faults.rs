@@ -159,16 +159,28 @@ impl FaultPlan {
         self
     }
 
-    /// Whether `node` is crashed at time `now`.
-    ///
-    /// Linear in the fault list; the engine precomputes a per-node schedule
-    /// at construction so its hot path never calls this.
+    /// Whether `node` is crashed at time `now`: the one "is this node
+    /// down" question, which the engine asks for every event it runs.
+    /// Linear in the crash lists, which are empty on a fault-free run.
     pub fn is_crashed(&self, node: NodeId, now: SimTime) -> bool {
         self.crashes.iter().any(|&(n, at)| n == node && now >= at)
             || self
                 .restarts
                 .iter()
                 .any(|w| w.node == node && now >= w.down_at && now < w.up_at)
+    }
+
+    /// The first node a crash-stop, crash window or straggler names that a
+    /// cluster of `n` nodes does not have (`None` when every one is in
+    /// range).
+    pub fn unknown_node(&self, n: usize) -> Option<NodeId> {
+        let crashed = self.crashes.iter().map(|&(node, _)| node);
+        let restarted = self.restarts.iter().map(|w| w.node);
+        let slow = self.stragglers.iter().map(|&(node, _)| node);
+        crashed
+            .chain(restarted)
+            .chain(slow)
+            .find(|node| node.index() >= n)
     }
 
     /// Whether the `seq`-th message (1-based) should be duplicated.
@@ -331,6 +343,22 @@ mod tests {
             SimTime::from_ticks(5),
             SimTime::from_ticks(5),
         );
+    }
+
+    #[test]
+    fn unknown_node_covers_every_class_that_names_a_node() {
+        let (at, n) = (SimTime::from_ticks, NodeId::new);
+        assert_eq!(FaultPlan::none().unknown_node(0), None);
+        let inside = FaultPlan::crash(n(2), at(5))
+            .with_crash_restart(n(1), at(5), at(9))
+            .with_straggler(n(0), 3);
+        assert_eq!(inside.unknown_node(3), None);
+        assert_eq!(inside.unknown_node(2), Some(n(2)));
+        assert_eq!(
+            FaultPlan::crash_restart(n(5), at(1), at(2)).unknown_node(3),
+            Some(n(5))
+        );
+        assert_eq!(FaultPlan::straggler(n(9), 50).unknown_node(3), Some(n(9)));
     }
 
     #[test]

@@ -284,7 +284,7 @@ impl ScenarioSpec {
             self.shape,
             ShapeSpec::Burst | ShapeSpec::Saturation { .. } | ShapeSpec::Poisson { .. }
         );
-        shape_ok && self.n <= 64 && rcv_runtime::serves(&self.faults).is_ok()
+        shape_ok && self.n <= 64 && rcv_runtime::serves(&self.faults, self.n).is_ok()
     }
 }
 
@@ -911,7 +911,7 @@ mod tests {
             assert_eq!(cfg.delay, spec.delay, "{name}");
 
             // The real tiers run the same plan, or nothing.
-            let served = rcv_runtime::serves(&spec.faults).is_ok();
+            let served = rcv_runtime::serves(&spec.faults, spec.n).is_ok();
             assert_eq!(
                 served,
                 spec.faults.crashes.is_empty(),
