@@ -23,8 +23,8 @@
 //!   milliseconds after start; the run then *must* report that node as
 //!   crashed (proves the hub returns crash verdicts instead of hanging).
 //! * `--json PATH` — also write per-run rows as a JSON report (verdict,
-//!   counters, and under `hub` the hub's `HubStats` — wakeups, frames
-//!   routed, bytes — plus how late deliveries left past their due time,
+//!   counters, and under `hub` the hub's `HubStats` — wakeups, bytes —
+//!   plus how late deliveries left past their due time,
 //!   from `ClusterReport::late`).
 //!
 //! Exit codes: 0 every run clean (or the armed kill drill verdicted as

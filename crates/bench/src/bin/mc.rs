@@ -3,7 +3,7 @@
 //! ```text
 //! mc --ci [--out PATH]
 //! mc --algo A --n N [--drops D] [--dups P] [--rounds R]
-//!    [--strategy dfs|bfs] [--depth K] [--max-states M] [--out PATH]
+//!    [--depth K] [--max-states M] [--out PATH]
 //! mc --list
 //! ```
 //!
@@ -14,15 +14,20 @@
 //!   `cluster-orchestrator --list` prints them) with a checker adapter:
 //!   `rcv-seq`, `rcv-stale`, `rcv-fresh`, `ricart` or `lamport` (Lamport
 //!   checks in FIFO mode, its correctness precondition).
-//! * `--strategy bfs` — breadth-first: slower frontier, but a violation,
-//!   if found, is a *minimal* counterexample.
 //! * `--depth K` — bound the search (the verdict is then explicitly
 //!   "bounded", not "exhaustive").
-//! * `--out PATH` — write the `rcv-mc/v1` JSON artifact (state counts,
+//! * `--out PATH` — write the `rcv-mc/v2` JSON artifact (state counts,
 //!   timings, counterexample trace if any).
 //! * `--list` — print the CI suite cells and exit.
 //!
-//! On a violation the narrated counterexample replay is printed in full.
+//! A flag the chosen mode would ignore is a usage error: `--drops`,
+//! `--dups` and `--rounds` shape the `--algo`/`--n` cell, `--ci` runs
+//! its own cells, and `--list` takes nothing else.
+//!
+//! Every run exhausts the state space depth-first. On a violation the
+//! checker searches again breadth-first for a shortest path to one, and
+//! the binary prints that minimal counterexample's narrated replay in
+//! full (marked NOT minimal if the state cap cut that search short).
 //!
 //! Exit codes: 0 clean and exhausted, 1 violation or incomplete search,
 //! 2 usage error.
@@ -31,74 +36,63 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use rcv_bench::cli::{self, Flags};
-use rcv_bench::mc::{
-    ci_suite, render_report, run_cell, McCell, McOptions, McOutcome, Strategy, SCHEMA,
-};
+use rcv_bench::mc::{ci_suite, render_report, run_cell, McCell, McOptions, McOutcome, SCHEMA};
 use rcv_workload::Algo;
 
 const USAGE: &str = "usage: mc --ci [--out PATH]\n\
     \u{20}      mc --algo A --n N [--drops D] [--dups P] [--rounds R]\n\
-    \u{20}         [--strategy dfs|bfs] [--depth K] [--max-states M] [--out PATH]\n\
+    \u{20}         [--depth K] [--max-states M] [--out PATH]\n\
     \u{20}      mc --list\n\
     algorithms: rcv-seq rcv-stale rcv-fresh ricart lamport";
 
 fn report_outcome(o: &McOutcome) {
-    println!(
-        "[mc] {:<24} {} ({:.2}s)",
-        o.cell,
-        o.report.summary(),
-        o.secs
-    );
-    if let Some((desc, steps, trace)) = &o.report.violation {
-        println!("[mc] VIOLATION in {}: {desc}", o.cell);
-        println!("[mc] minimal counterexample, {steps} steps; narrated replay:");
-        print!("{trace}");
-    } else if !o.report.exhausted {
+    println!("[mc] {:<24} {} ({:.2}s)", o.cell, o.stats.summary(), o.secs);
+    if let Some(v) = &o.violation {
+        print!("[mc] {}: {v}", o.cell);
+    } else if !o.stats.exhausted() {
         println!("[mc] {}: search INCOMPLETE — no exhaustive verdict", o.cell);
     }
 }
 
 fn run() -> Result<ExitCode, String> {
     let mut f = Flags::from_env();
-    let defaults = McOptions::default();
-    let algo = match f.opt::<String>("--algo")? {
-        Some(a) => Some(Algo::from_tag(&a).ok_or(format!("unknown algorithm {a}"))?),
-        None => None,
-    };
-    let (drops, dups) = (f.value("--drops", 0)?, f.value("--dups", 0)?);
-    let cell = match (algo, f.opt("--n")?) {
-        (Some(algo), Some(n)) => Some(McCell {
-            algo,
-            n,
-            drops,
-            dups,
-        }),
-        (None, None) => None,
-        _ => return Err("--algo and --n go together".into()),
-    };
-    let opts = McOptions {
-        strategy: match f.opt::<String>("--strategy")? {
-            Some(s) => Strategy::parse(&s).ok_or(format!("unknown strategy {s} (dfs|bfs)"))?,
-            None => defaults.strategy,
-        },
-        rounds: f.value("--rounds", defaults.rounds)?,
-        max_depth: f.opt("--depth")?,
-        max_states: f.value("--max-states", defaults.max_states)?,
-    };
-    let out: Option<String> = f.opt("--out")?;
-    let (ci, list) = (f.flag("--ci"), f.flag("--list"));
-    f.finish()?;
-
-    if list {
+    if f.flag("--list") {
+        f.finish()?;
         println!("# {SCHEMA}: {} CI cells", ci_suite().len());
         for c in ci_suite() {
             println!("{}", c.name());
         }
         return Ok(ExitCode::SUCCESS);
     }
+    let defaults = McOptions::default();
+    let algo = match f.opt::<String>("--algo")? {
+        Some(a) => Some(Algo::from_tag(&a).ok_or(format!("unknown algorithm {a}"))?),
+        None => None,
+    };
+    let (drops, dups, rounds) = (f.opt("--drops")?, f.opt("--dups")?, f.opt("--rounds")?);
+    let cell = match (algo, f.opt("--n")?) {
+        (Some(algo), Some(n)) => Some(McCell {
+            algo,
+            n,
+            drops: drops.unwrap_or(0),
+            dups: dups.unwrap_or(0),
+            rounds: rounds.unwrap_or(1),
+        }),
+        (None, None) if drops.or(dups).or(rounds).is_none() => None,
+        (None, None) => return Err("--drops, --dups and --rounds need --algo and --n".into()),
+        _ => return Err("--algo and --n go together".into()),
+    };
+    let opts = McOptions {
+        max_depth: f.opt("--depth")?,
+        max_states: f.value("--max-states", defaults.max_states)?,
+    };
+    let out: Option<String> = f.opt("--out")?;
+    let ci = f.flag("--ci");
+    f.finish()?;
 
     let cells = match (ci, cell) {
-        (true, _) => ci_suite(),
+        (true, Some(_)) => return Err("--ci runs its own cells: drop --algo/--n".into()),
+        (true, None) => ci_suite(),
         (false, Some(cell)) => vec![cell],
         (false, None) => return Err("nothing to do: pass --ci, --list or --algo/--n".into()),
     };

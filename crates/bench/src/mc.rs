@@ -4,43 +4,25 @@
 //!
 //! The heavy lifting lives in the `rcv-mc` crate; this module maps the
 //! harness-level [`Algo`] onto the per-protocol checker builders and
-//! erases the per-protocol types so one report ranges over all of them.
+//! keeps what one report ranging over all of them needs: the counters
+//! ([`McStats`]) and the rendered counterexample.
 //! Algorithms are named by [`Algo::tag`], as on every other binary.
 
 use std::fmt::Write as _;
 use std::time::Instant;
 
 use rcv_core::ForwardPolicy;
-use rcv_mc::{lamport_checker, rcv_checker, ricart_checker, McProtocol, McSummary, ModelChecker};
+use rcv_mc::{lamport_checker, rcv_checker, ricart_checker, McProtocol, McStats, ModelChecker};
 use rcv_workload::Algo;
 
 use crate::perf::json_str;
 
 /// Report schema identifier.
-pub const SCHEMA: &str = "rcv-mc/v1";
+pub const SCHEMA: &str = "rcv-mc/v2";
 
-/// Search strategy selector for the CLI.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Strategy {
-    /// Depth-first (default: lowest memory on deep thin graphs).
-    Dfs,
-    /// Breadth-first (minimal counterexamples).
-    Bfs,
-}
-
-impl Strategy {
-    /// Parses `dfs` / `bfs`.
-    pub fn parse(s: &str) -> Option<Strategy> {
-        match s {
-            "dfs" => Some(Strategy::Dfs),
-            "bfs" => Some(Strategy::Bfs),
-            _ => None,
-        }
-    }
-}
-
-/// One checking scenario: an algorithm, a node count and fault budgets
-/// (full synchronized burst, one round each — the adversarial workload).
+/// One checking scenario: an algorithm, a node count, fault budgets and
+/// the CS rounds per requester (every node requests at once — the
+/// adversarial workload).
 #[derive(Clone, Debug)]
 pub struct McCell {
     /// The algorithm (must be [`Algo::model_checkable`]).
@@ -51,18 +33,25 @@ pub struct McCell {
     pub drops: u32,
     /// Duplication budget per explored path.
     pub dups: u32,
+    /// CS rounds per requester.
+    pub rounds: u32,
 }
 
 impl McCell {
-    /// Stable cell name, e.g. `rcv-seq/n3/d1p1`.
+    /// Stable cell name, e.g. `rcv-seq/n3/d1p1`, with the rounds appended
+    /// when they are not 1 (`ricart/n2/d0p1/r2`).
     pub fn name(&self) -> String {
-        format!(
+        let name = format!(
             "{}/n{}/d{}p{}",
             self.algo.tag(),
             self.n,
             self.drops,
             self.dups
-        )
+        );
+        match self.rounds {
+            1 => name,
+            r => format!("{name}/r{r}"),
+        }
     }
 }
 
@@ -83,6 +72,7 @@ pub fn ci_suite() -> Vec<McCell> {
         n: 3,
         drops: 1,
         dups: 1,
+        rounds: 1,
     })
     .collect();
     cells.push(McCell {
@@ -90,12 +80,14 @@ pub fn ci_suite() -> Vec<McCell> {
         n: 3,
         drops: 0,
         dups: 1,
+        rounds: 1,
     });
     cells.push(McCell {
         algo: Algo::Lamport,
         n: 3,
         drops: 0,
         dups: 0,
+        rounds: 1,
     });
     cells
 }
@@ -103,10 +95,6 @@ pub fn ci_suite() -> Vec<McCell> {
 /// Limits applied to every run from the CLI.
 #[derive(Clone, Copy, Debug)]
 pub struct McOptions {
-    /// Search order.
-    pub strategy: Strategy,
-    /// CS rounds per requester.
-    pub rounds: u32,
     /// Optional depth bound (`None` = unbounded — required for a
     /// "proved exhaustively" verdict).
     pub max_depth: Option<u32>,
@@ -117,8 +105,6 @@ pub struct McOptions {
 impl Default for McOptions {
     fn default() -> Self {
         McOptions {
-            strategy: Strategy::Dfs,
-            rounds: 1,
             max_depth: None,
             max_states: 20_000_000,
         }
@@ -134,8 +120,11 @@ pub struct McOutcome {
     pub algo: &'static str,
     /// Node count.
     pub n: usize,
-    /// Erased checker report.
-    pub report: McSummary,
+    /// What the search covered.
+    pub stats: McStats,
+    /// The counterexample, rendered ([`rcv_mc::Counterexample`]'s
+    /// `Display`: description, length, minimality, narrated replay).
+    pub violation: Option<String>,
     /// Wall-clock seconds the search took.
     pub secs: f64,
 }
@@ -143,34 +132,32 @@ pub struct McOutcome {
 impl McOutcome {
     /// Exhausted the state space with zero violations.
     pub fn passed(&self) -> bool {
-        self.report.exhausted && self.report.violation.is_none()
+        self.stats.exhausted() && self.violation.is_none()
     }
 }
 
-fn finish<P>(mut c: ModelChecker<P>, cell: &McCell, opts: &McOptions) -> McSummary
+fn finish<P>(mut c: ModelChecker<P>, cell: &McCell, opts: &McOptions) -> (McStats, Option<String>)
 where
     P: McProtocol,
-    P::Message: PartialEq + std::fmt::Debug,
+    P::Message: PartialEq,
 {
     c = c
         .drops(cell.drops)
         .dups(cell.dups)
-        .rounds(opts.rounds)
+        .rounds(cell.rounds)
         .max_states(opts.max_states);
     if let Some(d) = opts.max_depth {
         c = c.max_depth(d);
     }
-    match opts.strategy {
-        Strategy::Dfs => c.run_dfs().erase(),
-        Strategy::Bfs => c.run_bfs().erase(),
-    }
+    let report = c.run();
+    (report.stats, report.violation.map(|v| v.to_string()))
 }
 
 /// Runs one cell to completion; refuses an algorithm that is not
 /// [`Algo::model_checkable`].
 pub fn run_cell(cell: &McCell, opts: &McOptions) -> Result<McOutcome, String> {
     let started = Instant::now();
-    let report = match cell.algo {
+    let (stats, violation) = match cell.algo {
         Algo::Rcv(policy) if cell.algo.model_checkable() => {
             finish(rcv_checker(cell.n, policy), cell, opts)
         }
@@ -182,12 +169,13 @@ pub fn run_cell(cell: &McCell, opts: &McOptions) -> Result<McOutcome, String> {
         cell: cell.name(),
         algo: cell.algo.name(),
         n: cell.n,
-        report,
+        stats,
+        violation,
         secs: started.elapsed().as_secs_f64(),
     })
 }
 
-/// Renders the outcomes as the `rcv-mc/v1` JSON artifact. Like the
+/// Renders the outcomes as the `rcv-mc/v2` JSON artifact. Like the
 /// rtmatrix report this is **not** a committed baseline — wall-clock
 /// fields vary — but the state/transition counts are deterministic and
 /// diffable.
@@ -202,32 +190,23 @@ pub fn render_report(outcomes: &[McOutcome]) -> String {
     );
     s.push_str("  \"cells\": [\n");
     for (i, o) in outcomes.iter().enumerate() {
-        let r = &o.report;
-        let violation = match &r.violation {
-            None => "null".to_string(),
-            Some((desc, steps, trace)) => format!(
-                "{{\"description\": {}, \"steps\": {steps}, \"trace\": {}}}",
-                json_str(desc),
-                json_str(trace)
-            ),
-        };
+        let r = &o.stats;
         let _ = write!(
             s,
-            "    {{\"cell\": {}, \"algo\": {}, \"n\": {}, \"strategy\": {}, \
+            "    {{\"cell\": {}, \"algo\": {}, \"n\": {}, \
              \"visited\": {}, \"transitions\": {}, \"terminals\": {}, \"revisits\": {}, \
              \"max_depth_seen\": {}, \"exhausted\": {}, \"secs\": {:.3}, \"violation\": {}}}",
             json_str(&o.cell),
             json_str(o.algo),
             o.n,
-            json_str(r.strategy),
             r.visited,
             r.transitions,
             r.terminals,
             r.revisits,
             r.max_depth_seen,
-            r.exhausted,
+            r.exhausted(),
             o.secs,
-            violation,
+            o.violation.as_deref().map_or("null".to_string(), json_str),
         );
         s.push_str(if i + 1 < outcomes.len() { ",\n" } else { "\n" });
     }
@@ -258,28 +237,30 @@ mod tests {
             n: 2,
             drops: 0,
             dups: 0,
+            rounds: 1,
         };
         let out = run_cell(&cell, &McOptions::default()).expect("checkable");
-        assert!(out.passed(), "{}", out.report.summary());
+        assert!(out.passed(), "{}", out.stats.summary());
         let json = render_report(&[out]);
-        assert!(json.contains("\"schema\": \"rcv-mc/v1\""));
+        assert!(json.contains("\"schema\": \"rcv-mc/v2\""));
         assert!(json.contains("\"passed\": true"));
         assert!(json.contains("\"violation\": null"));
     }
 
     #[test]
     fn violations_survive_into_the_artifact() {
-        // Non-FIFO Lamport is the pinned genuine violation; BFS keeps the
-        // trace minimal. Build it directly — the CLI can't express
-        // fifo(false), which is deliberate.
+        // Non-FIFO Lamport is the pinned genuine violation. Build it
+        // directly — the CLI can't express fifo(false), which is
+        // deliberate.
         let out = {
             let started = Instant::now();
-            let report = lamport_checker(2).fifo(false).run_bfs().erase();
+            let report = lamport_checker(2).fifo(false).run();
             McOutcome {
                 cell: "lamport-nofifo/n2/d0p0".into(),
                 algo: Algo::Lamport.name(),
                 n: 2,
-                report,
+                stats: report.stats,
+                violation: report.violation.map(|v| v.to_string()),
                 secs: started.elapsed().as_secs_f64(),
             }
         };
@@ -287,6 +268,70 @@ mod tests {
         let json = render_report(&[out]);
         assert!(json.contains("\"passed\": false"));
         assert!(json.contains("MUTUAL EXCLUSION"));
+        assert!(json.contains("minimal counterexample, 4 steps"));
+    }
+
+    #[test]
+    fn cell_names_carry_rounds_other_than_one() {
+        let mut cell = McCell {
+            algo: Algo::Ricart,
+            n: 2,
+            drops: 0,
+            dups: 1,
+            rounds: 1,
+        };
+        assert_eq!(cell.name(), "ricart/n2/d0p1");
+        cell.rounds = 2;
+        assert_eq!(cell.name(), "ricart/n2/d0p1/r2");
+    }
+
+    /// Visited, transitions, terminals, revisits and the deepest state
+    /// expanded.
+    type Counts = (u64, u64, u64, u64, u32);
+
+    /// What each CI cell exhausts to.
+    const CI_COUNTS: [(&str, Counts); 5] = [
+        ("rcv-seq/n3/d1p1", (33_099, 89_989, 1_251, 56_891, 17)),
+        ("rcv-stale/n3/d1p1", (33_099, 89_989, 1_251, 56_891, 17)),
+        ("rcv-fresh/n3/d1p1", (33_099, 89_989, 1_251, 56_891, 17)),
+        ("ricart/n3/d0p1", (4_187, 15_322, 5, 11_136, 17)),
+        ("lamport/n3/d0p0", (8_591, 19_843, 80, 11_253, 21)),
+    ];
+
+    fn assert_ci_counts(rcv: bool) {
+        let cells = ci_suite();
+        assert_eq!(cells.len(), CI_COUNTS.len());
+        for (cell, (name, want)) in cells.into_iter().zip(CI_COUNTS) {
+            assert_eq!(cell.name(), name);
+            if matches!(cell.algo, Algo::Rcv(_)) != rcv {
+                continue;
+            }
+            let o = run_cell(&cell, &McOptions::default()).expect("checkable");
+            assert!(o.passed(), "{name}: {}", o.stats.summary());
+            let s = &o.stats;
+            let got = (
+                s.visited,
+                s.transitions,
+                s.terminals,
+                s.revisits,
+                s.max_depth_seen,
+            );
+            assert_eq!(got, want, "{name}: {}", s.summary());
+        }
+    }
+
+    #[test]
+    fn ci_baseline_cells_keep_their_counts() {
+        assert_ci_counts(false);
+    }
+
+    #[test]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "0.5 s per cell in release; run under --release"
+    )]
+    fn ci_rcv_cells_keep_their_counts() {
+        assert_ci_counts(true);
     }
 
     #[test]
@@ -311,12 +356,13 @@ mod tests {
                 n: 2,
                 drops: 0,
                 dups: 0,
+                rounds: 1,
             };
             match run_cell(&cell, &McOptions::default()) {
                 Ok(o) => assert!(
                     algo.model_checkable() && o.passed(),
                     "{}",
-                    o.report.summary()
+                    o.stats.summary()
                 ),
                 Err(e) => assert!(!algo.model_checkable(), "{e}"),
             }

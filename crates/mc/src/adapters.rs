@@ -33,19 +33,12 @@ where
     fn state_hash<H: Hasher>(&self, h: &mut H);
 
     /// Per-node invariant, checked in every visited state. `Err` is a
-    /// counterexample.
-    fn check_node(&self) -> Result<(), String> {
+    /// counterexample. The flag is set when crash-restart branching is
+    /// enabled: protocols whose anomaly accounting assumes a crash-free
+    /// run relax exactly the counters a legitimate crash can trip — and
+    /// nothing else.
+    fn check_node(&self, _restartable: bool) -> Result<(), String> {
         Ok(())
-    }
-
-    /// Per-node invariant under a **crash-recovery** regime: the checker
-    /// substitutes this for [`Self::check_node`] whenever crash-restart
-    /// branching is enabled. Defaults to the plain check; protocols whose
-    /// anomaly accounting assumes a crash-free run override it to relax
-    /// exactly the counters a legitimate crash can trip — and nothing
-    /// else.
-    fn check_node_recovering(&self) -> Result<(), String> {
-        self.check_node()
     }
 }
 
@@ -56,31 +49,22 @@ impl McProtocol for RcvNode {
 
     /// The paper's per-node structural lemmas plus anomaly freedom: any
     /// UL exhaustion or Lemma 6 violation the node itself detected is a
-    /// counterexample, not a statistic.
-    fn check_node(&self) -> Result<(), String> {
-        check_rcv_node(self, false)
+    /// counterexample, not a statistic — less the one relaxation a
+    /// legitimate crash earns ([`rcv_core::RcvNodeStats::anomalies_under`]).
+    fn check_node(&self, restartable: bool) -> Result<(), String> {
+        self.si().invariants_ok(self.id())?;
+        let stats = self.stats();
+        let anomalies = stats.anomalies_under(restartable);
+        if anomalies > 0 {
+            return Err(format!(
+                "{} recorded {anomalies} anomalies (ul_exhausted={}, lemma6={})",
+                self.id(),
+                stats.ul_exhausted,
+                stats.lemma6_violations,
+            ));
+        }
+        Ok(())
     }
-
-    /// The same check with the one relaxation a legitimate crash earns
-    /// ([`rcv_core::RcvNodeStats::anomalies_under`]).
-    fn check_node_recovering(&self) -> Result<(), String> {
-        check_rcv_node(self, true)
-    }
-}
-
-fn check_rcv_node(node: &RcvNode, restartable: bool) -> Result<(), String> {
-    node.si().invariants_ok(node.id())?;
-    let stats = node.stats();
-    let anomalies = stats.anomalies_under(restartable);
-    if anomalies > 0 {
-        return Err(format!(
-            "{} recorded {anomalies} anomalies (ul_exhausted={}, lemma6={})",
-            node.id(),
-            stats.ul_exhausted,
-            stats.lemma6_violations,
-        ));
-    }
-    Ok(())
 }
 
 impl McProtocol for RicartAgrawala {

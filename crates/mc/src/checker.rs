@@ -1,8 +1,13 @@
-//! The [`ModelChecker`]: exhaustive search over delivery orders and
-//! bounded fault choices, with pluggable DFS/BFS frontiers and
-//! counterexample reconstruction.
+//! The [`ModelChecker`]: one exhaustive search over delivery orders and
+//! bounded fault choices, and counterexample reconstruction.
+//!
+//! The search runs depth-first, the cheaper order to exhaust in. Only
+//! when it finds a violation does it search again, breadth-first and
+//! bounded by that violation's depth, to shrink the counterexample to a
+//! shortest one.
 
 use std::collections::{HashMap, VecDeque};
+use std::fmt;
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -11,101 +16,44 @@ use rcv_simnet::{
 };
 
 use crate::adapters::McProtocol;
-use crate::state::{fingerprint, McEvent, SystemState};
+use crate::state::{fingerprint, Decision, McEvent, SystemState};
 
 /// Index of a visited state in the checker's arena.
-pub type StateId = u32;
+type StateId = u32;
 
-/// What the checker did with a chosen pending event.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Action {
-    /// Deliver (or fire) the event.
-    Deliver,
-    /// Lose the message in the network (consumes one drop budget).
-    Drop,
-    /// Deliver the message *and* leave a second in-flight copy
-    /// (consumes one duplication budget).
-    Duplicate,
-}
-
-/// Search-order abstraction over the frontier of unexpanded states.
-///
-/// [`Dfs`] dives (low memory on long thin graphs); [`Bfs`] expands in
-/// depth layers, so the first violation it reports lies on a *shortest*
-/// path — minimal counterexamples.
-pub trait Frontier {
-    /// Adds a newly discovered state.
-    fn push(&mut self, id: StateId);
-    /// Removes the next state to expand.
-    fn pop(&mut self) -> Option<StateId>;
-    /// Strategy name for reports.
-    fn name(&self) -> &'static str;
-}
-
-/// Depth-first search order (a stack).
-#[derive(Default)]
-pub struct Dfs {
-    stack: Vec<StateId>,
-}
-
-impl Frontier for Dfs {
-    fn push(&mut self, id: StateId) {
-        self.stack.push(id);
-    }
-    fn pop(&mut self) -> Option<StateId> {
-        self.stack.pop()
-    }
-    fn name(&self) -> &'static str {
-        "dfs"
-    }
-}
-
-/// Breadth-first search order (a queue); yields minimal counterexamples.
-#[derive(Default)]
-pub struct Bfs {
-    queue: VecDeque<StateId>,
-}
-
-impl Frontier for Bfs {
-    fn push(&mut self, id: StateId) {
-        self.queue.push_back(id);
-    }
-    fn pop(&mut self) -> Option<StateId> {
-        self.queue.pop_front()
-    }
-    fn name(&self) -> &'static str {
-        "bfs"
-    }
-}
-
-/// A violating execution: the exact step sequence from the initial state,
+/// A violating execution: the decision sequence from the initial state,
 /// plus its rendering through the simnet trace machinery (one virtual
 /// tick per step).
 pub struct Counterexample<M> {
     /// What went wrong at the final state.
     pub description: String,
     /// The decision sequence reaching the violation.
-    pub steps: Vec<(McEvent<M>, Action)>,
+    pub steps: Vec<Decision<M>>,
+    /// Whether no shorter sequence reaches a violation. False only when
+    /// the minimizing search hit the state cap; `steps` is then the
+    /// depth-first search's path.
+    pub minimal: bool,
     /// Human-readable narrated replay ([`Trace::render`] format).
     pub trace: String,
 }
 
-impl<M: std::fmt::Debug> std::fmt::Display for Counterexample<M> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl<M> fmt::Display for Counterexample<M> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "VIOLATION: {}", self.description)?;
-        writeln!(
-            f,
-            "{} steps from the initial state; replay:",
-            self.steps.len()
-        )?;
+        let kind = if self.minimal {
+            "minimal counterexample"
+        } else {
+            "counterexample (NOT minimal: the minimizing search hit the state cap)"
+        };
+        writeln!(f, "{kind}, {} steps; narrated replay:", self.steps.len())?;
         write!(f, "{}", self.trace)
     }
 }
 
-/// Exploration outcome and statistics.
-pub struct McReport<M> {
-    /// Which frontier drove the search.
-    pub strategy: &'static str,
+/// What the exhaustive search covered: the one set of counters that
+/// [`McReport`] and every protocol-agnostic consumer hold.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct McStats {
     /// Unique states visited (after canonicalization).
     pub visited: u64,
     /// Transitions applied (edges, including those reaching known states).
@@ -120,92 +68,19 @@ pub struct McReport<M> {
     pub max_depth_seen: u32,
     /// Set when the state cap stopped the search early.
     pub aborted: Option<String>,
-    /// The first violation found, if any.
-    pub violation: Option<Counterexample<M>>,
 }
 
-/// [`McReport`] with the message type erased: what harnesses, binaries
-/// and JSON artifacts consume when they range over heterogeneous
-/// protocols.
-#[derive(Clone, Debug)]
-pub struct McSummary {
-    /// Which frontier drove the search.
-    pub strategy: &'static str,
-    /// Unique states visited (after canonicalization).
-    pub visited: u64,
-    /// Transitions applied.
-    pub transitions: u64,
-    /// Terminal states reached.
-    pub terminals: u64,
-    /// Transitions that landed on an already-visited state.
-    pub revisits: u64,
-    /// States left unexpanded because of the depth bound.
-    pub truncated: u64,
-    /// Deepest state expanded.
-    pub max_depth_seen: u32,
-    /// Set when the state cap stopped the search early.
-    pub aborted: Option<String>,
-    /// True when the whole reachable state space was covered.
-    pub exhausted: bool,
-    /// `(description, steps, narrated replay)` of the first violation.
-    pub violation: Option<(String, usize, String)>,
-}
-
-impl McSummary {
-    /// One-line statistics summary.
-    pub fn summary(&self) -> String {
-        format!(
-            "{}: {} states, {} transitions, {} terminals, {} revisits, max depth {}{}{}",
-            self.strategy,
-            self.visited,
-            self.transitions,
-            self.terminals,
-            self.revisits,
-            self.max_depth_seen,
-            if self.truncated > 0 {
-                format!(", {} depth-truncated", self.truncated)
-            } else {
-                String::new()
-            },
-            match &self.aborted {
-                Some(a) => format!(", ABORTED: {a}"),
-                None => String::new(),
-            },
-        )
-    }
-}
-
-impl<M: std::fmt::Debug> McReport<M> {
+impl McStats {
     /// True when the whole reachable state space was covered (no depth
     /// truncation, no state-cap abort).
     pub fn exhausted(&self) -> bool {
         self.aborted.is_none() && self.truncated == 0
     }
 
-    /// Erases the message type for algorithm-agnostic consumers.
-    pub fn erase(&self) -> McSummary {
-        McSummary {
-            strategy: self.strategy,
-            visited: self.visited,
-            transitions: self.transitions,
-            terminals: self.terminals,
-            revisits: self.revisits,
-            truncated: self.truncated,
-            max_depth_seen: self.max_depth_seen,
-            aborted: self.aborted.clone(),
-            exhausted: self.exhausted(),
-            violation: self
-                .violation
-                .as_ref()
-                .map(|v| (v.description.clone(), v.steps.len(), v.trace.clone())),
-        }
-    }
-
     /// One-line statistics summary.
     pub fn summary(&self) -> String {
         format!(
-            "{}: {} states, {} transitions, {} terminals, {} revisits, max depth {}{}{}",
-            self.strategy,
+            "{} states, {} transitions, {} terminals, {} revisits, max depth {}{}{}",
             self.visited,
             self.transitions,
             self.terminals,
@@ -222,22 +97,50 @@ impl<M: std::fmt::Debug> McReport<M> {
             },
         )
     }
+}
 
+/// Exploration outcome: the depth-first search's counters (the
+/// minimizing search that follows a violation is not counted) and the
+/// first violation, shrunk.
+pub struct McReport<M> {
+    /// What the search covered.
+    pub stats: McStats,
+    /// The violation found, if any.
+    pub violation: Option<Counterexample<M>>,
+}
+
+impl<M> McReport<M> {
     /// Asserts the search exhausted the state space violation-free;
     /// panics with the counterexample replay otherwise. Test ergonomics.
     #[track_caller]
     pub fn expect_clean_exhaustive(&self) -> &Self {
         if let Some(v) = &self.violation {
-            panic!("model checking found a violation ({})\n{v}", self.summary());
+            panic!(
+                "model checking found a violation ({})\n{v}",
+                self.stats.summary()
+            );
         }
         assert!(
-            self.exhausted(),
+            self.stats.exhausted(),
             "exploration did not exhaust the state space: {}",
-            self.summary()
+            self.stats.summary()
         );
         self
     }
 }
+
+/// The order in which [`ModelChecker::search`] expands its frontier.
+enum Order {
+    /// A stack: the cheaper order to exhaust in (less memory, less time).
+    DepthFirst,
+    /// A queue: states are expanded in depth layers, so the first
+    /// violation found lies on a shortest path.
+    BreadthFirst,
+}
+
+/// A violation the search reached: the decisions leading to it and what
+/// went wrong.
+type Found<M> = (Vec<Decision<M>>, String);
 
 struct ArenaNode<P: McProtocol>
 where
@@ -245,20 +148,35 @@ where
 {
     parent: StateId,
     /// The decision that produced this state (`None` for the root).
-    via: Option<(McEvent<P::Message>, Action)>,
+    via: Option<Decision<P::Message>>,
     /// Present until the state is expanded (or abandoned).
     state: Option<SystemState<P>>,
     depth: u32,
 }
 
-/// Result of applying one decision to a state.
-struct Applied<P: McProtocol>
-where
-    P::Message: PartialEq,
-{
-    state: SystemState<P>,
-    /// A safety violation detected *during* the step (mutual exclusion).
-    violation: Option<String>,
+/// Where a replay narrates its steps: the virtual instant of the step
+/// being replayed and the events so far. The search narrates into a
+/// [`Narration::silent`] one, which builds no [`TraceEvent`] at all.
+struct Narration {
+    at: SimTime,
+    events: Option<Vec<TraceEvent>>,
+}
+
+impl Narration {
+    fn silent() -> Self {
+        Narration {
+            at: SimTime::ZERO,
+            events: None,
+        }
+    }
+
+    /// Records the event `make` builds at the current instant; builds
+    /// nothing when silent.
+    fn note(&mut self, make: impl FnOnce(SimTime) -> TraceEvent) {
+        if let Some(events) = &mut self.events {
+            events.push(make(self.at));
+        }
+    }
 }
 
 /// Exhaustive explorer for one scenario: a fixed node set, a set of
@@ -379,141 +297,104 @@ where
         self
     }
 
-    /// Explores depth-first.
-    pub fn run_dfs(&self) -> McReport<P::Message> {
-        self.run(&mut Dfs::default())
+    /// Checks the scenario: exhausts its state space depth-first and,
+    /// if that finds a violation, shrinks it to a minimal counterexample
+    /// with a breadth-first search bounded by the violation's depth.
+    pub fn run(&self) -> McReport<P::Message> {
+        let (stats, found) = self.search(Order::DepthFirst, self.max_depth);
+        let violation = found.map(|(steps, description)| {
+            // A shortest violation is no deeper than this one, and
+            // breadth-first order reaches a shallowest violation first.
+            match self.search(Order::BreadthFirst, Some(steps.len() as u32)) {
+                (_, Some((shortest, description))) => {
+                    self.counterexample(shortest, description, true)
+                }
+                _ => self.counterexample(steps, description, false),
+            }
+        });
+        McReport { stats, violation }
     }
 
-    /// Explores breadth-first (minimal counterexamples).
-    pub fn run_bfs(&self) -> McReport<P::Message> {
-        self.run(&mut Bfs::default())
-    }
-
-    /// Runs the exhaustive search under the given frontier.
-    pub fn run(&self, frontier: &mut dyn Frontier) -> McReport<P::Message> {
-        let mut report = McReport {
-            strategy: frontier.name(),
-            visited: 0,
-            transitions: 0,
-            terminals: 0,
-            revisits: 0,
-            truncated: 0,
-            max_depth_seen: 0,
-            aborted: None,
-            violation: None,
+    /// One search in the given order, stopping at the first violation.
+    fn search(&self, order: Order, max_depth: Option<u32>) -> (McStats, Option<Found<P::Message>>) {
+        let mut stats = McStats {
+            visited: 1,
+            ..McStats::default()
         };
-        let mut scratch: Vec<TraceEvent> = Vec::new();
-        let (root, root_violation) = self.build_initial(&mut scratch, false);
+        let mut silent = Narration::silent();
+        let (root, root_violation) = self.build_initial(&mut silent);
+        if let Some(v) = root_violation.or_else(|| self.check_state(&root)) {
+            return (stats, Some((Vec::new(), v)));
+        }
         let mut visited: HashMap<u128, u32> = HashMap::new();
         visited.insert(fingerprint(&root, self.fifo), 0);
-        let mut arena: Vec<ArenaNode<P>> = Vec::new();
-        report.visited = 1;
-        if let Some(v) = root_violation.or_else(|| self.check_state(&root)) {
-            arena.push(ArenaNode {
-                parent: 0,
-                via: None,
-                state: None,
-                depth: 0,
-            });
-            report.violation = Some(self.counterexample(&arena, 0, None, v));
-            return report;
-        }
-        arena.push(ArenaNode {
+        let mut arena: Vec<ArenaNode<P>> = vec![ArenaNode {
             parent: 0,
             via: None,
             state: Some(root),
             depth: 0,
-        });
-        frontier.push(0);
+        }];
+        let mut frontier: VecDeque<StateId> = VecDeque::from([0]);
 
-        while let Some(id) = frontier.pop() {
+        while let Some(id) = match order {
+            Order::DepthFirst => frontier.pop_back(),
+            Order::BreadthFirst => frontier.pop_front(),
+        } {
             let state = arena[id as usize]
                 .state
                 .take()
                 .expect("arena states are expanded exactly once");
             let depth = arena[id as usize].depth;
-            report.max_depth_seen = report.max_depth_seen.max(depth);
-            let choices = self.choices(&state);
-            if state.pending.is_empty() {
-                // Quiescent: no further event can occur without a fresh
-                // fault. Liveness is judged HERE, even when crash budget
-                // remains — a crash the checker *could still inject* lies
-                // in the future and must not excuse a stall that has
-                // already happened.
-                if let Some(v) = self.check_goal(&state) {
-                    report.violation = Some(self.counterexample(&arena, id, None, v));
-                    return report;
-                }
-                if state.crashes_left == 0 {
-                    report.terminals += 1;
-                    continue;
-                }
-            }
-            if self.max_depth.is_some_and(|d| depth >= d) {
-                report.truncated += 1;
+            stats.max_depth_seen = stats.max_depth_seen.max(depth);
+            if state.pending.is_empty() && state.crashes_left == 0 {
+                stats.terminals += 1;
                 continue;
             }
-            // Pending-event decisions, then — while the budget lasts — a
-            // crash-restart of every node: any node, any instant.
-            let mut vias: Vec<(McEvent<P::Message>, Action)> = choices
-                .into_iter()
-                .map(|(idx, action)| (state.pending[idx].clone(), action))
-                .collect();
-            if state.crashes_left > 0 {
-                vias.extend(
-                    NodeId::all(self.nodes.len())
-                        .map(|node| (McEvent::CrashRestart { node }, Action::Deliver)),
-                );
+            if max_depth.is_some_and(|d| depth >= d) {
+                stats.truncated += 1;
+                continue;
             }
-            for via in vias {
-                report.transitions += 1;
-                let applied = self.apply(&state, &via.0, via.1, SimTime::ZERO, &mut scratch, false);
-                if let Some(v) = applied
-                    .violation
-                    .or_else(|| self.check_state(&applied.state))
-                {
-                    report.violation = Some(self.counterexample(&arena, id, Some(via), v));
-                    return report;
+            for decision in self.choices(&state) {
+                stats.transitions += 1;
+                let (next, violation) = self.apply(&state, &decision, &mut silent);
+                if let Some(v) = violation.or_else(|| self.check_state(&next)) {
+                    return (stats, Some((path(&arena, id, decision), v)));
                 }
-                let fp = fingerprint(&applied.state, self.fifo);
+                let fp = fingerprint(&next, self.fifo);
                 let child_depth = depth + 1;
                 // With a depth bound, a known state rediscovered on a
                 // shorter path must be re-expanded: the deeper visit may
                 // have been truncated before covering its successors.
                 let explore = match visited.get(&fp) {
                     None => true,
-                    Some(&d0) => self.max_depth.is_some() && child_depth < d0,
+                    Some(&d0) => max_depth.is_some() && child_depth < d0,
                 };
                 if !explore {
-                    report.revisits += 1;
+                    stats.revisits += 1;
                     continue;
                 }
                 visited.insert(fp, child_depth);
                 if arena.len() as u64 >= self.max_states {
-                    report.aborted = Some(format!("state cap {} reached", self.max_states));
-                    return report;
+                    stats.aborted = Some(format!("state cap {} reached", self.max_states));
+                    return (stats, None);
                 }
                 arena.push(ArenaNode {
                     parent: id,
-                    via: Some(via),
-                    state: Some(applied.state),
+                    via: Some(decision),
+                    state: Some(next),
                     depth: child_depth,
                 });
-                report.visited += 1;
-                frontier.push((arena.len() - 1) as StateId);
+                stats.visited += 1;
+                frontier.push_back((arena.len() - 1) as StateId);
             }
         }
-        report
+        (stats, None)
     }
 
     /// Builds the initial state: every requester issues its request
     /// before anything is delivered (requests do not interact at issue
     /// time, so issue order is irrelevant).
-    fn build_initial(
-        &self,
-        trace: &mut Vec<TraceEvent>,
-        record: bool,
-    ) -> (SystemState<P>, Option<String>) {
+    fn build_initial(&self, log: &mut Narration) -> (SystemState<P>, Option<String>) {
         let n = self.nodes.len();
         let mut s = SystemState {
             nodes: self.nodes.clone(),
@@ -524,118 +405,103 @@ where
             dups_left: self.dups,
             crashes_left: self.crashes,
         };
-        let at = SimTime::ZERO;
         let mut violation = None;
         for &r in &self.requesters {
-            if record {
-                trace.push(TraceEvent::Arrival { at, node: r });
-            }
+            log.note(|at| TraceEvent::Arrival { at, node: r });
             // The first violation wins; later requesters still issue.
-            let v = self.handle(&mut s, r, at, trace, record, |p, ctx| p.on_request(ctx));
+            let v = self.handle(&mut s, r, log, |p, ctx| p.on_request(ctx));
             violation = violation.or(v);
         }
         (s, violation)
     }
 
-    /// The distinct decisions available in `s`. Identical in-flight
-    /// events are merged (either copy leads to the same successor); under
-    /// FIFO only each channel's oldest message is deliverable.
-    fn choices(&self, s: &SystemState<P>) -> Vec<(usize, Action)> {
+    /// The distinct decisions available in `s`, pending events first,
+    /// then — while the budget lasts — a crash-restart of every node: any
+    /// node, any instant. Identical in-flight events are merged (either
+    /// copy leads to the same successor); under FIFO only each channel's
+    /// oldest message is deliverable.
+    fn choices(&self, s: &SystemState<P>) -> Vec<Decision<P::Message>> {
         let mut out = Vec::new();
         let mut seen_channels: Vec<(u32, u32)> = Vec::new();
         for (i, ev) in s.pending.iter().enumerate() {
-            if self.fifo {
-                if let McEvent::Deliver { from, to, .. } = ev {
+            let merged = match ev {
+                McEvent::Deliver { from, to, .. } if self.fifo => {
                     let ch = (from.raw(), to.raw());
-                    if seen_channels.contains(&ch) {
-                        continue;
-                    }
+                    let behind = seen_channels.contains(&ch);
                     seen_channels.push(ch);
-                } else if s.pending[..i].contains(ev) {
-                    continue;
+                    behind
                 }
-            } else if s.pending[..i].contains(ev) {
+                _ => s.pending[..i].contains(ev),
+            };
+            if merged {
                 continue;
             }
-            out.push((i, Action::Deliver));
-            if ev.is_deliver() {
+            out.push(Decision::Deliver(ev.clone()));
+            if let McEvent::Deliver { .. } = ev {
                 if s.drops_left > 0 {
-                    out.push((i, Action::Drop));
+                    out.push(Decision::Drop(ev.clone()));
                 }
                 if s.dups_left > 0 {
-                    out.push((i, Action::Duplicate));
+                    out.push(Decision::Duplicate(ev.clone()));
                 }
             }
+        }
+        if s.crashes_left > 0 {
+            out.extend(NodeId::all(self.nodes.len()).map(Decision::CrashRestart));
         }
         out
     }
 
-    /// Applies one decision to a copy of `s`. The event is keyed by value
-    /// (identical in-flight copies lead to the same successor, so which
-    /// copy is removed is immaterial); [`McEvent::CrashRestart`] is
-    /// synthesized, never pending, and routes to [`Self::apply_crash`].
+    /// Applies one decision to a copy of `s`: the successor, and a safety
+    /// violation detected *during* the step (mutual exclusion). The event
+    /// is keyed by value (identical in-flight copies lead to the same
+    /// successor, so which copy is removed is immaterial).
     fn apply(
         &self,
         s: &SystemState<P>,
-        ev: &McEvent<P::Message>,
-        action: Action,
-        at: SimTime,
-        trace: &mut Vec<TraceEvent>,
-        record: bool,
-    ) -> Applied<P> {
-        if let McEvent::CrashRestart { node } = ev {
-            return self.apply_crash(s, *node, at, trace, record);
-        }
+        decision: &Decision<P::Message>,
+        log: &mut Narration,
+    ) -> (SystemState<P>, Option<String>) {
+        let chosen = match decision {
+            Decision::CrashRestart(node) => return self.apply_crash(s, *node, log),
+            Decision::Deliver(ev) | Decision::Drop(ev) | Decision::Duplicate(ev) => ev,
+        };
         let mut next = s.clone();
         let idx = next
             .pending
             .iter()
-            .position(|p| p == ev)
+            .position(|p| p == chosen)
             .expect("applied event is in flight");
         // `remove` (not `swap_remove`): within-channel order is FIFO
         // order and must survive the deletion.
         let ev = next.pending.remove(idx);
-        match action {
-            Action::Drop => {
-                let McEvent::Deliver { from, to, .. } = &ev else {
-                    unreachable!("only deliveries can be dropped");
-                };
+        match decision {
+            Decision::Drop(_) => {
                 debug_assert!(next.drops_left > 0);
                 next.drops_left -= 1;
-                if record {
-                    trace.push(TraceEvent::Lost {
-                        at,
-                        from: *from,
-                        to: *to,
-                    });
+                if let McEvent::Deliver { from, to, .. } = ev {
+                    log.note(|at| TraceEvent::Lost { at, from, to });
                 }
-                return Applied {
-                    state: next,
-                    violation: None,
-                };
+                return (next, None);
             }
-            Action::Duplicate => {
-                debug_assert!(ev.is_deliver() && next.dups_left > 0);
+            Decision::Duplicate(_) => {
+                debug_assert!(next.dups_left > 0);
                 next.dups_left -= 1;
                 // The copy goes to the back of its channel: under FIFO a
                 // duplicate arrives after the messages already in flight.
                 next.pending.push(ev.clone());
             }
-            Action::Deliver => {}
+            Decision::Deliver(_) | Decision::CrashRestart(_) => {}
         }
         let violation = match ev {
             McEvent::Deliver { from, to, msg } => {
-                if record {
-                    trace.push(TraceEvent::Deliver {
-                        at,
-                        from,
-                        to,
-                        kind: msg.kind(),
-                    });
-                }
-                self.handle(&mut next, to, at, trace, record, |p, ctx| {
-                    p.on_message(from, msg, ctx)
-                })
+                log.note(|at| TraceEvent::Deliver {
+                    at,
+                    from,
+                    to,
+                    kind: msg.kind(),
+                });
+                self.handle(&mut next, to, log, |p, ctx| p.on_message(from, msg, ctx))
             }
             McEvent::CsExit { node } => {
                 debug_assert_eq!(
@@ -645,40 +511,25 @@ where
                 );
                 next.occupant = None;
                 next.completed[node.index()] += 1;
-                if record {
-                    trace.push(TraceEvent::CsExit { at, node });
-                }
-                let mut violation = self.handle(&mut next, node, at, trace, record, |p, ctx| {
-                    p.on_cs_released(ctx)
-                });
+                log.note(|at| TraceEvent::CsExit { at, node });
+                let mut violation =
+                    self.handle(&mut next, node, log, |p, ctx| p.on_cs_released(ctx));
                 // Multi-round workload: the node immediately re-requests.
                 if violation.is_none()
                     && next.completed[node.index()] < self.rounds
                     && self.requesters.contains(&node)
                 {
-                    if record {
-                        trace.push(TraceEvent::Arrival { at, node });
-                    }
-                    violation = self.handle(&mut next, node, at, trace, record, |p, ctx| {
-                        p.on_request(ctx)
-                    });
+                    log.note(|at| TraceEvent::Arrival { at, node });
+                    violation = self.handle(&mut next, node, log, |p, ctx| p.on_request(ctx));
                 }
                 violation
             }
             McEvent::Timer { node, tag } => {
-                if record {
-                    trace.push(TraceEvent::Timer { at, node, tag });
-                }
-                self.handle(&mut next, node, at, trace, record, |p, ctx| {
-                    p.on_timer(tag, ctx)
-                })
+                log.note(|at| TraceEvent::Timer { at, node, tag });
+                self.handle(&mut next, node, log, |p, ctx| p.on_timer(tag, ctx))
             }
-            McEvent::CrashRestart { .. } => unreachable!("routed to apply_crash above"),
         };
-        Applied {
-            state: next,
-            violation,
-        }
+        (next, violation)
     }
 
     /// Crashes `node` and immediately restarts it (the crash window
@@ -698,17 +549,14 @@ where
         &self,
         s: &SystemState<P>,
         node: NodeId,
-        at: SimTime,
-        trace: &mut Vec<TraceEvent>,
-        record: bool,
-    ) -> Applied<P> {
+        log: &mut Narration,
+    ) -> (SystemState<P>, Option<String>) {
         let mut next = s.clone();
         debug_assert!(next.crashes_left > 0);
         next.crashes_left -= 1;
-        next.pending.retain(|ev| match ev {
-            McEvent::Deliver { to, .. } => *to != node,
-            McEvent::Timer { node: n, .. } | McEvent::CsExit { node: n } => *n != node,
-            McEvent::CrashRestart { .. } => unreachable!("never pending"),
+        next.pending.retain(|ev| match *ev {
+            McEvent::Deliver { to, .. } => to != node,
+            McEvent::Timer { node: n, .. } | McEvent::CsExit { node: n } => n != node,
         });
         let held = next.occupant == Some(node);
         if held {
@@ -719,48 +567,31 @@ where
         // exit) that this crash interrupts.
         let interrupted =
             self.requesters.contains(&node) && next.completed[node.index()] < self.rounds;
-        if record {
-            trace.push(TraceEvent::Crashed {
-                at,
-                node,
-                held_cs: held,
-            });
-        }
-        let mut outcome = RestartOutcome::KeptState;
-        let enter = dispatch(
-            &mut next.nodes,
-            &mut next.pending,
-            node,
+        log.note(|at| TraceEvent::Crashed {
             at,
-            trace,
-            record,
-            |p, ctx| outcome = p.on_restart(ctx),
-        );
-        if record {
-            trace.push(TraceEvent::Restarted {
-                at,
-                node,
-                recovered: outcome.recovered(),
-            });
-        }
+            node,
+            held_cs: held,
+        });
+        let mut outcome = RestartOutcome::KeptState;
+        let enter = dispatch(&mut next.nodes, &mut next.pending, node, log, |p, ctx| {
+            outcome = p.on_restart(ctx)
+        });
+        log.note(|at| TraceEvent::Restarted {
+            at,
+            node,
+            recovered: outcome.recovered(),
+        });
         let mut violation = None;
         if enter {
-            violation = self.note_enter(&mut next, node, at, trace, record);
+            violation = self.note_enter(&mut next, node, log);
         }
         if violation.is_none() && outcome == RestartOutcome::RejoinedIdle && interrupted {
             // Engine parity: the environment re-issues the request the
             // crash wiped out, so the expected completion count holds.
-            if record {
-                trace.push(TraceEvent::Arrival { at, node });
-            }
-            violation = self.handle(&mut next, node, at, trace, record, |p, ctx| {
-                p.on_request(ctx)
-            });
+            log.note(|at| TraceEvent::Arrival { at, node });
+            violation = self.handle(&mut next, node, log, |p, ctx| p.on_request(ctx));
         }
-        Applied {
-            state: next,
-            violation,
-        }
+        (next, violation)
     }
 
     /// Runs one handler of `node` via [`dispatch`] and judges an `enter_cs`
@@ -769,14 +600,12 @@ where
         &self,
         s: &mut SystemState<P>,
         node: NodeId,
-        at: SimTime,
-        trace: &mut Vec<TraceEvent>,
-        record: bool,
+        log: &mut Narration,
         f: impl FnOnce(&mut P, &mut Ctx<'_, P::Message>),
     ) -> Option<String> {
-        let enter = dispatch(&mut s.nodes, &mut s.pending, node, at, trace, record, f);
+        let enter = dispatch(&mut s.nodes, &mut s.pending, node, log, f);
         if enter {
-            self.note_enter(s, node, at, trace, record)
+            self.note_enter(s, node, log)
         } else {
             None
         }
@@ -788,16 +617,12 @@ where
         &self,
         s: &mut SystemState<P>,
         node: NodeId,
-        at: SimTime,
-        trace: &mut Vec<TraceEvent>,
-        record: bool,
+        log: &mut Narration,
     ) -> Option<String> {
+        // Narrate the offending entry too: the replay must show the
+        // moment the intruder walks in.
+        log.note(|at| TraceEvent::CsEnter { at, node });
         if let Some(holder) = s.occupant {
-            // Narrate the offending entry too: the replay must show the
-            // moment the intruder walks in.
-            if record {
-                trace.push(TraceEvent::CsEnter { at, node });
-            }
             return Some(if holder == node {
                 format!("{node} entered the CS twice without leaving")
             } else {
@@ -806,25 +631,29 @@ where
         }
         s.occupant = Some(node);
         s.pending.push(McEvent::CsExit { node });
-        if record {
-            trace.push(TraceEvent::CsEnter { at, node });
-        }
         None
     }
 
-    /// Per-node and cross-node invariants over a freshly produced state.
-    /// With crash branching enabled the per-node hook is the
-    /// recovery-tolerant variant ([`McProtocol::check_node_recovering`]):
-    /// a crash legitimately trips counters whose accounting assumes no
-    /// vote loss (RCV's UL exhaustion).
+    /// The invariants of a freshly produced state: per-node and
+    /// cross-node, and — once quiescent — the goal.
+    ///
+    /// With crash branching enabled the per-node hook runs with
+    /// `restartable` set: a crash legitimately trips counters whose
+    /// accounting assumes no vote loss (RCV's UL exhaustion).
+    ///
+    /// The goal, judged in every quiescent state (nothing in flight):
+    /// every requester finished all its rounds, unless a message was
+    /// actually lost or a node actually crashed on this path (an
+    /// *attributable* stall — a crash wipes the votes peers registered at
+    /// the victim, and with the retry budget spendable before the crash
+    /// even happens, some interleavings legitimately strand a request;
+    /// duplication alone must never wedge the system). It is judged even
+    /// when crash budget remains: a crash the checker *could still
+    /// inject* lies in the future and must not excuse a stall that has
+    /// already happened.
     fn check_state(&self, s: &SystemState<P>) -> Option<String> {
         for node in &s.nodes {
-            let checked = if self.crashes > 0 {
-                node.check_node_recovering()
-            } else {
-                node.check_node()
-            };
-            if let Err(e) = checked {
+            if let Err(e) = node.check_node(self.crashes > 0) {
                 return Some(format!("node invariant: {e}"));
             }
         }
@@ -833,64 +662,43 @@ where
                 return Some(format!("cross-node invariant: {e}"));
             }
         }
-        None
-    }
-
-    /// Quiescent-state goal: every requester finished all its rounds,
-    /// unless a message was actually lost or a node actually crashed on
-    /// this path (an *attributable* stall — a crash wipes the votes peers
-    /// registered at the victim, and with the retry budget spendable
-    /// before the crash even happens, some interleavings legitimately
-    /// strand a request; duplication alone must never wedge the system).
-    fn check_goal(&self, s: &SystemState<P>) -> Option<String> {
-        debug_assert!(s.occupant.is_none(), "terminal state with a CS occupant");
-        if s.drops_left < self.drops || s.crashes_left < self.crashes {
+        if !s.pending.is_empty() || s.drops_left < self.drops || s.crashes_left < self.crashes {
             return None;
         }
-        for &r in &self.requesters {
-            if s.completed[r.index()] < self.rounds {
-                return Some(format!(
-                    "DEADLOCK without attributable fault: nothing in flight but {r} \
-                     completed {}/{} rounds",
-                    s.completed[r.index()],
-                    self.rounds
-                ));
-            }
-        }
-        None
+        debug_assert!(s.occupant.is_none(), "terminal state with a CS occupant");
+        let r = self
+            .requesters
+            .iter()
+            .find(|r| s.completed[r.index()] < self.rounds)?;
+        Some(format!(
+            "DEADLOCK without attributable fault: nothing in flight but {r} \
+             completed {}/{} rounds",
+            s.completed[r.index()],
+            self.rounds
+        ))
     }
 
-    /// Reconstructs the decision path to `last` (plus an optional final
-    /// step) and replays it with trace recording: one virtual tick per
-    /// decision, rendered through the simnet narrate machinery.
+    /// Replays `steps` with narration on — one virtual tick per decision,
+    /// rendered through the simnet narrate machinery.
     fn counterexample(
         &self,
-        arena: &[ArenaNode<P>],
-        last: StateId,
-        extra: Option<(McEvent<P::Message>, Action)>,
+        steps: Vec<Decision<P::Message>>,
         description: String,
+        minimal: bool,
     ) -> Counterexample<P::Message> {
-        let mut steps = Vec::new();
-        let mut id = last;
-        while let Some(via) = &arena[id as usize].via {
-            steps.push(via.clone());
-            id = arena[id as usize].parent;
-        }
-        steps.reverse();
-        if let Some(step) = extra {
-            steps.push(step);
-        }
-        let mut events: Vec<TraceEvent> = Vec::new();
-        let (mut s, mut violation) = self.build_initial(&mut events, true);
-        for (step_no, (ev, action)) in steps.iter().enumerate() {
+        let mut log = Narration {
+            at: SimTime::ZERO,
+            events: Some(Vec::new()),
+        };
+        let (mut s, mut violation) = self.build_initial(&mut log);
+        for (step_no, decision) in steps.iter().enumerate() {
             if violation.is_some() {
                 break;
             }
-            let at = SimTime::from_ticks(step_no as u64 + 1);
-            let applied = self.apply(&s, ev, *action, at, &mut events, true);
-            violation = applied.violation;
-            s = applied.state;
+            log.at = SimTime::from_ticks(step_no as u64 + 1);
+            (s, violation) = self.apply(&s, decision, &mut log);
         }
+        let events = log.events.unwrap_or_default();
         let mut tr = Trace::with_capacity(events.len().max(1));
         for e in events {
             tr.record(e);
@@ -898,22 +706,40 @@ where
         Counterexample {
             description,
             steps,
+            minimal,
             trace: tr.render(),
         }
     }
 }
 
+/// The decisions from the root to `id`, then `last`.
+fn path<P: McProtocol>(
+    arena: &[ArenaNode<P>],
+    mut id: StateId,
+    last: Decision<P::Message>,
+) -> Vec<Decision<P::Message>>
+where
+    P::Message: PartialEq,
+{
+    let mut steps = vec![last];
+    while let Some(via) = &arena[id as usize].via {
+        steps.push(via.clone());
+        id = arena[id as usize].parent;
+    }
+    steps.reverse();
+    steps
+}
+
 /// Runs one protocol handler with intents captured into the state: sends
 /// become pending deliveries, timers pending timer events; returns the
-/// `enter_cs` intent. The RNG is fixed and virtual time is frozen — the
-/// determinism contract of [`McProtocol`].
+/// `enter_cs` intent. The RNG is fixed and virtual time is frozen (at
+/// zero on the search path) — the determinism contract of
+/// [`McProtocol`].
 fn dispatch<P: McProtocol>(
     nodes: &mut [P],
     pending: &mut Vec<McEvent<P::Message>>,
     node: NodeId,
-    at: SimTime,
-    trace: &mut Vec<TraceEvent>,
-    record: bool,
+    log: &mut Narration,
     f: impl FnOnce(&mut P, &mut Ctx<'_, P::Message>),
 ) -> bool
 where
@@ -924,19 +750,17 @@ where
     let mut timers: Vec<(SimDuration, u64)> = Vec::new();
     let mut rng = SmallRng::seed_from_u64(0);
     {
-        let mut ctx = Ctx::new(node, at, &mut rng, &mut outbox, &mut enter, &mut timers);
+        let mut ctx = Ctx::new(node, log.at, &mut rng, &mut outbox, &mut enter, &mut timers);
         f(&mut nodes[node.index()], &mut ctx);
     }
     for (to, msg) in outbox {
-        if record {
-            trace.push(TraceEvent::Send {
-                at,
-                from: node,
-                to,
-                kind: msg.kind(),
-                detail: format!("{msg:?}"),
-            });
-        }
+        log.note(|at| TraceEvent::Send {
+            at,
+            from: node,
+            to,
+            kind: msg.kind(),
+            detail: format!("{msg:?}"),
+        });
         pending.push(McEvent::Deliver {
             from: node,
             to,
@@ -947,4 +771,26 @@ where
         pending.push(McEvent::Timer { node, tag });
     }
     enter
+}
+
+#[cfg(test)]
+mod tests {
+    use rcv_core::ForwardPolicy;
+
+    use super::Order;
+    use crate::rcv_checker;
+
+    /// Both orders reach the same state space; only the order, and so
+    /// the depth at which a state is first reached, differs.
+    #[test]
+    fn dfs_and_bfs_agree_on_state_counts() {
+        let c = rcv_checker(3, ForwardPolicy::Sequential);
+        let (dfs, none) = c.search(Order::DepthFirst, None);
+        assert!(none.is_none() && dfs.exhausted(), "{}", dfs.summary());
+        let (bfs, none) = c.search(Order::BreadthFirst, None);
+        assert!(none.is_none() && bfs.exhausted(), "{}", bfs.summary());
+        let counts = |s: &super::McStats| (s.visited, s.transitions, s.terminals, s.revisits);
+        assert_eq!(counts(&dfs), counts(&bfs));
+        assert_eq!(counts(&dfs), (391, 638, 16, 248));
+    }
 }

@@ -13,7 +13,7 @@
 //!
 //! * **mutual exclusion** — an `enter_cs` intent while another node holds
 //!   the CS (or a double entry by the holder) is a violation;
-//! * **per-node invariants** — protocol-specific hooks
+//! * **per-node invariants** — a protocol-specific hook
 //!   ([`McProtocol::check_node`]; for RCV: the paper's structural lemmas
 //!   plus a zero anomaly count);
 //! * **cross-node invariants** — an optional whole-system predicate (for
@@ -25,11 +25,14 @@
 //! (no-deadlock-without-attributable-fault; duplication alone must never
 //! cause a stall).
 //!
-//! On any violation the checker rebuilds the offending path from its
-//! parent-pointer arena and replays it through the [`rcv_simnet::Trace`]
-//! machinery, yielding a human-readable minimal counterexample (BFS finds
-//! a shortest path; DFS finds *a* path). Search order is pluggable via
-//! [`Frontier`] ([`Dfs`]/[`Bfs`]).
+//! [`ModelChecker::run`] is the one search: it exhausts the state space
+//! depth-first. On a violation it rebuilds the offending path from its
+//! parent-pointer arena, searches again breadth-first — bounded by that
+//! path's length — for a shortest one, and replays that through the
+//! [`rcv_simnet::Trace`] machinery: a human-readable minimal
+//! counterexample ([`Counterexample::minimal`] says when the state cap
+//! cut the minimizing search short). Each step is a [`Decision`]: deliver,
+//! drop or duplicate an in-flight event, or crash-restart a node.
 //!
 //! Determinism contract: the checker's dispatch must be a pure function
 //! of the node state, so protocols must not consume randomness
@@ -51,8 +54,6 @@ mod harness;
 mod state;
 
 pub use adapters::McProtocol;
-pub use checker::{
-    Action, Bfs, Counterexample, Dfs, Frontier, McReport, McSummary, ModelChecker, StateId,
-};
+pub use checker::{Counterexample, McReport, McStats, ModelChecker};
 pub use harness::{lamport_checker, rcv_checker, rcv_recovery_checker, ricart_checker};
-pub use state::{McEvent, SystemState};
+pub use state::{Decision, McEvent, SystemState};

@@ -32,17 +32,6 @@ pub enum McEvent<M> {
         /// The tag the protocol attached when arming it.
         tag: u64,
     },
-    /// `node` crashes and immediately restarts (the crash window
-    /// collapses to a point: everything in flight *toward* the node and
-    /// its armed timers die with the process, then
-    /// [`rcv_simnet::MutexProtocol::on_restart`] runs). Unlike the other
-    /// variants this is never *pending* — the checker synthesizes it at
-    /// every state while the crash budget lasts; it appears only in
-    /// counterexample step lists.
-    CrashRestart {
-        /// The node that crashes and restarts.
-        node: NodeId,
-    },
 }
 
 impl<M> McEvent<M> {
@@ -54,16 +43,27 @@ impl<M> McEvent<M> {
             McEvent::Deliver { from, to, .. } => (0, from.raw(), to.raw(), 0),
             McEvent::CsExit { node } => (1, node.raw(), 0, 0),
             McEvent::Timer { node, tag } => (2, node.raw(), 0, tag),
-            McEvent::CrashRestart { node } => (3, node.raw(), 0, 0),
         }
     }
+}
 
-    /// Whether this is a message delivery (the only event kind the fault
-    /// budgets apply to — losing or duplicating a local event is
-    /// meaningless).
-    pub(crate) fn is_deliver(&self) -> bool {
-        matches!(self, McEvent::Deliver { .. })
-    }
+/// One branch the checker takes from a state: a variant per kind of
+/// branch point.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Decision<M> {
+    /// Deliver an in-flight message, or fire a pending local event.
+    Deliver(McEvent<M>),
+    /// Lose an in-flight message (one unit of the loss budget). Only
+    /// messages are lost: losing a local event is meaningless.
+    Drop(McEvent<M>),
+    /// Deliver an in-flight message and leave a second copy in flight
+    /// (one unit of the duplication budget).
+    Duplicate(McEvent<M>),
+    /// Crash the node and restart it at once (one unit of the crash
+    /// budget): the crash window collapses to a point, everything in
+    /// flight *toward* the node and its armed timers die with the
+    /// process, then [`rcv_simnet::MutexProtocol::on_restart`] runs.
+    CrashRestart(NodeId),
 }
 
 /// One snapshot of the whole system: node states, in-flight events, CS

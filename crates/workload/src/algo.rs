@@ -144,10 +144,10 @@ impl Algo {
     }
 
     /// Runs this algorithm as a **real-thread cluster** (`rcv-runtime`):
-    /// one OS thread per node, asynchronous channels, the spec's fault
-    /// plan, every message round-tripped through its binary wire codec —
-    /// the same protocol state machines the simulator drives, under a
-    /// genuine scheduler.
+    /// one OS thread per node, the threads sharing one delay queue, the
+    /// spec's fault plan, every message round-tripped through its binary
+    /// wire codec — the same protocol state machines the simulator
+    /// drives, under a genuine scheduler.
     ///
     /// FIFO-requiring algorithms ([`Algo::requires_fifo`]) are
     /// automatically run under a **constant** delay (the mean of the

@@ -180,7 +180,7 @@ impl ProcessBackend {
 /// Which fabric [`Algo::run_on`] drives.
 #[derive(Clone, Debug)]
 pub enum ClusterBackend {
-    /// In-process: one OS thread per node, channel fabric.
+    /// In-process: one OS thread per node, sharing one delay queue.
     Threads,
     /// Multi-process: one OS process per node, socket fabric.
     Process(ProcessBackend),

@@ -1,5 +1,5 @@
 //! Real-concurrency conformance: **all 8 algorithms** on the threaded
-//! runtime (OS threads, asynchronous channels, byte-serialized messages),
+//! runtime (OS threads sharing one delay queue, byte-serialized messages),
 //! under clean networks, non-FIFO jitter, stragglers and the simulator's
 //! fault plans. The simulator-side twin of this battery is the scenario
 //! matrix; the cross-backend agreement is checked by `rtmatrix`
