@@ -149,7 +149,7 @@ impl RcvNode {
     /// far). No-op without a policy or once the budget is spent.
     fn arm_retry(&mut self, tuple_ts: u64, ctx: &mut Ctx<'_, RcvMessage>) {
         if let Some(policy) = self.config.retry {
-            if let Some(delay) = policy.backoff_delay(self.retry_attempt, ctx.rng()) {
+            if let Some(delay) = policy.backoff_delay(self.retry_attempt) {
                 ctx.set_timer(delay, tuple_ts);
             }
         }
@@ -485,7 +485,7 @@ impl MutexProtocol for RcvNode {
                 let body = self.snapshot();
                 ctx.send(peer, RcvMessage::Rv { body });
             }
-            return RestartOutcome::RejoinedIdle;
+            return RestartOutcome::Rejoined;
         };
         row.mnl.push(t);
         self.state = ReqState::Waiting(t);
@@ -495,7 +495,7 @@ impl MutexProtocol for RcvNode {
             let outcome = order(&mut self.si, t);
             debug_assert!(outcome.home_ordered && outcome.highest_priority);
             self.enter(t, ctx);
-            return RestartOutcome::ResumedRequest;
+            return RestartOutcome::Rejoined;
         }
         for peer in NodeId::all(self.n).filter(|&x| x != self.me) {
             let body = self.snapshot();
@@ -503,7 +503,7 @@ impl MutexProtocol for RcvNode {
         }
         self.issue_rm(t, ctx);
         self.arm_retry(t.ts, ctx);
-        RestartOutcome::ResumedRequest
+        RestartOutcome::Rejoined
     }
 }
 

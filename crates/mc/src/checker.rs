@@ -268,9 +268,8 @@ where
     /// timers, evicts it from the CS if it was the holder (a dead process
     /// occupies nothing; the aborted hold does not count as a
     /// completion), then runs the protocol's `on_restart` hook, with the
-    /// engine's environment semantics: a node that rejoined idle with a
-    /// request interrupted gets it re-issued, one that resumed its
-    /// request internally keeps the round open.
+    /// engine's environment semantics: nothing is re-issued, and a node
+    /// that resumed its interrupted request keeps the round open.
     pub fn crash_restarts(mut self, crashes: u32) -> Self {
         self.crashes = crashes;
         self
@@ -542,9 +541,9 @@ where
     ///   network, not in the process;
     /// * a victim holding the CS is evicted without a completion (a dead
     ///   process occupies nothing) and its pending exit is invalidated;
-    /// * after `on_restart`: a node that rejoined idle with a request
-    ///   interrupted gets it re-issued as a fresh request; one that
-    ///   resumed the request internally keeps its round open.
+    /// * after `on_restart` nothing is re-issued: a protocol that
+    ///   recovers resumes the interrupted request itself, and its round
+    ///   stays open until that request completes.
     fn apply_crash(
         &self,
         s: &SystemState<P>,
@@ -562,11 +561,6 @@ where
         if held {
             next.occupant = None;
         }
-        // One outstanding request per node: a requester with rounds left
-        // has a live request (issued at the initial burst or at its last
-        // exit) that this crash interrupts.
-        let interrupted =
-            self.requesters.contains(&node) && next.completed[node.index()] < self.rounds;
         log.note(|at| TraceEvent::Crashed {
             at,
             node,
@@ -581,16 +575,11 @@ where
             node,
             recovered: outcome.recovered(),
         });
-        let mut violation = None;
-        if enter {
-            violation = self.note_enter(&mut next, node, log);
-        }
-        if violation.is_none() && outcome == RestartOutcome::RejoinedIdle && interrupted {
-            // Engine parity: the environment re-issues the request the
-            // crash wiped out, so the expected completion count holds.
-            log.note(|at| TraceEvent::Arrival { at, node });
-            violation = self.handle(&mut next, node, log, |p, ctx| p.on_request(ctx));
-        }
+        let violation = if enter {
+            self.note_enter(&mut next, node, log)
+        } else {
+            None
+        };
         (next, violation)
     }
 

@@ -22,9 +22,9 @@ pub fn rcv_checker(n: usize, policy: ForwardPolicy) -> ModelChecker<RcvNode> {
 /// The policy must be deterministic — the checker's dispatch has to be a
 /// pure function of the node state — so `ForwardPolicy::Random` is
 /// rejected; `Sequential`, `MostStale` and `Freshest` consult only ids
-/// and row versions. The retry policy, when given, must be jitter-free
-/// for the same reason and **bounded**: an unbounded policy re-arms its
-/// timer after every retransmission and the state space never closes.
+/// and row versions. The retry policy, when given, must be
+/// **bounded**: an unbounded policy re-arms its timer after every
+/// retransmission and the state space never closes.
 ///
 /// Installs the RCV whole-system invariant: Lemma 6/7 NONL prefix
 /// consistency across every node pair, checked in every visited state
@@ -40,10 +40,6 @@ pub fn rcv_recovery_checker(
         "model checking requires a deterministic forwarding policy"
     );
     if let Some(r) = retry {
-        assert_eq!(
-            r.jitter, 0,
-            "model checking requires a jitter-free retry policy"
-        );
         assert!(
             r.is_bounded(),
             "model checking requires a bounded retry budget"

@@ -75,7 +75,7 @@ impl CsLogProbe {
     fn append(&self, kind: u8, node: NodeId) {
         let rec = format!("{} {}\n", kind as char, node.index());
         // A failed append must not crash the CS hold; the orchestrator
-        // detects the shortfall as entries != completed.
+        // detects the shortfall as exits != completed.
         let _ = (&self.file).write_all(rec.as_bytes());
     }
 }
@@ -93,10 +93,11 @@ impl CsProbe for CsLogProbe {
 }
 
 /// Replays a [`CsLogProbe`] file into a fresh [`SafetyMonitor`] — a
-/// record's line number is its time — and returns `(entries,
-/// violations)`. Malformed lines count as violations: a corrupt safety log
-/// must never read as "safe".
-pub(crate) fn replay_cs_log(path: &Path) -> std::io::Result<(u64, u64)> {
+/// record's line number is its time — and returns `(entries, violations,
+/// exits)`. Malformed lines count as violations: a corrupt safety log
+/// must never read as "safe". A hold evicted by a crash has an entry but
+/// no exit, so `exits` is what counts completed holds.
+pub(crate) fn replay_cs_log(path: &Path) -> std::io::Result<(u64, u64, u64)> {
     let text = std::fs::read_to_string(path)?;
     let mut monitor = SafetyMonitor::new();
     let mut malformed = 0u64;
@@ -116,7 +117,7 @@ pub(crate) fn replay_cs_log(path: &Path) -> std::io::Result<(u64, u64)> {
         }
     }
     let (entries, violations) = tally(&monitor);
-    Ok((entries, violations + malformed))
+    Ok((entries, violations + malformed, monitor.exits()))
 }
 
 #[cfg(test)]
@@ -238,15 +239,19 @@ mod tests {
             std::fs::write(&path, log).unwrap();
             replay_cs_log(&path).unwrap()
         };
-        assert_eq!(replay("E 0\nX 0\nE 1\nX 1\n"), (2, 0), "clean");
-        assert_eq!(replay("E 0\nE 1\nX 1\n"), (2, 1), "overlap");
-        assert_eq!(replay("E 0\nX 1\nX 0\n"), (1, 1), "exit by a non-holder");
+        assert_eq!(replay("E 0\nX 0\nE 1\nX 1\n"), (2, 0, 2), "clean");
+        assert_eq!(replay("E 0\nE 1\nX 1\n"), (2, 1, 1), "overlap");
+        assert_eq!(replay("E 0\nX 1\nX 0\n"), (1, 1, 2), "exit by a non-holder");
         assert_eq!(
             replay("E 0\nV 0\nE 1\nX 1\n"),
-            (2, 0),
-            "eviction frees the CS"
+            (2, 0, 1),
+            "eviction frees the CS, and only the exit counts as completed"
         );
-        assert_eq!(replay("E 0\nX 0\nE x\nQ 1\nE\n"), (1, 3), "malformed lines");
+        assert_eq!(
+            replay("E 0\nX 0\nE x\nQ 1\nE\n"),
+            (1, 3, 1),
+            "malformed lines"
+        );
         std::fs::remove_file(&path).unwrap();
         assert!(replay_cs_log(&path).is_err(), "a missing log is no verdict");
     }

@@ -34,11 +34,11 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 use rcv_simnet::{DelayModel, FaultPlan, MutexProtocol, NodeId, SafetyMonitor, SimDuration};
 
 use crate::checker::{lock, tally};
-use crate::node::{NodeDriver, NodeParams};
+use crate::node::NodeDriver;
 use crate::spec::{ticks, Spec};
 use crate::transport::chan::Switchboard;
 use crate::transport::frame::WorkerReport;
@@ -271,23 +271,14 @@ where
     // Node threads: each runs the transport-generic driver over its
     // connection to the switchboard.
     let mut handles = Vec::with_capacity(n);
-    for (idx, seed) in spec.node_seeds().into_iter().enumerate() {
-        let me = NodeId::new(idx as u32);
+    for idx in 0..n {
+        let node = spec.node(idx);
         let driver = NodeDriver::new(
-            me,
-            make_node(me, n),
-            net.transport(me),
+            make_node(node.node, n),
+            net.transport(node.node),
             Arc::clone(&monitor),
-            SmallRng::seed_from_u64(seed),
-            NodeParams::new(
-                spec.rounds,
-                spec.think,
-                spec.cs_duration,
-                spec.delay,
-                spec.tick,
-                start,
-                spec.crash_ticks(idx),
-            ),
+            &node,
+            start,
             StatusCell::register(format!("rcv-node-{idx}")),
         );
         handles.push(
@@ -327,6 +318,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::SeedableRng;
     use rcv_baselines::RicartAgrawala;
     use rcv_simnet::SimTime;
 

@@ -57,7 +57,7 @@ pub mod watchdog;
 pub mod wire;
 
 pub use cluster::{run_cluster_collecting, serves, ClusterReport, ClusterSpec, NetDelay, WireHook};
-pub use spec::{RunSpec, Spec};
+pub use spec::{NodeSpec, RunSpec, Spec};
 pub use transport::netq::Lateness;
 pub use transport::{RecvOutcome, SocketNet, Transport, TransportClosed};
 pub use watchdog::run_with_watchdog;

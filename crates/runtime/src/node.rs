@@ -1,11 +1,14 @@
 //! The transport-generic node driver: one protocol state machine driven
 //! over any [`Transport`].
 //!
-//! It owns the node's workload (issue `rounds` CS requests,
-//! think between them), materializes protocol intents (outbound messages
-//! with node-sampled delays, one-shot timers, CS entry), executes the CS
-//! by sleeping while registered with a [`CsProbe`], and serves this
-//! node's crash window (freeze, discard, restart) — identically whether the
+//! A driver is built from the node's [`NodeSpec`] and the instant its
+//! tick clock starts — on the thread tier from [`crate::Spec::node`]
+//! itself, on the socket tier from the copy the hub ships in `Start`. It
+//! owns the node's workload (issue `rounds` CS requests, think between
+//! them), materializes protocol intents (outbound messages with
+//! node-sampled delays, one-shot timers, CS entry), executes the CS by
+//! sleeping while registered with a [`CsProbe`], and serves this node's
+//! crash window (freeze, discard, restart) — identically whether the
 //! fabric is the thread tier's shared delay queue or a socket to the
 //! orchestrator. The fabric delivers to a crashed node as to any other;
 //! the driver discards those deliveries, on both real tiers.
@@ -13,61 +16,25 @@
 use std::time::{Duration, Instant};
 
 use rand::rngs::SmallRng;
-use rcv_simnet::{Ctx, MutexProtocol, NodeId, RestartOutcome, SimDuration, SimTime};
+use rand::SeedableRng;
+use rcv_simnet::{Ctx, MutexProtocol, NodeId, SimDuration, SimTime};
 
 use crate::checker::CsProbe;
-use crate::cluster::NetDelay;
-use crate::spec::ticks;
+use crate::spec::{ticks, NodeSpec};
 use crate::transport::frame::WorkerReport;
 use crate::transport::{RecvOutcome, Transport};
 use crate::watchdog::StatusCell;
 
-/// Workload and timing parameters for one node (fabric-independent).
-pub(crate) struct NodeParams {
-    rounds: u32,
-    think: Duration,
-    cs_duration: Duration,
-    delay: NetDelay,
-    /// Wall-clock length of one simulator tick (timer/clock scale).
-    tick: Duration,
-    /// Anchor of the node's tick clock and crash window.
-    start: Instant,
-    /// This node's crash window `(down, up)`, if any.
-    crash: Option<(Instant, Instant)>,
-}
-
-impl NodeParams {
-    /// `crash_ticks` is this node's crash window `(down, up)` in ticks
-    /// from `start` ([`crate::Spec::crash_ticks`]).
-    pub(crate) fn new(
-        rounds: u32,
-        think: Duration,
-        cs_duration: Duration,
-        delay: NetDelay,
-        tick: Duration,
-        start: Instant,
-        crash_ticks: Option<(u64, u64)>,
-    ) -> Self {
-        NodeParams {
-            rounds,
-            think,
-            cs_duration,
-            delay,
-            tick,
-            start,
-            crash: crash_ticks
-                .map(|(down, up)| (start + ticks(tick, down), start + ticks(tick, up))),
-        }
-    }
-}
-
 pub(crate) struct NodeDriver<P: MutexProtocol, T, C> {
-    me: NodeId,
     proto: P,
     transport: T,
     probe: C,
     rng: SmallRng,
-    params: NodeParams,
+    spec: NodeSpec,
+    /// Anchor of the node's tick clock and crash window.
+    start: Instant,
+    /// This node's crash window `(down, up)`, until it has been served.
+    crash: Option<(Instant, Instant)>,
     /// Armed one-shot timers: `(due, tag)`.
     timers: Vec<(Instant, u64)>,
     /// Scratch for one handler's sends and timer requests, drained before
@@ -75,8 +42,6 @@ pub(crate) struct NodeDriver<P: MutexProtocol, T, C> {
     /// them empty and a steady-state dispatch allocates nothing.
     outbox: Vec<(NodeId, P::Message)>,
     armed: Vec<(SimDuration, u64)>,
-    /// Whether the crash window has already been served.
-    crash_done: bool,
     /// This node's counters (`anomalies` stays 0 here: reading it needs
     /// the protocol's concrete type, which the caller has).
     out: WorkerReport,
@@ -91,28 +56,31 @@ where
     T: Transport<P::Message>,
     C: CsProbe,
 {
+    /// A driver for the node `spec` describes, its clock started at
+    /// `start`.
     pub(crate) fn new(
-        me: NodeId,
         proto: P,
         transport: T,
         probe: C,
-        rng: SmallRng,
-        params: NodeParams,
+        spec: &NodeSpec,
+        start: Instant,
         status: StatusCell,
     ) -> Self {
         NodeDriver {
-            me,
             proto,
             transport,
             probe,
-            rng,
-            params,
+            rng: SmallRng::seed_from_u64(spec.seed),
+            crash: spec
+                .crash
+                .map(|(down, up)| (start + ticks(spec.tick, down), start + ticks(spec.tick, up))),
+            spec: *spec,
+            start,
             timers: Vec::new(),
             outbox: Vec::new(),
             armed: Vec::new(),
-            crash_done: false,
             out: WorkerReport {
-                node: me.raw(),
+                node: spec.node.raw(),
                 ..WorkerReport::default()
             },
             status,
@@ -120,13 +88,12 @@ where
     }
 
     fn now(&self) -> SimTime {
-        let tick_us = self.params.tick.as_micros().max(1) as u64;
-        SimTime::from_ticks(self.params.start.elapsed().as_micros() as u64 / tick_us)
+        SimTime::from_ticks((self.start.elapsed().as_nanos() / self.spec.tick.as_nanos()) as u64)
     }
 
     /// Whether the crash instant has arrived but not yet been served.
     fn crash_pending(&self, now: Instant) -> bool {
-        !self.crash_done && self.params.crash.is_some_and(|(down, _)| now >= down)
+        self.crash.is_some_and(|(down, _)| now >= down)
     }
 
     /// Dispatches one protocol handler and materializes its intents.
@@ -141,7 +108,7 @@ where
         let mut enter = false;
         {
             let mut ctx = Ctx::new(
-                self.me,
+                self.spec.node,
                 self.now(),
                 &mut self.rng,
                 &mut self.outbox,
@@ -153,10 +120,10 @@ where
         for (delay, tag) in self.armed.drain(..) {
             let ticks = delay.ticks().min(u32::MAX as u64) as u32;
             self.timers
-                .push((Instant::now() + self.params.tick.saturating_mul(ticks), tag));
+                .push((Instant::now() + self.spec.tick.saturating_mul(ticks), tag));
         }
         for (to, msg) in self.outbox.drain(..) {
-            let delay = self.params.delay.sample(&mut self.rng);
+            let delay = self.spec.delay.sample(&mut self.rng);
             self.out.messages += 1;
             self.status.bump();
             if self.transport.send(to, msg, delay).is_err() {
@@ -177,12 +144,12 @@ where
     /// release handler is NOT run, and the execution does not count.
     fn execute_cs(&mut self) -> bool {
         self.status.set("in CS");
-        self.probe.enter(self.me, self.now());
-        let end = Instant::now() + self.params.cs_duration;
+        self.probe.enter(self.spec.node, self.now());
+        let end = Instant::now() + self.spec.cs_duration;
         loop {
             let now = Instant::now();
             if self.crash_pending(now) {
-                self.probe.evict(self.me);
+                self.probe.evict(self.spec.node);
                 self.status.set("crashed holding the CS");
                 return false;
             }
@@ -190,14 +157,14 @@ where
                 break;
             }
             let mut nap = end - now;
-            if let Some((down, _)) = self.params.crash.filter(|_| !self.crash_done) {
+            if let Some((down, _)) = self.crash {
                 if down > now {
                     nap = nap.min(down - now);
                 }
             }
             std::thread::sleep(nap);
         }
-        self.probe.exit(self.me, self.now());
+        self.probe.exit(self.spec.node, self.now());
         self.out.completed += 1;
         // The release handler may send messages but never re-enters.
         let entered_again = self.dispatch(|p, ctx| p.on_cs_released(ctx));
@@ -208,18 +175,11 @@ where
     /// Serves the crash window once its instant has passed: drops the
     /// dead process's timers and discards every delivery that reaches it
     /// until the window ends — the one place a real tier drops a message
-    /// sent to a crashed node — then re-runs the protocol's restart hook
-    /// and reconciles the round bookkeeping with its [`RestartOutcome`].
+    /// sent to a crashed node — then runs the protocol's restart hook.
     /// Returns `true` if a shutdown arrived while down (the run loop must
     /// exit).
-    fn serve_crash_window(
-        &mut self,
-        waiting_grant: &mut bool,
-        remaining: &mut u32,
-        next_request: &mut Option<Instant>,
-    ) -> bool {
-        let (_, up) = self.params.crash.expect("only called with a window");
-        self.crash_done = true;
+    fn serve_crash_window(&mut self, waiting_grant: &mut bool) -> bool {
+        let (_, up) = self.crash.take().expect("only called with a window");
         self.timers.clear();
         self.status.set("crashed (down)");
         // Down: what reaches the process until the window ends dies with
@@ -234,34 +194,16 @@ where
                 RecvOutcome::Timeout => break,
             }
         }
-        // Restart. The hook may enter the CS synchronously (single-node
-        // resume), in which case the round completes right here.
+        // Restart. A protocol that kept its state resumes as if frozen;
+        // one that rejoined has resumed any interrupted request itself, so
+        // the open round stays open until that request is granted — right
+        // here, if the hook enters the CS (a single-node resume).
         self.out.restarts += 1;
         self.status.set("restarting");
-        let mut outcome = RestartOutcome::KeptState;
-        let entered = self.dispatch(|p, ctx| outcome = p.on_restart(ctx));
-        match outcome {
-            // No recovery story: the protocol kept its pre-crash state and
-            // simply resumes processing (its in-window messages are gone).
-            RestartOutcome::KeptState => {}
-            // The protocol came back empty-handed: if a request was
-            // interrupted, this harness re-issues it as a fresh round so
-            // the expected completion count still holds.
-            RestartOutcome::RejoinedIdle => {
-                if *waiting_grant {
-                    *waiting_grant = false;
-                    *remaining += 1;
-                    *next_request = Some(Instant::now());
-                }
-            }
-            // The protocol re-adopted the interrupted request internally —
-            // the open round stays open and completes when the resumed
-            // campaign is granted (unless it already entered just now).
-            RestartOutcome::ResumedRequest => {
-                if entered {
-                    *waiting_grant = false;
-                }
-            }
+        if self.dispatch(|p, ctx| {
+            p.on_restart(ctx);
+        }) {
+            *waiting_grant = false;
         }
         false
     }
@@ -277,7 +219,7 @@ where
     /// (`think` 0 and nobody to ask) therefore reads its inbox only once
     /// its rounds are spent.
     pub(crate) fn run(mut self) -> (P, T, WorkerReport) {
-        let mut remaining = self.params.rounds;
+        let mut remaining = self.spec.rounds;
         let mut waiting_grant = false;
         // Set only while no request is outstanding (`!waiting_grant`).
         let mut next_request: Option<Instant> = (remaining > 0).then(Instant::now);
@@ -290,7 +232,7 @@ where
             let now = Instant::now();
             // Serve the crash window first: a dead process issues nothing.
             if self.crash_pending(now) {
-                if self.serve_crash_window(&mut waiting_grant, &mut remaining, &mut next_request) {
+                if self.serve_crash_window(&mut waiting_grant) {
                     return (self.proto, self.transport, self.out);
                 }
                 continue;
@@ -299,7 +241,7 @@ where
             // The previous round is over: schedule the next, or say so.
             if !waiting_grant && next_request.is_none() {
                 if remaining > 0 {
-                    next_request = Some(now + self.params.think);
+                    next_request = Some(now + self.spec.think);
                 } else if !announced_done {
                     announced_done = true;
                     self.status.set("done (serving peers)");
@@ -329,11 +271,7 @@ where
 
             // Nothing is due at `now`: wait for a message until something is.
             let next_timer = self.timers.iter().map(|&(at, _)| at).min();
-            let next_crash = self
-                .params
-                .crash
-                .filter(|_| !self.crash_done)
-                .map(|(down, _)| down);
+            let next_crash = self.crash.map(|(down, _)| down);
             let timeout = [next_request, next_timer, next_crash]
                 .into_iter()
                 .flatten()
@@ -356,8 +294,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cluster::NetDelay;
     use crate::transport::TransportClosed;
-    use rand::SeedableRng;
     use rcv_simnet::ProtocolMessage;
     use std::sync::{Arc, Mutex};
 
@@ -488,8 +426,13 @@ mod tests {
         grants: u32,
     ) -> (Vec<Ev>, u64) {
         let log = Log::default();
+        let spec = crate::RunSpec::quick(2, 1)
+            .rounds(rounds)
+            .think(think)
+            .cs_duration(Duration::ZERO)
+            .delay(NetDelay::None)
+            .node(0);
         let driver = NodeDriver::new(
-            NodeId::new(0),
             Asker {
                 log: log.clone(),
                 timer,
@@ -501,16 +444,8 @@ mod tests {
                 hold_for_timer: timer.is_some(),
             },
             log.clone(),
-            SmallRng::seed_from_u64(1),
-            NodeParams::new(
-                rounds,
-                think,
-                Duration::ZERO,
-                NetDelay::None,
-                Duration::from_micros(1),
-                Instant::now(),
-                None,
-            ),
+            &spec,
+            Instant::now(),
             StatusCell::register("node-test"),
         );
         let (_, _, report) = driver.run();

@@ -10,8 +10,9 @@
 //!    (magic, schema version, node index, protocol tag). The hub validates
 //!    with [`validate_hello`]; any mismatch gets a `Reject` and fails the
 //!    run before protocol traffic exists.
-//! 2. **Start** — each accepted worker receives its [`WorkerConfig`]
-//!    (workload, timing, seed, crash window, shared CS-log path).
+//! 2. **Start** — each accepted worker receives its [`NodeSpec`], as
+//!    [`Spec::node`] derives it (workload, timing, seed, crash window,
+//!    retry policy), and the shared CS-log path.
 //! 3. **Serve** — an event-driven loop over the nonblocking worker
 //!    sockets. After each pass over its work the hub blocks in one
 //!    `ppoll(2)` readiness wait (`transport::readiness`) on every live
@@ -49,17 +50,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 use rcv_simnet::{MutexProtocol, NodeId};
 
 use crate::checker::{replay_cs_log, CsLogProbe};
 use crate::cluster::ClusterReport;
-use crate::node::{NodeDriver, NodeParams};
-use crate::spec::Spec;
+use crate::node::NodeDriver;
+use crate::spec::{NodeSpec, Spec};
 use crate::transport::frame::{
-    encode_frame, encode_frame_into, validate_hello, CtrlFrame, FrameBuf, WorkerConfig,
-    WorkerReport, MAX_FRAME,
+    encode_frame, encode_frame_into, validate_hello, CtrlFrame, FrameBuf, WorkerReport, MAX_FRAME,
 };
 use crate::transport::readiness::{self, ExactTimers, PollFd};
 use crate::transport::socket::{is_timeout, SocketStream};
@@ -121,6 +119,11 @@ pub struct ProcessReport {
     pub faults: Vec<(u32, String)>,
     /// Nodes whose process vanished before sending its report.
     pub crashed: Vec<u32>,
+    /// Holds that ended in an exit record in the CS log. Each completed
+    /// CS writes one, and a hold cut short by a crash window writes none
+    /// (its entry is followed by an eviction), so on a concluded run this
+    /// equals `report.completed`.
+    pub cs_exits: u64,
     /// What the hub's serve loop did.
     pub hub: HubStats,
 }
@@ -159,14 +162,15 @@ pub const OVER_CAP_FAULT: &str = "hub: output cap exceeded, worker not reading";
 
 impl ProcessReport {
     /// Findings only this tier can make: wire faults and worker deaths on
-    /// any run, a CS-log / report-counter mismatch on runs that concluded
-    /// (a timed-out run kills stalled workers before they report, which
-    /// legitimately loses their counters).
+    /// any run, a mismatch between the CS log's exits and the reported
+    /// completions on runs that concluded (a timed-out run kills stalled
+    /// workers before they report, which legitimately loses their
+    /// counters).
     pub fn findings(&self) -> u64 {
         let r = &self.report;
         self.faults.len() as u64
             + self.crashed.len() as u64
-            + u64::from(!r.timed_out && r.cs_entries != r.completed)
+            + u64::from(!r.timed_out && self.cs_exits != r.completed)
     }
 
     /// Whether the run was safe, fully live, and free of findings.
@@ -513,30 +517,15 @@ pub fn run_process_cluster(
         .map(|s| s.expect("all connected"))
         .collect();
 
-    // --- Start: derive per-node seeds exactly like the thread backend
-    // and ship each worker its configuration (blocking writes; the
-    // sockets go nonblocking only for the serve loop). ---
-    let seeds = spec.node_seeds();
+    // --- Start: ship each worker its node, as the thread tier runs it
+    // (blocking writes; the sockets go nonblocking only for the serve
+    // loop). ---
     for (i, slot) in slots.iter_mut().enumerate() {
-        let cfg = WorkerConfig {
-            algo: spec.ext.protocol.clone(),
-            node: i as u32,
-            n: n as u32,
-            rounds: spec.rounds,
-            think_us: spec.think.as_micros() as u64,
-            cs_us: spec.cs_duration.as_micros() as u64,
-            tick_us: spec.tick.as_micros().max(1) as u64,
-            seed: seeds[i],
-            delay: spec.delay,
-            crash: spec.crash_ticks(i),
-            retry: spec.retry,
-            restartable: !spec.faults.restarts.is_empty(),
+        let start = CtrlFrame::Start {
+            node: Box::new(spec.node(i)),
             cs_log: cs_log.display().to_string(),
         };
-        if let Err(e) = slot
-            .stream
-            .write_all_bytes(encode_frame(&CtrlFrame::Start(Box::new(cfg))).as_ref())
-        {
+        if let Err(e) = slot.stream.write_all_bytes(encode_frame(&start).as_ref()) {
             kill_children(&mut children);
             return Err(format!("start node {i}: {e}"));
         }
@@ -696,7 +685,7 @@ pub fn run_process_cluster(
     kill_children(&mut children);
     drop(listener);
     // A missing log means no worker ever entered the CS (instant crash).
-    let (cs_entries, violations) = replay_cs_log(&cs_log).unwrap_or_default();
+    let (cs_entries, violations, cs_exits) = replay_cs_log(&cs_log).unwrap_or_default();
     let _ = std::fs::remove_file(&cs_log);
 
     let reports: Vec<Option<WorkerReport>> = slots.iter().map(|s| s.report).collect();
@@ -720,6 +709,7 @@ pub fn run_process_cluster(
         reports,
         faults,
         crashed,
+        cs_exits,
         hub,
     })
 }
@@ -729,8 +719,8 @@ type FaultQueueBytes = crate::transport::netq::FaultQueue<Bytes>;
 /// Runs one worker process's node end-to-end: connect, handshake, drive
 /// the protocol over a [`SocketTransport`], report, exit.
 ///
-/// `make_node` builds the protocol instance from the received
-/// [`WorkerConfig`]; `anomalies` extracts the protocol-internal anomaly
+/// `make_node` builds the protocol instance from the [`NodeSpec`] the hub
+/// shipped in `Start`; `anomalies` extracts the protocol-internal anomaly
 /// count from the final state for the report (return 0 when the protocol
 /// has no such notion).
 pub fn run_worker<P, F, A>(
@@ -743,8 +733,8 @@ pub fn run_worker<P, F, A>(
 where
     P: MutexProtocol,
     P::Message: WireCodec + Send,
-    F: FnOnce(NodeId, usize, &WorkerConfig) -> P,
-    A: FnOnce(&P, &WorkerConfig) -> u64,
+    F: FnOnce(NodeId, usize, &NodeSpec) -> P,
+    A: FnOnce(&P, &NodeSpec) -> u64,
 {
     let mut stream = SocketStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
     stream
@@ -753,43 +743,31 @@ where
     let mut fb = FrameBuf::new();
     // Generous: the hub may be handshaking n-1 other workers first.
     let deadline = Instant::now() + Duration::from_secs(60);
-    let cfg = loop {
+    let (spec, cs_log) = loop {
         match read_frame_blocking(&mut stream, &mut fb, deadline)? {
-            CtrlFrame::Start(cfg) => break cfg,
+            CtrlFrame::Start { node, cs_log } => break (node, cs_log),
             CtrlFrame::Reject { reason } => return Err(format!("rejected: {reason}")),
             CtrlFrame::Shutdown => return Err("shut down before start".into()),
             _ => {} // not for us yet
         }
     };
-    if cfg.node != node {
-        return Err(format!("hub assigned node {}, argv says {node}", cfg.node));
+    if spec.node.raw() != node {
+        return Err(format!("hub assigned {}, argv says node {node}", spec.node));
     }
-    let probe = CsLogProbe::open(std::path::Path::new(&cfg.cs_log))
-        .map_err(|e| format!("open cs log {}: {e}", cfg.cs_log))?;
-    let me = NodeId::new(node);
-    let proto = make_node(me, cfg.n as usize, &cfg);
-    let rng = SmallRng::seed_from_u64(cfg.seed);
-    let params = NodeParams::new(
-        cfg.rounds,
-        Duration::from_micros(cfg.think_us),
-        Duration::from_micros(cfg.cs_us),
-        cfg.delay,
-        Duration::from_micros(cfg.tick_us.max(1)),
-        Instant::now(),
-        cfg.crash,
-    );
-    let transport: SocketTransport<P::Message> = SocketTransport::new(me, stream, fb);
+    let probe = CsLogProbe::open(std::path::Path::new(&cs_log))
+        .map_err(|e| format!("open cs log {cs_log}: {e}"))?;
+    let proto = make_node(spec.node, spec.n, &spec);
+    let transport: SocketTransport<P::Message> = SocketTransport::new(spec.node, stream, fb);
     let driver = NodeDriver::new(
-        me,
         proto,
         transport,
         probe,
-        rng,
-        params,
+        &spec,
+        Instant::now(),
         StatusCell::register(format!("rcv-worker-{node}")),
     );
     let (proto, mut transport, mut report) = driver.run();
-    report.anomalies = anomalies(&proto, &cfg);
+    report.anomalies = anomalies(&proto, &spec);
     let fatal = transport.fatal_error().map(|e| e.to_string());
     let _ = transport.send_frame(&CtrlFrame::Report(report));
     match fatal {
@@ -932,6 +910,35 @@ mod tests {
             "deliveries reach the dead worker: {r:?}"
         );
         assert!(r.crash_dropped <= r.late.count, "{r:?}");
+    }
+
+    /// The thread tier's `crashed_holder_is_evicted_and_resumes_after_restart`
+    /// over sockets: one worker enters at ~0 ms to hold for 20 ms, and the
+    /// crash window (10..30 ms at a 1 ms tick) kills it mid-hold. The CS
+    /// log holds the evicted hold and the resumed, completed one; only the
+    /// second ends in an exit, so the run is clean.
+    #[test]
+    fn a_worker_crashed_holding_the_cs_is_no_finding() {
+        use rcv_simnet::SimTime;
+        let at = SimTime::from_ticks;
+        let spec = ProcessSpec::quick(1, 9, "rcv")
+            .tick(Duration::from_millis(1))
+            .cs_duration(Duration::from_millis(20))
+            .faults(rcv_simnet::FaultPlan::crash_restart(
+                NodeId::new(0),
+                at(10),
+                at(30),
+            ))
+            .timeout(Duration::from_secs(20));
+        let pr = run_with(&spec, "uds:", rcv_core::RcvNode::new);
+        let r = &pr.report;
+        assert!(pr.is_clean(1), "{pr:?}");
+        assert_eq!(r.restarts, 1, "the crash window must actually fire");
+        assert_eq!(
+            (r.cs_entries, pr.cs_exits),
+            (2, 1),
+            "one evicted hold plus the resumed, completed one: {pr:?}"
+        );
     }
 
     #[test]

@@ -15,7 +15,7 @@ mod tests {
     /// Runs an RCV cluster per `spec`, with `anomalies` summed over the
     /// nodes' counters as `rcv_workload::Algo::run_threaded` sums them.
     fn run_rcv(spec: ClusterSpec<rcv_core::RcvMessage>, config: RcvConfig) -> ClusterReport {
-        let restartable = !spec.faults.restarts.is_empty();
+        let restartable = spec.restartable();
         let (mut report, nodes) =
             run_cluster_collecting(spec, |id, n| RcvNode::with_config(id, n, config));
         report.anomalies = nodes

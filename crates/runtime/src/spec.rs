@@ -12,13 +12,16 @@
 //! * [`crate::orchestrator::ProcessSpec`]: plus the socket tier's protocol
 //!   tag, socket family and kill drill.
 //!
-//! Each parameter has one field and one builder, here.
+//! Each parameter has one field and one builder, here. What one node
+//! runs is a [`NodeSpec`], and [`Spec::node`] is the one place it is
+//! derived: the thread tier hands it to the node's thread, the socket hub
+//! ships it to the worker in `Start`.
 
 use std::time::Duration;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use rcv_simnet::{FaultPlan, RetryPolicy};
+use rcv_simnet::{FaultPlan, NodeId, RetryPolicy};
 
 use crate::cluster::NetDelay;
 
@@ -54,9 +57,9 @@ pub struct Spec<X> {
     /// socket tier kills stragglers).
     pub timeout: Duration,
     /// RCV retransmission policy (`None` = the paper's retransmission-free
-    /// configuration). Baselines ignore it. The hub ships it to its
-    /// workers; on the thread tier the caller builds the nodes, so the
-    /// caller applies it (`rcv_workload::Algo::run_threaded` does).
+    /// configuration). Baselines ignore it. Each [`NodeSpec`] carries it;
+    /// on the thread tier the caller builds the nodes, so the caller
+    /// applies it (`rcv_workload::Algo::run_threaded` does).
     pub retry: Option<RetryPolicy>,
     /// What the tier needs beyond the shared parameters.
     pub ext: X,
@@ -164,21 +167,69 @@ impl<X> Spec<X> {
         ticks(self.tick, count)
     }
 
-    /// One RNG seed per node, in node order.
-    pub(crate) fn node_seeds(&self) -> Vec<u64> {
-        let mut seeder = SmallRng::seed_from_u64(self.seed);
-        (0..self.n).map(|_| seeder.gen()).collect()
+    /// Whether the fault plan gives any node a crash window: RCV's anomaly
+    /// accounting excuses UL exhaustion in such runs.
+    pub fn restartable(&self) -> bool {
+        !self.faults.restarts.is_empty()
     }
 
-    /// Node `i`'s crash window `(down, up)` in ticks from the run's start,
-    /// if the plan gives it one.
-    pub(crate) fn crash_ticks(&self, i: usize) -> Option<(u64, u64)> {
-        self.faults
-            .restarts
-            .iter()
-            .find(|w| w.node.index() == i)
-            .map(|w| (w.down_at.ticks(), w.up_at.ticks()))
+    /// Node `i`'s share of the run: its seed (the `i`-th draw from the
+    /// master seed, on every tier), its crash window and the run's
+    /// parameters, with the tick at least 1 µs.
+    pub fn node(&self, i: usize) -> NodeSpec {
+        let mut seeder = SmallRng::seed_from_u64(self.seed);
+        NodeSpec {
+            node: NodeId::new(i as u32),
+            n: self.n,
+            seed: std::iter::repeat_with(|| seeder.gen())
+                .nth(i)
+                .expect("endless"),
+            rounds: self.rounds,
+            think: self.think,
+            cs_duration: self.cs_duration,
+            delay: self.delay,
+            tick: self.tick.max(Duration::from_micros(1)),
+            crash: self
+                .faults
+                .restarts
+                .iter()
+                .find(|w| w.node.index() == i)
+                .map(|w| (w.down_at.ticks(), w.up_at.ticks())),
+            retry: self.retry,
+            restartable: self.restartable(),
+        }
     }
+}
+
+/// What one node runs: everything its driver needs besides the instant
+/// its clock starts. [`Spec::node`] derives it; the socket tier's `Start`
+/// frame carries it verbatim.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct NodeSpec {
+    /// This node.
+    pub node: NodeId,
+    /// Cluster size.
+    pub n: usize,
+    /// This node's RNG seed.
+    pub seed: u64,
+    /// CS requests this node performs.
+    pub rounds: u32,
+    /// Pause between a CS completion and the next request.
+    pub think: Duration,
+    /// How long the CS is held.
+    pub cs_duration: Duration,
+    /// Per-message delay model (the node samples, the fabric applies).
+    pub delay: NetDelay,
+    /// Wall-clock length of one simulator tick, at least 1 µs.
+    pub tick: Duration,
+    /// This node's crash window `(down, up)` in ticks from the clock's
+    /// start, if the fault plan gives it one.
+    pub crash: Option<(u64, u64)>,
+    /// RCV retransmission policy (baselines ignore it).
+    pub retry: Option<RetryPolicy>,
+    /// [`Spec::restartable`]: cluster-wide knowledge a node cannot infer
+    /// from its own `crash`.
+    pub restartable: bool,
 }
 
 /// Wall-clock length of `count` ticks of length `tick`.

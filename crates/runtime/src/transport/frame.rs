@@ -6,7 +6,7 @@
 //! body     := kind:u8 payload
 //! Hello    := magic:u32 version:u16 node:u32 protocol:str
 //! Reject   := reason:str
-//! Start    := WorkerConfig
+//! Start    := NodeSpec cs_log:str
 //! Send     := to:u32 delay_us:u64 wire-bytes   (worker → hub)
 //! Deliver  := from:u32 wire-bytes              (hub → worker)
 //! Done     := node:u32
@@ -14,8 +14,20 @@
 //!             restarts:u64 anomalies:u64
 //! Fault    := node:u32 detail:str
 //! Shutdown := ε
+//! NodeSpec := node:u32 n:u32 seed:u64 rounds:u32 think:dur cs:dur delay
+//!             tick:dur crash:opt<down:u64 up:u64>
+//!             retry:opt<deadline:u64 max_deadline:u64 budget:opt<u32>>
+//!             restartable:u8
+//! delay    := 0:u8 dur dur | 1:u8 min:dur max:dur | 2:u8 mean:dur cap:dur
+//! dur      := nanos:u64
+//! opt<x>   := 0:u8 | 1:u8 x
 //! str      := len:u16 utf8
 //! ```
+//!
+//! `Start` carries the worker's [`NodeSpec`], exactly as
+//! [`crate::Spec::node`] derived it on the hub, plus the path of the
+//! shared CS log: the codec is the only translation between what the hub
+//! means and what the worker runs.
 //!
 //! The `wire-bytes` inside `Send`/`Deliver` are a protocol message in its
 //! [`WireCodec`](crate::wire::WireCodec) encoding — the hub routes them
@@ -24,10 +36,13 @@
 //! [`WireError::Framed`] with the `"hub-ctl"` protocol tag so a corrupt
 //! control frame names itself.
 
+use std::time::Duration;
+
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use rcv_simnet::RetryPolicy;
+use rcv_simnet::{NodeId, RetryPolicy};
 
 use crate::cluster::NetDelay;
+use crate::spec::NodeSpec;
 use crate::wire::{get_flag, get_u16, get_u32, get_u64, get_u8, need, WireError};
 
 /// Protocol tag used in [`WireError::Framed`] contexts for this codec.
@@ -38,48 +53,11 @@ pub const HELLO_MAGIC: u32 = 0x5243_5657;
 
 /// Control-plane schema version; a worker built against a different
 /// schema is rejected at handshake, before any protocol traffic.
-pub const SCHEMA_VERSION: u16 = 3;
+pub const SCHEMA_VERSION: u16 = 4;
 
 /// Upper bound on a frame body: one protocol message (codec sanity limit
 /// 1 MiB) plus control headers. Anything larger is an attack or a bug.
 pub const MAX_FRAME: usize = (1 << 20) + 1024;
-
-/// Everything a worker process needs to run its node, delivered in the
-/// `Start` frame (argv stays minimal: address, node index, algorithm).
-#[derive(Clone, Debug, PartialEq)]
-pub struct WorkerConfig {
-    /// Stable algorithm tag (e.g. `"rcv"`, `"maekawa"`), interpreted by
-    /// the workload layer's dispatch.
-    pub algo: String,
-    /// This node's index.
-    pub node: u32,
-    /// Cluster size.
-    pub n: u32,
-    /// CS requests this node performs.
-    pub rounds: u32,
-    /// Pause between CS completion and next request, in µs.
-    pub think_us: u64,
-    /// CS hold time, in µs.
-    pub cs_us: u64,
-    /// Wall-clock length of one simulator tick, in µs.
-    pub tick_us: u64,
-    /// This node's (pre-derived) RNG seed.
-    pub seed: u64,
-    /// Per-message delay model (the node samples, the hub applies).
-    pub delay: NetDelay,
-    /// This node's crash window `(down_ticks, up_ticks)`, if the cluster's
-    /// fault plan gives it one (`FaultPlan::restarts`).
-    pub crash: Option<(u64, u64)>,
-    /// Retransmission policy (RCV only).
-    pub retry: Option<RetryPolicy>,
-    /// Whether the cluster's fault plan includes a crash-restart window
-    /// (anomaly accounting excuses UL-exhaustion in restartable runs —
-    /// cluster-wide knowledge a single worker cannot infer from its own
-    /// `crash` field).
-    pub restartable: bool,
-    /// Path of the shared append-only CS log.
-    pub cs_log: String,
-}
 
 /// Per-node counters reported by a worker after shutdown — the process
 /// backend's share of a [`crate::ClusterReport`].
@@ -118,8 +96,14 @@ pub enum CtrlFrame {
         /// Human-readable refusal reason.
         reason: String,
     },
-    /// Hub → worker: handshake accepted, here is your configuration.
-    Start(Box<WorkerConfig>),
+    /// Hub → worker: handshake accepted; run this node.
+    Start {
+        /// The node to run (argv stays minimal: address, node index,
+        /// algorithm).
+        node: Box<NodeSpec>,
+        /// Path of the shared append-only CS log.
+        cs_log: String,
+    },
     /// Worker → hub: route these wire bytes to `to` after `delay_us`.
     Send {
         /// Destination node.
@@ -168,126 +152,95 @@ fn get_str(buf: &mut Bytes) -> Result<String, WireError> {
     String::from_utf8(raw.as_slice().to_vec()).map_err(|_| WireError::Malformed("non-UTF-8 string"))
 }
 
-fn put_delay(buf: &mut Vec<u8>, delay: &NetDelay) {
-    match *delay {
-        NetDelay::None => {
-            buf.put_u8(0);
-            buf.put_u64(0);
-            buf.put_u64(0);
-        }
-        NetDelay::Uniform { min, max } => {
-            buf.put_u8(1);
-            buf.put_u64(min.as_micros() as u64);
-            buf.put_u64(max.as_micros() as u64);
-        }
-        NetDelay::Exponential { mean, cap } => {
-            buf.put_u8(2);
-            buf.put_u64(mean.as_micros() as u64);
-            buf.put_u64(cap.as_micros() as u64);
-        }
-    }
+fn put_duration(buf: &mut Vec<u8>, d: Duration) {
+    buf.put_u64(d.as_nanos().min(u64::MAX as u128) as u64);
 }
 
-fn get_delay(buf: &mut Bytes) -> Result<NetDelay, WireError> {
-    need(buf, 17)?;
-    let tag = buf.get_u8();
-    let a = std::time::Duration::from_micros(buf.get_u64());
-    let b = std::time::Duration::from_micros(buf.get_u64());
-    match tag {
-        0 => Ok(NetDelay::None),
-        1 => Ok(NetDelay::Uniform { min: a, max: b }),
-        2 => Ok(NetDelay::Exponential { mean: a, cap: b }),
-        t => Err(WireError::BadTag(t)),
-    }
+fn get_duration(buf: &mut Bytes) -> Result<Duration, WireError> {
+    get_u64(buf).map(Duration::from_nanos)
 }
 
-fn put_config(buf: &mut Vec<u8>, cfg: &WorkerConfig) {
-    put_str(buf, &cfg.algo);
-    buf.put_u32(cfg.node);
-    buf.put_u32(cfg.n);
-    buf.put_u32(cfg.rounds);
-    buf.put_u64(cfg.think_us);
-    buf.put_u64(cfg.cs_us);
-    buf.put_u64(cfg.tick_us);
-    buf.put_u64(cfg.seed);
-    put_delay(buf, &cfg.delay);
-    match cfg.crash {
-        Some((down, up)) => {
-            buf.put_u8(1);
-            buf.put_u64(down);
-            buf.put_u64(up);
-        }
-        None => buf.put_u8(0),
+fn put_node_spec(buf: &mut Vec<u8>, spec: &NodeSpec) {
+    buf.put_u32(spec.node.raw());
+    buf.put_u32(spec.n as u32);
+    buf.put_u64(spec.seed);
+    buf.put_u32(spec.rounds);
+    put_duration(buf, spec.think);
+    put_duration(buf, spec.cs_duration);
+    let (tag, a, b) = match spec.delay {
+        NetDelay::None => (0, Duration::ZERO, Duration::ZERO),
+        NetDelay::Uniform { min, max } => (1, min, max),
+        NetDelay::Exponential { mean, cap } => (2, mean, cap),
+    };
+    buf.put_u8(tag);
+    put_duration(buf, a);
+    put_duration(buf, b);
+    put_duration(buf, spec.tick);
+    buf.put_u8(spec.crash.is_some() as u8);
+    if let Some((down, up)) = spec.crash {
+        buf.put_u64(down);
+        buf.put_u64(up);
     }
-    match cfg.retry {
-        Some(r) => {
-            buf.put_u8(1);
-            buf.put_u64(r.deadline);
-            buf.put_u64(r.max_deadline);
-            buf.put_u64(r.jitter);
-            match r.budget {
-                Some(b) => {
-                    buf.put_u8(1);
-                    buf.put_u32(b);
-                }
-                None => buf.put_u8(0),
-            }
+    buf.put_u8(spec.retry.is_some() as u8);
+    if let Some(r) = spec.retry {
+        buf.put_u64(r.deadline);
+        buf.put_u64(r.max_deadline);
+        buf.put_u8(r.budget.is_some() as u8);
+        if let Some(budget) = r.budget {
+            buf.put_u32(budget);
         }
-        None => buf.put_u8(0),
     }
-    buf.put_u8(cfg.restartable as u8);
-    put_str(buf, &cfg.cs_log);
+    buf.put_u8(spec.restartable as u8);
 }
 
-fn get_config(buf: &mut Bytes) -> Result<WorkerConfig, WireError> {
-    let algo = get_str(buf)?;
-    let node = get_u32(buf)?;
-    let n = get_u32(buf)?;
-    let rounds = get_u32(buf)?;
-    let think_us = get_u64(buf)?;
-    let cs_us = get_u64(buf)?;
-    let tick_us = get_u64(buf)?;
+fn get_node_spec(buf: &mut Bytes) -> Result<NodeSpec, WireError> {
+    let node = NodeId::new(get_u32(buf)?);
+    let n = get_u32(buf)? as usize;
     let seed = get_u64(buf)?;
-    let delay = get_delay(buf)?;
+    let rounds = get_u32(buf)?;
+    let think = get_duration(buf)?;
+    let cs_duration = get_duration(buf)?;
+    let (tag, a, b) = (get_u8(buf)?, get_duration(buf)?, get_duration(buf)?);
+    let delay = match tag {
+        0 => NetDelay::None,
+        1 => NetDelay::Uniform { min: a, max: b },
+        2 => NetDelay::Exponential { mean: a, cap: b },
+        t => return Err(WireError::BadTag(t)),
+    };
+    let tick = get_duration(buf)?;
+    if tick.is_zero() {
+        return Err(WireError::Malformed("zero tick"));
+    }
     let crash = if get_flag(buf)? {
         Some((get_u64(buf)?, get_u64(buf)?))
     } else {
         None
     };
     let retry = if get_flag(buf)? {
-        let deadline = get_u64(buf)?;
-        let max_deadline = get_u64(buf)?;
-        let jitter = get_u64(buf)?;
-        let budget = if get_flag(buf)? {
-            Some(get_u32(buf)?)
-        } else {
-            None
-        };
         Some(RetryPolicy {
-            deadline,
-            max_deadline,
-            jitter,
-            budget,
+            deadline: get_u64(buf)?,
+            max_deadline: get_u64(buf)?,
+            budget: if get_flag(buf)? {
+                Some(get_u32(buf)?)
+            } else {
+                None
+            },
         })
     } else {
         None
     };
-    let restartable = get_flag(buf)?;
-    let cs_log = get_str(buf)?;
-    Ok(WorkerConfig {
-        algo,
+    Ok(NodeSpec {
         node,
         n,
-        rounds,
-        think_us,
-        cs_us,
-        tick_us,
         seed,
+        rounds,
+        think,
+        cs_duration,
         delay,
+        tick,
         crash,
         retry,
-        restartable,
-        cs_log,
+        restartable: get_flag(buf)?,
     })
 }
 
@@ -322,9 +275,10 @@ pub(crate) fn encode_frame_into(out: &mut Vec<u8>, frame: &CtrlFrame) {
             body.put_u8(1);
             put_str(body, reason);
         }
-        CtrlFrame::Start(cfg) => {
+        CtrlFrame::Start { node, cs_log } => {
             body.put_u8(2);
-            put_config(body, cfg);
+            put_node_spec(body, node);
+            put_str(body, cs_log);
         }
         CtrlFrame::Send {
             to,
@@ -401,7 +355,10 @@ pub fn decode_ctrl(mut buf: Bytes) -> Result<CtrlFrame, WireError> {
             1 => CtrlFrame::Reject {
                 reason: get_str(&mut buf)?,
             },
-            2 => CtrlFrame::Start(Box::new(get_config(&mut buf)?)),
+            2 => CtrlFrame::Start {
+                node: Box::new(get_node_spec(&mut buf)?),
+                cs_log: get_str(&mut buf)?,
+            },
             3 => {
                 let to = get_u32(&mut buf)?;
                 let delay_us = get_u64(&mut buf)?;
@@ -542,25 +499,29 @@ pub fn hello(node: u32, protocol: &str) -> CtrlFrame {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
 
-    fn sample_config() -> WorkerConfig {
-        WorkerConfig {
-            algo: "rcv".into(),
-            node: 3,
+    fn sample_node() -> NodeSpec {
+        NodeSpec {
+            node: NodeId::new(3),
             n: 8,
-            rounds: 2,
-            think_us: 1_000,
-            cs_us: 2_000,
-            tick_us: 200,
             seed: 0xDEAD_BEEF,
+            rounds: 2,
+            think: Duration::from_millis(1),
+            cs_duration: Duration::from_millis(2),
             delay: NetDelay::Uniform {
                 min: Duration::from_micros(50),
                 max: Duration::from_millis(2),
             },
+            tick: Duration::from_micros(200),
             crash: Some((25, 120)),
-            retry: Some(RetryPolicy::backoff(400, 3_200).with_jitter(16)),
+            retry: Some(RetryPolicy::backoff(400, 3_200).with_budget(5)),
             restartable: true,
+        }
+    }
+
+    fn start(node: NodeSpec) -> CtrlFrame {
+        CtrlFrame::Start {
+            node: Box::new(node),
             cs_log: "/tmp/cs.log".into(),
         }
     }
@@ -571,7 +532,7 @@ mod tests {
             CtrlFrame::Reject {
                 reason: "schema version mismatch".into(),
             },
-            CtrlFrame::Start(Box::new(sample_config())),
+            start(sample_node()),
             CtrlFrame::Send {
                 to: 2,
                 delay_us: 777,
@@ -624,16 +585,58 @@ mod tests {
 
     #[test]
     fn config_with_no_options_roundtrips() {
-        let cfg = WorkerConfig {
+        let f = start(NodeSpec {
             crash: None,
             retry: None,
             delay: NetDelay::None,
-            ..sample_config()
-        };
-        let f = CtrlFrame::Start(Box::new(cfg));
+            ..sample_node()
+        });
         let mut fb = FrameBuf::new();
         fb.extend(encode_frame(&f).as_ref());
         assert_eq!(fb.next_frame().unwrap(), Some(f));
+    }
+
+    /// What a worker decodes from `Start` is the hub's `spec.node(i)`,
+    /// field for field, for a spec that sets every field a node runs by.
+    #[test]
+    fn a_worker_decodes_the_node_the_hub_derived() {
+        use rcv_simnet::{FaultPlan, SimTime};
+        let spec = crate::RunSpec::quick(5, 0xC0FFEE)
+            .rounds(3)
+            .think(Duration::from_micros(1_250))
+            .cs_duration(Duration::from_nanos(2_000_500))
+            .delay(NetDelay::Exponential {
+                mean: Duration::from_nanos(333_333),
+                cap: Duration::from_millis(4),
+            })
+            .tick(Duration::from_micros(200))
+            .faults(FaultPlan::crash_restart(
+                NodeId::new(2),
+                SimTime::from_ticks(25),
+                SimTime::from_ticks(120),
+            ))
+            .retry(RetryPolicy::backoff(400, 3_200).with_budget(7));
+        for i in 0..spec.n {
+            let node = spec.node(i);
+            let f = start(node);
+            let body = encode_frame(&f).slice(4..);
+            let CtrlFrame::Start { node: got, .. } = decode_ctrl(body).unwrap() else {
+                panic!("not a Start");
+            };
+            assert_eq!(*got, node);
+            assert_eq!(got.crash.is_some(), i == 2, "{got:?}");
+            assert!(got.restartable && got.retry.is_some());
+        }
+    }
+
+    #[test]
+    fn a_zero_tick_is_refused() {
+        let wire = encode_frame(&start(NodeSpec {
+            tick: Duration::ZERO,
+            ..sample_node()
+        }));
+        let err = decode_ctrl(wire.slice(4..)).unwrap_err();
+        assert_eq!(err.to_string(), "hub-ctl/Start: malformed field: zero tick");
     }
 
     #[test]

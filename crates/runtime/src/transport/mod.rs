@@ -5,7 +5,9 @@
 //! base delay the fabric will apply), delivers inbound messages and the
 //! shutdown signal, and accepts the node's "all my rounds are done"
 //! announcement. The node driver in `crate::node` is written against this
-//! trait alone, so the same protocol-driving code runs on both fabrics:
+//! trait alone, and built from the node's [`crate::NodeSpec`] on either
+//! tier (the socket hub ships it in `Start`, see [`frame`]), so the same
+//! protocol-driving code runs the same node on both fabrics:
 //!
 //! * [`ChanTransport`] — the in-process fabric: the node threads share
 //!   one `FaultQueue` behind a mutex, with a delay heap per receiver. A

@@ -41,7 +41,7 @@ impl Fake {
         };
         fake.send(&hello(node, TAG));
         match fake.next_frame() {
-            Some(CtrlFrame::Start(cfg)) => assert_eq!(cfg.node, node),
+            Some(CtrlFrame::Start { node: spec, .. }) => assert_eq!(spec.node.raw(), node),
             other => panic!("expected Start, got {other:?}"),
         }
         fake

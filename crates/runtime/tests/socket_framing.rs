@@ -9,15 +9,15 @@
 use std::time::Duration;
 
 use rcv_runtime::transport::frame::{
-    encode_frame, hello, validate_hello, CtrlFrame, FrameBuf, WorkerConfig, WorkerReport,
-    HELLO_MAGIC, MAX_FRAME, SCHEMA_VERSION,
+    encode_frame, hello, validate_hello, CtrlFrame, FrameBuf, WorkerReport, HELLO_MAGIC, MAX_FRAME,
+    SCHEMA_VERSION,
 };
 use rcv_runtime::wire::WireError;
-use rcv_runtime::NetDelay;
-use rcv_simnet::RetryPolicy;
+use rcv_runtime::{NetDelay, NodeSpec};
+use rcv_simnet::{NodeId, RetryPolicy};
 
 /// A frame of every variant, with the fiddliest field shapes represented
-/// (full config with retry + crash window, non-empty payloads, non-ASCII
+/// (a full node spec with retry + crash window, non-empty payloads, non-ASCII
 /// strings).
 fn menagerie() -> Vec<CtrlFrame> {
     vec![
@@ -25,24 +25,25 @@ fn menagerie() -> Vec<CtrlFrame> {
         CtrlFrame::Reject {
             reason: "schema version mismatch: worker speaks v9".into(),
         },
-        CtrlFrame::Start(Box::new(WorkerConfig {
-            algo: "rcv".into(),
-            node: 1,
-            n: 5,
-            rounds: 3,
-            think_us: 250,
-            cs_us: 400,
-            tick_us: 100,
-            seed: 0xDEAD_BEEF_CAFE_F00D,
-            delay: NetDelay::Uniform {
-                min: Duration::from_micros(20),
-                max: Duration::from_micros(200),
-            },
-            crash: Some((40, 90)),
-            retry: Some(RetryPolicy::fixed(2_000)),
-            restartable: true,
+        CtrlFrame::Start {
+            node: Box::new(NodeSpec {
+                node: NodeId::new(1),
+                n: 5,
+                seed: 0xDEAD_BEEF_CAFE_F00D,
+                rounds: 3,
+                think: Duration::from_micros(250),
+                cs_duration: Duration::from_micros(400),
+                delay: NetDelay::Uniform {
+                    min: Duration::from_micros(20),
+                    max: Duration::from_micros(200),
+                },
+                tick: Duration::from_micros(100),
+                crash: Some((40, 90)),
+                retry: Some(RetryPolicy::fixed(2_000)),
+                restartable: true,
+            }),
             cs_log: "/tmp/rcv-cs-log-λ".into(),
-        })),
+        },
         CtrlFrame::Send {
             to: 4,
             delay_us: 12_345,

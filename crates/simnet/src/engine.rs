@@ -388,8 +388,8 @@ pub struct Engine<P: MutexProtocol, W: Workload> {
     /// eviction; lets stale `CsExit` events (from a hold the crash killed)
     /// be recognized and dropped.
     cs_epoch: Vec<u64>,
-    /// Per-node flag: a request was outstanding when the node crashed and
-    /// was abandoned; re-issued at restart if the protocol recovers.
+    /// Per-node flag: a request was outstanding when the node crashed; its
+    /// bookkeeping re-opens at restart if the protocol resumes it.
     crash_aborted: Vec<bool>,
     events: u64,
     trace: Trace,
@@ -455,9 +455,9 @@ impl<P: MutexProtocol + Send, W: Workload> Engine<P, W> {
         }
         let mut queue = EventQueue::with_horizon(SimDuration::from_ticks(horizon));
         // Crash windows are driven by explicit events (eviction, restart
-        // hook, request re-issue). Permanent crash-stops stay purely
-        // passive — exactly the pre-window engine behavior, so legacy
-        // fault plans keep bit-identical event counts and RNG streams.
+        // hook). Permanent crash-stops stay purely passive — exactly the
+        // pre-window engine behavior, so legacy fault plans keep
+        // bit-identical event counts and RNG streams.
         for w in &cfg.faults.restarts {
             queue.schedule(w.down_at, EventKind::Crash { node: w.node });
             queue.schedule(w.up_at, EventKind::Restart { node: w.node });
@@ -859,8 +859,8 @@ impl<P: MutexProtocol + Send, W: Workload> Engine<P, W> {
 
     /// Start of a crash window: the node dies *now*. If it held the CS it
     /// is evicted (a dead process occupies nothing) and its pending exit is
-    /// invalidated; an outstanding request is abandoned and remembered for
-    /// re-issue at restart.
+    /// invalidated; an outstanding request is retired from the metrics and
+    /// remembered, for the protocol to resume at restart.
     fn handle_crash(&mut self, node: NodeId, now: SimTime) {
         self.metrics.node_crashed();
         let held = self.in_cs[node.index()];
@@ -877,10 +877,9 @@ impl<P: MutexProtocol + Send, W: Workload> Engine<P, W> {
         });
     }
 
-    /// End of a crash window: run the protocol's restart hook and act on
-    /// its outcome — re-issue the interrupted request for a node that
-    /// rejoined idle, or just re-open the request bookkeeping for one that
-    /// resumed the request internally (write-ahead recovery).
+    /// End of a crash window: run the protocol's restart hook; if it
+    /// rejoined with the request the crash interrupted, re-open that
+    /// request's bookkeeping.
     fn handle_restart(&mut self, node: NodeId, now: SimTime) {
         self.metrics.node_restarted();
         let outcome = self.dispatch(node, now, |p, ctx| p.on_restart(ctx));
@@ -890,21 +889,11 @@ impl<P: MutexProtocol + Send, W: Workload> Engine<P, W> {
             recovered: outcome.recovered(),
         });
         let interrupted = std::mem::take(&mut self.crash_aborted[node.index()]);
-        match outcome {
-            RestartOutcome::KeptState => {}
-            RestartOutcome::RejoinedIdle => {
-                if interrupted {
-                    self.queue.schedule(now, EventKind::Arrival { node });
-                }
-            }
-            RestartOutcome::ResumedRequest => {
-                // The protocol re-adopted its interrupted request; track it
-                // as a fresh lifecycle starting now (down time is recovery,
-                // not protocol wait, so it must not pollute response times).
-                if interrupted {
-                    self.metrics.request_resumed(node, now);
-                }
-            }
+        if outcome.recovered() && interrupted {
+            // The protocol resumed its interrupted request; track it as a
+            // fresh lifecycle starting now (down time is recovery, not
+            // protocol wait, so it must not pollute response times).
+            self.metrics.request_resumed(node, now);
         }
     }
 

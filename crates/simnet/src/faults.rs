@@ -24,8 +24,9 @@
 //!   re-announces; protocols without a recovery story keep their pre-crash
 //!   state and are documented non-recoverable). A crashed *holder* is
 //!   evicted from the safety monitor at `down_at` — the process is dead, so
-//!   it cannot be "inside" the CS — and a recovered node re-issues the
-//!   request it abandoned mid-crash.
+//!   it cannot be "inside" the CS. The environment never re-issues the
+//!   request a crash interrupted: a recovering protocol resumes it itself
+//!   (RCV's write-ahead record), one without a recovery story keeps it.
 //! * **loss** — every k-th message vanishes in the network (never
 //!   delivered). The paper assumes reliable channels, so lossy cells only
 //!   demand *safety*; liveness under loss needs the retransmission

@@ -119,14 +119,11 @@ pub enum RestartOutcome {
     /// crashed token holder stays the token holder — such runs only
     /// demand safety, never liveness.
     KeptState,
-    /// The node rejoined in an idle state; whatever request was
-    /// outstanding at the crash is gone, and the environment should
-    /// re-issue it as a fresh request.
-    RejoinedIdle,
-    /// The node rejoined *and* internally re-adopted the request that was
-    /// interrupted by the crash (write-ahead recovery). The environment
-    /// must not re-issue anything — the request is live again.
-    ResumedRequest,
+    /// The node rebuilt its state and rejoined, and resumed the request
+    /// the crash interrupted, if there was one (write-ahead recovery).
+    /// The environment re-issues nothing: a resumed request is live
+    /// again, and its round stays open until it is granted.
+    Rejoined,
 }
 
 impl RestartOutcome {
@@ -177,17 +174,16 @@ pub trait MutexProtocol {
 
     /// The node's process restarted after a bounded crash
     /// ([`crate::FaultPlan::with_crash_restart`]). Everything delivered
-    /// during the outage was dropped; any request outstanding at the crash
-    /// was retired by the environment at the crash instant.
+    /// during the outage was dropped. The environment never re-issues a
+    /// request the crash interrupted: a protocol that recovers resumes it
+    /// itself.
     ///
     /// The returned [`RestartOutcome`] tells the environment what happened:
-    /// [`RestartOutcome::RejoinedIdle`] makes it re-issue the interrupted
-    /// request as a fresh one; [`RestartOutcome::ResumedRequest`] means the
-    /// protocol re-adopted the interrupted request itself (the environment
-    /// re-opens its bookkeeping but issues nothing). The default keeps the
-    /// pre-crash state verbatim and reports
-    /// [`RestartOutcome::KeptState`] — honest for protocols without a
-    /// recovery story.
+    /// [`RestartOutcome::Rejoined`] means the protocol rebuilt its state
+    /// and resumed any interrupted request (the environment re-opens its
+    /// bookkeeping for it). The default keeps the pre-crash state verbatim
+    /// and reports [`RestartOutcome::KeptState`] — honest for protocols
+    /// without a recovery story.
     fn on_restart(&mut self, ctx: &mut Ctx<'_, Self::Message>) -> RestartOutcome {
         let _ = ctx;
         RestartOutcome::KeptState

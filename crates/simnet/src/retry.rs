@@ -1,24 +1,20 @@
 //! Deterministic retry/timeout policies for protocol timer machinery.
 //!
 //! A [`RetryPolicy`] decides *when to give up waiting* and try again: an
-//! initial deadline, exponential backoff with a cap, optional additive
-//! jitter, and an optional retry budget. Protocols arm their
-//! retransmission timers through it instead of hard-coding an interval
-//! (the RCV retransmission extension used to be a fixed-interval bolt-on;
-//! `RetryPolicy::fixed` reproduces that behavior bit-identically).
+//! initial deadline, exponential backoff with a cap, and an optional
+//! retry budget. Protocols arm their retransmission timers through it
+//! instead of hard-coding an interval (the RCV retransmission extension
+//! used to be a fixed-interval bolt-on; `RetryPolicy::fixed` reproduces
+//! that behavior bit-identically).
 //!
-//! Determinism contract: a policy with `jitter == 0` consumes **no**
-//! randomness, so enabling such a policy — or none at all — leaves every
-//! RNG stream of a simulation bit-identical to a policy-free run. Jittered
-//! policies draw from the caller's seeded per-node RNG, so a master seed
-//! still fully determines the retransmit schedule.
-
-use rand::rngs::SmallRng;
-use rand::Rng;
+//! Determinism contract: a policy consumes **no** randomness, so enabling
+//! one — or none at all — leaves every RNG stream of a simulation
+//! bit-identical to a policy-free run, and the schedule is a pure
+//! function of the attempt number (which the model checker needs).
 
 use crate::time::SimDuration;
 
-/// When to retransmit: deadline, exponential backoff, jitter, budget.
+/// When to retransmit: deadline, exponential backoff, budget.
 ///
 /// `Copy + Hash` on purpose: policies live inside protocol configuration
 /// that is folded into model-checker state digests.
@@ -30,43 +26,31 @@ pub struct RetryPolicy {
     /// Cap for the doubling backoff, in ticks. Equal to `deadline` for a
     /// fixed-interval policy.
     pub max_deadline: u64,
-    /// Maximum additive jitter in ticks: each armed deadline is stretched
-    /// by a uniform draw from `[0, jitter]`. Zero = no draw at all (the
-    /// determinism contract above).
-    pub jitter: u64,
     /// Maximum number of retransmissions (`None` = retry forever).
     pub budget: Option<u32>,
 }
 
 impl RetryPolicy {
-    /// Fixed-interval policy: retransmit every `ticks`, forever, no
-    /// jitter — RCV's original retransmission extension.
+    /// Fixed-interval policy: retransmit every `ticks`, forever — RCV's
+    /// original retransmission extension.
     pub fn fixed(ticks: u64) -> Self {
         assert!(ticks >= 1, "retry deadline must be >= 1 tick");
         RetryPolicy {
             deadline: ticks,
             max_deadline: ticks,
-            jitter: 0,
             budget: None,
         }
     }
 
-    /// Doubling backoff from `base` up to `cap`, forever, no jitter.
+    /// Doubling backoff from `base` up to `cap`, forever.
     pub fn backoff(base: u64, cap: u64) -> Self {
         assert!(base >= 1, "retry deadline must be >= 1 tick");
         assert!(cap >= base, "backoff cap must be >= the initial deadline");
         RetryPolicy {
             deadline: base,
             max_deadline: cap,
-            jitter: 0,
             budget: None,
         }
-    }
-
-    /// Adds uniform additive jitter in `[0, jitter]` ticks (builder-style).
-    pub fn with_jitter(mut self, jitter: u64) -> Self {
-        self.jitter = jitter;
-        self
     }
 
     /// Caps the number of retransmissions (builder-style).
@@ -79,10 +63,7 @@ impl RetryPolicy {
     /// (`attempt` = retransmissions already performed, so the initial
     /// send arms with `attempt = 0`). Returns `None` once the budget is
     /// exhausted — the caller stops re-arming.
-    ///
-    /// Jitter, when configured, is drawn from `rng`; a zero-jitter policy
-    /// never touches it.
-    pub fn backoff_delay(&self, attempt: u32, rng: &mut SmallRng) -> Option<SimDuration> {
+    pub fn backoff_delay(&self, attempt: u32) -> Option<SimDuration> {
         if let Some(budget) = self.budget {
             if attempt >= budget {
                 return None;
@@ -93,15 +74,11 @@ impl RetryPolicy {
         } else {
             self.deadline.saturating_mul(1u64 << attempt)
         };
-        let mut ticks = doubled.min(self.max_deadline);
-        if self.jitter > 0 {
-            ticks = ticks.saturating_add(rng.gen_range(0..=self.jitter));
-        }
-        Some(SimDuration::from_ticks(ticks))
+        Some(SimDuration::from_ticks(doubled.min(self.max_deadline)))
     }
 
     /// The shortest delay [`Self::backoff_delay`] ever returns: the first
-    /// attempt's, unjittered, capped.
+    /// attempt's, capped.
     pub fn min_delay(&self) -> SimDuration {
         SimDuration::from_ticks(self.deadline.min(self.max_deadline))
     }
@@ -115,34 +92,26 @@ impl RetryPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
-
-    fn rng(seed: u64) -> SmallRng {
-        SmallRng::seed_from_u64(seed)
-    }
 
     #[test]
     fn fixed_policy_never_backs_off_and_never_draws() {
+        // No RNG in sight: the schedule is a function of the attempt alone
+        // (the matrix fingerprint stability of policy-off cells and the
+        // model checker's determinism rest on this).
         let p = RetryPolicy::fixed(2_000);
-        let mut r = rng(7);
-        let before = r.clone();
         for attempt in 0..10 {
             assert_eq!(
-                p.backoff_delay(attempt, &mut r),
+                p.backoff_delay(attempt),
                 Some(SimDuration::from_ticks(2_000))
             );
         }
-        // Zero-jitter policies must consume no randomness (the matrix
-        // fingerprint stability of policy-off cells rests on this).
-        assert_eq!(r.gen::<u64>(), before.clone().gen::<u64>());
     }
 
     #[test]
     fn backoff_doubles_up_to_the_cap() {
         let p = RetryPolicy::backoff(100, 800);
-        let mut r = rng(0);
         let ds: Vec<u64> = (0..6)
-            .map(|a| p.backoff_delay(a, &mut r).unwrap().ticks())
+            .map(|a| p.backoff_delay(a).unwrap().ticks())
             .collect();
         assert_eq!(ds, vec![100, 200, 400, 800, 800, 800]);
     }
@@ -150,47 +119,18 @@ mod tests {
     #[test]
     fn huge_attempt_counts_saturate_at_the_cap() {
         let p = RetryPolicy::backoff(100, u64::MAX);
-        let mut r = rng(0);
-        assert_eq!(p.backoff_delay(200, &mut r).unwrap().ticks(), u64::MAX);
-    }
-
-    #[test]
-    fn jitter_stays_within_bounds() {
-        let p = RetryPolicy::fixed(1_000).with_jitter(50);
-        let mut r = rng(3);
-        for attempt in 0..200 {
-            let d = p.backoff_delay(attempt % 4, &mut r).unwrap().ticks();
-            assert!((1_000..=1_050).contains(&d), "jittered delay {d} escaped");
-        }
+        assert_eq!(p.backoff_delay(200).unwrap().ticks(), u64::MAX);
     }
 
     #[test]
     fn budget_exhaustion_stops_rearming() {
         let p = RetryPolicy::fixed(500).with_budget(2);
-        let mut r = rng(1);
-        assert!(p.backoff_delay(0, &mut r).is_some());
-        assert!(p.backoff_delay(1, &mut r).is_some());
-        assert_eq!(p.backoff_delay(2, &mut r), None, "budget spent");
-        assert_eq!(p.backoff_delay(99, &mut r), None);
+        assert!(p.backoff_delay(0).is_some());
+        assert!(p.backoff_delay(1).is_some());
+        assert_eq!(p.backoff_delay(2), None, "budget spent");
+        assert_eq!(p.backoff_delay(99), None);
         assert!(p.is_bounded());
         assert!(!RetryPolicy::fixed(500).is_bounded());
-    }
-
-    #[test]
-    fn same_seed_same_schedule() {
-        let p = RetryPolicy::backoff(100, 1_600).with_jitter(25);
-        let schedule = |seed: u64| -> Vec<u64> {
-            let mut r = rng(seed);
-            (0..8)
-                .map(|a| p.backoff_delay(a, &mut r).unwrap().ticks())
-                .collect()
-        };
-        assert_eq!(schedule(42), schedule(42), "seed determines the schedule");
-        assert_ne!(
-            schedule(42),
-            schedule(43),
-            "different seeds must actually jitter differently"
-        );
     }
 
     #[test]
@@ -198,20 +138,18 @@ mod tests {
         let policies = [
             RetryPolicy::fixed(3),
             RetryPolicy::backoff(2, 40),
-            RetryPolicy::backoff(5, 5).with_jitter(4),
+            RetryPolicy::backoff(5, 5),
             RetryPolicy::backoff(1, 64).with_budget(6),
             // A struct literal may set the cap below the first deadline.
             RetryPolicy {
                 deadline: 9,
                 max_deadline: 4,
-                jitter: 2,
                 budget: None,
             },
         ];
         for p in policies {
-            let mut r = rng(5);
             for attempt in 0..70 {
-                if let Some(d) = p.backoff_delay(attempt, &mut r) {
+                if let Some(d) = p.backoff_delay(attempt) {
                     assert!(p.min_delay() <= d, "{p:?} attempt {attempt}: {d:?}");
                 }
             }

@@ -65,6 +65,24 @@ pub trait Workload {
     );
 }
 
+/// A boxed workload is a workload: one engine call covers shapes chosen
+/// at run time.
+impl<W: Workload + ?Sized> Workload for Box<W> {
+    fn init(&mut self, n: usize, rng: &mut SmallRng, sink: &mut ArrivalSink) {
+        (**self).init(n, rng, sink)
+    }
+
+    fn on_complete(
+        &mut self,
+        node: NodeId,
+        now: SimTime,
+        rng: &mut SmallRng,
+        sink: &mut ArrivalSink,
+    ) {
+        (**self).on_complete(node, now, rng, sink)
+    }
+}
+
 /// The trivial workload: every node requests exactly once, all at `t = 0`.
 ///
 /// This is the paper's Figure 4/5 scenario ("all nodes are requesting the CS

@@ -157,7 +157,7 @@ impl Algo {
     /// or Maekawa with reordering delivery.
     pub fn run_threaded(&self, spec: &RunSpec) -> ClusterReport {
         let spec = self.fifo_safe(spec);
-        let (restartable, retry) = (!spec.faults.restarts.is_empty(), spec.retry);
+        let (restartable, retry) = (spec.restartable(), spec.retry);
         with_protocol!(*self, |make, anomalies| {
             let (mut report, nodes) =
                 run_cluster_collecting(spec.with(Some(verifying_hook())), |id, n| {
@@ -179,8 +179,8 @@ impl Algo {
                 addr,
                 node,
                 self.tag(),
-                |id, n, cfg| make(id, n, cfg.retry),
-                |p, cfg| anomalies(p, cfg.restartable),
+                |id, n, node| make(id, n, node.retry),
+                |p, node| anomalies(p, node.restartable),
             )
         })
     }

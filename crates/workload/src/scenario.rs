@@ -42,6 +42,7 @@
 
 use rcv_simnet::{
     DelayModel, FaultPlan, NodeId, RetryPolicy, SimConfig, SimDuration, SimReport, SimTime,
+    Workload,
 };
 
 use crate::algo::Algo;
@@ -98,22 +99,20 @@ pub enum ShapeSpec {
 
 impl ShapeSpec {
     /// Materializes the workload for a system of `n` nodes.
-    pub fn workload(&self, n: usize) -> ScenarioWorkload {
+    pub fn workload(&self, n: usize) -> Box<dyn Workload> {
         match *self {
-            ShapeSpec::Burst => ScenarioWorkload::Burst(rcv_simnet::BurstOnce),
-            ShapeSpec::Poisson { mean, horizon } => ScenarioWorkload::Poisson(PoissonWorkload {
+            ShapeSpec::Burst => Box::new(rcv_simnet::BurstOnce),
+            ShapeSpec::Poisson { mean, horizon } => Box::new(PoissonWorkload {
                 mean_interarrival: mean,
                 horizon: SimTime::from_ticks(horizon),
             }),
-            ShapeSpec::Saturation { rounds } => {
-                ScenarioWorkload::Saturation(SaturationWorkload::new(n, rounds))
-            }
+            ShapeSpec::Saturation { rounds } => Box::new(SaturationWorkload::new(n, rounds)),
             ShapeSpec::HotSpot {
                 hot,
                 hot_mean,
                 cold_mean,
                 horizon,
-            } => ScenarioWorkload::HotSpot(HotSpotWorkload::new(
+            } => Box::new(HotSpotWorkload::new(
                 hot,
                 hot_mean,
                 cold_mean,
@@ -141,7 +140,7 @@ impl ShapeSpec {
                         }
                     })
                     .collect();
-                ScenarioWorkload::Ramp(PhasedWorkload::new(phases))
+                Box::new(PhasedWorkload::new(phases))
             }
         }
     }
@@ -154,54 +153,6 @@ impl ShapeSpec {
             ShapeSpec::Saturation { .. } => "saturation",
             ShapeSpec::HotSpot { .. } => "hotspot",
             ShapeSpec::Ramp { .. } => "ramp",
-        }
-    }
-}
-
-/// Enum-dispatched workload so one engine call covers every shape.
-#[derive(Clone, Debug)]
-pub enum ScenarioWorkload {
-    /// See [`ShapeSpec::Burst`].
-    Burst(rcv_simnet::BurstOnce),
-    /// See [`ShapeSpec::Poisson`].
-    Poisson(PoissonWorkload),
-    /// See [`ShapeSpec::Saturation`].
-    Saturation(SaturationWorkload),
-    /// See [`ShapeSpec::HotSpot`].
-    HotSpot(HotSpotWorkload),
-    /// See [`ShapeSpec::Ramp`].
-    Ramp(PhasedWorkload),
-}
-
-impl rcv_simnet::Workload for ScenarioWorkload {
-    fn init(
-        &mut self,
-        n: usize,
-        rng: &mut rand::rngs::SmallRng,
-        sink: &mut rcv_simnet::ArrivalSink,
-    ) {
-        match self {
-            ScenarioWorkload::Burst(w) => w.init(n, rng, sink),
-            ScenarioWorkload::Poisson(w) => w.init(n, rng, sink),
-            ScenarioWorkload::Saturation(w) => w.init(n, rng, sink),
-            ScenarioWorkload::HotSpot(w) => w.init(n, rng, sink),
-            ScenarioWorkload::Ramp(w) => w.init(n, rng, sink),
-        }
-    }
-
-    fn on_complete(
-        &mut self,
-        node: NodeId,
-        now: SimTime,
-        rng: &mut rand::rngs::SmallRng,
-        sink: &mut rcv_simnet::ArrivalSink,
-    ) {
-        match self {
-            ScenarioWorkload::Burst(w) => w.on_complete(node, now, rng, sink),
-            ScenarioWorkload::Poisson(w) => w.on_complete(node, now, rng, sink),
-            ScenarioWorkload::Saturation(w) => w.on_complete(node, now, rng, sink),
-            ScenarioWorkload::HotSpot(w) => w.on_complete(node, now, rng, sink),
-            ScenarioWorkload::Ramp(w) => w.on_complete(node, now, rng, sink),
         }
     }
 }
